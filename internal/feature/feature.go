@@ -17,6 +17,7 @@ package feature
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -90,12 +91,20 @@ type Codebook struct {
 	mu     sync.RWMutex
 	scheme Scheme
 	feats  []Feature
-	index  map[Feature]int
+	// slots is the feature → index table: open addressing with linear
+	// probing over feats, a slot holding index+1 (0 = empty), its length a
+	// power of two kept under 3/4 full. At 4 bytes a slot it costs a
+	// fraction of a map[Feature]int, which matters where a codebook is
+	// large: the encoder's with-constants codebook holds a feature or two
+	// per distinct statement of a log whose statements differ in their
+	// literals.
+	slots []uint32
+	seed  maphash.Seed
 }
 
 // NewCodebook returns an empty codebook using the given scheme.
 func NewCodebook(scheme Scheme) *Codebook {
-	return &Codebook{scheme: scheme, index: make(map[Feature]int)}
+	return &Codebook{scheme: scheme, seed: maphash.MakeSeed()}
 }
 
 // Scheme returns the extraction scheme.
@@ -138,8 +147,29 @@ func (c *Codebook) Features() []Feature {
 func (c *Codebook) Lookup(f Feature) (int, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	i, ok := c.index[f]
-	return i, ok
+	if i, _ := c.find(f); i >= 0 {
+		return i, true
+	}
+	return 0, false
+}
+
+// find returns f's index, or -1 if it is not registered, and the slot that
+// holds it or would. Caller holds c.mu; slots must not be empty to use the
+// slot.
+func (c *Codebook) find(f Feature) (index, slot int) {
+	if len(c.slots) == 0 {
+		return -1, -1
+	}
+	mask := uint64(len(c.slots) - 1)
+	h := maphash.String(c.seed, f.Text) + uint64(f.Kind)*0x9E3779B97F4A7C15
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch s := c.slots[i]; {
+		case s == 0:
+			return -1, int(i)
+		case c.feats[s-1] == f:
+			return int(s - 1), int(i)
+		}
+	}
 }
 
 // Register adds a feature to the codebook (if absent) and returns its
@@ -151,13 +181,21 @@ func (c *Codebook) Register(f Feature) int { return c.intern(f) }
 func (c *Codebook) intern(f Feature) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.index[f]; ok {
+	i, slot := c.find(f)
+	if i >= 0 {
 		return i
 	}
-	i := len(c.feats)
+	if (len(c.feats)+1)*4 > len(c.slots)*3 {
+		c.slots = make([]uint32, max(8, 2*len(c.slots)))
+		for j, g := range c.feats {
+			_, at := c.find(g)
+			c.slots[at] = uint32(j + 1)
+		}
+		_, slot = c.find(f)
+	}
 	c.feats = append(c.feats, f)
-	c.index[f] = i
-	return i
+	c.slots[slot] = uint32(len(c.feats))
+	return len(c.feats) - 1
 }
 
 // Extract returns the feature set of a conjunctive SELECT block as sorted,

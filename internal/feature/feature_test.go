@@ -2,6 +2,7 @@ package feature
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"logr/internal/regularize"
@@ -183,4 +184,36 @@ func stringIndex(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestCodebookIndexAtScale drives the feature → index table through many
+// growths: every feature keeps the index it was first given, the same text
+// under another kind is another feature, and absent features stay absent.
+func TestCodebookIndexAtScale(t *testing.T) {
+	c := NewCodebook(AligonScheme)
+	if _, ok := c.Lookup(Feature{WhereKind, "x = 0"}); ok {
+		t.Fatal("an empty codebook found a feature")
+	}
+	const n = 20000
+	for i := 0; i < n; i++ {
+		f := Feature{Kind(i % 3), "x = " + strconv.Itoa(i/3)}
+		if got := c.Register(f); got != i {
+			t.Fatalf("feature %d registered at index %d", i, got)
+		}
+		if got := c.Register(f); got != i {
+			t.Fatalf("re-registering feature %d returned index %d", i, got)
+		}
+	}
+	if c.Size() != n {
+		t.Fatalf("size %d, want %d", c.Size(), n)
+	}
+	for i := 0; i < n; i++ {
+		f := Feature{Kind(i % 3), "x = " + strconv.Itoa(i/3)}
+		if got, ok := c.Lookup(f); !ok || got != i || c.Feature(i) != f {
+			t.Fatalf("feature %d looked up as (%d, %v)", i, got, ok)
+		}
+	}
+	if _, ok := c.Lookup(Feature{WhereKind, "x = " + strconv.Itoa(n)}); ok {
+		t.Fatal("found a feature that was never registered")
+	}
 }

@@ -1,11 +1,17 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 
 	"logr/internal/bitvec"
 	"logr/internal/core"
@@ -14,7 +20,7 @@ import (
 )
 
 // Checkpoint files. A checkpoint captures the durable store's complete
-// in-memory state — the incremental encoder (codebook, parse cache,
+// in-memory state — the incremental encoder (codebooks, parse cache,
 // canonical-query table) and the segmented store (segment sub-logs,
 // boundary, counters) — bound to the WAL offset it covers, so recovery
 // restores the checkpoint and replays only the WAL records after that
@@ -23,115 +29,283 @@ import (
 //
 // The checkpoint is self-contained: it does not lean on segment artifacts
 // (which stay pure caches — loadArtifacts still re-installs their summary
-// caches after a checkpointed recovery) and it must serialize full encoder
+// caches after a checkpointed recovery) and it must capture full encoder
 // state because the encoder is a function of the entire entry stream ever
-// ingested, not of the current snapshot.
+// ingested, not of the current snapshot. Nearly all of that state is
+// append-only (see workload/state.go), so rewriting it at every checkpoint
+// would cost O(everything ever admitted) each time, O(n²) over a run. The
+// checkpoint is therefore two files:
 //
-//	"LGCP" | version u8 | walOffset u64le | encoder state | store state | crc32 u32le
+//	checkpoint         the head, rewritten whole by every checkpoint:
+//	  "LGCP" | version u8 | walOffset u64le |
+//	  admGen u64le | admLen u64le | admCRC u32le |
+//	  encoder counters | store state | crc32 u32le
+//	checkpoint.adm.N   admission log generation N = admGen, append-only:
+//	  (length u64le | encoder admissions delta)*
 //
-// written atomically (temp file + fsync + rename), so a crash leaves either
-// the previous checkpoint or the new one. Summary caches (segment sums,
-// the range cache) are deliberately not checkpointed: they rebuild lazily
-// or from artifacts.
+// A checkpoint appends one frame holding what the encoder admitted since
+// the previous checkpoint (nothing, when nothing was) to the admission
+// log and fsyncs it, and only then lands the new head atomically (temp
+// file + fsync + rename). The head is the commit point and says how much
+// of the log it vouches for: admLen bytes, whose CRC-32 is admCRC. So
+//
+//   - a crash before the rename leaves the old head, which still records
+//     the old length; the appended bytes past it are leftovers that reads
+//     ignore and the next append cuts away;
+//   - a crash after the rename finds the bytes the new head records
+//     already on stable storage, because the fsync came first;
+//   - a log shorter than recorded, or with a different CRC, means the
+//     pair does not belong together (an fsync that lied, a file restored
+//     from elsewhere): a hard error, like a WAL/checkpoint mismatch. The
+//     head has to carry the length for exactly this reason — the log
+//     alone cannot tell a committed frame from a leftover one.
+//
+// Re-arming after a disk fault trusts nothing on disk: it writes the whole
+// admission state as one frame into generation N+1 and points a new head
+// at it; a stale generation is removed when the store opens. Summary
+// caches (segment sums, the range cache) are deliberately not
+// checkpointed: they rebuild lazily or from artifacts.
 
 const (
-	ckptMagic    = "LGCP"
-	ckptVersion  = 1
-	ckptFileName = "checkpoint"
+	ckptMagic     = "LGCP"
+	ckptVersion   = 2
+	ckptFileName  = "checkpoint"
+	admFilePrefix = ckptFileName + ".adm."
+
+	// magic, version, walOffset, admGen, admLen, admCRC
+	ckptHeaderLen = len(ckptMagic) + 1 + 8 + 8 + 8 + 4
+	admFrameHdr   = 8
 )
 
-// encodeCheckpoint serializes the full store state as of WAL offset off.
-// Caller must ensure mem is quiescent apart from readers (the commit stage
-// holds seqMu and the applier is drained).
-func encodeCheckpoint(off int64, mem *Store) []byte {
-	b := make([]byte, 0, 1<<16)
-	b = append(b, ckptMagic...)
-	b = append(b, ckptVersion)
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(off))
-	b = append(b, word[:]...)
-	b = mem.appendState(b)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b))
-	return append(b, crc[:]...)
+// admission locates the committed prefix of the admission log: which
+// generation, how many bytes of it the head vouches for, their CRC-32, and
+// the encoder position those bytes restore to.
+type admission struct {
+	gen  uint64
+	len  int64
+	crc  uint32
+	mark workload.StateMark
 }
 
-// decodeCheckpoint rebuilds a store from a checkpoint blob.
-func decodeCheckpoint(data []byte, opts Options) (*Store, int64, error) {
-	if len(data) < len(ckptMagic)+1+8+4 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, 0, errors.New("store: not a checkpoint file")
+func admFileName(gen uint64) string { return admFilePrefix + strconv.FormatUint(gen, 10) }
+
+// checkpointState serializes what a checkpoint taken now has to write: the
+// admission-log frame covering everything the encoder admitted after since
+// (nil when nothing was), the head's state section, and the encoder
+// position the frame reaches. Caller must ensure the store is quiescent
+// apart from readers (the commit stage holds seqMu and the applier is
+// drained); s.mu keeps those readers, which may fill the encoder's
+// snapshot cache, from interleaving.
+func (s *Store) checkpointState(since workload.StateMark) (frame, state []byte, mark workload.StateMark) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if mark = s.enc.Mark(); mark != since {
+		frame = s.enc.AppendAdmissions(make([]byte, admFrameHdr, 1<<16), since)
+		binary.LittleEndian.PutUint64(frame, uint64(len(frame)-admFrameHdr))
+	}
+	state = s.enc.AppendCounters(make([]byte, 0, 1<<12))
+	state = binary.AppendUvarint(state, uint64(s.nextID))
+	state = appendEpoch(state, s.boundaryEpoch)
+	state = binary.AppendUvarint(state, uint64(len(s.boundary)))
+	for _, c := range s.boundary {
+		state = binary.AppendUvarint(state, uint64(c))
+	}
+	state = binary.AppendUvarint(state, uint64(len(s.segs)))
+	for _, sg := range s.segs {
+		state = binary.AppendUvarint(state, uint64(sg.meta.ID))
+		state = binary.AppendUvarint(state, uint64(sg.meta.EndID))
+		state = appendEpoch(state, sg.meta.StartEpoch)
+		state = appendEpoch(state, sg.meta.Epoch)
+		state = appendSubLog(state, sg.log)
+	}
+	return frame, state, mark
+}
+
+// encodeHead frames a checkpoint head: state as of WAL offset off, resting
+// on the admission-log prefix adm.
+func encodeHead(off int64, adm admission, state []byte) []byte {
+	b := make([]byte, 0, ckptHeaderLen+len(state)+4)
+	b = append(b, ckptMagic...)
+	b = append(b, ckptVersion)
+	b = binary.LittleEndian.AppendUint64(b, uint64(off))
+	b = binary.LittleEndian.AppendUint64(b, adm.gen)
+	b = binary.LittleEndian.AppendUint64(b, uint64(adm.len))
+	b = binary.LittleEndian.AppendUint32(b, adm.crc)
+	b = append(b, state...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// decodeHead validates a checkpoint head and splits it into the WAL offset
+// it covers, the admission-log prefix it rests on and its state section.
+func decodeHead(data []byte) (off int64, adm admission, state []byte, err error) {
+	if len(data) < len(ckptMagic)+1 || string(data[:len(ckptMagic)]) != ckptMagic {
+		return 0, adm, nil, errors.New("store: not a checkpoint file")
+	}
+	switch v := data[len(ckptMagic)]; {
+	case v == 1:
+		return 0, adm, nil, errors.New("store: checkpoint is format version 1 (one self-contained file); " +
+			"this build reads and writes version 2 (head + admission log) only — reopen the directory with the release that wrote it")
+	case v != ckptVersion:
+		return 0, adm, nil, fmt.Errorf("store: unsupported checkpoint version %d", v)
+	}
+	if len(data) < ckptHeaderLen+4 {
+		return 0, adm, nil, errors.New("store: truncated checkpoint header")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, 0, errors.New("store: checkpoint fails its CRC check")
-	}
-	if body[len(ckptMagic)] != ckptVersion {
-		return nil, 0, fmt.Errorf("store: unsupported checkpoint version %d", body[len(ckptMagic)])
+		return 0, adm, nil, errors.New("store: checkpoint fails its CRC check")
 	}
 	cur := body[len(ckptMagic)+1:]
-	off := int64(binary.LittleEndian.Uint64(cur[:8]))
-	if off < 0 {
-		return nil, 0, errors.New("store: negative checkpoint offset")
+	off = int64(binary.LittleEndian.Uint64(cur))
+	adm.gen = binary.LittleEndian.Uint64(cur[8:])
+	adm.len = int64(binary.LittleEndian.Uint64(cur[16:]))
+	adm.crc = binary.LittleEndian.Uint32(cur[24:])
+	if off < 0 || adm.len < 0 {
+		return 0, adm, nil, errors.New("store: negative checkpoint offset")
 	}
-	mem, rest, err := restoreState(cur[8:], opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(rest) != 0 {
-		return nil, 0, errors.New("store: trailing bytes after checkpoint state")
-	}
-	return mem, off, nil
+	return off, adm, body[ckptHeaderLen:], nil
 }
 
-// loadCheckpoint reads the checkpoint under dir, if any. A missing file is
-// a fresh start (nil store, offset 0); a present but corrupt file is a
-// hard error — the WAL may already be rotated past the covered prefix, so
-// guessing "no checkpoint" could silently lose data.
-func loadCheckpoint(fsys vfs.FS, path string, opts Options) (*Store, int64, error) {
+// readAdmissions streams the committed prefix of an admission log — exactly
+// adm.len bytes of r, frame by frame — into enc and checks it against the
+// CRC the head recorded. Bytes after the prefix are not read.
+func readAdmissions(r io.Reader, adm admission, enc *workload.Encoder) error {
+	short := func(err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("admission log is shorter than the %d bytes the checkpoint records", adm.len)
+		}
+		return err
+	}
+	br := bufio.NewReaderSize(r, 1<<16)
+	var hdr [admFrameHdr]byte
+	var frame []byte
+	crc := uint32(0)
+	for left := adm.len; left > 0; {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return short(err)
+		}
+		n := binary.LittleEndian.Uint64(hdr[:])
+		if left -= admFrameHdr; n > uint64(max(left, 0)) {
+			return errors.New("admission log frame overruns the length the checkpoint records")
+		}
+		if uint64(cap(frame)) < n {
+			frame = make([]byte, n)
+		}
+		frame = frame[:n]
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return short(err)
+		}
+		left -= int64(n)
+		crc = crc32.Update(crc32.Update(crc, crc32.IEEETable, hdr[:]), crc32.IEEETable, frame)
+		rest, err := enc.RestoreAdmissions(frame)
+		if err != nil {
+			return err
+		}
+		if len(rest) != 0 {
+			return errors.New("trailing bytes in an admission log frame")
+		}
+	}
+	if crc != adm.crc {
+		return errors.New("admission log fails the CRC check the checkpoint records")
+	}
+	return nil
+}
+
+// appendAdmissions makes frame durable at offset at of the admission log,
+// the end of its committed prefix. Anything past at is the leftover of a
+// checkpoint that crashed or failed before its head landed, and is cut.
+func appendAdmissions(fsys vfs.FS, path string, at int64, frame []byte) error {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close() // error paths; success returns the checked Close below
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if size < at {
+		return fmt.Errorf("store: admission log %s holds %d bytes, the checkpoint records %d", path, size, at)
+	}
+	if size > at {
+		if err := f.Truncate(at); err != nil {
+			return err
+		}
+		if _, err := f.Seek(at, io.SeekStart); err != nil {
+			return err
+		}
+	}
+	if _, err := f.Write(frame); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// loadCheckpoint restores the checkpoint under dir, if any: the head, then
+// the admission-log prefix it records, streamed. A missing head is a fresh
+// start (nil store, offset 0); a present but unreadable head or admission
+// log is a hard error — the WAL may already be rotated past the covered
+// prefix, so guessing "no checkpoint" could silently lose data.
+func loadCheckpoint(fsys vfs.FS, dir string, opts Options) (*Store, int64, admission, error) {
+	path := filepath.Join(dir, ckptFileName)
 	data, err := vfs.ReadFile(fsys, path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, nil
+			return nil, 0, admission{}, nil
 		}
-		return nil, 0, err
+		return nil, 0, admission{}, err
 	}
-	mem, off, err := decodeCheckpoint(data, opts)
+	off, adm, state, err := decodeHead(data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading %s: %w", path, err)
+		return nil, 0, adm, fmt.Errorf("store: reading %s: %w", path, err)
 	}
-	return mem, off, nil
+	enc := workload.NewEncoder(opts.Encode)
+	if adm.len > 0 {
+		admPath := filepath.Join(dir, admFileName(adm.gen))
+		f, err := fsys.OpenFile(admPath, os.O_RDONLY, 0)
+		if err != nil {
+			return nil, 0, adm, fmt.Errorf("store: opening the admission log of %s: %w", path, err)
+		}
+		err = readAdmissions(f, adm, enc)
+		f.Close()
+		if err != nil {
+			return nil, 0, adm, fmt.Errorf("store: reading %s: %w", admPath, err)
+		}
+	}
+	adm.mark = enc.Mark()
+	mem, err := restoreState(state, enc, opts)
+	if err != nil {
+		return nil, 0, adm, fmt.Errorf("store: reading %s: %w", path, err)
+	}
+	return mem, off, adm, nil
 }
 
-// appendState serializes the store's durable state (encoder + segments).
-// Held under s.mu so concurrent readers (which may fill the encoder's
-// snapshot cache) cannot interleave.
-func (s *Store) appendState(b []byte) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b = s.enc.AppendState(b)
-	b = binary.AppendUvarint(b, uint64(s.nextID))
-	b = appendEpoch(b, s.boundaryEpoch)
-	b = binary.AppendUvarint(b, uint64(len(s.boundary)))
-	for _, c := range s.boundary {
-		b = binary.AppendUvarint(b, uint64(c))
+// removeStaleAdmissionLogs deletes admission-log generations other than
+// keep: what a crash in the middle of a re-arm strands. Best effort — a
+// stale generation costs disk space, never correctness.
+func removeStaleAdmissionLogs(fsys vfs.FS, dir string, keep uint64) {
+	ents, err := fsys.ReadDir(dir)
+	if err != nil {
+		return
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.segs)))
-	for _, sg := range s.segs {
-		b = binary.AppendUvarint(b, uint64(sg.meta.ID))
-		b = binary.AppendUvarint(b, uint64(sg.meta.EndID))
-		b = appendEpoch(b, sg.meta.StartEpoch)
-		b = appendEpoch(b, sg.meta.Epoch)
-		b = appendSubLog(b, sg.log)
+	live := admFileName(keep)
+	for _, e := range ents {
+		if name := e.Name(); strings.HasPrefix(name, admFilePrefix) && name != live {
+			fsys.Remove(filepath.Join(dir, name))
+		}
 	}
-	return b
 }
 
-// restoreState rebuilds a store from appendState output. Cached summaries
-// are not part of the state; loadArtifacts re-installs them afterwards.
-func restoreState(data []byte, opts Options) (*Store, []byte, error) {
-	enc, rest, err := workload.RestoreEncoder(opts.Encode, data)
+// restoreState rebuilds a store from a head's state section on top of enc,
+// whose admission tables are already restored. Cached summaries are not
+// part of the state; loadArtifacts re-installs them afterwards.
+func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, error) {
+	rest, err := enc.RestoreCounters(state)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r := &ckptReader{b: rest}
 	s := &Store{enc: enc, opts: opts, nextID: r.int()}
@@ -149,7 +323,7 @@ func restoreState(data []byte, opts Options) (*Store, []byte, error) {
 		sg.meta.EndID = r.int()
 		sg.meta.StartEpoch = readEpoch(r)
 		sg.meta.Epoch = readEpoch(r)
-		sg.log = readSubLog(r)
+		sg.log = readSubLog(r, enc.Book().Size())
 		if r.err != nil {
 			break
 		}
@@ -158,9 +332,12 @@ func restoreState(data []byte, opts Options) (*Store, []byte, error) {
 		s.segs = append(s.segs, sg)
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, r.err
 	}
-	return s, r.b, nil
+	if len(r.b) != 0 {
+		return nil, errors.New("store: trailing bytes after checkpoint state")
+	}
+	return s, nil
 }
 
 func appendEpoch(b []byte, e workload.Epoch) []byte {
@@ -192,9 +369,15 @@ func appendSubLog(b []byte, l *core.Log) []byte {
 	return b
 }
 
-func readSubLog(r *ckptReader) *core.Log {
+// readSubLog restores one segment's sub-log. A segment's universe is the
+// codebook's size at its seal, so one larger than the restored codebook
+// (maxUniverse) is corruption — rejected before it sizes an allocation.
+func readSubLog(r *ckptReader, maxUniverse int) *core.Log {
 	universe := r.int()
 	distinct := r.int()
+	if r.err == nil && universe > maxUniverse {
+		r.fail()
+	}
 	if r.err != nil {
 		return nil
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,6 +37,24 @@ import (
 // caches and shippable exports: losing one costs a lazy re-clustering,
 // never data.
 //
+// # Files
+//
+//	LOCK                single-writer guard
+//	wal.log             the WAL tail since the latest checkpoint
+//	checkpoint          checkpoint head: WAL offset, the admission log's
+//	                    valid length and CRC, the mutable state; replaced
+//	                    atomically by every checkpoint
+//	checkpoint.adm.N    admission log: the encoder's append-only state,
+//	                    extended (never rewritten) by every checkpoint
+//	segments/           one artifact per sealed segment
+//
+// A checkpoint writes in the order admission log, head, WAL rotation, each
+// step durable before the next starts, and every prefix of that order is
+// a recoverable directory: an extended log under the old head is the old
+// checkpoint with leftovers the head does not vouch for; a new head beside
+// the unrotated WAL skips the records it covers. checkpoint.go has the
+// format and the argument in full.
+//
 // # Ingest pipeline
 //
 // Ingest is split into three decoupled stages so an acknowledgement never
@@ -59,7 +78,9 @@ import (
 //     seal-time summary clustering, under its own parallelism budget)
 //     whenever the segment set changes, and takes a checkpoint whenever
 //     the WAL has grown past DurableOptions.CheckpointBytes since the last
-//     one. A seal therefore never stalls ingest acknowledgements; Close
+//     one — a stall of the commit stage whose cost follows what was
+//     admitted since the last checkpoint, not the store's age. A seal
+//     therefore never stalls ingest acknowledgements; Close
 //     drains the worker so artifacts are current before the directory lock
 //     is released.
 //
@@ -108,6 +129,7 @@ type Durable struct {
 	applied atomic.Int64 // WAL offset up to which the applier has caught up
 	queued  atomic.Int64 // entries sitting in applyQ, pending apply
 	ckptOff atomic.Int64 // WAL offset covered by the latest checkpoint
+	adm     admission    // admission-log prefix the latest checkpoint rests on; guarded by seqMu
 
 	applyMu   sync.Mutex // barrier condition variable
 	applyCond *sync.Cond
@@ -318,10 +340,11 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 	vfs.RemoveTempFiles(fsys, dir)
 	vfs.RemoveTempFiles(fsys, filepath.Join(dir, segDirName))
 
-	mem, ckptOff, err := loadCheckpoint(fsys, filepath.Join(dir, ckptFileName), opts)
+	mem, ckptOff, adm, err := loadCheckpoint(fsys, dir, opts)
 	if err != nil {
 		return fail(err)
 	}
+	removeStaleAdmissionLogs(fsys, dir, adm.gen)
 	if mem == nil {
 		mem = New(opts)
 	}
@@ -368,7 +391,7 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 		}
 	}
 	d := &Durable{
-		mem: mem, dir: dir, opts: opts, dopts: dopts, fs: fsys, lock: lock, m: dm,
+		mem: mem, dir: dir, opts: opts, dopts: dopts, fs: fsys, lock: lock, m: dm, adm: adm,
 		applyQ:      make(chan applyJob, dopts.applyQueue()),
 		applierDone: make(chan struct{}),
 		persistNote: make(chan struct{}, 1),
@@ -563,23 +586,26 @@ func (d *Durable) Compact(minQueries int) (int, error) {
 	return res.n, err
 }
 
-// Checkpoint captures the full in-memory state into the checkpoint file
-// and rotates the covered WAL prefix away, bounding recovery replay (and
-// the WAL itself) to the records since this call. It stalls the commit
-// stage for the duration; the persist worker calls it automatically every
-// DurableOptions.CheckpointBytes of WAL growth.
+// Checkpoint captures the full in-memory state — the head file rewritten,
+// the admission log extended by what the encoder admitted since the last
+// checkpoint — and rotates the covered WAL prefix away, bounding recovery
+// replay (and the WAL itself) to the records since this call. It stalls
+// the commit stage for the duration; the persist worker calls it
+// automatically every DurableOptions.CheckpointBytes of WAL growth.
 func (d *Durable) Checkpoint() error {
 	d.seqMu.Lock()
-	defer d.seqMu.Unlock()
-	return d.checkpointLocked()
+	start := time.Now()
+	err := d.checkpointLocked()
+	d.seqMu.Unlock()
+	if err == nil {
+		d.m.checkpointSeconds.RecordSince(start)
+	}
+	return err
 }
 
-// checkpointLocked is Checkpoint's body. The sequencing lock keeps every
-// mutator out, and the barrier drains the applier, so the in-memory state
-// is exactly the state at the acknowledged WAL offset — the one pair a
-// checkpoint must capture atomically. IO under seqMu is deliberate here:
-// a checkpoint is a stall point by design, and the WAL rotation must see
-// no concurrent appends.
+// checkpointLocked is Checkpoint's body. IO under seqMu is deliberate
+// here: a checkpoint is a stall point by design, and the WAL rotation must
+// see no concurrent appends.
 //
 //logr:holds(d.seqMu)
 func (d *Durable) checkpointLocked() error {
@@ -589,19 +615,10 @@ func (d *Durable) checkpointLocked() error {
 	if d.degraded.Load() {
 		return d.degradedErr()
 	}
-	d.Barrier()
-	cut := d.acked.Load()
-	blob := encodeCheckpoint(cut, d.mem)
-	//logr:allow(lockdiscipline) checkpoint is a deliberate commit-stage stall; see checkpointLocked doc
-	if err := vfs.WriteFileAtomic(d.fs, filepath.Join(d.dir, ckptFileName), blob, 0o644); err != nil {
+	cut, err := d.writeCheckpoint(false)
+	if err != nil {
 		return err
 	}
-	// the checkpoint is durable and authoritative from here: even if the
-	// rotation below fails (or we crash), recovery restores it and skips
-	// the covered records still sitting in the WAL
-	d.ckptOff.Store(cut)
-	d.m.checkpoints.Inc()
-	d.m.checkpointBytes.Add(int64(len(blob)))
 	w := d.w.Load()
 	//logr:allow(lockdiscipline) WAL rotation must exclude concurrent appends; see checkpointLocked doc
 	if err := w.Rotate(cut); err != nil {
@@ -609,6 +626,53 @@ func (d *Durable) checkpointLocked() error {
 		return err
 	}
 	return nil
+}
+
+// writeCheckpoint makes the in-memory state durable and returns the WAL
+// offset it covers. The sequencing lock keeps every mutator out, and the
+// barrier drains the applier, so the in-memory state is exactly the state
+// at the acknowledged WAL offset — the one pair a checkpoint must capture
+// atomically. The admission-log frame is fsynced before the head that
+// vouches for it is renamed in (see checkpoint.go for the crash-ordering
+// argument); d.adm moves only once the head has landed, so a failed
+// attempt's frame is cut by the next one. fresh distrusts the admission
+// log on disk and rewrites the whole admission state into the next
+// generation, which is how re-arm rebuilds the durable image.
+//
+//logr:holds(d.seqMu)
+func (d *Durable) writeCheckpoint(fresh bool) (int64, error) {
+	d.Barrier()
+	cut := d.acked.Load()
+	adm := d.adm
+	if fresh {
+		adm = admission{gen: d.adm.gen + 1}
+	}
+	frame, state, mark := d.mem.checkpointState(adm.mark)
+	if len(frame) > 0 {
+		if err := appendAdmissions(d.fs, filepath.Join(d.dir, admFileName(adm.gen)), adm.len, frame); err != nil {
+			return 0, err
+		}
+		adm.len += int64(len(frame))
+		adm.crc = crc32.Update(adm.crc, crc32.IEEETable, frame)
+	}
+	adm.mark = mark
+	head := encodeHead(cut, adm, state)
+	//logr:allow(lockdiscipline) checkpoint and re-arm are deliberate commit-stage stalls
+	if err := vfs.WriteFileAtomic(d.fs, filepath.Join(d.dir, ckptFileName), head, 0o644); err != nil {
+		return 0, err
+	}
+	// the checkpoint is durable and authoritative from here: even if what
+	// the caller does next fails (or we crash), recovery restores it and
+	// skips the covered records still sitting in the WAL
+	if fresh {
+		//logr:allow(lockdiscipline) checkpoint and re-arm are deliberate commit-stage stalls
+		_ = d.fs.Remove(filepath.Join(d.dir, admFileName(d.adm.gen))) // superseded; Open sweeps it if this fails
+	}
+	d.adm = adm
+	d.ckptOff.Store(cut)
+	d.m.checkpoints.Inc()
+	d.m.checkpointBytes.Add(int64(len(head) + len(frame)))
+	return cut, nil
 }
 
 // Barrier blocks until the applier has caught up with every batch
@@ -912,23 +976,21 @@ func (d *Durable) probeDisk() error {
 }
 
 // rearm rebuilds the durable image from the authoritative in-memory state
-// and re-enables writes: checkpoint at the acknowledged offset, fresh WAL
-// tail starting there, poisoned log discarded. Entries acked under a
-// deferred-sync policy that the fault swallowed before they reached disk
-// are gone from the old WAL either way — the checkpoint captures their
-// applied effects, which is strictly more than a post-crash replay of the
-// poisoned log could recover.
+// and re-enables writes: checkpoint at the acknowledged offset — a new head
+// over a fresh admission-log generation, since the fault may have hit
+// either file — fresh WAL tail starting there, poisoned log discarded.
+// Entries acked under a deferred-sync policy that the fault swallowed
+// before they reached disk are gone from the old WAL either way — the
+// checkpoint captures their applied effects, which is strictly more than a
+// post-crash replay of the poisoned log could recover.
 func (d *Durable) rearm() error {
 	d.seqMu.Lock()
 	if d.closed {
 		d.seqMu.Unlock()
 		return ErrClosed
 	}
-	d.Barrier()
-	cut := d.acked.Load()
-	blob := encodeCheckpoint(cut, d.mem)
-	//logr:allow(lockdiscipline) re-arm must exclude the commit stage while it swaps the WAL
-	if err := vfs.WriteFileAtomic(d.fs, filepath.Join(d.dir, ckptFileName), blob, 0o644); err != nil {
+	cut, err := d.writeCheckpoint(true)
+	if err != nil {
 		d.seqMu.Unlock()
 		return err
 	}
@@ -940,7 +1002,6 @@ func (d *Durable) rearm() error {
 		return err
 	}
 	old := d.w.Swap(nw)
-	d.ckptOff.Store(cut)
 	d.errMu.Lock()
 	d.degradeCause = nil
 	d.sticky = nil

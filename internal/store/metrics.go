@@ -17,7 +17,8 @@ type durableMetrics struct {
 	sealSeconds       *obs.Histogram // seal-time summary clustering (k-means)
 	segmentsPersisted *obs.Counter   // segment artifacts written
 	checkpoints       *obs.Counter   // checkpoints taken
-	checkpointBytes   *obs.Counter   // checkpoint blob bytes written
+	checkpointBytes   *obs.Counter   // checkpoint bytes written: head + admission-log frame
+	checkpointSeconds *obs.Histogram // commit-stage stall per checkpoint
 	ioRetries         *obs.Counter   // persistence retries after transient faults
 	degradeEvents     *obs.Counter   // transitions into degraded read-only mode
 }
@@ -35,7 +36,8 @@ func newDurableMetrics(reg *obs.Registry) *durableMetrics {
 		sealSeconds:       reg.Histogram("logr_seal_summary_seconds", "Seal-time summary clustering duration per segment artifact."),
 		segmentsPersisted: reg.Counter("logr_segments_persisted_total", "Segment artifacts written by the background persister."),
 		checkpoints:       reg.Counter("logr_checkpoints_total", "Checkpoints taken (manual and automatic)."),
-		checkpointBytes:   reg.Counter("logr_checkpoint_bytes_total", "Checkpoint blob bytes written."),
+		checkpointBytes:   reg.Counter("logr_checkpoint_bytes_total", "Checkpoint bytes written: the rewritten head plus the frame appended to the admission log."),
+		checkpointSeconds: reg.Histogram("logr_checkpoint_seconds", "Time a completed checkpoint held the commit-stage sequencing lock (applier drain, encode, fsyncs, WAL rotation)."),
 		ioRetries:         reg.Counter("logr_store_io_retries_total", "Transient-fault retries on the background persistence paths."),
 		degradeEvents:     reg.Counter("logr_store_degraded_total", "Transitions into degraded read-only mode."),
 	}

@@ -118,13 +118,19 @@ type Encoder struct {
 	scrubOpts     regularize.Options
 	keepOpts      regularize.Options
 
-	stats       PipelineStats
-	distinctRaw map[string]*rawInfo
-	canon       map[string]*canonical
-	order       []string
-	featSum     int
-	encodedN    int
-	snapshot    *EncodeResult // cached Result; nil after any mutation
+	stats PipelineStats
+	// The admission tables are append-only: a distinct SQL string, a
+	// canonical query and a feature are each added once, in input order,
+	// and never rewritten — only canonical.count moves afterwards. That is
+	// what lets state.go serialize "everything admitted since a StateMark"
+	// as four slice expressions.
+	raws     []string          // distinct raw SQL, in admission order
+	refs     map[string]rawRef // raw SQL → its cached classification
+	canon    []canonical       // canonical queries, in admission order
+	canonIdx map[string]uint32 // canonical key → index into canon
+	featSum  int
+	encodedN int
+	snapshot *EncodeResult // cached Result; nil after any mutation
 
 	// per-window scratch reused across addBatch calls so the steady state
 	// (every SQL string already seen) allocates nothing: the job list and
@@ -136,13 +142,19 @@ type Encoder struct {
 	scratchRes  []prepared
 }
 
-type rawInfo struct {
-	canonKey string   // "" if the entry did not parse
-	fail     failKind // why, when canonKey == ""
-}
+// rawRef caches a distinct SQL string's parse outcome so repeats never
+// reparse: one of the two failure kinds, or refCanon plus the index of the
+// statement's canonical query. The same number is the statement's record
+// in the serialized state.
+type rawRef uint32
 
-// failKind caches a distinct SQL string's parse outcome so repeats never
-// reparse.
+const (
+	refStoredProc rawRef = iota
+	refUnparseable
+	refCanon // refCanon+i references canon[i]
+)
+
+// failKind is a prepared statement's parse outcome.
 type failKind uint8
 
 const (
@@ -165,6 +177,7 @@ type prepared struct {
 }
 
 type canonical struct {
+	key         string
 	indices     []int
 	count       int
 	conjunctive bool
@@ -182,8 +195,8 @@ func NewEncoder(opts EncodeOptions) *Encoder {
 		withConstBook: feature.NewCodebook(opts.Scheme),
 		scrubOpts:     regularize.Options{ScrubConstants: !opts.KeepConstants, MaxDisjuncts: opts.MaxDisjuncts},
 		keepOpts:      regularize.Options{ScrubConstants: false, MaxDisjuncts: opts.MaxDisjuncts},
-		distinctRaw:   map[string]*rawInfo{},
-		canon:         map[string]*canonical{},
+		refs:          map[string]rawRef{},
+		canonIdx:      map[string]uint32{},
 		scratchIdx:    map[string]int{},
 	}
 }
@@ -198,8 +211,8 @@ func (e *Encoder) Add(entry LogEntry) {
 	}
 	e.snapshot = nil
 	e.stats.TotalQueries += count
-	if info, seen := e.distinctRaw[entry.SQL]; seen {
-		e.replay(info, count)
+	if ref, seen := e.refs[entry.SQL]; seen {
+		e.replay(ref, count)
 		return
 	}
 	e.admit(entry.SQL, e.prepare(entry.SQL), count)
@@ -233,12 +246,12 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 	e.snapshot = nil
 	// distinct new SQL strings, in first-appearance order; the job list,
 	// dedup index and result slots are encoder-owned scratch — the steady
-	// state, where every string is already in distinctRaw, touches none of
-	// them and allocates nothing
+	// state, where every string is already in refs, touches none of them
+	// and allocates nothing
 	jobs := e.scratchJobs[:0]
 	jobIdx := e.scratchIdx
 	for _, en := range entries {
-		if _, seen := e.distinctRaw[en.SQL]; seen {
+		if _, seen := e.refs[en.SQL]; seen {
 			continue
 		}
 		if _, dup := jobIdx[en.SQL]; dup {
@@ -263,8 +276,8 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 			count = 1
 		}
 		e.stats.TotalQueries += count
-		if info, seen := e.distinctRaw[en.SQL]; seen {
-			e.replay(info, count)
+		if ref, seen := e.refs[en.SQL]; seen {
+			e.replay(ref, count)
 			continue
 		}
 		e.admit(en.SQL, results[jobIdx[en.SQL]], count)
@@ -308,16 +321,16 @@ func (e *Encoder) prepare(sql string) prepared {
 // stay pure counter arithmetic.
 //
 //logr:noalloc
-func (e *Encoder) replay(info *rawInfo, count int) {
-	switch info.fail {
-	case failStoredProc:
+func (e *Encoder) replay(ref rawRef, count int) {
+	switch ref {
+	case refStoredProc:
 		e.stats.StoredProcedures += count
 		return
-	case failUnparseable:
+	case refUnparseable:
 		e.stats.Unparseable += count
 		return
 	}
-	c := e.canon[info.canonKey]
+	c := &e.canon[ref-refCanon]
 	c.count += count
 	e.stats.ParsedSelects += count
 	e.featSum += len(c.indices) * count
@@ -328,14 +341,15 @@ func (e *Encoder) replay(info *rawInfo, count int) {
 // This is the only place features enter the codebooks, and callers invoke
 // it in input order, which pins every feature's index.
 func (e *Encoder) admit(sql string, p prepared, count int) {
-	info := &rawInfo{fail: p.fail, canonKey: p.canonKey}
-	e.distinctRaw[sql] = info
+	e.raws = append(e.raws, sql)
 	e.stats.DistinctQueries++
 	switch p.fail {
 	case failStoredProc:
+		e.refs[sql] = refStoredProc
 		e.stats.StoredProcedures += count
 		return
 	case failUnparseable:
+		e.refs[sql] = refUnparseable
 		e.stats.Unparseable += count
 		return
 	}
@@ -346,26 +360,32 @@ func (e *Encoder) admit(sql string, p prepared, count int) {
 		e.withConstBook.Extract(blk)
 	}
 
-	set := map[int]bool{}
-	for _, blk := range p.blocks {
-		for _, f := range e.book.Extract(blk) {
-			set[f] = true
-		}
-	}
-	indices := make([]int, 0, len(set))
-	for f := range set {
-		indices = append(indices, f)
-	}
-	sortInts(indices)
-
-	c, ok := e.canon[p.canonKey]
+	// A statement whose canonical query is already in the table — all but
+	// one per shape on a log whose statements differ only in constants —
+	// needs no scrubbed-block extraction: the features are a function of
+	// the canonical key, so they are interned and their indices are
+	// c.indices.
+	ci, ok := e.canonIdx[p.canonKey]
 	if !ok {
-		c = &canonical{indices: indices, conjunctive: p.conjunctive, rewritable: p.rewritable}
-		e.canon[p.canonKey] = c
-		e.order = append(e.order, p.canonKey)
+		set := map[int]bool{}
+		for _, blk := range p.blocks {
+			for _, f := range e.book.Extract(blk) {
+				set[f] = true
+			}
+		}
+		indices := make([]int, 0, len(set))
+		for f := range set {
+			indices = append(indices, f)
+		}
+		sortInts(indices)
+		ci = uint32(len(e.canon))
+		e.canon = append(e.canon, canonical{key: p.canonKey, indices: indices, conjunctive: p.conjunctive, rewritable: p.rewritable})
+		e.canonIdx[p.canonKey] = ci
 	}
+	e.refs[sql] = refCanon + rawRef(ci)
+	c := &e.canon[ci]
 	c.count += count
-	e.featSum += len(indices) * count
+	e.featSum += len(c.indices) * count
 	e.encodedN += count
 }
 
@@ -395,8 +415,8 @@ func (e *Encoder) Result() EncodeResult {
 	stats.DistinctFeaturesNoConst = e.book.Size()
 
 	l := core.NewLog(e.book.Size())
-	for _, key := range e.order {
-		c := e.canon[key]
+	for i := range e.canon {
+		c := &e.canon[i]
 		if c.conjunctive {
 			stats.DistinctConjunctive++
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -100,8 +101,97 @@ func TestRestoreEncoderRejectsCorruption(t *testing.T) {
 		}
 	}
 	bad := append([]byte(nil), state...)
-	bad[0] = 99 // version byte
+	bad[len(e.AppendAdmissions(nil, StateMark{}))] = 99 // version byte, first of the counters
 	if _, _, err := RestoreEncoder(EncodeOptions{}, bad); err == nil {
 		t.Fatal("bad version restored without error")
+	}
+}
+
+// assertEncodersEqual compares two encoders through everything a snapshot
+// and a serialized state expose.
+func assertEncodersEqual(t *testing.T, label string, got, want *Encoder) {
+	t.Helper()
+	gr, wr := got.Result(), want.Result()
+	if gr.Stats != wr.Stats {
+		t.Fatalf("%s: stats diverge:\n got %+v\nwant %+v", label, gr.Stats, wr.Stats)
+	}
+	if gr.Epoch != wr.Epoch {
+		t.Fatalf("%s: epoch diverges: got %+v want %+v", label, gr.Epoch, wr.Epoch)
+	}
+	if !bytes.Equal(got.AppendState(nil), want.AppendState(nil)) {
+		t.Fatalf("%s: serialized states diverge", label)
+	}
+}
+
+// TestEncoderStateDeltas: the admission state taken as N deltas — one after
+// every batch, each covering only what that batch admitted — restores the
+// same encoder as the one-shot full state, restoring it and feeding the
+// stream's suffix still equals the uninterrupted encoder, and an
+// out-of-order or repeated delta is refused.
+func TestEncoderStateDeltas(t *testing.T) {
+	opts := EncodeOptions{}
+	full := NewEncoder(opts)
+	var deltas [][]byte
+	var mark StateMark
+	for i := 0; i < 6; i++ {
+		full.AddBatch(append(stateTestEntries(40, i*23),
+			// a new shape, a new constant on an old shape, a new failure
+			LogEntry{SQL: fmt.Sprintf("SELECT z%d FROM fresh%d WHERE z%d = 1", i, i, i), Count: 2},
+			LogEntry{SQL: fmt.Sprintf("SELECT a, b FROM t0 WHERE a = %d", 1000+i)},
+			LogEntry{SQL: fmt.Sprintf("CALL fresh_proc(%d)", 1000+i)}))
+		if full.Mark() == mark {
+			t.Fatalf("batch %d admitted nothing; widen the stream", i)
+		}
+		deltas = append(deltas, full.AppendAdmissions(nil, mark))
+		mark = full.Mark()
+	}
+	if empty := full.AppendAdmissions(nil, mark); len(empty) != 4 {
+		t.Fatalf("a delta since the current mark is %d bytes, want four zero counts", len(empty))
+	}
+
+	fromDeltas := NewEncoder(opts)
+	for i, d := range deltas {
+		rest, err := fromDeltas.RestoreAdmissions(d)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("delta %d: rest=%d err=%v", i, len(rest), err)
+		}
+	}
+	if _, err := fromDeltas.RestoreCounters(full.AppendCounters(nil)); err != nil {
+		t.Fatalf("RestoreCounters: %v", err)
+	}
+	oneShot, _, err := RestoreEncoder(opts, full.AppendState(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEncodersEqual(t, "deltas vs one-shot", fromDeltas, oneShot)
+	assertEncodersEqual(t, "deltas vs live", fromDeltas, full)
+	if fromDeltas.Mark() != full.Mark() {
+		t.Fatalf("restored mark %+v, live mark %+v", fromDeltas.Mark(), full.Mark())
+	}
+
+	suffix := stateTestEntries(120, 301)
+	full.AddBatch(suffix)
+	fromDeltas.AddBatch(suffix)
+	oneShot.AddBatch(suffix)
+	assertEncodersEqual(t, "deltas+suffix", fromDeltas, full)
+	assertEncodersEqual(t, "one-shot+suffix", oneShot, full)
+
+	// counters taken at another table size do not fit
+	short := NewEncoder(opts)
+	for _, d := range deltas[:len(deltas)-1] {
+		if _, err := short.RestoreAdmissions(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := short.RestoreCounters(oneShot.AppendCounters(nil)); err == nil {
+		t.Fatal("counters restored onto tables missing a delta")
+	}
+	// a delta applied twice, or before its predecessor, does not continue the tables
+	if _, err := short.RestoreAdmissions(deltas[0]); err == nil {
+		t.Fatal("a repeated delta restored without error")
+	}
+	skip := NewEncoder(opts)
+	if _, err := skip.RestoreAdmissions(deltas[1]); err == nil {
+		t.Fatal("a delta restored without its predecessor")
 	}
 }
