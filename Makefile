@@ -7,7 +7,7 @@
 #   make chaos   the exhaustive fault-injection sweep under -race: every IO
 #                op of the durability workload x every fault class, plus the
 #                WAL corruption fuzzer's corpus
-#   make bench   the benchmark harness (see cmd/logr-bench/Makefile)
+#   make bench   the benchmark harness: bash bench/run.sh (see bench/README.md)
 
 .PHONY: build test lint chaos bench
 
@@ -35,4 +35,4 @@ chaos:
 	go test -race -count=1 -run 'FuzzScan' ./internal/wal/
 
 bench:
-	$(MAKE) -C cmd/logr-bench bench
+	bash bench/run.sh

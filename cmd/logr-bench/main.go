@@ -7,54 +7,27 @@
 //	logr-bench -exp fig2 -csv out/              also write out/fig2.csv
 //
 // Experiments: table1, fig2, fig3, fig4, fig5, table2, fig6, fig7 (alias of
-// fig6 — same traces), fig8, fig9, incremental (full vs delta-only
-// recompression of a growing log; not part of "all"), kernels (binary vs
-// dense clustering kernels; part of "all"), segments (windowed
-// CompressRange over sealed segments vs full recompress; part of "all"),
-// serve (HTTP ingest throughput + WAL recovery time of the logrd serving
-// path; part of "all"), sustained (sustained-q/s durable ingest: ack
-// latency quantiles, recovery, RSS; writes -json; not part of "all"),
-// cluster (logrd-gateway scale-out: ingest q/s vs shard count, merged
-// summary accuracy, hedged tail latency; writes -json; not part of
-// "all"), all.
+// fig6 — same traces), fig8, fig9, all. Each id names the paper artifact
+// it regenerates; the drivers live in internal/experiments.
 // Scales: small, medium, paper.
-// DESIGN.md maps each experiment id to the paper artifact it regenerates;
-// EXPERIMENTS.md records measured-vs-paper shapes.
+//
+// Performance is measured by the benchmark harness in bench/
+// (`bash bench/run.sh`), not by this program.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"time"
 
 	"logr/internal/experiments"
 )
 
-// perfRecord is one experiment's wall-time entry in the -perf snapshot.
-type perfRecord struct {
-	Experiment string  `json:"experiment"`
-	Scale      string  `json:"scale"`
-	Seconds    float64 `json:"seconds"`
-}
-
-// perfSnapshot is the JSON document `make bench` archives as BENCH_*.json.
-type perfSnapshot struct {
-	Timestamp  string       `json:"timestamp"`
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Records    []perfRecord `json:"records"`
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1, fig2..fig9, table2, incremental, sustained, cluster, all)")
+	exp := flag.String("exp", "all", "experiment id (table1, table2, fig2..fig9, all)")
 	scaleName := flag.String("scale", "small", "small | medium | paper")
 	csvDir := flag.String("csv", "", "directory for CSV series (created if missing)")
-	perfOut := flag.String("perf", "", "write a JSON perf snapshot (per-experiment wall time) to this file")
-	jsonOut := flag.String("json", "", "write the sustained/cluster experiment's structured results to this file")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -85,8 +58,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("(csv written to %s)\n", path)
@@ -163,42 +139,6 @@ func main() {
 			if err := csvOut("fig9", func(f *os.File) error { return experiments.WriteFigure9CSV(f, r) }); err != nil {
 				return err
 			}
-		case "incremental":
-			out, err := incrementalExperiment(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case "kernels":
-			out, err := kernelsExperiment(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case "segments":
-			out, err := segmentsExperiment(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case "serve":
-			out, err := serveExperiment(scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case "sustained":
-			out, err := sustainedExperiment(scale, *jsonOut)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		case "cluster":
-			out, err := clusterExperiment(scale, *jsonOut)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
 		default:
 			return fmt.Errorf("unknown experiment %q", id)
 		}
@@ -208,39 +148,12 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6", "fig8", "fig9", "kernels", "segments", "serve"}
-	}
-	snap := perfSnapshot{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ids = []string{"table1", "fig2", "fig3", "fig4", "fig5", "table2", "fig6", "fig8", "fig9"}
 	}
 	for _, id := range ids {
-		start := time.Now()
 		if err := run(id); err != nil {
 			fmt.Fprintln(os.Stderr, "logr-bench:", err)
 			os.Exit(1)
 		}
-		snap.Records = append(snap.Records, perfRecord{
-			Experiment: id, Scale: *scaleName, Seconds: time.Since(start).Seconds(),
-		})
-	}
-	if *perfOut != "" {
-		f, err := os.Create(*perfOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "logr-bench:", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			fmt.Fprintln(os.Stderr, "logr-bench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "logr-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(perf snapshot written to %s)\n", *perfOut)
 	}
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections 7 and 8). Each driver returns structured rows/series
-// and has a formatter printing the same columns the paper plots; DESIGN.md
-// maps experiment ids to drivers and EXPERIMENTS.md records the measured
-// shapes against the paper's.
+// and has a formatter printing the same columns the paper plots;
+// cmd/logr-bench runs each driver by its experiment id (table1, fig2, ...).
 package experiments
 
 // Scale sizes the synthetic datasets and sweeps. The paper's full scale is

@@ -6,8 +6,7 @@
 // PocketData, IPUMS Income and FIMI Mushroom are third-party downloads), so
 // each generator reproduces the *distributional shape* the experiments
 // depend on — distinct-query counts, feature counts, multiplicity skew,
-// workload mixing, label structure — as documented per generator and in
-// DESIGN.md.
+// workload mixing, label structure — as documented per generator.
 package workload
 
 import "math"
