@@ -606,11 +606,28 @@ func (c *Client) summary(ctx context.Context, from, to int) (*logr.Summary, erro
 // response is a superset of the matching single-node DTO (the extra
 // fields ride alongside the embedded struct), so a plain Client pointed
 // at a gateway keeps working; decode into these types to see the
-// cluster-only annotations. The partial-result contract: a read
-// endpoint answers 200 with the reachable shards' data as long as at
-// least one shard responded, and Unavailable lists the shard base URLs
-// that did not contribute (ejected or failed mid-request). Only when
-// every shard is unreachable does the gateway answer 502.
+// cluster-only annotations. Per route, the single-node fields carry:
+//
+//	POST /ingest      Entries accepted; TotalQueries the cluster total
+//	GET  /estimate    an estimate from the merged cross-shard summary
+//	GET  /count       the sum of the shards' exact counts
+//	GET  /stats       Queries and Unparseable summed
+//	GET  /segments    the shards' segment lists concatenated (seal ids are
+//	                  per shard, so ids may repeat); ActiveQueries summed
+//	GET  /drift       Score and NoveltyRate weighted by shard query totals;
+//	                  Alert if any shard alerts
+//	GET  /summary     the merged summary; ?from/?to answer 400 (seal ids
+//	                  are per shard: ask a shard for a range)
+//	GET  /healthz     Queries summed over the prober's per-shard view
+//	POST /seal        Sealed if any shard sealed; ID the largest sealed id
+//	POST /compact     Eliminated summed
+//	POST /dropBefore  Dropped summed (each shard applies the same id)
+//
+// The partial-result contract: a route answers 200 with the reachable
+// shards' data as long as at least one shard responded, and Unavailable
+// lists the shard base URLs that did not contribute (ejected or failed
+// mid-request). Only when every shard is unreachable does the gateway
+// answer 502.
 
 // ClusterIngestResult is the gateway's POST /ingest response.
 type ClusterIngestResult struct {
@@ -671,18 +688,32 @@ type ClusterStatsResult struct {
 	Unavailable []string               `json:"shards_unavailable,omitempty"`
 }
 
-// ClusterSegmentsResult is the gateway's GET /segments response.
+// ClusterSegmentsResult is the gateway's GET /segments response; Shards
+// keeps each shard's own list.
 type ClusterSegmentsResult struct {
-	// ActiveQueries and Segments are summed across reachable shards.
-	ActiveQueries int                       `json:"active_queries"`
-	Segments      int                       `json:"segments"`
-	Shards        map[string]SegmentsResult `json:"shards"`
-	Unavailable   []string                  `json:"shards_unavailable,omitempty"`
+	SegmentsResult
+	Shards      map[string]SegmentsResult `json:"shards"`
+	Unavailable []string                  `json:"shards_unavailable,omitempty"`
 }
 
 // ClusterSealResult is the gateway's POST /seal response.
 type ClusterSealResult struct {
+	SealResult
 	Shards      map[string]SealResult `json:"shards"`
+	Unavailable []string              `json:"shards_unavailable,omitempty"`
+}
+
+// ClusterCompactResult is the gateway's POST /compact response.
+type ClusterCompactResult struct {
+	CompactResult
+	Shards      map[string]CompactResult `json:"shards"`
+	Unavailable []string                 `json:"shards_unavailable,omitempty"`
+}
+
+// ClusterDropResult is the gateway's POST /dropBefore response.
+type ClusterDropResult struct {
+	DropResult
+	Shards      map[string]DropResult `json:"shards"`
 	Unavailable []string              `json:"shards_unavailable,omitempty"`
 }
 

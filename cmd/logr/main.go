@@ -97,9 +97,10 @@ commands:
             -segment, slide a per-segment window over one log instead
   serve     run the logrd daemon over a durable data directory (same flags
             as the logrd binary: -dir, -addr, -segment, -k, -sync, ...)
-  remote    talk to a running daemon: logr remote -addr URL <verb>
+  remote    talk to a running daemon or gateway: logr remote -addr URL <verb>
             (health | stats | ingest | estimate | count | seal | segments |
-             drift | compact | drop | summary)
+             drift | compact | drop | summary); a comma-separated -addr
+            runs a gateway over that shard list in-process
 
 run "logr <command> -h" for command flags`)
 }

@@ -5,26 +5,36 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 
 	"logr/client"
+	"logr/internal/gateway"
 )
 
-// runRemote drives a running logrd daemon from the command line:
+// runRemote drives a running logrd daemon (or logrd-gateway) from the
+// command line:
 //
 //	logr remote -addr http://host:8080 <verb> [flags]
 //
-// The address can also come from the LOGRD_ADDR environment variable.
+// The address can also come from the LOGRD_ADDR environment variable. A
+// comma-separated -addr is a shard list: the command serves a gateway
+// over it on a loopback port and runs against that, so it places,
+// spills, fans out and merges exactly like logrd-gateway.
 func runRemote(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("remote", flag.ExitOnError)
 	defAddr := os.Getenv("LOGRD_ADDR")
 	if defAddr == "" {
 		defAddr = "http://localhost:8080"
 	}
-	addr := fs.String("addr", defAddr, "daemon base URL, or a comma-separated shard list (or $LOGRD_ADDR)")
+	addr := fs.String("addr", defAddr, "daemon or gateway base URL, or a comma-separated shard list (or $LOGRD_ADDR)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: logr remote [-addr URL] <verb> [flags]
+		fmt.Fprintln(os.Stderr, `usage: logr remote [-addr URL[,URL...]] <verb> [flags]
+
+A comma-separated -addr runs a gateway over those shards in-process;
+output is then the cluster's, in the single-daemon format.
 
 verbs:
   health                     daemon liveness and gauges
@@ -40,7 +50,9 @@ verbs:
   compact -min N             merge runs of small adjacent segments
   drop -id N                 retire segments before seal id
   summary [-out FILE] [-from N -to N]
-                             download the binary summary artifact`)
+                             download the binary summary artifact (a
+                             range needs one daemon: seal ids are per
+                             shard)`)
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,12 +62,24 @@ verbs:
 		return fmt.Errorf("remote: missing verb")
 	}
 	verb, rest := fs.Arg(0), fs.Args()[1:]
-	if addrs := splitAddrs(*addr); len(addrs) > 1 {
-		// a comma-separated -addr is a shard list: fan out with the same
-		// rendezvous placement logrd-gateway uses over the same addresses
-		return runRemoteMulti(ctx, addrs, verb, rest)
+	base := *addr
+	if strings.Contains(base, ",") {
+		g, err := gateway.New(gateway.Options{Shards: strings.Split(base, ",")})
+		if err != nil {
+			return err
+		}
+		defer func() { _ = g.Close() }() // stops the health prober; never fails
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		srv := &http.Server{Handler: g.Handler()}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		defer func() { srv.Close(); <-served }()
+		base = "http://" + ln.Addr().String()
 	}
-	c := client.New(*addr)
+	c := client.New(base)
 	switch verb {
 	case "health":
 		h, err := c.Health(ctx)

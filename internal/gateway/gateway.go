@@ -6,7 +6,8 @@
 // mixtures, query-weighted error), the gateway serves a whole-cluster
 // /estimate and /summary without ever moving raw queries between
 // shards; /count sums exact per-shard counts; /stats, /segments and
-// /drift aggregate per-shard payloads under a "shards" field.
+// /drift aggregate per-shard payloads under a "shards" field; /seal,
+// /compact and /dropBefore apply to every shard and fold their results.
 //
 // Placement is rendezvous hashing on the query's SQL text: a shard-set
 // change remaps only ~1/N of the keyspace, and each key's full score
@@ -27,7 +28,8 @@
 //     single shard outage degrades placement, not durability.
 //
 // Wire DTOs live in package logr/client (Cluster*), supersets of the
-// single-node types, so any logrd client can point at a gateway.
+// single-node types, so any logrd client can point at a gateway; the
+// client package documents what each route's single-node fields mean.
 package gateway
 
 import (
@@ -233,10 +235,15 @@ func New(opts Options) (*Gateway, error) {
 	handle("GET /stats", "/stats", g.handleStats)
 	handle("GET /summary", "/summary", g.handleSummary)
 	handle("POST /seal", "/seal", g.handleSeal)
+	handle("POST /compact", "/compact", g.handleCompact)
+	handle("POST /dropBefore", "/dropBefore", g.handleDropBefore)
 	handle("GET /healthz", "/healthz", g.handleHealth)
 	handle("GET /readyz", "/readyz", g.handleReady)
 	g.mux.Handle("GET /metrics", obs.Handler(reg))
 	g.mux.Handle("GET /debug/requests", obs.RequestsHandler(g.httpm.Ring()))
+	// one synchronous probe round, so a fresh gateway knows the shards'
+	// health and query totals before its first tick
+	g.probeOnce()
 	go g.probeLoop()
 	return g, nil
 }
@@ -385,6 +392,73 @@ func scatter[T any](ctx context.Context, g *Gateway, idxs []int, fn func(context
 	}
 	wg.Wait()
 	return out
+}
+
+// mutate fans fn out once to each given shard, without hedging: a
+// backup request could apply a mutation twice. Health accounting matches
+// scatter, but mutation latencies stay out of the hedging histogram.
+func mutate[T any](ctx context.Context, g *Gateway, idxs []int, fn func(context.Context, *client.Client) (T, error)) []callOutcome[T] {
+	out := make([]callOutcome[T], len(idxs))
+	var wg sync.WaitGroup
+	for oi, idx := range idxs {
+		wg.Add(1)
+		go func(oi, idx int) {
+			defer wg.Done()
+			s := g.shards[idx]
+			v, err := fn(ctx, s.c)
+			g.noteOutcome(s, err, 0)
+			out[oi] = callOutcome[T]{idx: idx, v: v, err: err}
+		}(oi, idx)
+	}
+	wg.Wait()
+	return out
+}
+
+// gather folds a fan-out's outcomes into a cluster response: add sees
+// each answering shard's value, and the returned list names the shards
+// that did not contribute (skipped by ejection or failed), sorted. When
+// no shard answered, the error wraps the last shard error, so
+// gatherFailureStatus can pass its status through.
+func gather[T any](g *Gateway, route string, idxs []int, outs []callOutcome[T], add func(idx int, v T)) ([]string, error) {
+	unavailable := g.skippedAddrs(idxs)
+	answered := 0
+	var lastErr error
+	for _, o := range outs {
+		if o.err != nil {
+			unavailable = append(unavailable, g.addrs[o.idx])
+			lastErr = o.err
+			continue
+		}
+		answered++
+		add(o.idx, o.v)
+	}
+	if answered == 0 {
+		return nil, fmt.Errorf("gateway: no shard answered %s: %w", route, lastErr)
+	}
+	sort.Strings(unavailable)
+	return unavailable, nil
+}
+
+// reply writes a gathered response, or the gather's failure.
+func reply(w http.ResponseWriter, res any, err error) {
+	if err != nil {
+		writeErr(w, gatherFailureStatus(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+// intArg parses the integer query parameter name; -1 when absent.
+func intArg(r *http.Request, name string) (int, error) {
+	raw := r.URL.Query().Get(name)
+	if raw == "" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("bad ?%s=%q", name, raw)
+	}
+	return n, nil
 }
 
 // noteOutcome translates a shard call result into health state.
@@ -715,6 +789,10 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleSummary(w http.ResponseWriter, r *http.Request) {
+	if q := r.URL.Query(); q.Has("from") || q.Has("to") {
+		writeErr(w, http.StatusBadRequest, errors.New("gateway: ?from= and ?to= are per-shard seal ids; ask a shard for a range summary"))
+		return
+	}
 	sum, miss, err := g.MergedSummary(r.Context())
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, err)
@@ -776,14 +854,10 @@ func (g *Gateway) handleCount(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleDrift(w http.ResponseWriter, r *http.Request) {
 	var params [4]int
 	for i, name := range []string{"baseFrom", "baseTo", "winFrom", "winTo"} {
-		v := -1
-		if raw := r.URL.Query().Get(name); raw != "" {
-			n, err := strconv.Atoi(raw)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad ?%s=%q", name, raw))
-				return
-			}
-			v = n
+		v, err := intArg(r, name)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
 		}
 		params[i] = v
 	}
@@ -792,34 +866,22 @@ func (g *Gateway) handleDrift(w http.ResponseWriter, r *http.Request) {
 		return c.Drift(ctx, params[0], params[1], params[2], params[3])
 	})
 	res := client.ClusterDriftResult{Shards: map[string]client.DriftResult{}}
-	res.Unavailable = g.skippedAddrs(idxs)
 	totalW := 0.0
-	var lastErr error
-	for _, o := range outs {
-		if o.err != nil {
-			res.Unavailable = append(res.Unavailable, g.addrs[o.idx])
-			lastErr = o.err
-			continue
-		}
-		res.Shards[g.addrs[o.idx]] = o.v
-		_, _, q := g.shards[o.idx].snapshotHealth()
-		wgt := float64(q)
-		if wgt <= 0 {
-			wgt = 1
-		}
+	var err error
+	res.Unavailable, err = gather(g, "/drift", idxs, outs, func(i int, v client.DriftResult) {
+		res.Shards[g.addrs[i]] = v
+		_, _, q := g.shards[i].snapshotHealth()
+		wgt := float64(max(q, 1))
 		totalW += wgt
-		res.Score += wgt * o.v.Score
-		res.NoveltyRate += wgt * o.v.NoveltyRate
-		res.Alert = res.Alert || o.v.Alert
+		res.Score += wgt * v.Score
+		res.NoveltyRate += wgt * v.NoveltyRate
+		res.Alert = res.Alert || v.Alert
+	})
+	if err == nil {
+		res.Score /= totalW
+		res.NoveltyRate /= totalW
 	}
-	if len(res.Shards) == 0 {
-		writeErr(w, gatherFailureStatus(lastErr), fmt.Errorf("gateway: no shard answered /drift: %w", lastErr))
-		return
-	}
-	res.Score /= totalW
-	res.NoveltyRate /= totalW
-	sort.Strings(res.Unavailable)
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -828,25 +890,14 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		return c.Stats(ctx)
 	})
 	res := client.ClusterStatsResult{Shards: map[string]client.StatsResult{}}
-	res.Unavailable = g.skippedAddrs(idxs)
-	var lastErr error
-	for _, o := range outs {
-		if o.err != nil {
-			res.Unavailable = append(res.Unavailable, g.addrs[o.idx])
-			lastErr = o.err
-			continue
-		}
-		res.Shards[g.addrs[o.idx]] = o.v
-		res.Queries += o.v.Queries
-		res.Unparseable += o.v.Unparseable
-	}
-	if len(res.Shards) == 0 {
-		writeErr(w, gatherFailureStatus(lastErr), fmt.Errorf("gateway: no shard answered /stats: %w", lastErr))
-		return
-	}
+	var err error
+	res.Unavailable, err = gather(g, "/stats", idxs, outs, func(i int, v client.StatsResult) {
+		res.Shards[g.addrs[i]] = v
+		res.Queries += v.Queries
+		res.Unparseable += v.Unparseable
+	})
 	res.Health = g.shardHealthView()
-	sort.Strings(res.Unavailable)
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 // shardHealthView snapshots every shard's prober state (admission flag,
@@ -871,64 +922,66 @@ func (g *Gateway) handleSegments(w http.ResponseWriter, r *http.Request) {
 		return c.Segments(ctx)
 	})
 	res := client.ClusterSegmentsResult{Shards: map[string]client.SegmentsResult{}}
-	res.Unavailable = g.skippedAddrs(idxs)
-	var lastErr error
-	for _, o := range outs {
-		if o.err != nil {
-			res.Unavailable = append(res.Unavailable, g.addrs[o.idx])
-			lastErr = o.err
-			continue
-		}
-		res.Shards[g.addrs[o.idx]] = o.v
-		res.ActiveQueries += o.v.ActiveQueries
-		res.Segments += len(o.v.Segments)
-	}
-	if len(res.Shards) == 0 {
-		writeErr(w, gatherFailureStatus(lastErr), fmt.Errorf("gateway: no shard answered /segments: %w", lastErr))
-		return
-	}
-	sort.Strings(res.Unavailable)
-	writeJSON(w, http.StatusOK, res)
+	res.Segments = []client.Segment{}
+	var err error
+	res.Unavailable, err = gather(g, "/segments", idxs, outs, func(i int, v client.SegmentsResult) {
+		res.Shards[g.addrs[i]] = v
+		res.Segments = append(res.Segments, v.Segments...)
+		res.ActiveQueries += v.ActiveQueries
+	})
+	reply(w, res, err)
 }
 
 func (g *Gateway) handleSeal(w http.ResponseWriter, r *http.Request) {
-	// a mutation: fan out without hedging
 	idxs := g.healthyIdx()
-	type sealOut struct {
-		idx int
-		r   client.SealResult
-		err error
-	}
-	outs := make([]sealOut, len(idxs))
-	var wg sync.WaitGroup
-	for oi, idx := range idxs {
-		wg.Add(1)
-		go func(oi, idx int) {
-			defer wg.Done()
-			s := g.shards[idx]
-			sr, err := s.c.Seal(r.Context())
-			g.noteOutcome(s, err, 0)
-			outs[oi] = sealOut{idx: idx, r: sr, err: err}
-		}(oi, idx)
-	}
-	wg.Wait()
+	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.SealResult, error) {
+		return c.Seal(ctx)
+	})
 	res := client.ClusterSealResult{Shards: map[string]client.SealResult{}}
-	res.Unavailable = g.skippedAddrs(idxs)
-	var lastErr error
-	for _, o := range outs {
-		if o.err != nil {
-			res.Unavailable = append(res.Unavailable, g.addrs[o.idx])
-			lastErr = o.err
-			continue
+	var err error
+	res.Unavailable, err = gather(g, "/seal", idxs, outs, func(i int, v client.SealResult) {
+		res.Shards[g.addrs[i]] = v
+		if v.Sealed {
+			res.Sealed, res.ID = true, max(res.ID, v.ID)
 		}
-		res.Shards[g.addrs[o.idx]] = o.r
-	}
-	if len(res.Shards) == 0 {
-		writeErr(w, gatherFailureStatus(lastErr), fmt.Errorf("gateway: no shard answered /seal: %w", lastErr))
+	})
+	reply(w, res, err)
+}
+
+func (g *Gateway) handleCompact(w http.ResponseWriter, r *http.Request) {
+	minQ, err := intArg(r, "min")
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sort.Strings(res.Unavailable)
-	writeJSON(w, http.StatusOK, res)
+	idxs := g.healthyIdx()
+	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.CompactResult, error) {
+		return c.Compact(ctx, minQ)
+	})
+	res := client.ClusterCompactResult{Shards: map[string]client.CompactResult{}}
+	res.Unavailable, err = gather(g, "/compact", idxs, outs, func(i int, v client.CompactResult) {
+		res.Shards[g.addrs[i]] = v
+		res.Eliminated += v.Eliminated
+	})
+	reply(w, res, err)
+}
+
+func (g *Gateway) handleDropBefore(w http.ResponseWriter, r *http.Request) {
+	id, err := intArg(r, "id")
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	idxs := g.healthyIdx()
+	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.DropResult, error) {
+		return c.DropBefore(ctx, id)
+	})
+	res := client.ClusterDropResult{Shards: map[string]client.DropResult{}}
+	res.Unavailable, err = gather(g, "/dropBefore", idxs, outs, func(i int, v client.DropResult) {
+		res.Shards[g.addrs[i]] = v
+		res.Dropped += v.Dropped
+	})
+	reply(w, res, err)
 }
 
 // gatherFailureStatus maps a whole-cluster gather failure onto a

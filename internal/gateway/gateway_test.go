@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -421,5 +422,92 @@ func TestGatewayHedging(t *testing.T) {
 	case <-canceled:
 	case <-time.After(2 * time.Second):
 		t.Fatal("slow primary's context was never canceled")
+	}
+}
+
+// TestGatewayPlainClient is the superset contract: every client.Client
+// method pointed at a gateway decodes and returns the single-node answer
+// for the whole cluster, and a seal-id range, which only means something
+// on one shard, is refused.
+func TestGatewayPlainClient(t *testing.T) {
+	ctx := context.Background()
+	var shardURLs []string
+	var workloads []*logr.Workload
+	for i := 0; i < 2; i++ {
+		u, w := newShard(t)
+		shardURLs = append(shardURLs, u)
+		workloads = append(workloads, w)
+	}
+	// data and one seal on shard 0 before the gateway exists: its first
+	// probe must see the totals, and shard 0's next seal id is 1
+	if err := workloads[0].Append(gwEntries(20, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := workloads[0].Seal(); !ok {
+		t.Fatal("shard 0 did not seal")
+	}
+	if err := workloads[1].Append(gwEntries(20, 20)); err != nil {
+		t.Fatal(err)
+	}
+	total := func() int { return workloads[0].Queries() + workloads[1].Queries() }
+	_, gwURL := newGateway(t, Options{Shards: shardURLs})
+	c := client.New(gwURL)
+
+	h, err := c.Health(ctx)
+	if err != nil || h.Status != "ok" || h.Queries != total() {
+		t.Fatalf("Health = %+v, %v; want ok with %d queries", h, err, total())
+	}
+	entries := gwEntries(60, 7)
+	ir, err := c.Ingest(ctx, entries)
+	if err != nil || ir.Entries != len(entries) || ir.TotalQueries != total() {
+		t.Fatalf("Ingest = %+v, %v; want %d entries, %d queries", ir, err, len(entries), total())
+	}
+	sr, err := c.Seal(ctx)
+	if err != nil || !sr.Sealed || sr.ID != 1 {
+		t.Fatalf("Seal = %+v, %v; want sealed with the largest id 1", sr, err)
+	}
+	if sr, err := c.Seal(ctx); err != nil || sr.Sealed {
+		t.Fatalf("second Seal = %+v, %v; want nothing to seal", sr, err)
+	}
+	segs, err := c.Segments(ctx)
+	if err != nil || len(segs.Segments) != 3 || segs.ActiveQueries != 0 {
+		t.Fatalf("Segments = %+v, %v; want 3 segments, 0 active", segs, err)
+	}
+
+	pattern := "SELECT c0 FROM messages WHERE k0 = ?"
+	est, err := c.Estimate(ctx, pattern)
+	if err != nil || est.Epoch.TotalQueries != total() || est.Frequency <= 0 {
+		t.Fatalf("Estimate = %+v, %v; want a frequency over %d queries", est, err, total())
+	}
+	truth := 0
+	for _, w := range workloads {
+		if n, err := w.Count(pattern); err == nil {
+			truth += n
+		}
+	}
+	if n, err := c.Count(ctx, pattern); err != nil || n != truth {
+		t.Fatalf("Count = %d, %v; want %d", n, err, truth)
+	}
+	var sink discard
+	if _, meta, err := c.SummaryRawMeta(ctx, &sink, -1, -1); err != nil || meta.Epoch.TotalQueries != total() {
+		t.Fatalf("SummaryRawMeta = %+v, %v; want %d queries", meta, err, total())
+	}
+	_, _, err = c.SummaryRawMeta(ctx, &sink, 0, 1)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("range SummaryRawMeta error %v, want HTTP 400", err)
+	}
+
+	// shard 0's two segments merge; then every segment lies before id 2
+	if cr, err := c.Compact(ctx, 1<<30); err != nil || cr.Eliminated != 1 {
+		t.Fatalf("Compact = %+v, %v; want 1 eliminated", cr, err)
+	}
+	if dr, err := c.DropBefore(ctx, 2); err != nil || dr.Dropped != 2 {
+		t.Fatalf("DropBefore = %+v, %v; want 2 dropped", dr, err)
+	}
+	for i, w := range workloads {
+		if n := len(w.Segments()); n != 0 {
+			t.Fatalf("shard %d keeps %d segments after DropBefore", i, n)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func TestMiddlewareImplicit200AndStream(t *testing.T) {
 func TestMiddlewareHijack(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTP(reg, NewRequestRing(4), -1)
-	h := m.Wrap("/hijack", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	wrapped := m.Wrap("/hijack", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hj, ok := w.(http.Hijacker)
 		if !ok {
 			t.Error("middleware must pass Hijack through")
@@ -109,13 +109,20 @@ func TestMiddlewareHijack(t *testing.T) {
 		buf.Flush()
 		conn.Close()
 	}))
-	srv := httptest.NewServer(h)
+	// the client sees the hijacked reply before the middleware records
+	// the request, so wait for the wrapped handler to return
+	served := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wrapped.ServeHTTP(w, r)
+		close(served)
+	}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/hijack")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
 	resp.Body.Close()
+	<-served
 	if got := reg.Counter("logr_http_requests_total", "", "route", "/hijack", "code", "101").Value(); got != 1 {
 		t.Errorf("hijacked request must record as 101, counter = %d", got)
 	}

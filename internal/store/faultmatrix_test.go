@@ -188,19 +188,19 @@ func verifyReopen(t *testing.T, label string, fsys *faultfs.FS, run matrixRun, l
 }
 
 // sweepEnd is the last op position a sweep visits for a dry run of n ops:
-// n plus an eighth, which covers the run-to-run drift in schedule length.
-func sweepEnd(n int64) int64 { return n + n/8 }
+// n plus a quarter. The dry run's own length drifts by more than a tenth
+// (154..173 ops across runs on a 2-core Linux box), and a faulted run
+// may be longer still; with only an eighth, the top positions came and
+// went between runs.
+func sweepEnd(n int64) int64 { return n + n/4 }
 
 // matrixStride picks how densely to sweep the positions up to end: every
-// op under `make chaos` (LOGR_CHAOS=1), a sample of ~40 positions per
-// class in the default tier-1 run. Deriving it from end rather than the
-// dry run's own length keeps it steady while that length drifts.
+// op under `make chaos` (LOGR_CHAOS=1), every fourth in the default
+// tier-1 run. A fixed stride keeps the sampled positions, and so the
+// subtest names, the same while the schedule's length drifts.
 func matrixStride(t *testing.T, end int64) int64 {
+	stride := int64(4)
 	if os.Getenv("LOGR_CHAOS") != "" {
-		return 1
-	}
-	stride := end / 40
-	if stride < 1 {
 		stride = 1
 	}
 	t.Logf("sampling op positions 1..%d with stride %d (set LOGR_CHAOS=1 for the exhaustive sweep)", end, stride)
