@@ -27,7 +27,8 @@ func main() {
 	fmt.Printf("log: %d queries, %d distinct (%d after constant removal)\n",
 		s.Queries, s.DistinctQueries, s.DistinctNoConst)
 
-	// Compress: K grows until the summary is within 0.05 nats of lossless.
+	// Compress: the fewest clusters (at most 8) whose summary is within
+	// 0.05 nats of lossless.
 	sum, err := w.Compress(logr.CompressOptions{TargetError: 0.05, MaxClusters: 8, Seed: 1})
 	if err != nil {
 		log.Fatal(err)

@@ -3,3 +3,5 @@
 package cluster
 
 func KMeansBinary(k int) int { return k }
+
+func HierarchicalBinaryP(n int) int { return n }

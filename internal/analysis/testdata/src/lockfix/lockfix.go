@@ -59,6 +59,12 @@ func (s *S) sealClusteringUnderLock() int {
 	return cluster.KMeansBinary(4) // want `seal-time clustering\) while holding s\.mu`
 }
 
+func (s *S) dendrogramUnderLock() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return cluster.HierarchicalBinaryP(4) // want `seal-time clustering\) while holding s\.mu`
+}
+
 // sleepLocked documents lock ownership with //logr:holds: the lock is
 // held on entry even though no Lock call appears in the body.
 //

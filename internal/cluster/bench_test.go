@@ -93,6 +93,18 @@ func BenchmarkHierarchical(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchicalBinary runs average linkage at the size of a bank
+// log's distinct vectors (≈1,700 shapes, ≈7 features each of ≈400), where
+// a merge loop that rescans every pair per merge is cubic and dominates.
+func BenchmarkHierarchicalBinary(b *testing.B) {
+	pts, _ := randBinary(rand.New(rand.NewSource(1)), 1700, 400, 7, 400)
+	dist := BinaryMetricFunc(Hamming, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		HierarchicalBinaryP(pts, dist, 0)
+	}
+}
+
 func BenchmarkDistances(b *testing.B) {
 	pts, _ := benchPoints(2, 5290)
 	for _, m := range []Metric{Euclidean, Manhattan, Minkowski, Hamming} {

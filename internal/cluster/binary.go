@@ -543,7 +543,7 @@ func NewSpectralModelBinaryP(vecs []bitvec.Vector, dist BinaryDistanceFunc, sigm
 
 // HierarchicalBinaryP builds the average-linkage dendrogram of packed binary
 // points with an explicit worker bound (p ≤ 0 = all cores), using a popcount
-// distance matrix; the agglomeration is shared with the dense path, so the
+// distance matrix; the merge loop is shared with the dense path, so the
 // dendrogram is identical to HierarchicalP on the dense expansion. nil dist
 // defaults to Euclidean.
 func HierarchicalBinaryP(pts BinaryPoints, dist BinaryDistanceFunc, p int) *Dendrogram {
@@ -554,5 +554,5 @@ func HierarchicalBinaryP(pts BinaryPoints, dist BinaryDistanceFunc, p int) *Dend
 	if dist == nil {
 		dist = BinaryMetricFunc(Euclidean, 0)
 	}
-	return agglomerate(DistanceMatrixBinary(pts.Vecs, dist, p), pts.Weights, n)
+	return averageLinkage(DistanceMatrixBinary(pts.Vecs, dist, p), pts.Weights)
 }

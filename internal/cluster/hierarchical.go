@@ -4,19 +4,19 @@ import (
 	"math"
 )
 
-// Dendrogram records an agglomerative clustering: a binary merge tree over
-// the input points. The paper (Section 6.1, "Hierarchical Clustering")
-// recommends hierarchical methods because cuts at increasing K are
-// monotonic: the K+1 clustering refines the K clustering, giving dynamic
+// Dendrogram records an agglomerative clustering (Agglomerate): a binary
+// merge tree over the input points. The paper (Section 6.1, "Hierarchical
+// Clustering") recommends hierarchical methods because cuts at increasing K
+// are monotonic: the K+1 clustering refines the K clustering, giving dynamic
 // control over the Error/Verbosity trade-off.
 type Dendrogram struct {
 	n      int
-	merges []merge // n-1 merges in order of increasing linkage distance
+	merges []merge // n-1 merges in the order they were made
 }
 
 type merge struct {
 	a, b int     // node ids: 0..n-1 leaves, n+i for the i-th merge
-	dist float64 // linkage distance at which a and b merged
+	dist float64 // linkage distance (or merge score) at which a and b merged
 }
 
 // Len returns the number of leaves (input points).
@@ -39,7 +39,7 @@ func Hierarchical(points [][]float64, weights []float64, dist DistanceFunc) *Den
 }
 
 // HierarchicalP is Hierarchical with an explicit worker bound (p ≤ 0 = all
-// cores). The O(n²·d) distance-matrix build fans out; the agglomeration loop
+// cores). The O(n²·d) distance-matrix build fans out; the O(n²) merge loop
 // itself is serial, so the dendrogram is identical at any parallelism.
 func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p int) *Dendrogram {
 	n := len(points)
@@ -49,73 +49,128 @@ func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p i
 	if dist == nil {
 		dist = MetricFunc(Euclidean, 0)
 	}
-	return agglomerate(distanceMatrix(points, dist, p), weights, n)
+	return averageLinkage(distanceMatrix(points, dist, p), weights)
 }
 
-// agglomerate runs the serial average-linkage loop over a pre-built distance
-// matrix (which it consumes as scratch) — the stage shared by the dense and
-// binary paths. The dendrogram depends only on the matrix, never on the
-// point representation that produced it.
-func agglomerate(dm [][]float64, weights []float64, n int) *Dendrogram {
-	d := &Dendrogram{n: n}
-	w := make([]float64, n)
-	for i := range w {
+// averageLinkage runs Agglomerate over a pre-built distance matrix — the
+// stage shared by the dense and binary paths — with the Lance–Williams
+// recurrence for weighted average linkage: the distance from a merged
+// cluster to any other is the mass-weighted mean of the two constituent
+// distances. The dendrogram depends only on the matrix, never on the point
+// representation that produced it.
+func averageLinkage(dm [][]float64, weights []float64) *Dendrogram {
+	mass := make([]float64, len(dm), 2*len(dm))
+	for i := range mass {
 		if weights != nil {
-			w[i] = weights[i]
+			mass[i] = weights[i]
 		} else {
-			w[i] = 1
+			mass[i] = 1
 		}
 	}
+	return Agglomerate(dm, func(a, b int) func(int, float64, float64) float64 {
+		ma, mb := mass[a], mass[b]
+		total := ma + mb
+		mass = append(mass, total)
+		return func(_ int, da, db float64) float64 { return (ma*da + mb*db) / total }
+	})
+}
 
-	// active cluster set with pairwise average-linkage distances,
-	// updated with the Lance–Williams recurrence.
-	type clust struct {
-		id   int // node id in the dendrogram
-		mass float64
+// Agglomerate performs the n−1 greedy merges of a pair-merge clustering over
+// n nodes whose pairwise scores are the symmetric matrix s, which it
+// consumes as scratch. Nodes live in slots: each step merges the pair of
+// slots with the lowest score, the earliest pair in slot order on ties; the
+// merged node takes the lower slot and the last slot moves into the higher
+// one. join is called once per merge with the node ids of the pair — 0..n−1
+// for the input nodes, n+i for the i-th merge — and returns the score of the
+// merged node against each remaining node k, given k's scores sa and sb to
+// the pair. The dendrogram records every merge at its score.
+//
+// Each slot caches its lowest-scoring partner among the slots above it, so a
+// merge rescans only the two slots it rewrote and the rows whose cached
+// partner it moved or rescored: O(n²) work in practice rather than the
+// O(n³) of rescanning every pair at every merge, with the identical merge
+// order.
+func Agglomerate(s [][]float64, join func(a, b int) func(k int, sa, sb float64) float64) *Dendrogram {
+	n := len(s)
+	d := &Dendrogram{n: n, merges: make([]merge, 0, max(n-1, 0))}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	active := make([]clust, n)
-	for i := range active {
-		active[i] = clust{id: i, mass: w[i]}
-	}
-
-	nextID := n
-	for len(active) > 1 {
-		// find closest pair (indices into active/dm)
-		bi, bj, bd := 0, 1, math.Inf(1)
-		for i := 0; i < len(active); i++ {
-			for j := i + 1; j < len(active); j++ {
-				if dm[i][j] < bd {
-					bi, bj, bd = i, j, dm[i][j]
-				}
+	// nn[i] is the earliest slot j > i with the lowest s[i][j], and nd[i]
+	// that score; a row with no finite score keeps j = i+1 at +Inf, which
+	// is what a fresh scan returns.
+	nn := make([]int, n)
+	nd := make([]float64, n)
+	rescan := func(i, m int) {
+		bj, bd := i+1, math.Inf(1)
+		row := s[i]
+		for j := i + 1; j < m; j++ {
+			if row[j] < bd {
+				bj, bd = j, row[j]
 			}
 		}
-		mi, mj := active[bi], active[bj]
-		d.merges = append(d.merges, merge{a: mi.id, b: mj.id, dist: bd})
+		nn[i], nd[i] = bj, bd
+	}
+	for i := 0; i < n-1; i++ {
+		rescan(i, n)
+	}
+	// offer makes slot j (> i) the cached partner of row i if it scores
+	// lower, or equal from an earlier slot.
+	offer := func(i, j int) {
+		if v := s[i][j]; v < nd[i] || (v == nd[i] && j < nn[i]) {
+			nn[i], nd[i] = j, v
+		}
+	}
 
-		// Lance–Williams update for weighted average linkage: the distance
-		// from the merged cluster to any other is the mass-weighted mean of
-		// the two constituent distances.
-		total := mi.mass + mj.mass
-		for k := 0; k < len(active); k++ {
+	for m := n; m > 1; m-- {
+		bi, bd := 0, math.Inf(1)
+		for i := 0; i < m-1; i++ {
+			if nd[i] < bd {
+				bi, bd = i, nd[i]
+			}
+		}
+		bj := nn[bi]
+		d.merges = append(d.merges, merge{a: ids[bi], b: ids[bj], dist: bd})
+
+		score := join(ids[bi], ids[bj])
+		for k := 0; k < m; k++ {
 			if k == bi || k == bj {
 				continue
 			}
-			nd := (mi.mass*dm[bi][k] + mj.mass*dm[bj][k]) / total
-			dm[bi][k] = nd
-			dm[k][bi] = nd
+			v := score(ids[k], s[bi][k], s[bj][k])
+			s[bi][k] = v
+			s[k][bi] = v
 		}
-		active[bi] = clust{id: nextID, mass: total}
-		nextID++
+		ids[bi] = n + len(d.merges) - 1
 
-		// remove bj by swapping with the last element
-		last := len(active) - 1
-		active[bj] = active[last]
-		active = active[:last]
+		// remove slot bj by moving the last slot into it
+		last := m - 1
+		ids[bj] = ids[last]
 		for k := 0; k < last; k++ {
-			dm[bj][k] = dm[last][k]
-			dm[k][bj] = dm[k][last]
+			s[bj][k] = s[last][k]
+			s[k][bj] = s[k][last]
 		}
-		dm[bj][bj] = 0
+		s[bj][bj] = 0
+
+		// Repair the caches of the m−1 remaining rows. Row bi was rescored
+		// and row bj holds a new node, so both rescan, as does any row whose
+		// partner was bi (rescored), bj (merged away) or the last slot when
+		// that slot moved below it. Every other row keeps its partner unless
+		// the rescored slot bi or the moved slot bj now beats it; a partner
+		// that moved from the last slot up to bj wins back its row that way.
+		for i := 0; i < last; i++ {
+			if p := nn[i]; i == bi || i == bj || p == bi || p == bj || (p == last && bj < i) {
+				rescan(i, last)
+				continue
+			}
+			if bi > i {
+				offer(i, bi)
+			}
+			if bj > i && bj < last {
+				offer(i, bj)
+			}
+		}
 	}
 	return d
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"logr/internal/cluster"
-	"logr/internal/parallel"
 )
 
 // Method selects the partitioning algorithm LogR uses to construct naive
@@ -39,8 +38,10 @@ func (m Method) String() string {
 
 // CompressOptions configure LogR compression.
 type CompressOptions struct {
-	// K is the number of clusters. K = 0 enables the auto sweep: K grows
-	// from 1 until Error ≤ TargetError or K = MaxK.
+	// K is the number of clusters. K = 0 enables the auto sweep: Method
+	// clusters at MaxK, the clusters merge greedily by the exact Error each
+	// merge adds, and the smallest cut of that merge tree with Error ≤
+	// TargetError is returned — the MaxK clusters when no cut qualifies.
 	K int
 	// Method selects the clustering algorithm (default KMeansMethod).
 	Method Method
@@ -52,11 +53,11 @@ type CompressOptions struct {
 	Seed int64
 	// TargetError is the auto-sweep Error threshold (nats).
 	TargetError float64
-	// MaxK bounds the auto sweep (default 32).
+	// MaxK is the cluster count the auto sweep starts from (default 32).
 	MaxK int
 	// Parallelism bounds the worker count for every stage — clustering, the
-	// auto sweep's candidate evaluations, mixture construction and Error
-	// scoring. ≤ 0 means all cores; 1 forces serial execution. Output is
+	// auto sweep's merge scoring, mixture construction and Error scoring.
+	// ≤ 0 means all cores; 1 forces serial execution. Output is
 	// bit-identical at any parallelism for a fixed Seed.
 	Parallelism int
 	// WarmCentroids seeds the k-means path from these centroids instead of
@@ -98,83 +99,64 @@ func Compress(l *Log, opts CompressOptions) (*Compressed, error) {
 	if opts.MinkowskiP <= 0 {
 		opts.MinkowskiP = 4
 	}
-	if opts.K > 0 {
-		return compressK(l, opts, opts.K)
-	}
-	maxK := opts.MaxK
-	if maxK <= 0 {
-		maxK = 32
-	}
-	// Every candidate K clusters the same immutable point set, so prepare
-	// it once: the packed vectors as-is on the default binary path, a dense
-	// float64 expansion only under ForceDense. Auto sweeps over the
-	// hierarchical method additionally reuse one dendrogram: its cuts nest
-	// (Section 6.1's motivation for hierarchical clustering), so the K
-	// sweep costs a single O(n²·n) build plus cheap cuts.
-	var points [][]float64
-	var weights []float64
-	var pts cluster.BinaryPoints
-	var dendro *cluster.Dendrogram
-	if opts.ForceDense {
-		points, weights = l.DenseP(opts.Parallelism)
-		if opts.Method == HierarchicalMethod {
-			dendro = cluster.HierarchicalP(points, weights, cluster.MetricFunc(opts.Metric, opts.MinkowskiP), opts.Parallelism)
-		}
-	} else {
-		pts = l.Binary()
-		if opts.Method == HierarchicalMethod {
-			dendro = cluster.HierarchicalBinaryP(pts, cluster.BinaryMetricFunc(opts.Metric, opts.MinkowskiP), opts.Parallelism)
+	k := opts.K
+	if k <= 0 {
+		k = opts.MaxK
+		if k <= 0 {
+			k = 32
 		}
 	}
-	// The sweep evaluates candidate Ks in ascending waves of Parallelism
-	// candidates each. Within a wave the evaluations run concurrently (each
-	// is seeded independently, so a candidate's result never depends on its
-	// neighbors); the wave is then scanned in ascending K, which returns
-	// exactly the candidate a serial sweep would have stopped at. The
-	// worker budget is split between the wave and the candidates inside it,
-	// so the total stays bounded by Parallelism rather than multiplying.
-	par := parallel.Degree(opts.Parallelism)
-	evalK := func(k, inner int) (*Compressed, error) {
-		if dendro != nil {
-			return fromAssignment(l, dendro.Cut(k), inner)
-		}
-		innerOpts := opts
-		innerOpts.Parallelism = inner
-		if opts.ForceDense {
-			return compressDense(l, points, weights, innerOpts, k)
-		}
-		return compressBinary(l, pts, innerOpts, k)
+	c, err := compressK(l, opts, k)
+	if err != nil || opts.K > 0 {
+		return c, err
 	}
-	var best *Compressed
-	for lo := 1; lo <= maxK; lo += par {
-		hi := lo + par - 1
-		if hi > maxK {
-			hi = maxK
-		}
-		width := hi - lo + 1
-		inner := par / width
-		if inner < 1 {
-			inner = 1
-		}
-		cands := make([]*Compressed, width)
-		errs := make([]error, width)
-		tasks := make([]func(), width)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { cands[i], errs[i] = evalK(lo+i, inner) }
-		}
-		parallel.Do(par, tasks...)
-		for i := range cands {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			best = cands[i]
-			if best.Err <= opts.TargetError {
-				return best, nil
-			}
+	// The auto sweep: the MaxK clusters just built are the leaves of one
+	// merge tree, and its cuts give every smaller K without re-clustering.
+	tree, errs := mergeTree(c, opts.Parallelism)
+	for cut := 1; cut < len(errs); cut++ {
+		if errs[len(errs)-cut] <= opts.TargetError {
+			return fromAssignment(l, composeCut(c, tree.Cut(cut)), opts.Parallelism)
 		}
 	}
-	return best, nil
+	return c, nil
+}
+
+// mergeTree agglomerates the non-empty parts of c, the sweep's leaves,
+// always merging the pair with the lowest compactionScore. The leaves
+// partition the distinct vectors, so every merge joins disjoint parts and
+// its score is exactly T·ΔErr: errs[i] is the Reproduction Error after i
+// merges, a running sum from errs[0] = c.Err, and the cut into K parts has
+// Err errs[len(errs)−K].
+func mergeTree(c *Compressed, par int) (*cluster.Dendrogram, []float64) {
+	parts := liveConsParts(c.Parts)
+	tree := cluster.Agglomerate(compactionScores(parts, par), func(a, b int) func(int, float64, float64) float64 {
+		m := mergeConsParts(parts[a], parts[b])
+		parts = append(parts, &m)
+		return func(k int, _, _ float64) float64 { return compactionScore(&m, parts[k]) }
+	})
+	errs := []float64{c.Err}
+	for _, s := range tree.MergeDistances() {
+		errs = append(errs, errs[len(errs)-1]+s/float64(c.Mixture.Total))
+	}
+	return tree, errs
+}
+
+// composeCut lifts a cut of mergeTree's leaves to the distinct vectors of
+// the log c was built from: each vector takes the cut label of its leaf.
+func composeCut(c *Compressed, cut cluster.Assignment) cluster.Assignment {
+	leaf := make([]int, c.Assignment.K)
+	n := 0
+	for i, p := range c.Parts {
+		if p.Total() > 0 {
+			leaf[i] = n
+			n++
+		}
+	}
+	labels := make([]int, len(c.Assignment.Labels))
+	for v, lbl := range c.Assignment.Labels {
+		labels[v] = cut.Labels[leaf[lbl]]
+	}
+	return cluster.Assignment{Labels: labels, K: cut.K}
 }
 
 // warmFor gates CompressOptions.WarmCentroids: the warm start applies only

@@ -88,6 +88,18 @@ type consPart struct {
 	supp    []int
 }
 
+// liveConsParts builds the consPart of every non-empty part, in order.
+func liveConsParts(parts []*Log) []*consPart {
+	live := make([]*consPart, 0, len(parts))
+	for _, p := range parts {
+		if p.Total() > 0 {
+			cp := newConsPart(p)
+			live = append(live, &cp)
+		}
+	}
+	return live
+}
+
 func newConsPart(l *Log) consPart {
 	t := l.Total()
 	marg := l.FeatureMarginals()
@@ -108,10 +120,12 @@ func newConsPart(l *Log) consPart {
 // compactionScore estimates T·ΔErr for coalescing parts a and b: the model-
 // entropy increase of pooling their marginals minus the empirical-entropy
 // increase of pooling their histograms (taken as the exact mixing term of
-// disjoint histograms — the common case for segment clusters). Negative
-// scores mean the merge is estimated to *reduce* the range error; the exact
-// error is re-evaluated after every committed merge, so the score only has
-// to rank candidates. The walk touches only the union of the two supports.
+// disjoint histograms — the common case for segment clusters, and always
+// the case for the auto sweep's leaves, where the score is exact). Negative
+// scores mean the merge is estimated to *reduce* the error; Consolidate
+// re-evaluates the exact error after every committed merge, so there the
+// score only has to rank candidates. The walk touches only the union of the
+// two supports.
 func compactionScore(a, b *consPart) float64 {
 	wa, wb := float64(a.total), float64(b.total)
 	w := wa + wb
@@ -135,6 +149,28 @@ func compactionScore(a, b *consPart) float64 {
 	}
 	mixing := wa*math.Log(w/wa) + wb*math.Log(w/wb)
 	return w*hm - wa*a.modelH - wb*b.modelH - mixing
+}
+
+// compactionScores fills the symmetric matrix of pairwise compaction
+// scores. The fill is the O(K²) bulk of the scoring work and fans out over
+// the pool — each worker writes only its own row, so the matrix is
+// deterministic at any parallelism.
+func compactionScores(parts []*consPart, par int) [][]float64 {
+	scores := make([][]float64, len(parts))
+	for i := range scores {
+		scores[i] = make([]float64, len(parts))
+	}
+	parallel.For(len(parts), par, func(i int) {
+		for j := i + 1; j < len(parts); j++ {
+			scores[i][j] = compactionScore(parts[i], parts[j])
+		}
+	})
+	for i := range scores {
+		for j := 0; j < i; j++ {
+			scores[i][j] = scores[j][i]
+		}
+	}
+	return scores
 }
 
 // mergeConsParts materializes the coalesced part: the sub-logs are merged
@@ -218,14 +254,7 @@ type ConsolidateOptions struct {
 // contract. The result is deterministic: scores are scanned in component
 // order and ties keep the earliest pair.
 func Consolidate(c *Compressed, opts ConsolidateOptions, total int) *Compressed {
-	live := make([]*consPart, 0, len(c.Parts))
-	for _, p := range c.Parts {
-		if p.Total() == 0 {
-			continue
-		}
-		cp := newConsPart(p)
-		live = append(live, &cp)
-	}
+	live := liveConsParts(c.Parts)
 	if len(live) <= 1 {
 		return c
 	}
@@ -239,24 +268,8 @@ func Consolidate(c *Compressed, opts ConsolidateOptions, total int) *Compressed 
 	}
 
 	// Pair scores live in a symmetric K×K matrix; only the rows touching
-	// the merged slot are rescored each round. The initial fill is the
-	// O(K²) bulk of the scoring work and fans out over the pool — each
-	// worker writes only its own row, so the matrix is deterministic at any
-	// parallelism.
-	scores := make([][]float64, len(live))
-	for i := range scores {
-		scores[i] = make([]float64, len(live))
-	}
-	parallel.For(len(live), opts.Parallelism, func(i int) {
-		for j := i + 1; j < len(live); j++ {
-			scores[i][j] = compactionScore(live[i], live[j])
-		}
-	})
-	for i := range scores {
-		for j := 0; j < i; j++ {
-			scores[i][j] = scores[j][i]
-		}
-	}
+	// the merged slot are rescored each round.
+	scores := compactionScores(live, opts.Parallelism)
 	dropRow := func(bj int) {
 		for i := range scores {
 			scores[i] = append(scores[i][:bj], scores[i][bj+1:]...)

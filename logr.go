@@ -23,8 +23,8 @@
 //
 // The fidelity/size trade-off is governed by the number of clusters: more
 // clusters mean lower Reproduction Error (paper Section 4) and higher Total
-// Verbosity (summary size). Compress with Clusters == 0 to auto-sweep until
-// a target error is reached.
+// Verbosity (summary size). Compress with Clusters == 0 to auto-sweep for
+// the fewest clusters that reach a target error.
 //
 // # Parallelism
 //
@@ -33,7 +33,7 @@
 // feature-extract entries on parallel workers with an ordered merge that
 // keeps codebook assignment deterministic; Compress fans out the k-means
 // assignment step and restarts, the O(n²) distance matrices of the spectral
-// and hierarchical methods, the auto sweep's candidate K evaluations, and
+// and hierarchical methods, the auto sweep's merge scoring, and
 // the word-packed containment counting behind marginal estimation. Both
 // Options.Parallelism and CompressOptions.Parallelism default to all cores
 // (0); setting 1 forces serial execution. For a fixed Seed the output is
@@ -789,7 +789,10 @@ func resolveProbe(book *feature.Codebook, universe int, blocks []*sqlparser.Sele
 
 // CompressOptions configure the LogR compressor.
 type CompressOptions struct {
-	// Clusters is K, the number of mixture components. 0 auto-sweeps.
+	// Clusters is K, the number of mixture components. 0 auto-sweeps:
+	// Method clusters at MaxClusters, the clusters are merged greedily by
+	// the exact Error each merge adds, and the fewest merged clusters with
+	// Error ≤ TargetError are kept — all MaxClusters when none qualify.
 	Clusters int
 	// Method is "kmeans" (default), "spectral" or "hierarchical".
 	Method string
@@ -797,9 +800,10 @@ type CompressOptions struct {
 	// "minkowski", "hamming", "chebyshev" or "canberra"; default hamming,
 	// the paper's best Error/runtime trade-off.
 	Metric string
-	// TargetError stops the auto sweep (nats).
+	// TargetError is the auto sweep's Error bound (nats).
 	TargetError float64
-	// MaxClusters bounds the auto sweep (default 32).
+	// MaxClusters is the cluster count the auto sweep starts from and the
+	// most components it returns (default 32).
 	MaxClusters int
 	// Seed makes clustering reproducible.
 	Seed int64
