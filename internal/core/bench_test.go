@@ -76,6 +76,40 @@ func BenchmarkCompressKMeans(b *testing.B) {
 	}
 }
 
+// benchRange range-merges three segments of 64 clusters each: 192
+// components over a universe of 600.
+func benchRange(b *testing.B) *Compressed {
+	segs := make([]*Compressed, 3)
+	for i := range segs {
+		c, err := Compress(segLog(600, 900, int64(i+1)), CompressOptions{K: 64, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs[i] = c
+	}
+	m, err := MergeRange(segs, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+func BenchmarkConsolidate(b *testing.B) {
+	m := benchRange(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Consolidate(m, CompressOptions{K: 8})
+	}
+}
+
+func BenchmarkCoalesceMixture(b *testing.B) {
+	m := benchRange(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CoalesceMixture(m.Mixture, 8)
+	}
+}
+
 func BenchmarkEstimateCount(b *testing.B) {
 	l := benchLog(863, 605)
 	mix, _ := BuildNaiveMixture(l, kmeansAssign(l, 8))

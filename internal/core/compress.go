@@ -113,32 +113,37 @@ func Compress(l *Log, opts CompressOptions) (*Compressed, error) {
 	// The auto sweep: the MaxK clusters just built are the leaves of one
 	// merge tree, and its cuts give every smaller K without re-clustering.
 	tree, errs := mergeTree(c, opts.Parallelism)
-	for cut := 1; cut < len(errs); cut++ {
-		if errs[len(errs)-cut] <= opts.TargetError {
-			return fromAssignment(l, composeCut(c, tree.Cut(cut)), opts.Parallelism)
-		}
+	if k := smallestCut(errs, opts.TargetError); k < len(errs) {
+		return fromAssignment(l, composeCut(c, tree.Cut(k)), opts.Parallelism)
 	}
 	return c, nil
 }
 
-// mergeTree agglomerates the non-empty parts of c, the sweep's leaves,
-// always merging the pair with the lowest compactionScore. The leaves
-// partition the distinct vectors, so every merge joins disjoint parts and
-// its score is exactly T·ΔErr: errs[i] is the Reproduction Error after i
-// merges, a running sum from errs[0] = c.Err, and the cut into K parts has
-// Err errs[len(errs)−K].
+// mergeTree agglomerates the non-empty parts of c, always merging the pair
+// with the lowest compactionScore. errs[i] is the Reproduction Error after
+// i merges, so the cut into K parts has Err errs[len(errs)−K]: each step
+// adds the merged part's exact share of T·Err minus its two inputs' shares,
+// which holds whether or not the parts share distinct vectors.
 func mergeTree(c *Compressed, par int) (*cluster.Dendrogram, []float64) {
-	parts := liveConsParts(c.Parts)
-	tree := cluster.Agglomerate(compactionScores(parts, par), func(a, b int) func(int, float64, float64) float64 {
-		m := mergeConsParts(parts[a], parts[b])
-		parts = append(parts, &m)
-		return func(k int, _, _ float64) float64 { return compactionScore(&m, parts[k]) }
-	})
+	t := float64(c.Mixture.Total)
 	errs := []float64{c.Err}
-	for _, s := range tree.MergeDistances() {
-		errs = append(errs, errs[len(errs)-1]+s/float64(c.Mixture.Total))
-	}
+	tree := agglomerateParts(liveConsParts(c.Parts), par, compactionScore, func(a, b *consPart) *consPart {
+		m := mergeConsParts(a, b)
+		errs = append(errs, errs[len(errs)-1]+(m.excess()-a.excess()-b.excess())/t)
+		return m
+	})
 	return tree, errs
+}
+
+// smallestCut returns the fewest parts whose cut of mergeTree has Err ≤
+// target, or len(errs) — the leaves themselves — when no smaller cut does.
+func smallestCut(errs []float64, target float64) int {
+	for k := 1; k < len(errs); k++ {
+		if errs[len(errs)-k] <= target {
+			return k
+		}
+	}
+	return len(errs)
 }
 
 // composeCut lifts a cut of mergeTree's leaves to the distinct vectors of

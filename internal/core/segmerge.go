@@ -9,10 +9,11 @@ package core
 // lossless operation whose Reproduction Error is exactly the weighted
 // combination of the per-segment errors. Consolidate then trades components
 // for error: the merged mixture carries one component per segment cluster
-// (K grows linearly with the range width), so adjacent components are
-// greedily coalesced under a compaction score until the component budget or
-// error target is met. The caller compares the consolidated error against
-// the lossless merge's and, as in Recompress, falls back to a full
+// (K grows linearly with the range width), so its components become the
+// leaves of the same merge tree the auto sweep cuts (mergeTree), and the
+// range summary is one cut of it — the component budget's, or the smallest
+// within the error target. The caller compares the consolidated error
+// against the lossless merge's and, as in Recompress, falls back to a full
 // re-cluster when the drift is too large.
 
 import (
@@ -93,14 +94,13 @@ func liveConsParts(parts []*Log) []*consPart {
 	live := make([]*consPart, 0, len(parts))
 	for _, p := range parts {
 		if p.Total() > 0 {
-			cp := newConsPart(p)
-			live = append(live, &cp)
+			live = append(live, newConsPart(p))
 		}
 	}
 	return live
 }
 
-func newConsPart(l *Log) consPart {
+func newConsPart(l *Log) *consPart {
 	t := l.Total()
 	marg := l.FeatureMarginals()
 	h := 0.0
@@ -114,18 +114,21 @@ func newConsPart(l *Log) consPart {
 		sum[f] = p * float64(t)
 		supp = append(supp, f)
 	}
-	return consPart{log: l, total: t, modelH: h, empH: l.EmpiricalEntropy(), margSum: sum, supp: supp}
+	return &consPart{log: l, total: t, modelH: h, empH: l.EmpiricalEntropy(), margSum: sum, supp: supp}
 }
+
+// excess is the part's share of T·Err: total · (H(ρ_E) − H(ρ*)).
+func (p *consPart) excess() float64 { return float64(p.total) * (p.modelH - p.empH) }
 
 // compactionScore estimates T·ΔErr for coalescing parts a and b: the model-
 // entropy increase of pooling their marginals minus the empirical-entropy
-// increase of pooling their histograms (taken as the exact mixing term of
-// disjoint histograms — the common case for segment clusters, and always
-// the case for the auto sweep's leaves, where the score is exact). Negative
-// scores mean the merge is estimated to *reduce* the error; Consolidate
-// re-evaluates the exact error after every committed merge, so there the
-// score only has to rank candidates. The walk touches only the union of the
-// two supports.
+// increase of pooling their histograms, taken as the exact mixing term of
+// disjoint histograms. That is exact for the auto sweep's leaves, which
+// partition the distinct vectors, and approximate for range-merged segment
+// clusters that share distinct vectors. Negative scores mean the merge is
+// estimated to *reduce* the error. The score only ranks candidates:
+// mergeTree records each merge's exact ΔErr from the merged part's entropy
+// terms. The walk touches only the union of the two supports.
 func compactionScore(a, b *consPart) float64 {
 	wa, wb := float64(a.total), float64(b.total)
 	w := wa + wb
@@ -151,32 +154,38 @@ func compactionScore(a, b *consPart) float64 {
 	return w*hm - wa*a.modelH - wb*b.modelH - mixing
 }
 
-// compactionScores fills the symmetric matrix of pairwise compaction
-// scores. The fill is the O(K²) bulk of the scoring work and fans out over
-// the pool — each worker writes only its own row, so the matrix is
-// deterministic at any parallelism.
-func compactionScores(parts []*consPart, par int) [][]float64 {
-	scores := make([][]float64, len(parts))
-	for i := range scores {
-		scores[i] = make([]float64, len(parts))
+// agglomerateParts runs cluster.Agglomerate over leaves under a pair score:
+// each merge pools its pair into a new node, scored against the remaining
+// ones. The initial O(K²) score fill is the bulk of the scoring work and
+// fans out over the pool by rows — each worker writes only its own row, so
+// the tree is deterministic at any parallelism.
+func agglomerateParts[P any](leaves []P, par int, score func(a, b P) float64, pool func(a, b P) P) *cluster.Dendrogram {
+	nodes := leaves[:len(leaves):len(leaves)] // appends never write into the caller's array
+	s := make([][]float64, len(nodes))
+	for i := range s {
+		s[i] = make([]float64, len(nodes))
 	}
-	parallel.For(len(parts), par, func(i int) {
-		for j := i + 1; j < len(parts); j++ {
-			scores[i][j] = compactionScore(parts[i], parts[j])
+	parallel.For(len(nodes), par, func(i int) {
+		for j := i + 1; j < len(nodes); j++ {
+			s[i][j] = score(nodes[i], nodes[j])
 		}
 	})
-	for i := range scores {
+	for i := range s {
 		for j := 0; j < i; j++ {
-			scores[i][j] = scores[j][i]
+			s[i][j] = s[j][i]
 		}
 	}
-	return scores
+	return cluster.Agglomerate(s, func(a, b int) func(int, float64, float64) float64 {
+		m := pool(nodes[a], nodes[b])
+		nodes = append(nodes, m)
+		return func(k int, _, _ float64) float64 { return score(m, nodes[k]) }
+	})
 }
 
 // mergeConsParts materializes the coalesced part: the sub-logs are merged
 // with deduplication (segments can repeat distinct vectors) and the exact
 // entropy terms recomputed.
-func mergeConsParts(a, b *consPart) consPart {
+func mergeConsParts(a, b *consPart) *consPart {
 	l := NewLog(a.log.Universe())
 	l.Merge(a.log)
 	l.Merge(b.log)
@@ -235,104 +244,47 @@ func MergeAligned(cs []*Compressed, k, par int) (*Compressed, bool) {
 	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{K: k}, Parts: groups, Err: e}, true
 }
 
-// ConsolidateOptions bound the greedy component coalescing.
-type ConsolidateOptions struct {
-	// TargetK, when > 0, coalesces until at most TargetK components remain.
-	TargetK int
-	// TargetError, used when TargetK == 0, keeps coalescing as long as the
-	// exact Reproduction Error of the result stays ≤ TargetError (the
-	// auto-sweep threshold, approached from above instead of below).
-	TargetError float64
-	// Parallelism bounds the scoring and rescoring workers (≤ 0 = all cores).
-	Parallelism int
-}
-
-// Consolidate reduces the component count of a range-merged compression by
-// greedily coalescing the component pair with the lowest compaction score,
-// re-evaluating the exact error after each merge. The input is never
-// mutated; unmerged parts are shared with it under the usual read-only
-// contract. The result is deterministic: scores are scanned in component
-// order and ties keep the earliest pair.
-func Consolidate(c *Compressed, opts ConsolidateOptions, total int) *Compressed {
-	live := liveConsParts(c.Parts)
-	if len(live) <= 1 {
+// Consolidate reduces the component count of a range-merged compression to
+// a cut of the merge tree over its parts (mergeTree): the opts.K-part cut
+// when opts.K > 0, otherwise the smallest cut with Err ≤ opts.TargetError —
+// the auto sweep's contract. It returns c itself when no smaller cut
+// applies. Only K, TargetError and Parallelism of opts are read. The input
+// is never mutated, and the result is identical at any opts.Parallelism.
+func Consolidate(c *Compressed, opts CompressOptions) *Compressed {
+	if opts.K > 0 && opts.K >= c.Mixture.K() {
 		return c
 	}
-	t := float64(total)
-	exactErr := func() float64 {
-		e := 0.0
-		for _, p := range live {
-			e += float64(p.total) / t * (p.modelH - p.empH)
-		}
-		return e
+	tree, errs := mergeTree(c, opts.Parallelism)
+	k := opts.K
+	if k <= 0 {
+		k = smallestCut(errs, opts.TargetError)
 	}
-
-	// Pair scores live in a symmetric K×K matrix; only the rows touching
-	// the merged slot are rescored each round.
-	scores := compactionScores(live, opts.Parallelism)
-	dropRow := func(bj int) {
-		for i := range scores {
-			scores[i] = append(scores[i][:bj], scores[i][bj+1:]...)
-		}
-		scores = append(scores[:bj], scores[bj+1:]...)
+	if k >= tree.Len() {
+		return c
 	}
-
-	want := opts.TargetK
-	for len(live) > 1 {
-		if want > 0 && len(live) <= want {
-			break
+	// Each cut part pools its leaves' sub-logs, deduplicating the distinct
+	// vectors that recur across segments.
+	cut := tree.Cut(k)
+	parts := make([]*Log, k)
+	leaf := 0
+	for _, p := range c.Parts {
+		if p.Total() == 0 {
+			continue
 		}
-		// lowest-score pair, earliest on ties
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(live); i++ {
-			row := scores[i]
-			for j := i + 1; j < len(live); j++ {
-				if row[j] < best {
-					bi, bj, best = i, j, row[j]
-				}
-			}
+		lbl := cut.Labels[leaf]
+		if parts[lbl] == nil {
+			parts[lbl] = NewLog(p.Universe())
 		}
-		merged := mergeConsParts(live[bi], live[bj])
-		if want == 0 {
-			// error-target mode: commit only while the exact error holds
-			old := live[bi]
-			live[bi] = &merged
-			tail := live[bj]
-			live = append(live[:bj], live[bj+1:]...)
-			if exactErr() > opts.TargetError {
-				live = append(live[:bj], append([]*consPart{tail}, live[bj:]...)...)
-				live[bi] = old
-				break
-			}
-		} else {
-			live[bi] = &merged
-			live = append(live[:bj], live[bj+1:]...)
-		}
-		dropRow(bj)
-		for i := range live {
-			if i == bi {
-				continue
-			}
-			s := compactionScore(live[bi], live[i])
-			scores[bi][i], scores[i][bi] = s, s
-		}
-	}
-
-	parts := make([]*Log, len(live))
-	for i, p := range live {
-		parts[i] = p.log
+		parts[lbl].Merge(p)
+		leaf++
 	}
 	mix := BuildMixtureP(parts, opts.Parallelism)
-	mix.Total = total
-	for i := range mix.Components {
-		mix.Components[i].Weight = float64(parts[i].Total()) / t
-	}
 	e, err := mix.ErrorP(parts, opts.Parallelism)
 	if err != nil {
 		// cannot happen: parts and components are built together
 		e = math.NaN()
 	}
-	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{K: len(parts)}, Parts: parts, Err: e}
+	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{K: k}, Parts: parts, Err: e}
 }
 
 // CompactionRuns plans segment compaction: given the per-segment query

@@ -230,7 +230,7 @@ func TestConsolidateReachesTargetK(t *testing.T) {
 		t.Fatal(err)
 	}
 	beforeK := m.Mixture.K()
-	c := Consolidate(m, ConsolidateOptions{TargetK: 4}, m.Mixture.Total)
+	c := Consolidate(m, CompressOptions{K: 4})
 	if c.Mixture.K() != 4 {
 		t.Fatalf("consolidated K = %d, want 4", c.Mixture.K())
 	}
@@ -266,15 +266,15 @@ func TestConsolidateDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := Consolidate(m, ConsolidateOptions{TargetK: 3, Parallelism: 1}, m.Mixture.Total)
-	c4 := Consolidate(m, ConsolidateOptions{TargetK: 3, Parallelism: 4}, m.Mixture.Total)
+	c1 := Consolidate(m, CompressOptions{K: 3, Parallelism: 1})
+	c4 := Consolidate(m, CompressOptions{K: 3, Parallelism: 4})
 	if c1.Err != c4.Err || !reflect.DeepEqual(c1.Mixture, c4.Mixture) {
 		t.Fatal("Consolidate is not deterministic across parallelism")
 	}
 }
 
-// TestConsolidateErrorTarget: in error-target mode consolidation stops
-// before the exact error would cross the target.
+// TestConsolidateErrorTarget: in error-target mode consolidation returns a
+// cut within the target, smaller than the lossless merge.
 func TestConsolidateErrorTarget(t *testing.T) {
 	segs := []*Compressed{
 		compressSeg(t, segLog(64, 40, 1), 4),
@@ -285,7 +285,7 @@ func TestConsolidateErrorTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := m.Err * 1.5
-	c := Consolidate(m, ConsolidateOptions{TargetError: target}, m.Mixture.Total)
+	c := Consolidate(m, CompressOptions{TargetError: target})
 	if c.Err > target+1e-9 {
 		t.Fatalf("error-target mode overshot: %v > %v", c.Err, target)
 	}

@@ -16,11 +16,13 @@ package core
 //
 // CoalesceMixture is Consolidate's parts-free sibling for the gateway:
 // summaries restored from the wire carry no partition sub-logs, so the
-// exact error re-evaluation Consolidate performs is unavailable. The
-// coalescer instead pools components in marginal space and scores pairs
-// by the model-entropy increase of pooling alone, which upper-bounds
-// the true error increase (pooling two sub-logs can only increase
-// their empirical entropy, and that term enters the error negatively).
+// exact per-merge error Consolidate's merge tree records is unavailable.
+// The coalescer runs the same agglomeration engine over the components,
+// pooling them in marginal space and scoring pairs by the model-entropy
+// increase of pooling alone, which upper-bounds the true error increase
+// (pooling two sub-logs can only increase their empirical entropy, and
+// that term enters the error negatively). Its result is one cut of that
+// tree.
 
 import (
 	"fmt"
@@ -74,7 +76,7 @@ type coalescePart struct {
 	modelH float64
 }
 
-func newCoalescePart(c Component) coalescePart {
+func newCoalescePart(c Component) *coalescePart {
 	n := float64(c.Encoding.Count)
 	counts := make([]float64, len(c.Encoding.Marginals))
 	h := 0.0
@@ -85,7 +87,7 @@ func newCoalescePart(c Component) coalescePart {
 		counts[f] = p * n
 		h += maxent.BernoulliEntropy(p)
 	}
-	return coalescePart{counts: counts, count: n, weight: c.Weight, modelH: h}
+	return &coalescePart{counts: counts, count: n, weight: c.Weight, modelH: h}
 }
 
 // pooledEntropy returns H(ρ_E) of the pooled marginals of a and b
@@ -114,55 +116,54 @@ func coalesceScore(a, b *coalescePart) float64 {
 	return w*pooledEntropy(a, b) - a.weight*a.modelH - b.weight*b.modelH
 }
 
-// CoalesceMixture greedily pools the component pair with the smallest
-// model-entropy increase until at most targetK components remain,
-// returning the reduced mixture and the accumulated score — an upper
-// bound, in nats per query, on how far the result's Reproduction Error
-// can sit above the input's. The input is never mutated. Deterministic:
-// pairs are scanned in component order and ties keep the earliest.
+// poolCoalesceParts returns the component pooling a and b.
+func poolCoalesceParts(a, b *coalescePart) *coalescePart {
+	p := &coalescePart{
+		counts: make([]float64, len(a.counts)),
+		count:  a.count + b.count,
+		weight: a.weight + b.weight,
+	}
+	for f := range p.counts {
+		c := a.counts[f] + b.counts[f]
+		p.counts[f] = c
+		if c > 0 {
+			p.modelH += maxent.BernoulliEntropy(c / p.count)
+		}
+	}
+	return p
+}
+
+// CoalesceMixture cuts the merge tree over m's components (scored by
+// coalesceScore) into at most targetK components, returning the reduced
+// mixture and the sum of the positive merge scores below the cut — an
+// upper bound, in nats per query, on how far the result's Reproduction
+// Error can sit above the input's. The input is never mutated.
+// Deterministic: ties keep the earliest pair in component order.
 func CoalesceMixture(m Mixture, targetK int) (Mixture, float64) {
 	if targetK <= 0 || m.K() <= targetK {
 		return m, 0
 	}
-	live := make([]*coalescePart, m.K())
+	leaves := make([]*coalescePart, m.K())
 	for i, c := range m.Components {
-		p := newCoalescePart(c)
-		live[i] = &p
+		leaves[i] = newCoalescePart(c)
 	}
+	tree := agglomerateParts(leaves, 0, coalesceScore, poolCoalesceParts)
 	bound := 0.0
-	for len(live) > targetK {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(live); i++ {
-			for j := i + 1; j < len(live); j++ {
-				if s := coalesceScore(live[i], live[j]); s < best {
-					bi, bj, best = i, j, s
-				}
-			}
+	for _, s := range tree.MergeDistances()[:m.K()-targetK] {
+		if s > 0 {
+			bound += s
 		}
-		a, b := live[bi], live[bj]
-		pooled := &coalescePart{
-			counts: make([]float64, len(a.counts)),
-			count:  a.count + b.count,
-			weight: a.weight + b.weight,
-		}
-		for f := range pooled.counts {
-			pooled.counts[f] = a.counts[f] + b.counts[f]
-		}
-		if pooled.count > 0 {
-			for _, c := range pooled.counts {
-				if c > 0 {
-					pooled.modelH += maxent.BernoulliEntropy(c / pooled.count)
-				}
-			}
-		}
-		if best > 0 {
-			bound += best
-		}
-		live[bi] = pooled
-		live = append(live[:bj], live[bj+1:]...)
 	}
-	out := Mixture{Universe: m.Universe, Total: m.Total, Components: make([]Component, len(live))}
-	for i, p := range live {
+	groups := make([]*coalescePart, targetK)
+	for i, lbl := range tree.Cut(targetK).Labels {
+		if groups[lbl] == nil {
+			groups[lbl] = leaves[i]
+		} else {
+			groups[lbl] = poolCoalesceParts(groups[lbl], leaves[i])
+		}
+	}
+	out := Mixture{Universe: m.Universe, Total: m.Total, Components: make([]Component, targetK)}
+	for i, p := range groups {
 		marg := make([]float64, len(p.counts))
 		if p.count > 0 {
 			for f, c := range p.counts {

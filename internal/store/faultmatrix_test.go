@@ -188,11 +188,16 @@ func verifyReopen(t *testing.T, label string, fsys *faultfs.FS, run matrixRun, l
 }
 
 // sweepEnd is the last op position a sweep visits for a dry run of n ops:
-// n plus a quarter. The dry run's own length drifts by more than a tenth
-// (154..173 ops across runs on a 2-core Linux box), and a faulted run
-// may be longer still; with only an eighth, the top positions came and
-// went between runs.
-func sweepEnd(n int64) int64 { return n + n/4 }
+// n plus a quarter, and never below minSweepEnd. The dry run's own length
+// drifts by more than a tenth (154..175 ops across runs on a 2-core Linux
+// box), and a faulted run may be longer still. With the end tied to n
+// alone, the top positions, and so the subtests named after them, came
+// and went between runs; the floor keeps every name up to the longest
+// schedule seen present on every run.
+func sweepEnd(n int64) int64 { return max(n+n/4, minSweepEnd) }
+
+// minSweepEnd is n + n/4 for the longest dry run seen, 175 ops.
+const minSweepEnd = 218
 
 // matrixStride picks how densely to sweep the positions up to end: every
 // op under `make chaos` (LOGR_CHAOS=1), every fourth in the default

@@ -33,9 +33,10 @@
 // per-segment summaries with the summary algebra: Mixture.Grow lifts each
 // onto the union universe, Mixture.Merge reweights them into one mixture
 // (lossless — the merged Reproduction Error is exactly the weighted
-// combination of the per-segment errors), and core.Consolidate coalesces
-// components under the compaction score until the component budget or error
-// target holds. If consolidation drifts the error more than
+// combination of the per-segment errors), and core.Consolidate cuts the
+// merge tree over the union's components: the cut at the component budget,
+// or with no budget the smallest cut within the error target. If
+// consolidation drifts the error more than
 // RangeOptions.MaxErrorGrowth above the lossless merge, CompressRange falls
 // back to a full re-cluster of the concatenated range — the same
 // error-drift contract as core.Recompress.
@@ -473,9 +474,10 @@ type RangeResult struct {
 // [from, to). Per-segment summaries are built (and cached) on demand, then
 // merged with the summary algebra; when opts.K > 0 the merged mixture is
 // consolidated down to K components, and when opts.K == 0 with a
-// TargetError it is consolidated as long as the exact error stays within
-// target. A single-segment range returns the segment's own summary, making
-// the one-segment store bit-identical to direct compression.
+// TargetError it is consolidated to the smallest cut of its merge tree
+// whose exact error is within target (the lossless merge when no cut is).
+// A single-segment range returns the segment's own summary, making the
+// one-segment store bit-identical to direct compression.
 func (s *Store) CompressRange(from, to int, opts core.CompressOptions, ropts RangeOptions) (RangeResult, error) {
 	key := summaryKey(opts)
 	// the drift threshold decides merge vs re-cluster, so it is part of the
@@ -514,21 +516,16 @@ func (s *Store) CompressRange(from, to int, opts core.CompressOptions, ropts Ran
 	if err != nil {
 		return RangeResult{}, err
 	}
-	merged := union
-	if opts.K > 0 && union.Mixture.K() > opts.K {
-		// Consolidate down to the component budget: label-aligned union
-		// when the summary chain's warm-started k-means makes component i
-		// of every segment the same evolving cluster (scoring-free, one
-		// linear pass), greedy compaction-scored coalescing otherwise.
-		var ok bool
-		if opts.Method == core.KMeansMethod {
-			merged, ok = core.MergeAligned(rsums, opts.K, opts.Parallelism)
-		}
-		if !ok {
-			merged = core.Consolidate(union, core.ConsolidateOptions{TargetK: opts.K, Parallelism: opts.Parallelism}, union.Mixture.Total)
-		}
-	} else if opts.K == 0 && opts.TargetError > 0 {
-		merged = core.Consolidate(union, core.ConsolidateOptions{TargetError: opts.TargetError, Parallelism: opts.Parallelism}, union.Mixture.Total)
+	// Consolidate to the component budget or the error target: label-aligned
+	// union when the summary chain's warm-started k-means makes component i
+	// of every segment the same evolving cluster (scoring-free, one linear
+	// pass), a cut of the merge tree over the union's components otherwise.
+	merged, aligned := union, false
+	if opts.K > 0 && union.Mixture.K() > opts.K && opts.Method == core.KMeansMethod {
+		merged, aligned = core.MergeAligned(rsums, opts.K, opts.Parallelism)
+	}
+	if !aligned && (opts.K > 0 || opts.TargetError > 0) {
+		merged = core.Consolidate(union, opts)
 	}
 	growth := ropts.MaxErrorGrowth
 	if growth == 0 {

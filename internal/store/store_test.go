@@ -156,6 +156,38 @@ func TestCompressRangeMergesAndConsolidates(t *testing.T) {
 	}
 }
 
+// TestCompressRangeErrorTarget covers the range path with no component
+// budget: K = 0 and a TargetError. The segments repeat the same shapes, so
+// pooling one shape's clusters across segments lowers the error, and the
+// smallest cut of the merge tree within the target lies below the lossless
+// merge's error, which the target does not meet.
+func TestCompressRangeErrorTarget(t *testing.T) {
+	s := New(Options{})
+	for i := 0; i < 4; i++ {
+		s.Append(streamEntries(40, i*40))
+		s.Seal()
+	}
+	const target = 2.0
+	opts := core.CompressOptions{TargetError: target, MaxK: 8, Seed: 1}
+	res, err := s.CompressRange(0, 4, opts, RangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Merged {
+		t.Fatal("range summary did not take the algebraic path")
+	}
+	if res.Compressed.Err > target {
+		t.Fatalf("range Err %v above target %v", res.Compressed.Err, target)
+	}
+	res2, err := s.CompressRange(0, 4, opts, RangeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Compressed != res.Compressed {
+		t.Fatal("repeated CompressRange was not served from the cache")
+	}
+}
+
 func TestDropBefore(t *testing.T) {
 	s := New(Options{})
 	for i := 0; i < 3; i++ {
