@@ -174,7 +174,7 @@ func NewDriftDetectorAt(baseline core.Mixture, universe int) *DriftDetector {
 func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 	d := &DriftDetector{baseline: baseline, ScoreThreshold: 5, NoveltyThreshold: 0.05}
 	for _, c := range baseline.Components {
-		d.dists = append(d.dists, c.Encoding.Dist())
+		d.dists = append(d.dists, c.Dist(baseline.Universe))
 	}
 	rng := rand.New(rand.NewSource(1))
 	const calibration = 2000
@@ -184,7 +184,7 @@ func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 		x := rng.Float64()
 		ci := 0
 		for ; ci < len(d.baseline.Components)-1; ci++ {
-			x -= d.baseline.Components[ci].Weight
+			x -= d.baseline.Weight(ci)
 			if x <= 0 {
 				break
 			}
@@ -202,8 +202,8 @@ func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 // prob returns the mixture likelihood of a query vector.
 func (d *DriftDetector) prob(q bitvec.Vector) float64 {
 	p := 0.0
-	for ci, c := range d.baseline.Components {
-		p += c.Weight * d.dists[ci].Prob(q)
+	for ci := range d.baseline.Components {
+		p += d.baseline.Weight(ci) * d.dists[ci].Prob(q)
 	}
 	return p
 }

@@ -118,10 +118,10 @@ func workloadCost(m core.Mixture, indexes []int, cm CostModel) float64 {
 	for _, c := range m.Components {
 		miss := 1.0
 		for _, f := range indexes {
-			miss *= 1 - c.Encoding.Marginals[f]
+			miss *= 1 - c.Marginal(f)
 		}
 		hit := 1 - miss
-		total += float64(c.Encoding.Count) * (hit*cm.IndexCost + miss*cm.ScanCost)
+		total += float64(c.Count) * (hit*cm.IndexCost + miss*cm.ScanCost)
 	}
 	total += float64(len(indexes)) * cm.MaintenanceCost * float64(m.Total)
 	return total

@@ -32,6 +32,7 @@ func TestKernelAllocs(t *testing.T) {
 		{"Dot", func() { fsink += v.Dot(dense) }},
 		{"SqDist", func() { fsink += v.SqDist(dense) }},
 		{"Contains", func() { _ = v.Contains(u) }},
+		{"NextSet", func() { sink += v.NextSet(66) }},
 		{"AndInto", func() { v.AndInto(u, &scratch) }},
 		{"OrInto", func() { v.OrInto(u, &scratch) }},
 		{"AndNotInto", func() { v.AndNotInto(u, &scratch) }},

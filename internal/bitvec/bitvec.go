@@ -394,6 +394,31 @@ func (v Vector) Indices() []int {
 	return out
 }
 
+// NextSet returns the lowest set index ≥ i, or -1 when there is none. It
+// walks the set bits in ascending order without a callback:
+//
+//	for i := v.NextSet(0); i >= 0; i = v.NextSet(i + 1) { ... }
+//
+//logr:noalloc
+func (v Vector) NextSet(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := i / wordBits
+	if wi >= len(v.words) {
+		return -1
+	}
+	w := v.words[wi] &^ (1<<(uint(i)%wordBits) - 1)
+	for w == 0 {
+		wi++
+		if wi >= len(v.words) {
+			return -1
+		}
+		w = v.words[wi]
+	}
+	return wi*wordBits + bits.TrailingZeros64(w)
+}
+
 // ForEach calls fn for every set bit index in ascending order.
 func (v Vector) ForEach(fn func(i int)) {
 	for wi, w := range v.words {

@@ -3,6 +3,7 @@ package bitvec
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,35 @@ func TestIndicesRoundTrip(t *testing.T) {
 		n := 1 + r.Intn(200)
 		v := randVec(r, n)
 		return FromIndices(n, v.Indices()...).Equal(v)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the NextSet walk visits exactly Indices, in order, from any
+// start.
+func TestNextSetWalksIndices(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(200)
+		v := randVec(r, n)
+		var walk []int
+		for i := v.NextSet(0); i >= 0; i = v.NextSet(i + 1) {
+			walk = append(walk, i)
+		}
+		if !slices.Equal(walk, v.Indices()) {
+			return false
+		}
+		start := r.Intn(n + 70)
+		want := -1
+		for _, i := range v.Indices() {
+			if i >= start {
+				want = i
+				break
+			}
+		}
+		return v.NextSet(start) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

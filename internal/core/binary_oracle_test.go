@@ -45,7 +45,7 @@ func assertSameCompressed(t *testing.T, got, want *Compressed, ctx string) {
 	}
 	for i := range want.Mixture.Components {
 		g, w := got.Mixture.Components[i], want.Mixture.Components[i]
-		if g.Weight != w.Weight || !reflect.DeepEqual(g.Encoding.Marginals, w.Encoding.Marginals) {
+		if got.Mixture.Weight(i) != want.Mixture.Weight(i) || !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: component %d differs between binary and dense", ctx, i)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"logr/internal/cluster"
-	"logr/internal/maxent"
 	"logr/internal/parallel"
 )
 
@@ -32,7 +31,7 @@ func consolidateOracle(c *Compressed, opts consolidateOracleOptions, total int) 
 	exactErr := func() float64 {
 		e := 0.0
 		for _, p := range live {
-			e += float64(p.total) / t * (p.modelH - p.empH)
+			e += float64(p.enc.Count) / t * (p.modelH - p.empH)
 		}
 		return e
 	}
@@ -105,9 +104,6 @@ func consolidateOracle(c *Compressed, opts consolidateOracleOptions, total int) 
 	}
 	mix := BuildMixtureP(parts, opts.Parallelism)
 	mix.Total = total
-	for i := range mix.Components {
-		mix.Components[i].Weight = float64(parts[i].Total()) / t
-	}
 	e, err := mix.ErrorP(parts, opts.Parallelism)
 	if err != nil {
 		e = math.NaN()
@@ -135,42 +131,17 @@ func coalesceMixtureOracle(m Mixture, targetK int) (Mixture, float64) {
 				}
 			}
 		}
-		a, b := live[bi], live[bj]
-		pooled := &coalescePart{
-			counts: make([]float64, len(a.counts)),
-			count:  a.count + b.count,
-			weight: a.weight + b.weight,
-		}
-		for f := range pooled.counts {
-			pooled.counts[f] = a.counts[f] + b.counts[f]
-		}
-		if pooled.count > 0 {
-			for _, c := range pooled.counts {
-				if c > 0 {
-					pooled.modelH += maxent.BernoulliEntropy(c / pooled.count)
-				}
-			}
-		}
 		if best > 0 {
 			bound += best
 		}
-		live[bi] = pooled
+		live[bi] = poolCoalesceParts(live[bi], live[bj])
 		live = append(live[:bj], live[bj+1:]...)
 	}
-	out := Mixture{Universe: m.Universe, Total: m.Total, Components: make([]Component, len(live))}
+	out := Mixture{Universe: m.Universe, Total: m.Total, Components: make([]Naive, len(live))}
 	for i, p := range live {
-		marg := make([]float64, len(p.counts))
-		if p.count > 0 {
-			for f, c := range p.counts {
-				marg[f] = c / p.count
-			}
-		}
-		out.Components[i] = Component{
-			Encoding: Naive{Marginals: marg, Count: int(math.Round(p.count))},
-			Weight:   p.weight,
-		}
+		out.Components[i] = p.enc
 	}
-	return out, bound
+	return out, bound / float64(m.Total)
 }
 
 // partSignatures renders each part as its sorted (vector, multiplicity)
@@ -197,7 +168,7 @@ func partSignatures(parts []*Log) []string {
 func componentCounts(m Mixture) []int {
 	counts := make([]int, m.K())
 	for i, c := range m.Components {
-		counts[i] = c.Encoding.Count
+		counts[i] = c.Count
 	}
 	slices.Sort(counts)
 	return counts

@@ -44,8 +44,8 @@ func TestSection51NaiveEncoding(t *testing.T) {
 	e := NaiveEncode(section51Log())
 	want := []float64{2.0 / 3, 1.0 / 3, 1, 1.0 / 3}
 	for i, w := range want {
-		if !almostEq(e.Marginals[i], w, 1e-12) {
-			t.Errorf("marginal[%d] = %g, want %g", i, e.Marginals[i], w)
+		if !almostEq(e.Marginal(i), w, 1e-12) {
+			t.Errorf("marginal[%d] = %g, want %g", i, e.Marginal(i), w)
 		}
 	}
 	if e.Verbosity() != 4 {
@@ -59,7 +59,7 @@ func TestSection51NaiveEncoding(t *testing.T) {
 func TestExample4Probabilities(t *testing.T) {
 	l := section51Log()
 	e := NaiveEncode(l)
-	d := e.Dist()
+	d := e.Dist(4)
 	q1 := bitvec.FromIndices(4, 0, 2, 3)
 	if got := d.Prob(q1); !almostEq(got, 4.0/27, 1e-12) {
 		t.Errorf("P(q1) = %g, want 4/27", got)
@@ -81,11 +81,11 @@ func TestSection51PerfectPartition(t *testing.T) {
 	asg := cluster.Assignment{Labels: []int{0, 0, 1}, K: 2}
 	mix, parts := BuildNaiveMixture(l, asg)
 	// Partition 1 encoding 〈1, 0, 1, ½〉, partition 2 encoding 〈0, 1, 1, 0〉.
-	e1 := mix.Components[0].Encoding
+	e1 := mix.Components[0]
 	want1 := []float64{1, 0, 1, 0.5}
 	for i, w := range want1 {
-		if !almostEq(e1.Marginals[i], w, 1e-12) {
-			t.Errorf("partition 1 marginal[%d] = %g, want %g", i, e1.Marginals[i], w)
+		if !almostEq(e1.Marginal(i), w, 1e-12) {
+			t.Errorf("partition 1 marginal[%d] = %g, want %g", i, e1.Marginal(i), w)
 		}
 	}
 	errTotal, err := mix.Error(parts)
@@ -128,7 +128,7 @@ func TestGeneralizedErrorIsWeightedSum(t *testing.T) {
 	mix, parts := BuildNaiveMixture(l, asg)
 	want := 0.0
 	for i, c := range mix.Components {
-		want += c.Weight * c.Encoding.ReproductionError(parts[i])
+		want += mix.Weight(i) * c.ReproductionError(parts[i])
 	}
 	got, err := mix.Error(parts)
 	if err != nil {

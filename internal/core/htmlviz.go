@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"html"
-	"sort"
 	"strings"
 
 	"logr/internal/feature"
@@ -33,8 +32,8 @@ body { font-family: monospace; background: #fafafa; margin: 2em; }
 `)
 	for i, c := range m.Components {
 		fmt.Fprintf(&sb, `<div class="cluster"><h3>cluster %d — weight %.1f%%, %d queries, verbosity %d</h3>`+"\n",
-			i+1, c.Weight*100, c.Encoding.Count, c.Encoding.Verbosity())
-		sb.WriteString(clusterHTML(c.Encoding, book, opts))
+			i+1, m.Weight(i)*100, c.Count, c.Verbosity())
+		sb.WriteString(clusterHTML(c, book, opts))
 		sb.WriteString("</div>\n")
 	}
 	sb.WriteString("</body></html>\n")
@@ -42,45 +41,10 @@ body { font-family: monospace; background: #fafafa; margin: 2em; }
 }
 
 func clusterHTML(e Naive, book *feature.Codebook, opts VisualizeOptions) string {
-	type entry struct {
-		text string
-		p    float64
-	}
-	byKind := map[feature.Kind][]entry{}
-	for i, p := range e.Marginals {
-		if i >= book.Size() || p < opts.MinMarginal {
-			continue
-		}
-		f := book.Feature(i)
-		byKind[f.Kind] = append(byKind[f.Kind], entry{f.Text, p})
-	}
-	order := []feature.Kind{feature.SelectKind, feature.FromKind, feature.WhereKind,
-		feature.GroupByKind, feature.OrderByKind, feature.AggKind}
-	clause := map[feature.Kind]string{
-		feature.SelectKind:  "SELECT",
-		feature.FromKind:    "FROM",
-		feature.WhereKind:   "WHERE",
-		feature.GroupByKind: "GROUP BY",
-		feature.OrderByKind: "ORDER BY",
-		feature.AggKind:     "AGG",
-	}
 	var sb strings.Builder
-	for _, k := range order {
-		entries := byKind[k]
-		if len(entries) == 0 {
-			continue
-		}
-		sort.Slice(entries, func(a, b int) bool {
-			if entries[a].p != entries[b].p {
-				return entries[a].p > entries[b].p
-			}
-			return entries[a].text < entries[b].text
-		})
-		if opts.MaxFeaturesPerClause > 0 && len(entries) > opts.MaxFeaturesPerClause {
-			entries = entries[:opts.MaxFeaturesPerClause]
-		}
-		fmt.Fprintf(&sb, `<div class="clause"><span class="kw">%s</span>`, clause[k])
-		for _, en := range entries {
+	for _, c := range clauses(e, book, opts) {
+		fmt.Fprintf(&sb, `<div class="clause"><span class="kw">%s</span>`, c.name)
+		for _, en := range c.entries {
 			fmt.Fprintf(&sb,
 				`<span class="feat" style="background:%s" title="marginal %.3f">%s</span>`,
 				shadeColor(en.p), en.p, html.EscapeString(en.text))

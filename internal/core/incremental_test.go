@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"logr/internal/bitvec"
@@ -48,22 +49,23 @@ func TestLogGrow(t *testing.T) {
 	}
 }
 
+// TestNaiveGrowEstimates: a naive encoding is valid over any universe that
+// covers its support. Probes over a grown universe estimate exactly as over
+// the original one, features past the old universe estimate to 0, and the
+// dense marginal row pads them with zeros.
 func TestNaiveGrowEstimates(t *testing.T) {
 	l := blobLog()
 	e := NaiveEncode(l)
-	g := e.Grow(9)
-	if len(g.Marginals) != 9 || g.Count != e.Count {
-		t.Fatalf("grown encoding shape: %d marginals, count %d", len(g.Marginals), g.Count)
-	}
 	old := bitvec.FromIndices(9, 0, 1)
-	if got, want := g.EstimateMarginal(old), e.EstimateMarginal(bitvec.FromIndices(6, 0, 1)); got != want {
+	if got, want := e.EstimateMarginal(old), e.EstimateMarginal(bitvec.FromIndices(6, 0, 1)); got != want {
 		t.Fatalf("in-universe estimate moved: %v vs %v", got, want)
 	}
-	if p := g.EstimateMarginal(bitvec.FromIndices(9, 0, 8)); p != 0 {
+	if p := e.EstimateMarginal(bitvec.FromIndices(9, 0, 8)); p != 0 {
 		t.Fatalf("new-feature estimate = %v; want 0", p)
 	}
-	if g.ModelEntropy() != e.ModelEntropy() {
-		t.Fatal("zero marginals changed the model entropy")
+	row := e.Dense(9)
+	if !reflect.DeepEqual(row[:6], l.FeatureMarginals()) || row[6] != 0 || row[7] != 0 || row[8] != 0 {
+		t.Fatalf("grown dense row %v, log marginals %v", row, l.FeatureMarginals())
 	}
 }
 
@@ -89,8 +91,8 @@ func TestMixtureGrowAndMerge(t *testing.T) {
 		t.Fatalf("merged mixture shape: universe %d K %d total %d", merged.Universe, merged.K(), merged.Total)
 	}
 	wsum := 0.0
-	for _, c := range merged.Components {
-		wsum += c.Weight
+	for i := range merged.Components {
+		wsum += merged.Weight(i)
 	}
 	if math.Abs(wsum-1) > 1e-12 {
 		t.Fatalf("merged weights sum to %v", wsum)
@@ -103,6 +105,32 @@ func TestMixtureGrowAndMerge(t *testing.T) {
 		t.Fatalf("merged count for the b-side pattern = %v; want 100", got)
 	}
 	_ = parts
+}
+
+// TestMixtureMergeAssociativeExact: merging is exact, so (a⊕b)⊕c and
+// a⊕(b⊕c) are the same mixture bit for bit — every component, every
+// weight and every marginal estimate.
+func TestMixtureMergeAssociativeExact(t *testing.T) {
+	a := compressSeg(t, segLog(64, 40, 1), 3).Mixture
+	b := compressSeg(t, segLog(80, 50, 2), 3).Mixture
+	c := compressSeg(t, segLog(96, 30, 3), 2).Mixture
+	left, right := a.Merge(b).Merge(c), a.Merge(b.Merge(c))
+	if !reflect.DeepEqual(left, right) {
+		t.Fatal("(a⊕b)⊕c and a⊕(b⊕c) differ")
+	}
+	for i := range left.Components {
+		if l, r := left.Weight(i), right.Weight(i); math.Float64bits(l) != math.Float64bits(r) {
+			t.Fatalf("component %d weight %v vs %v", i, l, r)
+		}
+	}
+	for f := 0; f < left.Universe; f++ {
+		for g := f; g < left.Universe; g += 7 {
+			p := bitvec.FromIndices(left.Universe, f, g)
+			if l, r := left.EstimateMarginal(p), right.EstimateMarginal(p); math.Float64bits(l) != math.Float64bits(r) {
+				t.Fatalf("estimate of {%d, %d}: %v vs %v", f, g, l, r)
+			}
+		}
+	}
 }
 
 // compressBlobs is a helper producing a baseline Compressed of blobLog.

@@ -175,14 +175,22 @@ func (l *Log) Marginal(b bitvec.Vector) float64 {
 	return float64(l.Count(b)) / float64(l.total)
 }
 
-// FeatureMarginals returns p(X_i = 1 | L) for every feature. The sum runs on
-// the bit-column accumulator — one direct word scan per distinct vector, one
-// allocation total (see BenchmarkFeatureMarginals).
-func (l *Log) FeatureMarginals() []float64 {
+// featureSums returns every feature's count c_i — the number of queries
+// containing it — summed on the bit-column accumulator: one direct word
+// scan per distinct vector, one allocation total. The float64 sums are
+// exact integers below 2^53.
+func (l *Log) featureSums() []float64 {
 	out := make([]float64, l.universe)
 	for i, v := range l.vecs {
 		v.AccumulateInto(out, float64(l.mult[i]))
 	}
+	return out
+}
+
+// FeatureMarginals returns p(X_i = 1 | L) = c_i / |L| for every feature
+// (see BenchmarkFeatureMarginals).
+func (l *Log) FeatureMarginals() []float64 {
+	out := l.featureSums()
 	if l.total > 0 {
 		for j := range out {
 			out[j] /= float64(l.total)

@@ -3,28 +3,30 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"logr/internal/bitvec"
 	"logr/internal/cluster"
 	"logr/internal/parallel"
 )
 
-// Component is one cluster of a pattern mixture encoding: a naive encoding
-// of a sub-log plus the sub-log's share of the whole log.
-type Component struct {
-	Encoding Naive
-	// Weight is w_i = |L_i| / |L|.
-	Weight float64
-}
-
 // Mixture is a naive mixture encoding (Section 5): the log modeled as a
 // weighted mixture of per-cluster naive encodings. It is the output format
-// of LogR compression.
+// of LogR compression. Component i encodes the sub-log L_i, and its weight
+// |L_i| / |L| is derived from the counts (Weight).
 type Mixture struct {
 	Universe   int
-	Components []Component
+	Components []Naive
 	// Total is |L|.
 	Total int
+}
+
+// Weight returns w_i = |L_i| / |L|, component i's share of the log.
+func (m Mixture) Weight(i int) float64 {
+	if m.Total == 0 {
+		return 0
+	}
+	return float64(m.Components[i].Count) / float64(m.Total)
 }
 
 // BuildMixture encodes each partition of the log with a naive encoding,
@@ -53,13 +55,9 @@ func BuildMixtureP(parts []*Log, par int) Mixture {
 		}
 	})
 	for i, p := range parts {
-		if p.Total() == 0 {
-			continue
+		if p.Total() > 0 {
+			m.Components = append(m.Components, encs[i])
 		}
-		m.Components = append(m.Components, Component{
-			Encoding: encs[i],
-			Weight:   float64(p.Total()) / float64(total),
-		})
 	}
 	return m
 }
@@ -80,46 +78,30 @@ func BuildNaiveMixtureP(l *Log, asg cluster.Assignment, par int) (Mixture, []*Lo
 // K returns the number of (non-empty) components.
 func (m Mixture) K() int { return len(m.Components) }
 
-// Grow returns a copy of the mixture over a universe of size n ≥ the
-// current one. Every component is grown (zero marginals on the new
-// features), so in-universe estimates are unchanged and patterns touching a
-// new feature estimate to 0 — the "registered after the snapshot ⇒ unseen"
-// semantics universe-versioned summaries rely on.
+// Grow returns the mixture over a universe of size n ≥ the current one. The
+// components are unchanged — the new features are off every support — so
+// in-universe estimates are unchanged and patterns touching a new feature
+// estimate to 0: the "registered after the snapshot ⇒ unseen" semantics
+// universe-versioned summaries rely on.
 func (m Mixture) Grow(n int) Mixture {
 	if n < m.Universe {
 		panic("core: Grow would shrink mixture universe")
 	}
-	out := Mixture{Universe: n, Total: m.Total, Components: make([]Component, len(m.Components))}
-	for i, c := range m.Components {
-		out.Components[i] = Component{Encoding: c.Encoding.Grow(n), Weight: c.Weight}
-	}
-	return out
+	m.Universe = n
+	return m
 }
 
 // Merge combines two mixtures that summarize disjoint sub-logs — an earlier
 // compression plus a newly compressed delta, or per-shard summaries of a
-// distributed log — into one mixture over the union universe. Both sides
-// are grown to the larger universe and every component keeps its encoding;
-// only the weights change, rescaled by each side's sub-log total so that
-// w_i' = w_i · |L_side| / (|L_a| + |L_b|) and Σ w_i' = 1.
+// distributed log — into one mixture over the union universe: the
+// components of both, in order, over the summed total. The weights follow
+// from the counts, so merging is exact and associative.
 func (m Mixture) Merge(other Mixture) Mixture {
-	n := m.Universe
-	if other.Universe > n {
-		n = other.Universe
+	return Mixture{
+		Universe:   max(m.Universe, other.Universe),
+		Total:      m.Total + other.Total,
+		Components: slices.Concat(m.Components, other.Components),
 	}
-	a, b := m.Grow(n), other.Grow(n)
-	total := a.Total + b.Total
-	out := Mixture{Universe: n, Total: total}
-	if total == 0 {
-		return out
-	}
-	for _, c := range a.Components {
-		out.Components = append(out.Components, Component{Encoding: c.Encoding, Weight: c.Weight * float64(a.Total) / float64(total)})
-	}
-	for _, c := range b.Components {
-		out.Components = append(out.Components, Component{Encoding: c.Encoding, Weight: c.Weight * float64(b.Total) / float64(total)})
-	}
-	return out
 }
 
 // TotalVerbosity returns Σ_i |S_i| (Section 5.2): the total number of
@@ -127,7 +109,7 @@ func (m Mixture) Merge(other Mixture) Mixture {
 func (m Mixture) TotalVerbosity() int {
 	v := 0
 	for _, c := range m.Components {
-		v += c.Encoding.Verbosity()
+		v += c.Verbosity()
 	}
 	return v
 }
@@ -157,11 +139,11 @@ func (m Mixture) ErrorP(parts []*Log, par int) (float64, error) {
 	}
 	errs := make([]float64, len(m.Components))
 	parallel.For(len(m.Components), par, func(i int) {
-		errs[i] = m.Components[i].Encoding.ReproductionError(live[i])
+		errs[i] = m.Components[i].ReproductionError(live[i])
 	})
 	e := 0.0
-	for i, c := range m.Components {
-		e += c.Weight * errs[i]
+	for i := range m.Components {
+		e += m.Weight(i) * errs[i]
 	}
 	return e, nil
 }
@@ -170,18 +152,20 @@ func (m Mixture) ErrorP(parts []*Log, par int) (float64, error) {
 // Σ_i w_i · ρ_Si(Q ⊇ b).
 func (m Mixture) EstimateMarginal(b bitvec.Vector) float64 {
 	p := 0.0
-	for _, c := range m.Components {
-		p += c.Weight * c.Encoding.EstimateMarginal(b)
+	for i, c := range m.Components {
+		p += m.Weight(i) * c.EstimateMarginal(b)
 	}
 	return p
 }
 
 // EstimateCount returns est[Γ_b(L)] = Σ_i est[Γ_b(L_i) | E_i]
 // (Section 6.2).
+//
+//logr:noalloc
 func (m Mixture) EstimateCount(b bitvec.Vector) float64 {
 	s := 0.0
 	for _, c := range m.Components {
-		s += c.Encoding.EstimateCount(b)
+		s += c.EstimateCount(b)
 	}
 	return s
 }
@@ -190,11 +174,11 @@ func (m Mixture) EstimateCount(b bitvec.Vector) float64 {
 // maximum-entropy distribution: each feature is included independently with
 // its marginal probability (Section 6.3's synthesis procedure).
 func (m Mixture) SynthesizePattern(i int, rng *rand.Rand) bitvec.Vector {
-	e := m.Components[i].Encoding
+	e := m.Components[i]
 	v := bitvec.New(m.Universe)
-	for f, p := range e.Marginals {
-		if p > 0 && rng.Float64() < p {
-			v.Set(f)
+	for j, f := range e.Feat {
+		if rng.Float64() < e.marginal(j) {
+			v.Set(int(f))
 		}
 	}
 	return v
@@ -221,7 +205,7 @@ func (m Mixture) SynthesisErrorP(parts []*Log, n int, rng *rand.Rand, par int) f
 		return 0
 	}
 	total := 0.0
-	for i, c := range m.Components {
+	for i := range m.Components {
 		// Draw the n patterns serially (the RNG stream fixes them), then
 		// count containment for the whole batch in one pass over the
 		// partition.
@@ -236,7 +220,7 @@ func (m Mixture) SynthesisErrorP(parts []*Log, n int, rng *rand.Rand, par int) f
 				hits++
 			}
 		}
-		total += c.Weight * (1 - float64(hits)/float64(n))
+		total += m.Weight(i) * (1 - float64(hits)/float64(n))
 	}
 	return total
 }
@@ -278,12 +262,12 @@ func (m Mixture) MarginalDeviationP(parts []*Log, par int) float64 {
 		sum := 0.0
 		for d := 0; d < part.Distinct(); d++ {
 			tm := float64(counts[d]) / partTotal
-			est := c.Encoding.EstimateMarginal(probes[d])
+			est := c.EstimateMarginal(probes[d])
 			if tm > 0 {
 				sum += abs(est-tm) / tm
 			}
 		}
-		total += c.Weight * sum / float64(part.Distinct())
+		total += m.Weight(i) * sum / float64(part.Distinct())
 	}
 	return total
 }

@@ -83,6 +83,35 @@ func TestEstimateMonotoneProperty(t *testing.T) {
 
 // Property: the generalized error of a mixture equals the weighted sum of
 // component errors, and is never negative.
+// Property: the sparse estimate walk gives the same bits as the dense
+// product Π_{f ∈ b} p_f in ascending feature order over the log's own
+// FeatureMarginals — the estimate's definition.
+func TestSparseEstimateMatchesDenseProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		l := randomLog(r)
+		e := NaiveEncode(l)
+		marg := l.FeatureMarginals()
+		for trial := 0; trial < 20; trial++ {
+			b := bitvec.New(l.Universe())
+			want := 1.0
+			for j := range marg {
+				if r.Intn(4) == 0 {
+					b.Set(j)
+					want *= marg[j]
+				}
+			}
+			if got := e.EstimateMarginal(b); got != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMixtureErrorDecompositionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -103,7 +132,7 @@ func TestMixtureErrorDecompositionProperty(t *testing.T) {
 		}
 		want := 0.0
 		for i, c := range mix.Components {
-			want += c.Weight * c.Encoding.ReproductionError(live[i])
+			want += mix.Weight(i) * c.ReproductionError(live[i])
 		}
 		return abs(e-want) < 1e-9
 	}
@@ -120,9 +149,9 @@ func TestMixtureMassConservationProperty(t *testing.T) {
 		mix, _ := randomMixture(r, l)
 		wsum := 0.0
 		csum := 0
-		for _, c := range mix.Components {
-			wsum += c.Weight
-			csum += c.Encoding.Count
+		for i, c := range mix.Components {
+			wsum += mix.Weight(i)
+			csum += c.Count
 		}
 		return abs(wsum-1) < 1e-9 && csum == l.Total()
 	}

@@ -146,7 +146,7 @@ func (r RefinedEncoding) Verbosity() int { return r.Base.Verbosity() + len(r.Ext
 // Dist fits the refined maximum-entropy distribution: feature marginals
 // from the naive base plus the extra pattern constraints.
 func (r RefinedEncoding) Dist(opts maxent.Options) (*maxent.Dist, error) {
-	return maxent.Fit(r.Universe, r.Base.Marginals, r.Extra, opts)
+	return maxent.Fit(r.Universe, r.Base.Dense(r.Universe), r.Extra, opts)
 }
 
 // ReproductionError returns e(E) for the refined encoding against l.

@@ -4,15 +4,14 @@ package core
 // A long-running workload is sealed into immutable segments, each compressed
 // independently; the summary of a contiguous segment range is then *derived*
 // from the per-segment summaries instead of re-clustering the concatenated
-// log. MergeRange lifts every per-segment mixture onto the union universe
-// (Mixture.Grow) and reweights them into one mixture (Mixture.Merge) — a
-// lossless operation whose Reproduction Error is exactly the weighted
-// combination of the per-segment errors. Consolidate then trades components
-// for error: the merged mixture carries one component per segment cluster
-// (K grows linearly with the range width), so its components become the
-// leaves of the same merge tree the auto sweep cuts (mergeTree), and the
-// range summary is one cut of it — the component budget's, or the smallest
-// within the error target. The caller compares the consolidated error
+// log. MergeRange concatenates the per-segment mixtures over the union
+// universe (Mixture.Merge) — a lossless operation whose Reproduction Error
+// is exactly the weighted combination of the per-segment errors.
+// Consolidate then trades components for error: the merged mixture carries
+// one component per segment cluster (K grows linearly with the range
+// width), so its components become the leaves of the same merge tree the
+// auto sweep cuts (mergeTree), and the range summary is one cut of it — the
+// component budget's, or the smallest within the error target. The caller compares the consolidated error
 // against the lossless merge's and, as in Recompress, falls back to a full
 // re-cluster when the drift is too large.
 
@@ -21,15 +20,14 @@ import (
 	"math"
 
 	"logr/internal/cluster"
-	"logr/internal/maxent"
 	"logr/internal/parallel"
 )
 
 // MergeRange combines the compressions of disjoint sub-logs — the sealed
 // segments of one workload, in segment order — into one Compressed over the
-// union universe. Components keep their encodings (grown with zero marginals
-// on features newer than their segment); only the weights are rescaled by
-// each segment's share of the range. The result's Err is evaluated exactly
+// union universe. Components keep their encodings (features newer than their
+// segment are off their supports); each weight is the component's share of
+// the range's queries. The result's Err is evaluated exactly
 // against the concatenated partition, which equals the total-weighted
 // average of the per-segment errors.
 //
@@ -51,9 +49,9 @@ func MergeRange(cs []*Compressed, par int) (*Compressed, error) {
 	if len(cs) == 1 {
 		return cs[0], nil
 	}
-	mix := cs[0].Mixture.Grow(u)
+	mix := cs[0].Mixture
 	for _, c := range cs[1:] {
-		mix = mix.Merge(c.Mixture.Grow(u))
+		mix = mix.Merge(c.Mixture)
 	}
 	var parts []*Log
 	for _, c := range cs {
@@ -73,20 +71,13 @@ func MergeRange(cs []*Compressed, par int) (*Compressed, error) {
 	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{K: len(parts)}, Parts: parts, Err: e}, nil
 }
 
-// consPart is one live component during consolidation: its sub-log, totals
-// and the entropy terms its error contribution is made of.
+// consPart is one live component during consolidation: its sub-log, its
+// naive encoding and the entropy terms its error contribution is made of.
 type consPart struct {
 	log    *Log
-	total  int
-	modelH float64 // H(ρ_E) of the part's naive encoding
-	empH   float64 // H(ρ*) of the part's sub-log
-	// margSum[f] = total · p(X_f = 1): feature counts, which add under
-	// merging even when the parts share distinct vectors. supp lists the
-	// features with non-zero count, ascending — component marginal vectors
-	// are sparse (a cluster touches few of the universe's features), and
-	// every scoring pass walks supports instead of the universe.
-	margSum []float64
-	supp    []int
+	enc    Naive
+	modelH float64 // H(ρ_E) of enc
+	empH   float64 // H(ρ*) of the sub-log
 }
 
 // liveConsParts builds the consPart of every non-empty part, in order.
@@ -101,57 +92,34 @@ func liveConsParts(parts []*Log) []*consPart {
 }
 
 func newConsPart(l *Log) *consPart {
-	t := l.Total()
-	marg := l.FeatureMarginals()
-	h := 0.0
-	sum := make([]float64, len(marg))
-	var supp []int
-	for f, p := range marg {
-		if p <= 0 {
-			continue
-		}
-		h += maxent.BernoulliEntropy(p)
-		sum[f] = p * float64(t)
-		supp = append(supp, f)
-	}
-	return &consPart{log: l, total: t, modelH: h, empH: l.EmpiricalEntropy(), margSum: sum, supp: supp}
+	e := NaiveEncode(l)
+	return &consPart{log: l, enc: e, modelH: e.ModelEntropy(), empH: l.EmpiricalEntropy()}
 }
 
-// excess is the part's share of T·Err: total · (H(ρ_E) − H(ρ*)).
-func (p *consPart) excess() float64 { return float64(p.total) * (p.modelH - p.empH) }
+// excess is the part's share of T·Err: |L_i| · (H(ρ_E) − H(ρ*)).
+func (p *consPart) excess() float64 { return float64(p.enc.Count) * (p.modelH - p.empH) }
+
+// poolScore is T·ΔH(ρ_E) of pooling the encodings a and b, whose model
+// entropies are ha and hb: the pooled model entropy over |L_a| + |L_b|
+// queries minus the two inputs'.
+func poolScore(a, b Naive, ha, hb float64) float64 {
+	return float64(a.Count+b.Count)*pooledEntropy(a, b) - float64(a.Count)*ha - float64(b.Count)*hb
+}
 
 // compactionScore estimates T·ΔErr for coalescing parts a and b: the model-
-// entropy increase of pooling their marginals minus the empirical-entropy
+// entropy increase of pooling their feature counts minus the empirical-entropy
 // increase of pooling their histograms, taken as the exact mixing term of
 // disjoint histograms. That is exact for the auto sweep's leaves, which
 // partition the distinct vectors, and approximate for range-merged segment
 // clusters that share distinct vectors. Negative scores mean the merge is
 // estimated to *reduce* the error. The score only ranks candidates:
 // mergeTree records each merge's exact ΔErr from the merged part's entropy
-// terms. The walk touches only the union of the two supports.
+// terms.
 func compactionScore(a, b *consPart) float64 {
-	wa, wb := float64(a.total), float64(b.total)
+	wa, wb := float64(a.enc.Count), float64(b.enc.Count)
 	w := wa + wb
-	hm := 0.0
-	i, j := 0, 0
-	for i < len(a.supp) || j < len(b.supp) {
-		var s float64
-		switch {
-		case j >= len(b.supp) || (i < len(a.supp) && a.supp[i] < b.supp[j]):
-			s = a.margSum[a.supp[i]]
-			i++
-		case i >= len(a.supp) || b.supp[j] < a.supp[i]:
-			s = b.margSum[b.supp[j]]
-			j++
-		default: // shared feature
-			s = a.margSum[a.supp[i]] + b.margSum[b.supp[j]]
-			i++
-			j++
-		}
-		hm += maxent.BernoulliEntropy(s / w)
-	}
 	mixing := wa*math.Log(w/wa) + wb*math.Log(w/wb)
-	return w*hm - wa*a.modelH - wb*b.modelH - mixing
+	return poolScore(a.enc, b.enc, a.modelH, b.modelH) - mixing
 }
 
 // agglomerateParts runs cluster.Agglomerate over leaves under a pair score:

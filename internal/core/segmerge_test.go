@@ -71,8 +71,8 @@ func TestMergeRangeGrowsUniverses(t *testing.T) {
 	// a's components contribute probability 0 to late features
 	for _, c := range m.Mixture.Components[:a.Mixture.K()] {
 		for f := 48; f < 96; f++ {
-			if c.Encoding.Marginals[f] != 0 {
-				t.Fatalf("pre-growth component has marginal %v on late feature %d", c.Encoding.Marginals[f], f)
+			if c.Marginal(f) != 0 {
+				t.Fatalf("pre-growth component has marginal %v on late feature %d", c.Marginal(f), f)
 			}
 		}
 	}
@@ -98,24 +98,22 @@ func TestMergeRangeDeterministicAndOrderRespecting(t *testing.T) {
 		t.Fatal("MergeRange is not deterministic across parallelism")
 	}
 	// order-respecting: per-segment component blocks appear in input order
-	// with their encodings intact (weights rescaled)
+	// with their encodings intact
 	i := 0
 	for _, s := range segs {
 		for _, c := range s.Mixture.Components {
-			got := m1.Mixture.Components[i]
-			for f, p := range c.Encoding.Marginals {
-				if got.Encoding.Marginals[f] != p {
-					t.Fatalf("component %d marginal %d changed: %v vs %v", i, f, got.Encoding.Marginals[f], p)
-				}
+			if got := m1.Mixture.Components[i]; !reflect.DeepEqual(got, c) {
+				t.Fatalf("component %d changed: %+v vs %+v", i, got, c)
 			}
 			i++
 		}
 	}
 }
 
-// TestMergeRangeAssociative: merge(a,b,c) and merge(merge(a,b),c) agree in
-// Reproduction Error (to float tolerance — the weights are rescaled in a
-// different order) and in every component encoding.
+// TestMergeRangeAssociative: merge(a,b,c) and merge(merge(a,b),c) agree
+// exactly in Reproduction Error and in every component and weight — the
+// weights are each component's share of the range's queries, whatever the
+// merge order.
 func TestMergeRangeAssociative(t *testing.T) {
 	a := compressSeg(t, segLog(64, 40, 1), 3)
 	b := compressSeg(t, segLog(80, 50, 2), 3)
@@ -133,16 +131,17 @@ func TestMergeRangeAssociative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(flat.Err, nested.Err, 1e-9*(1+math.Abs(flat.Err))) {
+	if flat.Err != nested.Err {
 		t.Fatalf("associativity broken: %v vs %v", flat.Err, nested.Err)
 	}
 	if flat.Mixture.K() != nested.Mixture.K() || flat.Mixture.Total != nested.Mixture.Total {
 		t.Fatalf("shapes diverge: K %d vs %d", flat.Mixture.K(), nested.Mixture.K())
 	}
+	if !reflect.DeepEqual(flat.Mixture, nested.Mixture) {
+		t.Fatal("component encodings diverge")
+	}
 	for i := range flat.Mixture.Components {
-		fw := flat.Mixture.Components[i].Weight
-		nw := nested.Mixture.Components[i].Weight
-		if !almostEq(fw, nw, 1e-12) {
+		if fw, nw := flat.Mixture.Weight(i), nested.Mixture.Weight(i); fw != nw {
 			t.Fatalf("component %d weight %v vs %v", i, fw, nw)
 		}
 	}
@@ -174,7 +173,7 @@ func TestMergeAligned(t *testing.T) {
 	}
 	warm := make([][]float64, 0, k)
 	for _, c := range c0.Mixture.Components {
-		warm = append(warm, append([]float64(nil), c.Encoding.Marginals...))
+		warm = append(warm, c.Dense(c0.Mixture.Universe))
 	}
 	if len(warm) != k {
 		t.Skipf("baseline collapsed to %d components", len(warm))

@@ -76,17 +76,37 @@ func WriteSummary(w io.Writer, m Mixture, book *feature.Codebook) error {
 		f.Features = append(f.Features, featureEntry{Kind: int(ft.Kind), Text: ft.Text})
 	}
 	for _, c := range m.Components {
-		rec := clusterRecord{Count: c.Encoding.Count}
-		for i, p := range c.Encoding.Marginals {
-			if p > 0 {
-				rec.Index = append(rec.Index, i)
-				rec.Marginal = append(rec.Marginal, p)
-			}
+		rec := clusterRecord{Count: c.Count}
+		for j, f := range c.Feat {
+			rec.Index = append(rec.Index, int(f))
+			rec.Marginal = append(rec.Marginal, c.marginal(j))
 		}
 		f.Clusters = append(f.Clusters, rec)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(f)
+}
+
+// maxCount bounds every query count a summary artifact may carry. Counts
+// never size an allocation and may legitimately be huge for a
+// heavy-traffic log, but below 2^50 a count survives the round trip
+// through its stored marginal c/n exactly (snapCount).
+const maxCount = 1 << 50
+
+// snapCount returns the feature count a stored marginal of a cluster of n
+// queries stands for: round(p·n). Writers store each marginal as c/n, so
+// the snap recovers c exactly. A marginal outside [0, 1], or one below half
+// a query (count 0: the feature would not be in the support), is not the
+// ratio of any count and is rejected.
+func snapCount(ci int, p float64, n int) (int, error) {
+	if !(p >= 0 && p <= 1) {
+		return 0, fmt.Errorf("core: cluster %d has marginal %v outside [0,1]", ci, p)
+	}
+	c := int(math.Round(p * float64(n)))
+	if c < 1 {
+		return 0, fmt.Errorf("core: cluster %d has marginal %v, a count of 0 of its %d queries", ci, p, n)
+	}
+	return c, nil
 }
 
 // binaryMagic opens every binary summary artifact; the byte after it is the
@@ -174,33 +194,21 @@ func WriteSummaryBinary(w io.Writer, m Mixture, book *feature.Codebook) error {
 	}
 	var word [8]byte
 	for _, c := range m.Components {
-		if err := putUvarint(uint64(c.Encoding.Count)); err != nil {
+		if err := putUvarint(uint64(c.Count)); err != nil {
 			return err
 		}
-		support := 0
-		for _, p := range c.Encoding.Marginals {
-			if p > 0 {
-				support++
-			}
-		}
-		if err := putUvarint(uint64(support)); err != nil {
+		if err := putUvarint(uint64(len(c.Feat))); err != nil {
 			return err
 		}
-		prev := 0
-		for i, p := range c.Encoding.Marginals {
-			if p <= 0 {
-				continue
-			}
-			if err := putUvarint(uint64(i - prev)); err != nil {
+		prev := uint32(0)
+		for _, f := range c.Feat {
+			if err := putUvarint(uint64(f - prev)); err != nil {
 				return err
 			}
-			prev = i
+			prev = f
 		}
-		for _, p := range c.Encoding.Marginals {
-			if p <= 0 {
-				continue
-			}
-			binary.LittleEndian.PutUint64(word[:], math.Float64bits(p))
+		for j := range c.Feat {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(c.marginal(j)))
 			if _, err := bw.Write(word[:]); err != nil {
 				return err
 			}
@@ -259,10 +267,7 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 	// allocations, so a corrupt or adversarial header must not be able to
 	// demand terabytes before the stream runs dry; counts (query totals)
 	// never allocate and may legitimately be huge for a heavy-traffic log.
-	const (
-		maxStructural = 1 << 24 // 16M features / 16 MiB feature text
-		maxCount      = 1 << 50
-	)
+	const maxStructural = 1 << 24 // 16M features / 16 MiB feature text
 	readBounded := func(limit uint64) (int, error) {
 		v, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -307,7 +312,9 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 		if _, err := io.ReadFull(cr, text); err != nil {
 			return fail(err)
 		}
-		book.Register(feature.Feature{Kind: feature.Kind(kind), Text: string(text)})
+		if book.Register(feature.Feature{Kind: feature.Kind(kind), Text: string(text)}) != i {
+			return Mixture{}, nil, fmt.Errorf("core: binary summary repeats feature %d", i)
+		}
 	}
 	nclusters, err := readUvarint()
 	if err != nil {
@@ -327,7 +334,7 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 		if support > universe {
 			return Mixture{}, nil, fmt.Errorf("core: cluster %d claims support %d over universe %d", ci, support, universe)
 		}
-		idx := make([]int, support)
+		e := Naive{Count: count, Feat: make([]uint32, support), Cnt: make([]int, support)}
 		prev := 0
 		for j := 0; j < support; j++ {
 			d, err := readUvarint()
@@ -343,27 +350,17 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 			if prev >= universe {
 				return Mixture{}, nil, fmt.Errorf("core: cluster %d references feature %d outside universe", ci, prev)
 			}
-			idx[j] = prev
+			e.Feat[j] = uint32(prev)
 		}
-		marg := make([]float64, universe)
 		for j := 0; j < support; j++ {
 			if _, err := io.ReadFull(cr, word[:]); err != nil {
 				return fail(err)
 			}
-			p := math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
-			if p < 0 || p > 1 || math.IsNaN(p) {
-				return Mixture{}, nil, fmt.Errorf("core: cluster %d has marginal %v outside [0,1]", ci, p)
+			if e.Cnt[j], err = snapCount(ci, math.Float64frombits(binary.LittleEndian.Uint64(word[:])), count); err != nil {
+				return Mixture{}, nil, err
 			}
-			marg[idx[j]] = p
 		}
-		w := 0.0
-		if total > 0 {
-			w = float64(count) / float64(total)
-		}
-		m.Components = append(m.Components, Component{
-			Encoding: Naive{Marginals: marg, Count: count},
-			Weight:   w,
-		})
+		m.Components = append(m.Components, e)
 	}
 	if version >= 2 {
 		// verify the CRC trailer; it is read from br directly so it does not
@@ -404,34 +401,38 @@ func readSummaryJSON(r io.Reader) (Mixture, *feature.Codebook, error) {
 	if len(f.Features) != f.Universe {
 		return Mixture{}, nil, fmt.Errorf("core: summary lists %d features for universe %d", len(f.Features), f.Universe)
 	}
+	if f.Total < 0 || f.Total > maxCount {
+		return Mixture{}, nil, fmt.Errorf("core: summary total %d outside 0..2^50", f.Total)
+	}
 	book := feature.NewCodebook(feature.Scheme(f.Scheme))
-	for _, fe := range f.Features {
-		book.Register(feature.Feature{Kind: feature.Kind(fe.Kind), Text: fe.Text})
+	for i, fe := range f.Features {
+		if book.Register(feature.Feature{Kind: feature.Kind(fe.Kind), Text: fe.Text}) != i {
+			return Mixture{}, nil, fmt.Errorf("core: summary repeats feature %d", i)
+		}
 	}
 	m := Mixture{Universe: f.Universe, Total: f.Total}
 	for ci, rec := range f.Clusters {
 		if len(rec.Index) != len(rec.Marginal) {
 			return Mixture{}, nil, fmt.Errorf("core: cluster %d has mismatched sparse arrays", ci)
 		}
-		marg := make([]float64, f.Universe)
-		for i, idx := range rec.Index {
+		if rec.Count < 0 || rec.Count > maxCount {
+			return Mixture{}, nil, fmt.Errorf("core: cluster %d count %d outside 0..2^50", ci, rec.Count)
+		}
+		e := Naive{Count: rec.Count, Feat: make([]uint32, len(rec.Index)), Cnt: make([]int, len(rec.Index))}
+		for j, idx := range rec.Index {
 			if idx < 0 || idx >= f.Universe {
 				return Mixture{}, nil, fmt.Errorf("core: cluster %d references feature %d outside universe", ci, idx)
 			}
-			p := rec.Marginal[i]
-			if p < 0 || p > 1 {
-				return Mixture{}, nil, fmt.Errorf("core: cluster %d has marginal %v outside [0,1]", ci, p)
+			if j > 0 && idx <= rec.Index[j-1] {
+				return Mixture{}, nil, fmt.Errorf("core: cluster %d lists feature %d after %d: indices must be strictly ascending", ci, idx, rec.Index[j-1])
 			}
-			marg[idx] = p
+			e.Feat[j] = uint32(idx)
+			var err error
+			if e.Cnt[j], err = snapCount(ci, rec.Marginal[j], rec.Count); err != nil {
+				return Mixture{}, nil, err
+			}
 		}
-		w := 0.0
-		if f.Total > 0 {
-			w = float64(rec.Count) / float64(f.Total)
-		}
-		m.Components = append(m.Components, Component{
-			Encoding: Naive{Marginals: marg, Count: rec.Count},
-			Weight:   w,
-		})
+		m.Components = append(m.Components, e)
 	}
 	return m, book, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -88,16 +90,8 @@ func TestSummaryBinaryRoundTrip(t *testing.T) {
 	if m2.Universe != mix.Universe || m2.Total != mix.Total || m2.K() != mix.K() {
 		t.Fatalf("shape mismatch: %+v vs %+v", m2, mix)
 	}
-	for ci, c := range mix.Components {
-		got := m2.Components[ci]
-		if got.Encoding.Count != c.Encoding.Count || got.Weight != c.Weight {
-			t.Fatalf("component %d: count/weight mismatch", ci)
-		}
-		for f, p := range c.Encoding.Marginals {
-			if got.Encoding.Marginals[f] != p {
-				t.Errorf("component %d marginal %d: %v != %v", ci, f, got.Encoding.Marginals[f], p)
-			}
-		}
+	if !reflect.DeepEqual(m2, mix) {
+		t.Fatalf("restored mixture %+v, want %+v", m2, mix)
 	}
 	if book2.Size() != book.Size() {
 		t.Fatalf("codebook size %d != %d", book2.Size(), book.Size())
@@ -200,50 +194,125 @@ func TestReadSummaryRejectsCorruptBinary(t *testing.T) {
 		}
 	}
 
-	// hand-built artifact with a duplicate sparse index (zero delta past
-	// the first entry): universe 2, one cluster claiming support 2 but
-	// encoding feature 0 twice
-	dup := []byte("LGRS\x01")
-	dup = append(dup,
+	for _, c := range corruptBinarySummaries {
+		_, _, err := ReadSummary(bytes.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), "cluster 0") {
+			t.Errorf("%s: got error %v, want one naming cluster 0", c.name, err)
+		}
+	}
+}
+
+// handBuiltBinary is a version-1 (trailer-less) LGRS artifact over the
+// universe {a, b} with one cluster of 4 queries, total 10: the given index
+// deltas, then the given marginals.
+func handBuiltBinary(deltas []byte, marginals ...float64) []byte {
+	b := []byte("LGRS\x01")
+	b = append(b,
 		2,         // universe
 		10,        // total
 		0,         // scheme
 		2,         // feature count
 		0, 1, 'a', // feature 0
 		0, 1, 'b', // feature 1
-		1,    // cluster count
-		5,    // cluster 0 count
-		2,    // support 2
-		0, 0, // deltas: feature 0, then duplicate feature 0
+		1,                 // cluster count
+		4,                 // cluster 0 count
+		byte(len(deltas)), // support
 	)
-	half := math.Float64bits(0.5)
-	for _, p := range []uint64{half, half} {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], p)
-		dup = append(dup, w[:]...)
+	b = append(b, deltas...)
+	for _, p := range marginals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
 	}
-	if _, _, err := ReadSummary(bytes.NewReader(dup)); err == nil {
-		t.Error("expected an error for a duplicate sparse index")
-	}
+	return b
+}
+
+// corruptBinarySummaries are hand-built binary artifacts whose single
+// cluster breaks the ascending, count ≥ 1 support invariant.
+var corruptBinarySummaries = []struct {
+	name string
+	src  []byte
+}{
+	// a zero delta past the first entry encodes feature 0 twice
+	{"duplicate sparse index", handBuiltBinary([]byte{0, 0}, 0.5, 0.5)},
+	// feature 1 is in the support with count 0
+	{"zero marginal in the support", handBuiltBinary([]byte{0, 1}, 0.5, 0)},
+	// 0.1 of 4 queries rounds to a count of 0
+	{"marginal below one query", handBuiltBinary([]byte{1}, 0.1)},
+}
+
+// corruptJSONSummaries are JSON documents ReadSummary must reject; want,
+// when set, is a fragment the error must contain.
+var corruptJSONSummaries = []struct {
+	src, want string
+}{
+	{``, ""},
+	{`{"version":99}`, ""},
+	{`{"version":1,"universe":2,"features":[{"kind":0,"text":"t"}]}`, ""}, // universe mismatch
+	{`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
+	  "clusters":[{"count":1,"index":[0,1],"marginal":[0.5]}]}`, ""}, // ragged arrays
+	{`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
+	  "clusters":[{"count":1,"index":[5],"marginal":[0.5]}]}`, ""}, // index out of range
+	{`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
+	  "clusters":[{"count":1,"index":[0],"marginal":[1.5]}]}`, ""}, // marginal out of range
+	{`{"version":1,"universe":2,"total_queries":4,"features":[{"kind":0,"text":"a"},{"kind":0,"text":"b"}],
+	  "clusters":[{"count":4,"index":[0,0],"marginal":[0.5,0.25]}]}`, "cluster 0"}, // duplicate index
+	{`{"version":1,"universe":2,"total_queries":4,"features":[{"kind":0,"text":"a"},{"kind":0,"text":"b"}],
+	  "clusters":[{"count":4,"index":[1,0],"marginal":[0.5,0.25]}]}`, "cluster 0"}, // unsorted indices
+	{`{"version":1,"universe":2,"total_queries":4,"features":[{"kind":0,"text":"a"},{"kind":0,"text":"b"}],
+	  "clusters":[{"count":4,"index":[0,1],"marginal":[0.5,0]}]}`, "cluster 0"}, // zero marginal in the support
+	{`{"version":1,"universe":2,"total_queries":4,"features":[{"kind":0,"text":"a"},{"kind":0,"text":"a"}],
+	  "clusters":[]}`, "repeats feature 1"}, // duplicate codebook entry
 }
 
 func TestReadSummaryRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		``,
-		`{"version":99}`,
-		`{"version":1,"universe":2,"features":[{"kind":0,"text":"t"}]}`, // universe mismatch
-		`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
-		  "clusters":[{"count":1,"index":[0,1],"marginal":[0.5]}]}`, // ragged arrays
-		`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
-		  "clusters":[{"count":1,"index":[5],"marginal":[0.5]}]}`, // index out of range
-		`{"version":1,"universe":1,"total_queries":1,"features":[{"kind":0,"text":"t"}],
-		  "clusters":[{"count":1,"index":[0],"marginal":[1.5]}]}`, // marginal out of range
-	}
-	for i, src := range cases {
-		if _, _, err := ReadSummary(bytes.NewBufferString(src)); err == nil {
-			t.Errorf("case %d: expected error", i)
+	for i, c := range corruptJSONSummaries {
+		_, _, err := ReadSummary(bytes.NewBufferString(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: got error %v, want one containing %q", i, err, c.want)
 		}
 	}
+}
+
+// FuzzReadSummary: ReadSummary never panics, and whatever it accepts
+// re-writes in its own format to bytes that read back and re-write
+// identically.
+func FuzzReadSummary(f *testing.F) {
+	for _, name := range []string{"summary_v2.lgrs", "summary_v1.json"} {
+		raw, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, c := range corruptBinarySummaries {
+		f.Add(c.src)
+	}
+	for _, c := range corruptJSONSummaries {
+		f.Add([]byte(c.src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, book, err := ReadSummary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		write := WriteSummary
+		if bytes.HasPrefix(data, []byte(binaryMagic)) {
+			write = WriteSummaryBinary
+		}
+		var first, second bytes.Buffer
+		if err := write(&first, m, book); err != nil {
+			t.Fatalf("accepted summary does not re-write: %v", err)
+		}
+		m2, book2, err := ReadSummary(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-written summary does not read back: %v", err)
+		}
+		if err := write(&second, m2, book2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-write is not stable:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 // TestBinarySummaryCRCTrailer: the version-2 artifact ends in a CRC32 over
@@ -285,11 +354,7 @@ func TestBinarySummaryCRCTrailer(t *testing.T) {
 	if book2.Size() != book.Size() {
 		t.Fatalf("legacy artifact codebook mismatch")
 	}
-	for ci := range mix.Components {
-		for f, p := range mix.Components[ci].Encoding.Marginals {
-			if m2.Components[ci].Encoding.Marginals[f] != p {
-				t.Fatalf("legacy artifact marginal drifted at cluster %d feature %d", ci, f)
-			}
-		}
+	if !reflect.DeepEqual(m2.Components, mix.Components) {
+		t.Fatal("legacy artifact components drifted")
 	}
 }

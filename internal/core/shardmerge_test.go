@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"logr/internal/bitvec"
@@ -107,10 +108,8 @@ func TestRemapMixtureRejectsBadRemaps(t *testing.T) {
 	}
 	used := map[int]bool{}
 	for _, comp := range c.Mixture.Components {
-		for f, p := range comp.Encoding.Marginals {
-			if p > 0 {
-				used[f] = true
-			}
+		for _, f := range comp.Feat {
+			used[int(f)] = true
 		}
 	}
 	var twoUsed []int
@@ -133,22 +132,47 @@ func TestRemapMixtureRejectsBadRemaps(t *testing.T) {
 // TestCoalesceMixtureBudgetAndBound: coalescing respects the component
 // budget, conserves total weight and query mass, and reports a
 // non-negative error-increase bound that grows monotonically with
-// tighter budgets.
+// tighter budgets. Each output component is exactly the naive encoding of
+// the union of its leaves' sub-logs: the same counts, and marginals with
+// the same bits as the pooled log's FeatureMarginals.
 func TestCoalesceMixtureBudgetAndBound(t *testing.T) {
 	c := compressSeg(t, segLog(64, 60, 11), 6)
 	m := c.Mixture
+	leaves := make([]*coalescePart, m.K())
+	for i, comp := range m.Components {
+		leaves[i] = newCoalescePart(comp)
+	}
+	tree := agglomerateParts(leaves, 0, coalesceScore, poolCoalesceParts)
 	prevBound := 0.0
 	for _, k := range []int{5, 3, 1} {
 		cm, bound := CoalesceMixture(m, k)
 		if cm.K() > k {
 			t.Fatalf("budget %d produced %d components", k, cm.K())
 		}
+		pooled := make([]*Log, k)
+		for leaf, lbl := range tree.Cut(k).Labels {
+			if pooled[lbl] == nil {
+				pooled[lbl] = NewLog(m.Universe)
+			}
+			pooled[lbl].Merge(c.liveParts()[leaf])
+		}
+		for i, l := range pooled {
+			if want := NaiveEncode(l); !reflect.DeepEqual(cm.Components[i], want) {
+				t.Fatalf("budget %d: component %d has counts %+v, its leaves' union %+v", k, i, cm.Components[i], want)
+			}
+			got, want := cm.Components[i].Dense(m.Universe), l.FeatureMarginals()
+			for f := range want {
+				if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+					t.Fatalf("budget %d: component %d feature %d marginal %v, its leaves' union %v", k, i, f, got[f], want[f])
+				}
+			}
+		}
 		if cm.Total != m.Total || cm.Universe != m.Universe {
 			t.Fatalf("coalesce changed shape: %+v", cm)
 		}
 		var w float64
-		for _, comp := range cm.Components {
-			w += comp.Weight
+		for i := range cm.Components {
+			w += cm.Weight(i)
 		}
 		if !almostEq(w, 1.0, 1e-9) {
 			t.Fatalf("weights sum to %v after coalesce to %d", w, k)

@@ -21,7 +21,7 @@ func (c *Compressed) WorstComponent() int {
 	for i, comp := range c.Mixture.Components {
 		part := c.liveParts()[live]
 		live++
-		e := comp.Weight * comp.Encoding.ReproductionError(part)
+		e := c.Mixture.Weight(i) * comp.ReproductionError(part)
 		if e > worstErr {
 			worst, worstErr = i, e
 		}

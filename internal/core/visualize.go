@@ -36,8 +36,8 @@ func Visualize(m Mixture, book *feature.Codebook, opts VisualizeOptions) string 
 	var sb strings.Builder
 	for i, c := range m.Components {
 		fmt.Fprintf(&sb, "-- cluster %d: weight %.1f%%, %d queries, verbosity %d\n",
-			i+1, c.Weight*100, c.Encoding.Count, c.Encoding.Verbosity())
-		sb.WriteString(visualizeNaive(c.Encoding, book, opts))
+			i+1, m.Weight(i)*100, c.Count, c.Verbosity())
+		sb.WriteString(visualizeNaive(c, book, opts))
 		if i < len(m.Components)-1 {
 			sb.WriteString("\n")
 		}
@@ -51,31 +51,59 @@ func VisualizeNaive(e Naive, book *feature.Codebook, opts VisualizeOptions) stri
 }
 
 func visualizeNaive(e Naive, book *feature.Codebook, opts VisualizeOptions) string {
-	type entry struct {
-		text string
-		p    float64
+	var sb strings.Builder
+	for _, c := range clauses(e, book, opts) {
+		fmt.Fprintf(&sb, "%-8s ", c.name)
+		for i, en := range c.entries {
+			if i > 0 {
+				sb.WriteString("\n         ")
+			}
+			fmt.Fprintf(&sb, "%s %.2f  %s", shade(en.p), en.p, en.text)
+		}
+		sb.WriteString("\n")
 	}
-	byKind := map[feature.Kind][]entry{}
-	for i, p := range e.Marginals {
-		if i >= book.Size() || p < opts.MinMarginal {
+	return sb.String()
+}
+
+// clause is one rendered clause of a cluster: its keyword and the features
+// shown under it.
+type clause struct {
+	name    string
+	entries []clauseEntry
+}
+
+type clauseEntry struct {
+	text string
+	p    float64
+}
+
+// clauses groups the encoding's features with marginal ≥ opts.MinMarginal
+// by clause, in SQL order, skipping empty clauses. Each clause lists its
+// features by descending marginal (ties by text), capped at
+// opts.MaxFeaturesPerClause.
+func clauses(e Naive, book *feature.Codebook, opts VisualizeOptions) []clause {
+	byKind := map[feature.Kind][]clauseEntry{}
+	for j, i := range e.Feat {
+		p := e.marginal(j)
+		if int(i) >= book.Size() || p < opts.MinMarginal {
 			continue
 		}
-		f := book.Feature(i)
-		byKind[f.Kind] = append(byKind[f.Kind], entry{f.Text, p})
+		f := book.Feature(int(i))
+		byKind[f.Kind] = append(byKind[f.Kind], clauseEntry{f.Text, p})
 	}
-	order := []feature.Kind{feature.SelectKind, feature.FromKind, feature.WhereKind,
-		feature.GroupByKind, feature.OrderByKind, feature.AggKind}
-	clause := map[feature.Kind]string{
-		feature.SelectKind:  "SELECT",
-		feature.FromKind:    "FROM",
-		feature.WhereKind:   "WHERE",
-		feature.GroupByKind: "GROUP BY",
-		feature.OrderByKind: "ORDER BY",
-		feature.AggKind:     "AGG",
-	}
-	var sb strings.Builder
-	for _, k := range order {
-		entries := byKind[k]
+	var out []clause
+	for _, k := range []struct {
+		kind feature.Kind
+		name string
+	}{
+		{feature.SelectKind, "SELECT"},
+		{feature.FromKind, "FROM"},
+		{feature.WhereKind, "WHERE"},
+		{feature.GroupByKind, "GROUP BY"},
+		{feature.OrderByKind, "ORDER BY"},
+		{feature.AggKind, "AGG"},
+	} {
+		entries := byKind[k.kind]
 		if len(entries) == 0 {
 			continue
 		}
@@ -88,16 +116,9 @@ func visualizeNaive(e Naive, book *feature.Codebook, opts VisualizeOptions) stri
 		if opts.MaxFeaturesPerClause > 0 && len(entries) > opts.MaxFeaturesPerClause {
 			entries = entries[:opts.MaxFeaturesPerClause]
 		}
-		fmt.Fprintf(&sb, "%-8s ", clause[k])
-		for i, en := range entries {
-			if i > 0 {
-				sb.WriteString("\n         ")
-			}
-			fmt.Fprintf(&sb, "%s %.2f  %s", shade(en.p), en.p, en.text)
-		}
-		sb.WriteString("\n")
+		out = append(out, clause{k.name, entries})
 	}
-	return sb.String()
+	return out
 }
 
 // shade maps a marginal to a block-glyph intensity, the text analogue of

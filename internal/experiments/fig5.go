@@ -66,8 +66,8 @@ func Figure5(s Scale) ([]Fig5Point, error) {
 				Patterns: 15, Seed: s.Seed + int64(i),
 			})
 			patterns := unmapPatterns(model.Patterns, mapping, part.Universe())
-			w := mix.Components[i].Weight
-			llPlus += w * refineWithBudget(part, mix.Components[i].Encoding, patterns)
+			w := mix.Weight(i)
+			llPlus += w * refineWithBudget(part, mix.Components[i], patterns)
 			llAlone += w * patternOnlyError(part, patterns)
 		}
 		p.LaserlightSecs = time.Since(t0).Seconds()
@@ -81,8 +81,8 @@ func Figure5(s Scale) ([]Fig5Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			w := mix.Components[i].Weight
-			mtvPlus += w * refineWithBudget(part, mix.Components[i].Encoding, model.Patterns)
+			w := mix.Weight(i)
+			mtvPlus += w * refineWithBudget(part, mix.Components[i], model.Patterns)
 			mtvAlone += w * patternOnlyError(part, model.Patterns)
 		}
 		p.MTVSecs = time.Since(t0).Seconds()

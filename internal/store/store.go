@@ -30,9 +30,8 @@
 // remain internally consistent.
 //
 // CompressRange derives the summary of any contiguous sealed range from the
-// per-segment summaries with the summary algebra: Mixture.Grow lifts each
-// onto the union universe, Mixture.Merge reweights them into one mixture
-// (lossless — the merged Reproduction Error is exactly the weighted
+// per-segment summaries with the summary algebra: Mixture.Merge
+// concatenates them into one mixture over the union universe (lossless — the merged Reproduction Error is exactly the weighted
 // combination of the per-segment errors), and core.Consolidate cuts the
 // merge tree over the union's components: the cut at the component budget,
 // or with no budget the smallest cut within the error target. If
@@ -166,9 +165,7 @@ func warmCentroids(prev *core.Compressed, universe, k int) [][]float64 {
 	}
 	cents := make([][]float64, k)
 	for i, c := range prev.Mixture.Components {
-		row := make([]float64, universe)
-		copy(row, c.Encoding.Marginals)
-		cents[i] = row
+		cents[i] = c.Dense(universe)
 	}
 	return cents
 }

@@ -1298,10 +1298,10 @@ type MergeSummariesOptions struct {
 // inside one workload, the inputs need not share a codebook: each
 // summary's features are re-registered into a fresh union codebook (in
 // input order, so the result is deterministic) and its mixture is
-// remapped onto the union indexing before the ordinary Grow/Merge
-// weight rescaling applies. All inputs must use the same feature scheme.
+// remapped onto the union indexing before the ordinary Merge
+// concatenation applies. All inputs must use the same feature scheme.
 //
-// The merge itself is lossless: remapping permutes marginals without
+// The merge itself is lossless: remapping permutes feature counts without
 // changing them, so the result's Reproduction Error is exactly the
 // query-weighted combination of the inputs' errors — NaN if any input's
 // error is unknown (ReadSummary without WithError). With MaxComponents
@@ -1340,7 +1340,7 @@ func MergeSummaries(sums []*Summary, opts MergeSummariesOptions) (*Summary, erro
 		remaps[i] = remap
 	}
 	// Pass 2: remap every mixture onto the final union universe, then fold
-	// with the weight-rescaling Merge. Errors combine query-weighted.
+	// with Merge. Errors combine query-weighted.
 	n := union.Size()
 	merged, err := core.RemapMixture(sums[0].c.Mixture, remaps[0], n)
 	if err != nil {
