@@ -115,35 +115,21 @@ func BenchmarkCompressHierarchicalP4(b *testing.B) {
 
 // --- Binary-kernel benchmarks ----------------------------------------------
 //
-// BenchmarkCompressBinary* run the default popcount-native clustering path;
-// BenchmarkCompressDense* force the legacy dense float64 path on the same
-// workload and seed. Both produce the identical summary (asserted by the
-// core equivalence tests); the ratio is the binary-kernel speedup, and with
-// -benchmem the allocation gap shows the dense point matrix that is no
-// longer materialized.
+// BenchmarkCompressBinary* run the default popcount-native clustering path
+// through the façade. Their dense float64 counterparts live in
+// internal/core's BenchmarkCompressBinaryVsDense, the only place the dense
+// oracle can still be selected.
 
 func BenchmarkCompressBinaryKMeans(b *testing.B) {
 	benchCompress(b, logr.CompressOptions{Clusters: 8, Seed: 1})
-}
-
-func BenchmarkCompressDenseKMeans(b *testing.B) {
-	benchCompress(b, logr.CompressOptions{Clusters: 8, Seed: 1, DensePath: true})
 }
 
 func BenchmarkCompressBinarySweep(b *testing.B) {
 	benchCompress(b, logr.CompressOptions{Seed: 1, TargetError: 0.05, MaxClusters: 12})
 }
 
-func BenchmarkCompressDenseSweep(b *testing.B) {
-	benchCompress(b, logr.CompressOptions{Seed: 1, TargetError: 0.05, MaxClusters: 12, DensePath: true})
-}
-
 func BenchmarkCompressBinaryHierarchical(b *testing.B) {
 	benchCompress(b, logr.CompressOptions{Clusters: 8, Method: "hierarchical", Seed: 1})
-}
-
-func BenchmarkCompressDenseHierarchical(b *testing.B) {
-	benchCompress(b, logr.CompressOptions{Clusters: 8, Method: "hierarchical", Seed: 1, DensePath: true})
 }
 
 // --- Incremental recompression benchmarks ---------------------------------

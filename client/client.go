@@ -1,8 +1,8 @@
 // Package client is the Go client for the logrd workload-analytics daemon
 // (internal/server, cmd/logrd, `logr serve`): a thin typed wrapper over its
-// HTTP/JSON API. The wire DTOs defined here are the protocol's single
-// source of truth — the server marshals and unmarshals exactly these
-// types.
+// HTTP/JSON API. The wire DTOs defined here, with the library types they
+// carry, are the protocol's single source of truth — the server marshals
+// and unmarshals exactly these types.
 //
 //	c := client.New("http://localhost:8080")
 //	c.Ingest(ctx, []logr.Entry{{SQL: "SELECT ...", Count: 3}})
@@ -181,7 +181,10 @@ func (c *Client) send(ctx context.Context, method, u, contentType string, makeBo
 	}
 }
 
-// Wire DTOs. Field names are the protocol; both ends marshal these.
+// Wire DTOs. Field names are the protocol; both ends marshal these. The
+// payloads the library already defines (logr.Stats, logr.IngestLag,
+// logr.DurabilityInfo, logr.Epoch, logr.SegmentInfo, logr.DriftReport)
+// carry their own JSON tags and appear here as fields or embedded structs.
 
 // Health is GET /healthz (and /readyz). /healthz answers 503 with
 // Status "degraded" while the durable store refuses writes; /readyz stays
@@ -210,15 +213,9 @@ type IngestResult struct {
 
 // EstimateResult is GET /estimate.
 type EstimateResult struct {
-	Frequency float64 `json:"frequency"`
-	Count     float64 `json:"count"`
-	Epoch     Epoch   `json:"epoch"`
-}
-
-// Epoch mirrors logr.Epoch on the wire.
-type Epoch struct {
-	Universe     int `json:"universe"`
-	TotalQueries int `json:"total_queries"`
+	Frequency float64    `json:"frequency"`
+	Count     float64    `json:"count"`
+	Epoch     logr.Epoch `json:"epoch"`
 }
 
 // CountResult is GET /count.
@@ -242,80 +239,36 @@ type DropResult struct {
 	Dropped int `json:"dropped"`
 }
 
-// Segment mirrors logr.SegmentInfo on the wire.
-type Segment struct {
-	ID         int   `json:"id"`
-	EndID      int   `json:"end_id"`
-	Queries    int   `json:"queries"`
-	Distinct   int   `json:"distinct"`
-	Epoch      Epoch `json:"epoch"`
-	Summarized bool  `json:"summarized"`
-}
-
 // SegmentsResult is GET /segments.
 type SegmentsResult struct {
-	Segments      []Segment `json:"segments"`
-	ActiveQueries int       `json:"active_queries"`
+	Segments      []logr.SegmentInfo `json:"segments"`
+	ActiveQueries int                `json:"active_queries"`
 }
 
-// DriftResult is GET /drift: the window range scored against the baseline
-// range's summary.
+// DriftResult is GET /drift: the window range [WinFrom, WinTo) scored
+// against the summary of the baseline range [BaseFrom, BaseTo), in seal
+// ids. A gateway's aggregate reports the bounds its shards resolved, or -1
+// for a bound on which the shards disagree (seal ids are per shard).
 type DriftResult struct {
-	Score       float64 `json:"score"`
-	NoveltyRate float64 `json:"novelty_rate"`
-	Alert       bool    `json:"alert"`
-	BaseFrom    int     `json:"base_from"`
-	BaseTo      int     `json:"base_to"`
-	WinFrom     int     `json:"win_from"`
-	WinTo       int     `json:"win_to"`
+	logr.DriftReport
+	BaseFrom int `json:"base_from"`
+	BaseTo   int `json:"base_to"`
+	WinFrom  int `json:"win_from"`
+	WinTo    int `json:"win_to"`
 }
 
-// StatsResult mirrors logr.Stats on the wire.
+// StatsResult is GET /stats: the Table-1-style pipeline statistics plus
+// the durable pipeline's gauges.
 type StatsResult struct {
-	Queries             int     `json:"queries"`
-	DistinctQueries     int     `json:"distinct_queries"`
-	DistinctNoConst     int     `json:"distinct_no_const"`
-	DistinctConjunctive int     `json:"distinct_conjunctive"`
-	DistinctRewritable  int     `json:"distinct_rewritable"`
-	MaxMultiplicity     int     `json:"max_multiplicity"`
-	Features            int     `json:"features"`
-	FeaturesNoConst     int     `json:"features_no_const"`
-	AvgFeaturesPerQuery float64 `json:"avg_features_per_query"`
-	StoredProcedures    int     `json:"stored_procedures"`
-	Unparseable         int     `json:"unparseable"`
+	logr.Stats
 	// Ingest reports the durable pipeline's backlog: apply-queue depth and
 	// how far the applier trails the acknowledged WAL offset. All-zero for
 	// in-memory workloads.
-	Ingest IngestLagResult `json:"ingest"`
+	Ingest logr.IngestLag `json:"ingest"`
 	// Durability reports the WAL/checkpoint state behind bounded recovery
 	// and whether the store is serving in degraded read-only mode.
 	// All-zero for in-memory workloads.
-	Durability DurabilityResult `json:"durability"`
-}
-
-// DurabilityResult mirrors logr.DurabilityInfo on the wire.
-type DurabilityResult struct {
-	// WalBytes is the live WAL tail — the bytes a recovery would replay.
-	WalBytes int64 `json:"wal_bytes"`
-	// CheckpointOffset is the logical WAL offset the newest checkpoint
-	// covers; everything before it is restored from the checkpoint, not
-	// replayed.
-	CheckpointOffset int64 `json:"checkpoint_offset"`
-	// Degraded reports degraded read-only mode: reads serve, mutations are
-	// refused with 503 until the store's probe re-arms the disk.
-	Degraded bool `json:"degraded,omitempty"`
-}
-
-// IngestLagResult mirrors logr.IngestLag on the wire.
-type IngestLagResult struct {
-	QueuedBatches int   `json:"queued_batches"`
-	QueueCap      int   `json:"queue_cap"`
-	QueuedEntries int64 `json:"queued_entries"`
-	AckedOffset   int64 `json:"acked_wal_offset"`
-	AppliedOffset int64 `json:"applied_wal_offset"`
-	// LagBytes = AckedOffset − AppliedOffset: acknowledged WAL bytes the
-	// applier has not made visible to reads yet.
-	LagBytes int64 `json:"applied_lag_bytes"`
+	Durability logr.DurabilityInfo `json:"durability"`
 }
 
 // ErrorResponse is every non-2xx JSON body. Degraded marks a refusal by a
@@ -537,7 +490,7 @@ type SummaryMeta struct {
 	// Clusters is the mixture's component count.
 	Clusters int
 	// Epoch is the snapshot version the summary covers.
-	Epoch Epoch
+	Epoch logr.Epoch
 	// Err is the summary's Generalized Reproduction Error in nats — the
 	// ground truth the artifact itself cannot carry. NaN when the server
 	// did not report one.
@@ -615,10 +568,12 @@ func (c *Client) summary(ctx context.Context, from, to int) (*logr.Summary, erro
 //	GET  /segments    the shards' segment lists concatenated (seal ids are
 //	                  per shard, so ids may repeat); ActiveQueries summed
 //	GET  /drift       Score and NoveltyRate weighted by shard query totals;
-//	                  Alert if any shard alerts
+//	                  Alert if any shard alerts; each range bound the one
+//	                  every shard resolved, -1 where they disagree
 //	GET  /summary     the merged summary; ?from/?to answer 400 (seal ids
 //	                  are per shard: ask a shard for a range)
-//	GET  /healthz     Queries summed over the prober's per-shard view
+//	GET  /healthz     Queries summed over the prober's per-shard view;
+//	                  Active and Segments summed over the admitted shards
 //	POST /seal        Sealed if any shard sealed; ID the largest sealed id
 //	POST /compact     Eliminated summed
 //	POST /dropBefore  Dropped summed (each shard applies the same id)
@@ -730,9 +685,9 @@ type ShardHealth struct {
 
 // ClusterHealth is the gateway's GET /healthz response. Status is "ok"
 // with every shard admitted, "partial" with some ejected, "down" with
-// none reachable (also a 503).
+// none reachable (also a 503). The totals come from each shard's last
+// health probe.
 type ClusterHealth struct {
-	Status  string                 `json:"status"`
-	Queries int                    `json:"queries"`
-	Shards  map[string]ShardHealth `json:"shards"`
+	Health
+	Shards map[string]ShardHealth `json:"shards"`
 }

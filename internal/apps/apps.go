@@ -122,19 +122,20 @@ func SuggestViews(m core.Mixture, book *feature.Codebook, minFrequency float64) 
 }
 
 // DriftReport quantifies how far a window of queries strays from a baseline
-// encoding.
+// encoding. It is also the score part of logrd's GET /drift body, so the
+// JSON tags are wire names.
 type DriftReport struct {
 	// Score is the window's excess surprisal in nats/query: the mean
 	// −log P(q | baseline) over the window minus the same expectation over
 	// the baseline's own traffic. ≈ 0 when the window follows the baseline
 	// workload; strongly positive under injected or shifted workloads.
-	Score float64
+	Score float64 `json:"score"`
 	// NoveltyRate is the fraction of window queries the baseline assigns
 	// (near-)zero probability — unseen features or never-seen shapes.
-	NoveltyRate float64
+	NoveltyRate float64 `json:"novelty_rate"`
 	// Alert is set when Score or NoveltyRate crosses the detector's
 	// thresholds.
-	Alert bool
+	Alert bool `json:"alert"`
 }
 
 // DriftDetector monitors a query stream against a compressed baseline

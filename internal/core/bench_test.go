@@ -46,23 +46,35 @@ func BenchmarkFeatureMarginals(b *testing.B) {
 }
 
 // BenchmarkCompressBinaryVsDense compares the default popcount compression
-// against the ForceDense oracle on the same log, seed and K — the
+// against the ForceDense oracle on the same log, seed and options, for
+// fixed-K k-means, the auto sweep and fixed-K hierarchical clustering — the
 // before/after of the binary-kernel refactor at the core layer.
 func BenchmarkCompressBinaryVsDense(b *testing.B) {
 	l := benchLog(863, 605)
-	for _, cfg := range []struct {
-		name  string
-		dense bool
-	}{{"binary", false}, {"dense", true}} {
-		dense := cfg.dense
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Compress(l, CompressOptions{K: 8, Seed: 1, ForceDense: dense}); err != nil {
-					b.Fatal(err)
-				}
+	for _, c := range []struct {
+		name string
+		opts CompressOptions
+	}{
+		{"kmeans", CompressOptions{K: 8, Seed: 1}},
+		{"sweep", CompressOptions{Seed: 1, TargetError: 0.05, MaxK: 12}},
+		{"hierarchical", CompressOptions{K: 8, Method: HierarchicalMethod, Metric: cluster.Hamming, Seed: 1}},
+	} {
+		for _, dense := range []bool{false, true} {
+			opts := c.opts
+			opts.ForceDense = dense
+			name := c.name + "/binary"
+			if dense {
+				name = c.name + "/dense"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Compress(l, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

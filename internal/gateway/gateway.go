@@ -271,9 +271,10 @@ func (g *Gateway) Close() error {
 }
 
 // probeLoop polls every shard's /healthz on ProbeInterval: failures feed
-// the ejection streak, successes re-admit and refresh the shard's query
-// total. Ejection is therefore never permanent — a shard that comes back
-// is readmitted within one probe interval even with zero traffic.
+// the ejection streak, successes re-admit and refresh the shard's last
+// health answer. Ejection is therefore never permanent — a shard that
+// comes back is readmitted within one probe interval even with zero
+// traffic.
 func (g *Gateway) probeLoop() {
 	defer close(g.probeDone)
 	t := time.NewTicker(g.opts.ProbeInterval)
@@ -301,7 +302,7 @@ func (g *Gateway) probeOnce() {
 				var apiErr *client.APIError
 				if errors.As(err, &apiErr) {
 					// the daemon answered (degraded counts): alive
-					if s.noteSuccess(-1, 0) {
+					if s.noteSuccess(nil, 0) {
 						g.logf("gateway: shard %s re-admitted (probe)", s.addr)
 					}
 					return
@@ -311,7 +312,7 @@ func (g *Gateway) probeOnce() {
 				}
 				return
 			}
-			if s.noteSuccess(h.Queries, 0) {
+			if s.noteSuccess(&h, 0) {
 				g.logf("gateway: shard %s re-admitted (probe)", s.addr)
 			}
 		}(s)
@@ -464,7 +465,7 @@ func intArg(r *http.Request, name string) (int, error) {
 // noteOutcome translates a shard call result into health state.
 func (g *Gateway) noteOutcome(s *shard, err error, d time.Duration) {
 	if err == nil {
-		if s.noteSuccess(-1, d) {
+		if s.noteSuccess(nil, d) {
 			g.logf("gateway: shard %s re-admitted (request)", s.addr)
 		}
 		return
@@ -472,7 +473,7 @@ func (g *Gateway) noteOutcome(s *shard, err error, d time.Duration) {
 	var apiErr *client.APIError
 	if errors.As(err, &apiErr) {
 		// an HTTP response is proof of life even when it is a refusal
-		if s.noteSuccess(-1, 0) {
+		if s.noteSuccess(nil, 0) {
 			g.logf("gateway: shard %s re-admitted (request)", s.addr)
 		}
 		return
@@ -639,8 +640,8 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 			res.TotalQueries += t
 			continue
 		}
-		_, _, q := s.snapshotHealth()
-		res.TotalQueries += q
+		_, _, h := s.snapshotHealth()
+		res.TotalQueries += h.Queries
 	}
 	res.Spilled = spilled
 	g.ingested.Add(ingestedQueries)
@@ -774,13 +775,9 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	count, _ := sum.EstimateCount(q)
 	res := client.ClusterEstimateResult{
-		EstimateResult: client.EstimateResult{
-			Frequency: freq,
-			Count:     count,
-			Epoch:     client.Epoch{Universe: sum.Epoch().Universe, TotalQueries: sum.Epoch().TotalQueries},
-		},
-		Shards:      len(g.shards) - len(miss),
-		Unavailable: miss,
+		EstimateResult: client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()},
+		Shards:         len(g.shards) - len(miss),
+		Unavailable:    miss,
 	}
 	if e := sum.Error(); !math.IsNaN(e) {
 		res.Err = &e
@@ -869,9 +866,14 @@ func (g *Gateway) handleDrift(w http.ResponseWriter, r *http.Request) {
 	totalW := 0.0
 	var err error
 	res.Unavailable, err = gather(g, "/drift", idxs, outs, func(i int, v client.DriftResult) {
+		first := len(res.Shards) == 0
+		agree(&res.BaseFrom, v.BaseFrom, first)
+		agree(&res.BaseTo, v.BaseTo, first)
+		agree(&res.WinFrom, v.WinFrom, first)
+		agree(&res.WinTo, v.WinTo, first)
 		res.Shards[g.addrs[i]] = v
-		_, _, q := g.shards[i].snapshotHealth()
-		wgt := float64(max(q, 1))
+		_, _, h := g.shards[i].snapshotHealth()
+		wgt := float64(max(h.Queries, 1))
 		totalW += wgt
 		res.Score += wgt * v.Score
 		res.NoveltyRate += wgt * v.NoveltyRate
@@ -882,6 +884,16 @@ func (g *Gateway) handleDrift(w http.ResponseWriter, r *http.Request) {
 		res.NoveltyRate /= totalW
 	}
 	reply(w, res, err)
+}
+
+// agree folds one shard's resolved drift bound into the aggregate's: the
+// first shard sets it, and a shard that resolved another value marks it -1.
+func agree(agg *int, v int, first bool) {
+	if first {
+		*agg = v
+	} else if *agg != v {
+		*agg = -1
+	}
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -905,11 +917,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) shardHealthView() map[string]client.ShardHealth {
 	out := make(map[string]client.ShardHealth, len(g.shards))
 	for _, s := range g.shards {
-		ok, fails, queries := s.snapshotHealth()
+		ok, fails, h := s.snapshotHealth()
 		out[s.addr] = client.ShardHealth{
 			Healthy:   ok,
 			Fails:     fails,
-			Queries:   queries,
+			Queries:   h.Queries,
 			LastError: s.snapshotLastErr(),
 		}
 	}
@@ -922,7 +934,7 @@ func (g *Gateway) handleSegments(w http.ResponseWriter, r *http.Request) {
 		return c.Segments(ctx)
 	})
 	res := client.ClusterSegmentsResult{Shards: map[string]client.SegmentsResult{}}
-	res.Segments = []client.Segment{}
+	res.Segments = []logr.SegmentInfo{}
 	var err error
 	res.Unavailable, err = gather(g, "/segments", idxs, outs, func(i int, v client.SegmentsResult) {
 		res.Shards[g.addrs[i]] = v
@@ -997,14 +1009,19 @@ func gatherFailureStatus(err error) int {
 
 // --- health -----------------------------------------------------------
 
+// handleHealth answers from the prober's per-shard view: Queries sums every
+// shard's last-known total, Active and Segments only the admitted shards'.
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	res := client.ClusterHealth{Shards: g.shardHealthView()}
 	healthy := 0
-	for _, sh := range res.Shards {
-		if sh.Healthy {
+	for _, s := range g.shards {
+		ok, _, h := s.snapshotHealth()
+		res.Queries += h.Queries
+		if ok {
 			healthy++
+			res.Active += h.Active
+			res.Segments += h.Segments
 		}
-		res.Queries += sh.Queries
 	}
 	code := http.StatusOK
 	switch {

@@ -511,3 +511,131 @@ func TestGatewayPlainClient(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayDriftBounds: the aggregate /drift reports the range bounds
+// every shard resolved, and -1 for a bound on which the shards disagree.
+func TestGatewayDriftBounds(t *testing.T) {
+	ctx := context.Background()
+	var shardURLs []string
+	var workloads []*logr.Workload
+	for i := 0; i < 2; i++ {
+		u, w := newShard(t)
+		shardURLs = append(shardURLs, u)
+		workloads = append(workloads, w)
+	}
+	_, gwURL := newGateway(t, Options{Shards: shardURLs})
+	c := client.New(gwURL)
+	for round := 0; round < 2; round++ {
+		if _, err := c.Ingest(ctx, gwEntries(40, 40*round)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Seal(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range workloads {
+		if n := len(w.Segments()); n != 2 {
+			t.Fatalf("shard %d holds %d segments, want 2", i, n)
+		}
+	}
+	bounds := func(r client.DriftResult) [4]int { return [4]int{r.BaseFrom, r.BaseTo, r.WinFrom, r.WinTo} }
+	var dr client.ClusterDriftResult
+	if code := getJSON(t, gwURL+"/drift", &dr); code != http.StatusOK {
+		t.Fatalf("/drift status %d", code)
+	}
+	if got := bounds(dr.DriftResult); got != [4]int{0, 1, 1, 2} {
+		t.Fatalf("aggregate bounds %v, want [0 1 1 2] (both shards' defaults)", got)
+	}
+	if r, err := c.Drift(ctx, 0, 1, 1, 2); err != nil || bounds(r) != [4]int{0, 1, 1, 2} {
+		t.Fatalf("pinned Drift = %+v, %v; want bounds [0 1 1 2]", r, err)
+	}
+
+	// a third segment on shard 0 alone moves its default baseline end and
+	// window; the shards still agree on where the baseline starts
+	if err := workloads[0].Append(gwEntries(20, 80)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := workloads[0].Seal(); !ok {
+		t.Fatal("shard 0 did not seal")
+	}
+	dr = client.ClusterDriftResult{}
+	if code := getJSON(t, gwURL+"/drift", &dr); code != http.StatusOK {
+		t.Fatalf("/drift status %d", code)
+	}
+	if got := bounds(dr.DriftResult); got != [4]int{0, -1, -1, -1} {
+		t.Fatalf("aggregate bounds %v, want [0 -1 -1 -1] (shards resolved [0 2 2 3] and [0 1 1 2])", got)
+	}
+	if got := bounds(dr.Shards[shardURLs[0]]); got != [4]int{0, 2, 2, 3} {
+		t.Fatalf("shard 0 bounds %v, want [0 2 2 3]", got)
+	}
+}
+
+// TestGatewayHealthTotals: /healthz sums the shards' active queries and
+// segments from their last probes, over the admitted shards only, while
+// Queries keeps every shard's last-known total.
+func TestGatewayHealthTotals(t *testing.T) {
+	ctx := context.Background()
+	var shardURLs []string
+	var workloads []*logr.Workload
+	for i := 0; i < 2; i++ {
+		u, w := newShard(t)
+		shardURLs = append(shardURLs, u)
+		workloads = append(workloads, w)
+	}
+	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	flaky := httptest.NewServer(server.New(w, server.Options{}).Handler())
+	defer flaky.Close()
+	shardURLs = append(shardURLs, flaky.URL)
+	workloads = append(workloads, w)
+	g, gwURL := newGateway(t, Options{Shards: shardURLs, EjectAfter: 1})
+	c := client.New(gwURL)
+
+	if _, err := c.Ingest(ctx, gwEntries(60, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Seal(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(ctx, gwEntries(30, 60)); err != nil {
+		t.Fatal(err)
+	}
+	g.probeOnce()
+	var queries, active, segments [3]int
+	for i, w := range workloads {
+		queries[i], active[i], segments[i] = w.Queries(), w.ActiveQueries(), len(w.Segments())
+	}
+	if active[2] == 0 || segments[2] == 0 {
+		t.Fatalf("the flaky shard holds %d active queries in %d segments; widen the workload", active[2], segments[2])
+	}
+	var h client.ClusterHealth
+	if code := getJSON(t, gwURL+"/healthz", &h); code != http.StatusOK {
+		t.Fatalf("/healthz status %d", code)
+	}
+	want := client.Health{Status: "ok",
+		Queries:  queries[0] + queries[1] + queries[2],
+		Active:   active[0] + active[1] + active[2],
+		Segments: segments[0] + segments[1] + segments[2]}
+	if h.Health != want {
+		t.Fatalf("/healthz totals %+v, want %+v", h.Health, want)
+	}
+
+	// once the flaky shard is ejected its last-known queries still count,
+	// but its active queries and segments leave the admitted totals
+	flaky.Close()
+	g.probeOnce()
+	h = client.ClusterHealth{}
+	if code := getJSON(t, gwURL+"/healthz", &h); code != http.StatusOK {
+		t.Fatalf("/healthz status %d", code)
+	}
+	want = client.Health{Status: "partial",
+		Queries:  queries[0] + queries[1] + queries[2],
+		Active:   active[0] + active[1],
+		Segments: segments[0] + segments[1]}
+	if h.Health != want {
+		t.Fatalf("/healthz totals after ejection %+v, want %+v", h.Health, want)
+	}
+}

@@ -28,10 +28,9 @@ type shard struct {
 	healthy bool
 	// fails is the consecutive-failure streak; EjectAfter of them ejects.
 	fails int
-	// queries is the shard's query total from its last successful
-	// health probe or summary fetch — the staleness key for the
-	// gateway's merged-summary cache.
-	queries int
+	// last is the shard's answer to its last successful health probe:
+	// its query total weights /drift, and its totals feed /healthz.
+	last client.Health
 	// lastErr is the most recent transport-level failure, kept for the
 	// operator's /healthz and /metrics views; the next success clears it.
 	lastErr string
@@ -40,11 +39,11 @@ type shard struct {
 	hist stats.Histogram
 }
 
-// snapshotHealth returns (healthy, fails, queries) consistently.
-func (s *shard) snapshotHealth() (bool, int, int) {
+// snapshotHealth returns (healthy, fails, last probe answer) consistently.
+func (s *shard) snapshotHealth() (bool, int, client.Health) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthy, s.fails, s.queries
+	return s.healthy, s.fails, s.last
 }
 
 // snapshotLastErr returns the most recent transport failure, or "".
@@ -58,17 +57,17 @@ func (s *shard) snapshotLastErr() string {
 // streak resets and an ejected shard is re-admitted. Re-admission on
 // the request path is deliberate — a shard that answers is healthy, no
 // matter what the prober last thought. d > 0 also feeds the read-
-// latency histogram behind adaptive hedging. queries < 0 leaves the
-// last-seen total unchanged.
-func (s *shard) noteSuccess(queries int, d time.Duration) (readmitted bool) {
+// latency histogram behind adaptive hedging. A nil probe answer leaves
+// the last one in place.
+func (s *shard) noteSuccess(probe *client.Health, d time.Duration) (readmitted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	readmitted = !s.healthy
 	s.healthy = true
 	s.fails = 0
 	s.lastErr = ""
-	if queries >= 0 {
-		s.queries = queries
+	if probe != nil {
+		s.last = *probe
 	}
 	if d > 0 {
 		s.hist.RecordDuration(d)

@@ -372,11 +372,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	count, _ := sum.EstimateCount(q)
-	writeJSON(w, http.StatusOK, client.EstimateResult{
-		Frequency: freq,
-		Count:     count,
-		Epoch:     client.Epoch{Universe: sum.Epoch().Universe, TotalQueries: sum.Epoch().TotalQueries},
-	})
+	writeJSON(w, http.StatusOK, client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()})
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -439,23 +435,12 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.DriftResult{
-		Score: rep.Score, NoveltyRate: rep.NoveltyRate, Alert: rep.Alert,
-		BaseFrom: params[0], BaseTo: params[1], WinFrom: params[2], WinTo: params[3],
-	})
+	writeJSON(w, http.StatusOK, client.DriftResult{DriftReport: rep,
+		BaseFrom: params[0], BaseTo: params[1], WinFrom: params[2], WinTo: params[3]})
 }
 
 func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
-	segs := s.w.Segments()
-	out := client.SegmentsResult{Segments: make([]client.Segment, len(segs)), ActiveQueries: s.w.ActiveQueries()}
-	for i, sg := range segs {
-		out.Segments[i] = client.Segment{
-			ID: sg.ID, EndID: sg.EndID, Queries: sg.Queries, Distinct: sg.Distinct,
-			Epoch:      client.Epoch{Universe: sg.Epoch.Universe, TotalQueries: sg.Epoch.TotalQueries},
-			Summarized: sg.Summarized,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, client.SegmentsResult{Segments: s.w.Segments(), ActiveQueries: s.w.ActiveQueries()})
 }
 
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
@@ -523,34 +508,10 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.w.Stats()
-	lag := s.w.IngestLag()
-	dur := s.w.Durability()
 	writeJSON(w, http.StatusOK, client.StatsResult{
-		Queries:             st.Queries,
-		DistinctQueries:     st.DistinctQueries,
-		DistinctNoConst:     st.DistinctNoConst,
-		DistinctConjunctive: st.DistinctConjunctive,
-		DistinctRewritable:  st.DistinctRewritable,
-		MaxMultiplicity:     st.MaxMultiplicity,
-		Features:            st.Features,
-		FeaturesNoConst:     st.FeaturesNoConst,
-		AvgFeaturesPerQuery: st.AvgFeaturesPerQuery,
-		StoredProcedures:    st.StoredProcedures,
-		Unparseable:         st.Unparseable,
-		Ingest: client.IngestLagResult{
-			QueuedBatches: lag.QueuedBatches,
-			QueueCap:      lag.QueueCap,
-			QueuedEntries: lag.QueuedEntries,
-			AckedOffset:   lag.AckedOffset,
-			AppliedOffset: lag.AppliedOffset,
-			LagBytes:      lag.AckedOffset - lag.AppliedOffset,
-		},
-		Durability: client.DurabilityResult{
-			WalBytes:         dur.WalBytes,
-			CheckpointOffset: dur.CheckpointOffset,
-			Degraded:         dur.Degraded,
-		},
+		Stats:      s.w.Stats(),
+		Ingest:     s.w.IngestLag(),
+		Durability: s.w.Durability(),
 	})
 }
 

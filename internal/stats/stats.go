@@ -45,14 +45,14 @@ func FormatTable1(rows []Table1Row) string {
 	row := func(label string, f func(workload.PipelineStats) string) {
 		line(append([]string{label}, get(f)...)...)
 	}
-	row("# Queries", func(s workload.PipelineStats) string { return itoa(s.ParsedSelects) })
+	row("# Queries", func(s workload.PipelineStats) string { return itoa(s.Queries) })
 	row("# Distinct queries", func(s workload.PipelineStats) string { return itoa(s.DistinctQueries) })
 	row("# Distinct queries (w/o const)", func(s workload.PipelineStats) string { return itoa(s.DistinctNoConst) })
 	row("# Distinct conjunctive queries", func(s workload.PipelineStats) string { return itoa(s.DistinctConjunctive) })
 	row("# Distinct re-writable queries", func(s workload.PipelineStats) string { return itoa(s.DistinctRewritable) })
 	row("Max query multiplicity", func(s workload.PipelineStats) string { return itoa(s.MaxMultiplicity) })
-	row("# Distinct features", func(s workload.PipelineStats) string { return itoa(s.DistinctFeatures) })
-	row("# Distinct features (w/o const)", func(s workload.PipelineStats) string { return itoa(s.DistinctFeaturesNoConst) })
+	row("# Distinct features", func(s workload.PipelineStats) string { return itoa(s.Features) })
+	row("# Distinct features (w/o const)", func(s workload.PipelineStats) string { return itoa(s.FeaturesNoConst) })
 	row("Average features per query", func(s workload.PipelineStats) string {
 		return fmt.Sprintf("%.2f", s.AvgFeaturesPerQuery)
 	})

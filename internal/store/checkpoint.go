@@ -342,12 +342,12 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 
 func appendEpoch(b []byte, e workload.Epoch) []byte {
 	b = binary.AppendUvarint(b, uint64(e.Universe))
-	b = binary.AppendUvarint(b, uint64(e.Total))
+	b = binary.AppendUvarint(b, uint64(e.TotalQueries))
 	return binary.AppendUvarint(b, uint64(e.Distinct))
 }
 
 func readEpoch(r *ckptReader) workload.Epoch {
-	return workload.Epoch{Universe: r.int(), Total: r.int(), Distinct: r.int()}
+	return workload.Epoch{Universe: r.int(), TotalQueries: r.int(), Distinct: r.int()}
 }
 
 // appendSubLog serializes a segment's sub-log: universe, then each

@@ -171,12 +171,6 @@ type DurableOptions struct {
 	// each); when the applier falls this far behind, commits block and
 	// backpressure reaches the caller (0 = 64 windows).
 	ApplyQueue int
-	// PersistParallelism is the worker budget for seal-time summary
-	// clustering on the background persist worker (≤ 0 = all cores).
-	// Summaries are bit-identical at any parallelism for a fixed seed;
-	// capping it keeps artifact builds from competing with ingest and
-	// queries for every core.
-	PersistParallelism int
 	// SealSummary are the compression options used to build the summary
 	// written into each seal's segment artifact (and cached for range
 	// queries). The zero value (K == 0 and TargetError == 0) selects the
@@ -212,11 +206,6 @@ func (o DurableOptions) sealSummary() (core.CompressOptions, bool) {
 		// it selects for an empty Metric string) so seal-time caches are hit
 		// by default-option queries
 		opts = core.CompressOptions{K: 8, Seed: 1, Metric: cluster.Hamming}
-	}
-	if opts.Parallelism <= 0 {
-		// the persist worker's own budget; Parallelism is not part of the
-		// summary cache key and output is bit-identical regardless
-		opts.Parallelism = o.PersistParallelism
 	}
 	return opts, true
 }
@@ -693,42 +682,57 @@ func (d *Durable) Barrier() {
 }
 
 // IngestLag is a snapshot of the ingest pipeline's backlog: how far the
-// asynchronous applier trails acknowledged WAL records.
+// asynchronous applier trails acknowledged WAL records. The zero value
+// (an in-memory workload, or a drained pipeline) means no lag. It is the
+// "ingest" object of logrd's GET /stats body.
 type IngestLag struct {
 	// QueuedBatches and QueueCap are the apply queue's depth and bound, in
-	// ingest windows.
-	QueuedBatches int
-	QueueCap      int
-	// QueuedEntries counts log entries awaiting apply.
-	QueuedEntries int64
+	// ingest windows (≈8k entries each).
+	QueuedBatches int `json:"queued_batches"`
+	QueueCap      int `json:"queue_cap"`
+	// QueuedEntries counts log entries acknowledged but not yet applied.
+	QueuedEntries int64 `json:"queued_entries"`
 	// AckedOffset and AppliedOffset are WAL byte offsets: the last
 	// acknowledged record and the applier's progress through them.
-	AckedOffset   int64
-	AppliedOffset int64
+	AckedOffset   int64 `json:"acked_wal_offset"`
+	AppliedOffset int64 `json:"applied_wal_offset"`
+	// LagBytes = AckedOffset − AppliedOffset: acknowledged WAL bytes the
+	// applier has not made visible to reads yet.
+	LagBytes int64 `json:"applied_lag_bytes"`
 }
 
 // Lag reports the ingest pipeline's current backlog.
 func (d *Durable) Lag() IngestLag {
+	// applied before acked: both only grow and applied never passes acked,
+	// so this order keeps LagBytes non-negative
+	applied := d.applied.Load()
+	acked := d.acked.Load()
 	return IngestLag{
 		QueuedBatches: len(d.applyQ),
 		QueueCap:      cap(d.applyQ),
 		QueuedEntries: d.queued.Load(),
-		AckedOffset:   d.acked.Load(),
-		AppliedOffset: d.applied.Load(),
+		AckedOffset:   acked,
+		AppliedOffset: applied,
+		LagBytes:      acked - applied,
 	}
 }
 
-// DurabilityInfo is a snapshot of the store's durability state.
+// DurabilityInfo is a snapshot of the store's durability state. The zero
+// value describes an in-memory workload. It is the "durability" object of
+// logrd's GET /stats body.
 type DurabilityInfo struct {
 	// WalBytes is the WAL tail's logical length: the replay cost of the
 	// next recovery. Checkpoints reset it.
-	WalBytes int64
-	// CheckpointOffset is the WAL offset the latest checkpoint covers.
-	CheckpointOffset int64
-	// Degraded reports degraded read-only mode.
-	Degraded bool
+	WalBytes int64 `json:"wal_bytes"`
+	// CheckpointOffset is the logical WAL offset the newest checkpoint
+	// covers; everything before it is restored from the checkpoint, not
+	// replayed.
+	CheckpointOffset int64 `json:"checkpoint_offset"`
+	// Degraded reports degraded read-only mode: reads serve, mutations are
+	// refused until the store's probe re-arms the disk.
+	Degraded bool `json:"degraded,omitempty"`
 	// Err is the store's current health (see Durable.Err), nil if healthy.
-	Err error
+	Err error `json:"-"`
 }
 
 // Durability reports the store's durability state.
@@ -790,11 +794,11 @@ func (d *Durable) wantCheckpoint(lsn int64) bool {
 }
 
 // persister is the background persist worker: every nudge reconciles the
-// artifact directory against the live segments (clustering seal summaries
-// under DurableOptions.PersistParallelism) and checkpoints when the WAL
-// has outgrown its threshold. Failures get bounded retries; exhaustion or
-// a fatal fault degrades the store — the WAL already holds the truth, so
-// a failed artifact build costs recovery warmth, never data.
+// artifact directory against the live segments (clustering seal summaries)
+// and checkpoints when the WAL has outgrown its threshold. Failures get
+// bounded retries; exhaustion or a fatal fault degrades the store — the
+// WAL already holds the truth, so a failed artifact build costs recovery
+// warmth, never data.
 func (d *Durable) persister() {
 	defer close(d.persistDone)
 	for {

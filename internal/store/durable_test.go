@@ -618,8 +618,8 @@ func TestGroupCommitPipelineRace(t *testing.T) {
 				t.Errorf("queue depth %d exceeds cap %d", lag.QueuedBatches, lag.QueueCap)
 				return
 			}
-			if lag.AppliedOffset > lag.AckedOffset {
-				t.Errorf("applied offset %d ahead of acked %d", lag.AppliedOffset, lag.AckedOffset)
+			if lag.AppliedOffset > lag.AckedOffset || lag.LagBytes != lag.AckedOffset-lag.AppliedOffset {
+				t.Errorf("applied offset %d, acked %d, lag %d bytes", lag.AppliedOffset, lag.AckedOffset, lag.LagBytes)
 				return
 			}
 			d.Mem().Snapshot()

@@ -71,10 +71,10 @@ func writeSegFile(fsys vfs.FS, dir string, sg *Segment, sumKey string, sum *core
 	put(meta.ID)
 	put(meta.EndID)
 	put(meta.StartEpoch.Universe)
-	put(meta.StartEpoch.Total)
+	put(meta.StartEpoch.TotalQueries)
 	put(meta.StartEpoch.Distinct)
 	put(meta.Epoch.Universe)
-	put(meta.Epoch.Total)
+	put(meta.Epoch.TotalQueries)
 	put(meta.Epoch.Distinct)
 	put(meta.Queries)
 	put(meta.Distinct)
@@ -150,8 +150,8 @@ func readSegFile(fsys vfs.FS, dir string, sg *Segment) (sumKey string, asg clust
 	meta := sg.meta
 	fields := []int{
 		meta.ID, meta.EndID,
-		meta.StartEpoch.Universe, meta.StartEpoch.Total, meta.StartEpoch.Distinct,
-		meta.Epoch.Universe, meta.Epoch.Total, meta.Epoch.Distinct,
+		meta.StartEpoch.Universe, meta.StartEpoch.TotalQueries, meta.StartEpoch.Distinct,
+		meta.Epoch.Universe, meta.Epoch.TotalQueries, meta.Epoch.Distinct,
 		meta.Queries, meta.Distinct,
 	}
 	for _, want := range fields {

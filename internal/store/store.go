@@ -74,21 +74,27 @@ type Options struct {
 	Encode workload.EncodeOptions
 }
 
-// SegmentMeta describes one sealed segment.
+// SegmentMeta describes one sealed segment. It is also an element of
+// logrd's GET /segments body, so the JSON tags are wire names.
 type SegmentMeta struct {
 	// ID is the segment's first seal number; EndID is one past its last.
 	// Fresh segments cover exactly one seal (EndID == ID+1); compaction
 	// widens the span but never renumbers, so IDs are stable range
-	// coordinates for CompressRange and DropBefore across the store's life.
-	ID, EndID int
+	// coordinates for CompressRange, DriftBetween and DropBefore across
+	// the store's life.
+	ID    int `json:"id"`
+	EndID int `json:"end_id"`
+	// Queries and Distinct size the segment's own sub-log.
+	Queries  int `json:"queries"`
+	Distinct int `json:"distinct"`
 	// StartEpoch and Epoch are the encoder epochs bracketing the segment:
 	// it holds exactly the queries ingested after StartEpoch up to Epoch,
-	// and its vectors live in Epoch's universe.
-	StartEpoch, Epoch workload.Epoch
-	// Queries and Distinct size the segment's own sub-log.
-	Queries, Distinct int
+	// and its vectors live in Epoch's universe, the one its summary
+	// resolves probes against.
+	StartEpoch workload.Epoch `json:"-"`
+	Epoch      workload.Epoch `json:"epoch"`
 	// Summarized reports whether the lazy per-segment summary is built.
-	Summarized bool
+	Summarized bool `json:"summarized"`
 }
 
 // Segment is one immutable sealed segment: its sub-log plus the lazily
@@ -214,7 +220,7 @@ func (s *Store) Append(entries []workload.LogEntry) {
 	for len(entries) > 0 {
 		// EncodedQueries is a counter, so fine-grained streaming appends
 		// never rebuild a snapshot just to check the threshold
-		active := s.enc.EncodedQueries() - s.boundaryEpoch.Total
+		active := s.enc.EncodedQueries() - s.boundaryEpoch.TotalQueries
 		if active >= s.opts.SealThreshold {
 			s.sealLocked()
 			continue
@@ -232,7 +238,7 @@ func (s *Store) Append(entries []workload.LogEntry) {
 		s.enc.AddBatch(entries[:take])
 		entries = entries[take:]
 	}
-	if s.enc.EncodedQueries()-s.boundaryEpoch.Total >= s.opts.SealThreshold {
+	if s.enc.EncodedQueries()-s.boundaryEpoch.TotalQueries >= s.opts.SealThreshold {
 		s.sealLocked()
 	}
 }
@@ -259,7 +265,7 @@ func (s *Store) Book() *feature.Codebook {
 func (s *Store) ActiveQueries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enc.EncodedQueries() - s.boundaryEpoch.Total
+	return s.enc.EncodedQueries() - s.boundaryEpoch.TotalQueries
 }
 
 // TotalQueries returns the number of encoded queries in the whole stream
@@ -287,7 +293,7 @@ func (s *Store) Seal() (SegmentMeta, bool) {
 
 //logr:holds(s.mu)
 func (s *Store) sealLocked() *Segment {
-	if s.enc.EncodedQueries() == s.boundaryEpoch.Total {
+	if s.enc.EncodedQueries() == s.boundaryEpoch.TotalQueries {
 		return nil
 	}
 	res := s.enc.Result()

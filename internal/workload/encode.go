@@ -9,36 +9,37 @@ import (
 )
 
 // PipelineStats are the counters Table 1 reports, collected while encoding
-// a raw log.
+// a raw log. It is also the statistics part of logrd's GET /stats body, so
+// the JSON tags are wire names.
 type PipelineStats struct {
 	// TotalQueries counts raw entries, including duplicates and noise.
-	TotalQueries int
-	// ParsedSelects counts entries that parsed as SELECT (incl. duplicates).
-	ParsedSelects int
-	// StoredProcedures counts CALL/EXEC-style entries the parser rejected
-	// as unsupported statements.
-	StoredProcedures int
-	// Unparseable counts entries that failed to lex/parse at all.
-	Unparseable int
+	TotalQueries int `json:"-"`
+	// Queries counts entries that parsed as SELECT (incl. duplicates).
+	Queries int `json:"queries"`
 	// DistinctQueries counts distinct raw SQL strings (constants intact).
-	DistinctQueries int
+	DistinctQueries int `json:"distinct_queries"`
 	// DistinctNoConst counts distinct queries after constant removal.
-	DistinctNoConst int
+	DistinctNoConst int `json:"distinct_no_const"`
 	// DistinctConjunctive counts post-scrub distinct queries already in
 	// conjunctive form.
-	DistinctConjunctive int
+	DistinctConjunctive int `json:"distinct_conjunctive"`
 	// DistinctRewritable counts post-scrub distinct queries expressible as
 	// a UNION of conjunctive queries within the rewrite budget.
-	DistinctRewritable int
+	DistinctRewritable int `json:"distinct_rewritable"`
 	// MaxMultiplicity is the largest post-scrub multiplicity.
-	MaxMultiplicity int
-	// DistinctFeatures counts features before constant removal.
-	DistinctFeatures int
-	// DistinctFeaturesNoConst counts features after constant removal.
-	DistinctFeaturesNoConst int
+	MaxMultiplicity int `json:"max_multiplicity"`
+	// Features counts distinct features before constant removal.
+	Features int `json:"features"`
+	// FeaturesNoConst counts distinct features after constant removal.
+	FeaturesNoConst int `json:"features_no_const"`
 	// AvgFeaturesPerQuery averages the post-scrub feature count over all
 	// encoded queries.
-	AvgFeaturesPerQuery float64
+	AvgFeaturesPerQuery float64 `json:"avg_features_per_query"`
+	// StoredProcedures counts CALL/EXEC-style entries the parser rejected
+	// as unsupported statements.
+	StoredProcedures int `json:"stored_procedures"`
+	// Unparseable counts entries that failed to lex/parse at all.
+	Unparseable int `json:"unparseable"`
 }
 
 // EncodeOptions configure the raw-SQL → encoded-log pipeline.
@@ -66,16 +67,18 @@ type EncodeOptions struct {
 // (index ≥ Universe: unseen, probability 0) from "feature never seen".
 type Epoch struct {
 	// Universe is the codebook size at the snapshot: vectors of the
-	// snapshot's log are over exactly this many features.
-	Universe int
-	// Total is the number of encoded queries at the snapshot, duplicates
-	// included.
-	Total int
+	// snapshot's log are over exactly this many features; features with a
+	// codebook index ≥ Universe were registered later and are unseen by a
+	// summary of the snapshot.
+	Universe int `json:"universe"`
+	// TotalQueries is the number of encoded queries at the snapshot,
+	// duplicates included.
+	TotalQueries int `json:"total_queries"`
 	// Distinct is the number of distinct query vectors at the snapshot.
 	// Snapshots keep distinct vectors in first-appearance order, so a later
 	// snapshot's first Distinct vectors are this snapshot's vectors (over a
 	// possibly larger universe) — the alignment delta extraction relies on.
-	Distinct int
+	Distinct int `json:"-"`
 }
 
 // EncodeResult bundles the encoded log with its codebook, statistics and
@@ -332,7 +335,7 @@ func (e *Encoder) replay(ref rawRef, count int) {
 	}
 	c := &e.canon[ref-refCanon]
 	c.count += count
-	e.stats.ParsedSelects += count
+	e.stats.Queries += count
 	e.featSum += len(c.indices) * count
 	e.encodedN += count
 }
@@ -353,7 +356,7 @@ func (e *Encoder) admit(sql string, p prepared, count int) {
 		e.stats.Unparseable += count
 		return
 	}
-	e.stats.ParsedSelects += count
+	e.stats.Queries += count
 
 	// feature count before constant removal (Table 1 row 7)
 	for _, blk := range p.withConst {
@@ -411,8 +414,8 @@ func (e *Encoder) Result() EncodeResult {
 	}
 	stats := e.stats
 	stats.DistinctNoConst = len(e.canon)
-	stats.DistinctFeatures = e.withConstBook.Size()
-	stats.DistinctFeaturesNoConst = e.book.Size()
+	stats.Features = e.withConstBook.Size()
+	stats.FeaturesNoConst = e.book.Size()
 
 	l := core.NewLog(e.book.Size())
 	for i := range e.canon {
@@ -433,7 +436,7 @@ func (e *Encoder) Result() EncodeResult {
 	}
 	r := EncodeResult{
 		Log: l, Book: e.book, Stats: stats,
-		Epoch: Epoch{Universe: l.Universe(), Total: l.Total(), Distinct: l.Distinct()},
+		Epoch: Epoch{Universe: l.Universe(), TotalQueries: l.Total(), Distinct: l.Distinct()},
 	}
 	e.snapshot = &r
 	return r

@@ -95,7 +95,7 @@ func (e *Encoder) AppendAdmissions(b []byte, since StateMark) []byte {
 func (e *Encoder) AppendCounters(b []byte) []byte {
 	b = append(b, encStateVersion)
 	b = binary.AppendUvarint(b, uint64(e.stats.TotalQueries))
-	b = binary.AppendUvarint(b, uint64(e.stats.ParsedSelects))
+	b = binary.AppendUvarint(b, uint64(e.stats.Queries))
 	b = binary.AppendUvarint(b, uint64(e.stats.StoredProcedures))
 	b = binary.AppendUvarint(b, uint64(e.stats.Unparseable))
 	b = binary.AppendUvarint(b, uint64(e.stats.DistinctQueries))
@@ -197,7 +197,7 @@ func (e *Encoder) RestoreCounters(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("workload: unsupported encoder state version %d", v)
 	}
 	e.stats.TotalQueries = r.int()
-	e.stats.ParsedSelects = r.int()
+	e.stats.Queries = r.int()
 	e.stats.StoredProcedures = r.int()
 	e.stats.Unparseable = r.int()
 	e.stats.DistinctQueries = r.int()

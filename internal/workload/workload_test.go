@@ -81,8 +81,8 @@ func TestPocketDataPipeline(t *testing.T) {
 	if s.Unparseable != 0 || s.StoredProcedures != 0 {
 		t.Errorf("machine workload should fully parse: %+v", s)
 	}
-	if s.ParsedSelects != 10000 {
-		t.Errorf("parsed = %d", s.ParsedSelects)
+	if s.Queries != 10000 {
+		t.Errorf("parsed = %d", s.Queries)
 	}
 	if s.DistinctRewritable != s.DistinctNoConst {
 		t.Errorf("all PocketData queries should be rewritable: %d vs %d",
@@ -121,8 +121,8 @@ func TestUSBankPipeline(t *testing.T) {
 		t.Errorf("collapse too weak: %d -> %d", s.DistinctQueries, s.DistinctNoConst)
 	}
 	// feature count with constants must exceed the scrubbed count
-	if s.DistinctFeatures <= s.DistinctFeaturesNoConst {
-		t.Errorf("features with const %d should exceed without %d", s.DistinctFeatures, s.DistinctFeaturesNoConst)
+	if s.Features <= s.FeaturesNoConst {
+		t.Errorf("features with const %d should exceed without %d", s.Features, s.FeaturesNoConst)
 	}
 	// most (but not all) distinct queries are conjunctive, echoing 1494/1712
 	ratio := float64(s.DistinctConjunctive) / float64(s.DistinctNoConst)
@@ -217,7 +217,7 @@ func TestSnapshotEpochAndAlignment(t *testing.T) {
 		{SQL: "SELECT b FROM u WHERE y = ?", Count: 3},
 	})
 	r1 := enc.Result()
-	if r1.Epoch.Universe != r1.Log.Universe() || r1.Epoch.Total != 8 || r1.Epoch.Distinct != 2 {
+	if r1.Epoch.Universe != r1.Log.Universe() || r1.Epoch.TotalQueries != 8 || r1.Epoch.Distinct != 2 {
 		t.Fatalf("epoch %+v does not describe the snapshot", r1.Epoch)
 	}
 	enc.AddBatch([]LogEntry{
@@ -225,7 +225,7 @@ func TestSnapshotEpochAndAlignment(t *testing.T) {
 		{SQL: "SELECT c FROM v WHERE z = ? AND w = ?", Count: 4}, // new vector + new features
 	})
 	r2 := enc.Result()
-	if r2.Epoch.Universe <= r1.Epoch.Universe || r2.Epoch.Total != 14 || r2.Epoch.Distinct != 3 {
+	if r2.Epoch.Universe <= r1.Epoch.Universe || r2.Epoch.TotalQueries != 14 || r2.Epoch.Distinct != 3 {
 		t.Fatalf("epoch not monotone: %+v -> %+v", r1.Epoch, r2.Epoch)
 	}
 	for i := 0; i < r1.Epoch.Distinct; i++ {

@@ -56,9 +56,9 @@
 // O(distinct·universe·8B) to the log's packed O(distinct·universe/8B) plus
 // K centroid rows, and making the hot loops ~an order of magnitude faster
 // (see the "Binary kernels" section of the README for measurements). The
-// legacy dense path remains behind CompressOptions.DensePath; for a fixed
-// Seed both paths produce the identical assignment and Reproduction Error,
-// which the equivalence tests assert.
+// legacy dense path survives inside internal/core as the equivalence
+// oracle: for a fixed Seed both paths produce the identical assignment and
+// Reproduction Error, which the equivalence tests assert.
 //
 // # Summary epochs and incremental recompression
 //
@@ -154,20 +154,9 @@ type Entry struct {
 }
 
 // Stats summarizes the encode pipeline over a workload (the columns of the
-// paper's Table 1).
-type Stats struct {
-	Queries             int     // parsed SELECT entries, duplicates included
-	DistinctQueries     int     // distinct raw SQL strings
-	DistinctNoConst     int     // distinct after constant removal
-	DistinctConjunctive int     // distinct already-conjunctive queries
-	DistinctRewritable  int     // distinct queries rewritable to conjunctive form
-	MaxMultiplicity     int     // heaviest distinct query
-	Features            int     // distinct features before constant removal
-	FeaturesNoConst     int     // distinct features after constant removal
-	AvgFeaturesPerQuery float64 // mean features per encoded query
-	StoredProcedures    int     // skipped unsupported statements
-	Unparseable         int     // skipped malformed entries
-}
+// paper's Table 1). TotalQueries also counts the entries that did not parse
+// as SELECT; Queries counts only those that did.
+type Stats = workload.PipelineStats
 
 // Workload is an encoded query log backed by the segmented store: an
 // incremental encode pipeline whose ingest can be sealed into immutable
@@ -236,11 +225,6 @@ type Options struct {
 	// as the WAL accepts them; a full queue is the pipeline's backpressure,
 	// blocking further appends until the applier catches up.
 	ApplyQueue int
-	// PersistParallelism bounds the worker count of the background segment
-	// persister's summary builds (0 = all cores, 1 = serial). Summaries are
-	// bit-identical at any setting; this only budgets how much CPU seal-time
-	// clustering may take from the ingest path.
-	PersistParallelism int
 	// CheckpointBytes is how far a durable workload's WAL may grow past the
 	// last checkpoint before a new one is taken automatically (full state
 	// snapshot + WAL rotation, bounding recovery replay to the tail).
@@ -397,29 +381,16 @@ func (w *Workload) Degraded() bool {
 
 // DurabilityInfo is a snapshot of a durable workload's durability state.
 // The zero value describes an in-memory workload.
-type DurabilityInfo struct {
-	// WalBytes is the WAL tail's logical length — the replay cost of the
-	// next recovery. Checkpoints reset it.
-	WalBytes int64
-	// CheckpointOffset is the WAL offset the latest checkpoint covers.
-	CheckpointOffset int64
-	// Degraded reports degraded read-only mode.
-	Degraded bool
-}
+type DurabilityInfo = store.DurabilityInfo
 
 // Durability reports a durable workload's durability state (WAL tail
-// size, checkpoint coverage, degraded mode). In-memory workloads report
-// the zero value.
+// size, checkpoint coverage, degraded mode and its cause). In-memory
+// workloads report the zero value.
 func (w *Workload) Durability() DurabilityInfo {
 	if w.d == nil {
 		return DurabilityInfo{}
 	}
-	info := w.d.Durability()
-	return DurabilityInfo{
-		WalBytes:         info.WalBytes,
-		CheckpointOffset: info.CheckpointOffset,
-		Degraded:         info.Degraded,
-	}
+	return w.d.Durability()
 }
 
 // Checkpoint captures a durable workload's full in-memory state into the
@@ -448,18 +419,7 @@ func (w *Workload) barrier() {
 // IngestLag is a snapshot of a durable workload's ingest backlog: how far
 // the asynchronous apply stage trails acknowledged WAL records. The zero
 // value (in-memory workloads, or a drained pipeline) means no lag.
-type IngestLag struct {
-	// QueuedBatches and QueueCap are the apply queue's depth and bound, in
-	// ingest windows (≈8k entries each).
-	QueuedBatches int
-	QueueCap      int
-	// QueuedEntries counts log entries acknowledged but not yet applied.
-	QueuedEntries int64
-	// AckedOffset and AppliedOffset are WAL byte offsets: the last
-	// acknowledged record and the applier's progress through them.
-	AckedOffset   int64
-	AppliedOffset int64
-}
+type IngestLag = store.IngestLag
 
 // IngestLag reports the ingest pipeline's current backlog. In-memory
 // workloads always report the zero value.
@@ -467,14 +427,7 @@ func (w *Workload) IngestLag() IngestLag {
 	if w.d == nil {
 		return IngestLag{}
 	}
-	lag := w.d.Lag()
-	return IngestLag{
-		QueuedBatches: lag.QueuedBatches,
-		QueueCap:      lag.QueueCap,
-		QueuedEntries: lag.QueuedEntries,
-		AckedOffset:   lag.AckedOffset,
-		AppliedOffset: lag.AppliedOffset,
-	}
+	return w.d.Lag()
 }
 
 // snapshot returns the current encode snapshot of the whole stream (sealed
@@ -552,7 +505,6 @@ func OpenDir(dir string, opts Options) (*Workload, error) {
 		SealSummary:          sealOpts,
 		DisableSealSummaries: opts.DisableSealSummaries,
 		ApplyQueue:           opts.ApplyQueue,
-		PersistParallelism:   opts.PersistParallelism,
 		CheckpointBytes:      opts.CheckpointBytes,
 		FS:                   opts.FS,
 		Obs:                  opts.Metrics,
@@ -600,22 +552,7 @@ func (w *Workload) Close() error {
 }
 
 // Stats reports the pipeline statistics.
-func (w *Workload) Stats() Stats {
-	s := w.snapshot().Stats
-	return Stats{
-		Queries:             s.ParsedSelects,
-		DistinctQueries:     s.DistinctQueries,
-		DistinctNoConst:     s.DistinctNoConst,
-		DistinctConjunctive: s.DistinctConjunctive,
-		DistinctRewritable:  s.DistinctRewritable,
-		MaxMultiplicity:     s.MaxMultiplicity,
-		Features:            s.DistinctFeatures,
-		FeaturesNoConst:     s.DistinctFeaturesNoConst,
-		AvgFeaturesPerQuery: s.AvgFeaturesPerQuery,
-		StoredProcedures:    s.StoredProcedures,
-		Unparseable:         s.Unparseable,
-	}
-}
+func (w *Workload) Stats() Stats { return w.snapshot().Stats }
 
 // Queries returns the number of encoded queries (duplicates included).
 // Served from the encoder's running counter in O(1) — an ingest loop can
@@ -811,12 +748,6 @@ type CompressOptions struct {
 	// serial). For a fixed Seed the summary is bit-identical at any
 	// setting; only throughput changes.
 	Parallelism int
-	// DensePath routes clustering through the legacy dense float64 path
-	// instead of the default popcount kernels (see "Binary kernels" in the
-	// package docs). Both paths produce the same summary for a fixed Seed;
-	// the dense path exists as the equivalence oracle and benchmark
-	// baseline, and costs O(distinct·universe) extra memory.
-	DensePath bool
 }
 
 // Summary is a LogR-compressed workload: a naive mixture encoding plus the
@@ -838,23 +769,14 @@ type Summary struct {
 	incremental bool
 }
 
-// Epoch identifies the workload snapshot a summary was built from. Both
+// Epoch identifies the workload snapshot a summary was built from. Its
 // fields are monotone non-decreasing as the workload grows, so epochs
-// totally order the summaries of one workload.
-type Epoch struct {
-	// Universe is the feature-universe size at the snapshot; features with
-	// a codebook index ≥ Universe were registered later and are unseen by
-	// the summary.
-	Universe int
-	// TotalQueries is the number of encoded queries at the snapshot,
-	// duplicates included.
-	TotalQueries int
-}
+// totally order the summaries of one workload. Distinct is 0 for summaries
+// that were not compressed from a snapshot (ReadSummary, MergeSummaries).
+type Epoch = workload.Epoch
 
 // Epoch returns the snapshot version the summary covers.
-func (s *Summary) Epoch() Epoch {
-	return Epoch{Universe: s.epoch.Universe, TotalQueries: s.epoch.Total}
-}
+func (s *Summary) Epoch() Epoch { return s.epoch }
 
 // Incremental reports whether the summary was produced by merging prior
 // summaries — Recompress's delta-merge path, or CompressRange's algebraic
@@ -903,7 +825,6 @@ func (opts CompressOptions) internal() (core.CompressOptions, error) {
 		TargetError: opts.TargetError,
 		MaxK:        opts.MaxClusters,
 		Parallelism: opts.Parallelism,
-		ForceDense:  opts.DensePath,
 	}, nil
 }
 
@@ -970,20 +891,7 @@ func (w *Workload) Recompress(prev *Summary, opts RecompressOptions) (*Summary, 
 
 // SegmentInfo describes one sealed segment of the workload's ingest
 // stream.
-type SegmentInfo struct {
-	// ID is the segment's first seal number and EndID one past its last;
-	// fresh segments cover one seal, compacted segments a run. IDs are
-	// stable across compaction and retention, so they are the coordinates
-	// CompressRange, DriftBetween and DropBefore address ranges with.
-	ID, EndID int
-	// Queries and Distinct size the segment's own sub-log.
-	Queries, Distinct int
-	// Epoch is the snapshot version at the segment's seal; its universe is
-	// the one the segment's summary resolves probes against.
-	Epoch Epoch
-	// Summarized reports whether the lazy per-segment summary is built.
-	Summarized bool
-}
+type SegmentInfo = store.SegmentMeta
 
 // Seal freezes the entries appended since the last seal into an immutable
 // segment and returns its ID; ok is false when the buffer is empty. With
@@ -1005,17 +913,7 @@ func (w *Workload) Seal() (id int, ok bool) {
 // Segments lists the live sealed segments in order.
 func (w *Workload) Segments() []SegmentInfo {
 	w.barrier()
-	metas := w.st.Segments()
-	out := make([]SegmentInfo, len(metas))
-	for i, m := range metas {
-		out[i] = SegmentInfo{
-			ID: m.ID, EndID: m.EndID,
-			Queries: m.Queries, Distinct: m.Distinct,
-			Epoch:      Epoch{Universe: m.Epoch.Universe, TotalQueries: m.Epoch.Total},
-			Summarized: m.Summarized,
-		}
-	}
-	return out
+	return w.st.Segments()
 }
 
 // SealedRange returns the seal-id span [from, to) covered by the live
@@ -1119,9 +1017,7 @@ func (w *Workload) DriftBetween(baseFrom, baseTo, winFrom, winTo int, opts Compr
 	if win.Universe() < base.Compressed.Mixture.Universe {
 		win = win.Grow(base.Compressed.Mixture.Universe)
 	}
-	det := apps.NewDriftDetectorAt(base.Compressed.Mixture, win.Universe())
-	rep := det.Check(win, 0)
-	return DriftReport{Score: rep.Score, NoveltyRate: rep.NoveltyRate, Alert: rep.Alert}, nil
+	return apps.NewDriftDetectorAt(base.Compressed.Mixture, win.Universe()).Check(win, 0), nil
 }
 
 func parseMethod(s string) (core.Method, error) {
@@ -1204,36 +1100,17 @@ func (s *Summary) VisualizeHTML() string {
 }
 
 // IndexPlan is the outcome of what-if index selection over the summary.
-type IndexPlan struct {
-	// Predicates are the chosen index keys in greedy selection order.
-	Predicates []string
-	// CostBefore/CostAfter are estimated workload costs in scan units.
-	CostBefore, CostAfter float64
-	// Steps records the estimated cost after each successive index.
-	Steps []float64
-}
+type IndexPlan = apps.IndexPlan
+
+// CostModel parameterizes PlanIndexes.
+type CostModel = apps.CostModel
 
 // PlanIndexes runs the Section 2 what-if simulation loop: greedily pick up
 // to budget indexes, re-estimating workload cost from the summary after
 // each choice. Zero-valued CostModel fields take defaults (scan 1.0,
 // indexed 0.1, maintenance 0.002/query).
 func (s *Summary) PlanIndexes(budget int, cm CostModel) IndexPlan {
-	plan := apps.SelectIndexesWhatIf(s.c.Mixture, s.book, budget, apps.CostModel{
-		ScanCost: cm.ScanCost, IndexCost: cm.IndexCost, MaintenanceCost: cm.MaintenanceCost,
-	})
-	return IndexPlan{
-		Predicates: plan.Predicates,
-		CostBefore: plan.CostBefore,
-		CostAfter:  plan.CostAfter,
-		Steps:      plan.Steps,
-	}
-}
-
-// CostModel parameterizes PlanIndexes (see apps package for semantics).
-type CostModel struct {
-	ScanCost        float64
-	IndexCost       float64
-	MaintenanceCost float64
+	return apps.SelectIndexesWhatIf(s.c.Mixture, s.book, budget, cm)
 }
 
 // Save serializes the summary (mixture encoding + codebook) in the compact
@@ -1266,7 +1143,7 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 	return &Summary{
 		c:     &core.Compressed{Mixture: m, Err: math.NaN()},
 		book:  book,
-		epoch: workload.Epoch{Universe: m.Universe, Total: m.Total},
+		epoch: workload.Epoch{Universe: m.Universe, TotalQueries: m.Total},
 	}, nil
 }
 
@@ -1369,46 +1246,28 @@ func MergeSummaries(sums []*Summary, opts MergeSummariesOptions) (*Summary, erro
 	return &Summary{
 		c:           &core.Compressed{Mixture: merged, Err: mergedErr},
 		book:        union,
-		epoch:       workload.Epoch{Universe: n, Total: total},
+		epoch:       workload.Epoch{Universe: n, TotalQueries: total},
 		incremental: len(sums) > 1,
 	}, nil
 }
 
 // IndexSuggestion recommends indexing a column because predicates on it
 // dominate the workload.
-type IndexSuggestion struct {
-	Table      string
-	Predicate  string
-	Frequency  float64
-	EstQueries float64
-}
+type IndexSuggestion = apps.IndexSuggestion
 
 // SuggestIndexes runs the Section 2 index-selection analysis over the
 // summary.
 func (s *Summary) SuggestIndexes(minFrequency float64) []IndexSuggestion {
-	raw := apps.SuggestIndexes(s.c.Mixture, s.book, minFrequency)
-	out := make([]IndexSuggestion, len(raw))
-	for i, r := range raw {
-		out[i] = IndexSuggestion{Table: r.Table, Predicate: r.Predicate, Frequency: r.Frequency, EstQueries: r.EstQueries}
-	}
-	return out
+	return apps.SuggestIndexes(s.c.Mixture, s.book, minFrequency)
 }
 
 // ViewCandidate is a table pair frequently queried together.
-type ViewCandidate struct {
-	Tables    []string
-	Frequency float64
-}
+type ViewCandidate = apps.ViewCandidate
 
 // SuggestViews runs the Section 2 materialized-view analysis over the
 // summary.
 func (s *Summary) SuggestViews(minFrequency float64) []ViewCandidate {
-	raw := apps.SuggestViews(s.c.Mixture, s.book, minFrequency)
-	out := make([]ViewCandidate, len(raw))
-	for i, r := range raw {
-		out[i] = ViewCandidate{Tables: r.Tables, Frequency: r.Frequency}
-	}
-	return out
+	return apps.SuggestViews(s.c.Mixture, s.book, minFrequency)
 }
 
 // Correlation is a feature co-occurrence pattern the naive encoding
@@ -1439,11 +1298,7 @@ func (s *Summary) TopCorrelations(w *Workload, k int) []Correlation {
 
 // DriftReport quantifies how far a query window strays from the summarized
 // baseline workload.
-type DriftReport struct {
-	Score       float64 // average surprisal gap, nats/query
-	NoveltyRate float64 // fraction of queries with never-seen features
-	Alert       bool
-}
+type DriftReport = apps.DriftReport
 
 // CheckDrift scores a window of queries against the baseline summary
 // (Section 2's online-monitoring application). The report's Score is the
@@ -1470,6 +1325,5 @@ func (s *Summary) CheckDrift(window []Entry) DriftReport {
 		}
 		l.Add(p.vector(s.c.Mixture.Universe), c)
 	}
-	rep := det.Check(l, unknownCount)
-	return DriftReport{Score: rep.Score, NoveltyRate: rep.NoveltyRate, Alert: rep.Alert}
+	return det.Check(l, unknownCount)
 }
