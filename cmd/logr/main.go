@@ -252,8 +252,7 @@ func parseCompress(name string, args []string, extra func(fs *flag.FlagSet) func
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	in := fs.String("in", "", "input log file")
 	k := fs.Int("k", 0, "clusters (0 = auto sweep)")
-	method := fs.String("method", "kmeans", "kmeans | spectral | hierarchical")
-	metric := fs.String("metric", "hamming", "distance for spectral/hierarchical")
+	method := fs.String("method", "kmeans", "kmeans | hierarchical (average linkage, Hamming distance)")
 	target := fs.Float64("target", 1.0, "target error for the auto sweep (nats)")
 	seed := fs.Int64("seed", 1, "clustering seed")
 	par := fs.Int("p", 0, "parallelism: worker count (0 = all cores, 1 = serial)")
@@ -278,7 +277,7 @@ func parseCompress(name string, args []string, extra func(fs *flag.FlagSet) func
 		return nil, logr.CompressOptions{}, err
 	}
 	return w, logr.CompressOptions{
-		Clusters: *k, Method: *method, Metric: *metric,
+		Clusters: *k, Method: *method,
 		TargetError: *target, Seed: *seed, Parallelism: *par,
 	}, nil
 }

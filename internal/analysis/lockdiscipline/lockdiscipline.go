@@ -123,17 +123,16 @@ var blockingFuncs = map[string]string{
 	"logr/internal/cluster.KMeans":               "seal-time clustering",
 	"logr/internal/cluster.KMeansBinary":         "seal-time clustering",
 	"logr/internal/cluster.DistanceMatrix":       "seal-time clustering",
-	"logr/internal/cluster.Spectral":             "seal-time clustering",
-	"logr/internal/cluster.SpectralBinary":       "seal-time clustering",
 	"logr/internal/cluster.Hierarchical":         "seal-time clustering",
 	"logr/internal/cluster.HierarchicalP":        "seal-time clustering",
 	"logr/internal/cluster.HierarchicalBinaryP":  "seal-time clustering",
 	"logr/internal/cluster.DistanceMatrixBinary": "seal-time clustering",
 	"logr/internal/cluster.Agglomerate":          "seal-time clustering",
+	"logr/internal/mining.Spectral":              "spectral clustering (O(n³) eigensolve)",
+	"logr/internal/mining.SpectralBinary":        "spectral clustering (O(n³) eigensolve)",
 	"logr/internal/core.Compress":                "summary compression",
 	"logr/internal/core.Recompress":              "summary compression",
 	"logr/internal/core.Consolidate":             "summary compression",
-	"logr/internal/core.CompressWithAssignment":  "summary compression",
 }
 
 func run(pass *analysis.Pass) error {

@@ -62,29 +62,6 @@ func BenchmarkKMeansBinaryVsDense(b *testing.B) {
 	})
 }
 
-func BenchmarkSpectralModelBuild(b *testing.B) {
-	pts, _ := benchPoints(200, 100)
-	dist := MetricFunc(Hamming, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewSpectralModel(pts, dist, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpectralCut(b *testing.B) {
-	pts, w := benchPoints(200, 100)
-	m, err := NewSpectralModel(pts, MetricFunc(Hamming, 0), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Cluster(8, w, int64(i))
-	}
-}
-
 func BenchmarkHierarchical(b *testing.B) {
 	pts, w := benchPoints(200, 100)
 	b.ResetTimer()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"logr/internal/bitvec"
 	"logr/internal/parallel"
@@ -490,55 +489,10 @@ func BinaryMetricFunc(m Metric, p float64) BinaryDistanceFunc {
 // DistanceMatrixBinary computes the full symmetric pairwise distance matrix
 // over packed binary vectors — the popcount replacement for the dense
 // O(n²·universe) build dominating spectral and hierarchical clustering. The
-// fan-out scheme is shared with the dense distanceMatrix, so the result is
+// fan-out scheme is shared with the dense DistanceMatrix, so the result is
 // parallelism-independent the same way.
 func DistanceMatrixBinary(vecs []bitvec.Vector, dist BinaryDistanceFunc, p int) [][]float64 {
 	return symmetricDistanceMatrix(vecs, dist, p)
-}
-
-// SpectralBinary is Spectral over packed binary points: the distance matrix
-// is built with popcount kernels (bit-identical to the dense build — see
-// BinaryMetricFunc), and the affinity, Laplacian, eigensolve and embedding
-// k-means stages are shared with the dense path, so the assignment is
-// identical to Spectral on the dense expansion.
-//
-// The affinity distance comes from the dist parameter (nil = Euclidean);
-// the dense-typed opts.Dist field cannot apply to packed vectors and must
-// be left nil — setting it panics rather than being silently ignored.
-func SpectralBinary(pts BinaryPoints, dist BinaryDistanceFunc, opts SpectralOptions) (Assignment, error) {
-	if opts.Dist != nil {
-		panic("cluster: SpectralBinary takes its distance via the dist parameter; SpectralOptions.Dist must be nil")
-	}
-	n := pts.Len()
-	if n == 0 || opts.K <= 0 {
-		return Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
-	}
-	if opts.K >= n {
-		labels := make([]int, n)
-		for i := range labels {
-			labels[i] = i
-		}
-		return Assignment{Labels: labels, K: n}, nil
-	}
-	m, err := NewSpectralModelBinaryP(pts.Vecs, dist, opts.Sigma, opts.Parallelism)
-	if err != nil {
-		return Assignment{}, err
-	}
-	return m.ClusterP(opts.K, pts.Weights, opts.Seed, opts.Parallelism), nil
-}
-
-// NewSpectralModelBinaryP computes the normalized-Laplacian eigenbasis of
-// packed binary points with an explicit worker bound (p ≤ 0 = all cores),
-// using a popcount distance matrix. nil dist defaults to Euclidean.
-func NewSpectralModelBinaryP(vecs []bitvec.Vector, dist BinaryDistanceFunc, sigma float64, p int) (*SpectralModel, error) {
-	if len(vecs) == 0 {
-		return &SpectralModel{}, nil
-	}
-	if dist == nil {
-		dist = BinaryMetricFunc(Euclidean, 0)
-	}
-	start := time.Now() //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
-	return newSpectralModelFromDistances(DistanceMatrixBinary(vecs, dist, p), sigma, p, start)
 }
 
 // HierarchicalBinaryP builds the average-linkage dendrogram of packed binary

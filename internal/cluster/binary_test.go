@@ -63,7 +63,7 @@ func TestDistanceMatrixBinaryMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	pts, dense := randBinary(r, 40, 120, 1, 4)
 	for _, m := range []Metric{Euclidean, Manhattan, Minkowski, Hamming} {
-		want := distanceMatrix(dense, MetricFunc(m, 4), 1)
+		want := DistanceMatrix(dense, MetricFunc(m, 4), 1)
 		for _, par := range []int{1, 4} {
 			got := DistanceMatrixBinary(pts.Vecs, BinaryMetricFunc(m, 4), par)
 			if !reflect.DeepEqual(got, want) {
@@ -183,24 +183,6 @@ func dense4(pts BinaryPoints) [][]float64 {
 		out[i] = v.Dense()
 	}
 	return out
-}
-
-func TestSpectralBinaryMatchesDense(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	pts, dense := randBinary(r, 60, 80, 1, 4)
-	for _, m := range []Metric{Hamming, Euclidean} {
-		want, err := Spectral(dense, pts.Weights, SpectralOptions{K: 4, Dist: MetricFunc(m, 0), Seed: 7, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SpectralBinary(pts, BinaryMetricFunc(m, 0), SpectralOptions{K: 4, Seed: 7, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.K != want.K || !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Errorf("%v: binary spectral labels differ from dense", m)
-		}
-	}
 }
 
 func TestHierarchicalBinaryMatchesDense(t *testing.T) {

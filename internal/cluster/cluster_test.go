@@ -133,48 +133,6 @@ func TestKMeansNearestCentroidProperty(t *testing.T) {
 	}
 }
 
-func TestSpectralTwoBlobs(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	pts, truth := twoBlobs(r, 15, 3)
-	for _, m := range []Metric{Euclidean, Manhattan, Minkowski, Hamming} {
-		asg, err := Spectral(pts, nil, SpectralOptions{K: 2, Dist: MetricFunc(m, 4), Seed: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if m == Hamming {
-			// real-valued blobs have all-distinct coordinates; hamming is
-			// degenerate here, only check it runs.
-			continue
-		}
-		if !agreesWithTruth(asg.Labels, truth) {
-			t.Errorf("%v: spectral failed to separate blobs", m)
-		}
-	}
-}
-
-func TestSpectralHammingOnBinary(t *testing.T) {
-	// two binary "workloads" with disjoint features
-	var pts [][]float64
-	var truth []int
-	for i := 0; i < 10; i++ {
-		a := []float64{1, 1, 0, 0, 0, 0}
-		b := []float64{0, 0, 0, 0, 1, 1}
-		if i%2 == 0 {
-			a[2] = 1
-			b[3] = 1
-		}
-		pts = append(pts, a, b)
-		truth = append(truth, 0, 1)
-	}
-	asg, err := Spectral(pts, nil, SpectralOptions{K: 2, Dist: MetricFunc(Hamming, 0), Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agreesWithTruth(asg.Labels, truth) {
-		t.Error("hamming spectral failed on disjoint binary workloads")
-	}
-}
-
 func TestHierarchicalMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	pts, _ := twoBlobs(r, 10, 3)

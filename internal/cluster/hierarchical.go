@@ -49,7 +49,7 @@ func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p i
 	if dist == nil {
 		dist = MetricFunc(Euclidean, 0)
 	}
-	return averageLinkage(distanceMatrix(points, dist, p), weights)
+	return averageLinkage(DistanceMatrix(points, dist, p), weights)
 }
 
 // averageLinkage runs Agglomerate over a pre-built distance matrix — the

@@ -1,19 +1,21 @@
-// Package cluster implements the partitioning methods Section 6.1 of the
-// paper evaluates for constructing naive mixture encodings: weighted k-means
-// with k-means++ seeding, spectral clustering over several distance
-// measures (Manhattan, Minkowski, Hamming, Euclidean, Chebyshev, Canberra),
-// and average-linkage hierarchical clustering (the monotone alternative the
-// paper suggests for dynamic Error/Verbosity control).
+// Package cluster implements the partitioning methods Compress uses to
+// construct naive mixture encodings (Section 6.1 of the paper): weighted
+// k-means with k-means++ seeding and average-linkage hierarchical
+// clustering (the monotone alternative the paper suggests for dynamic
+// Error/Verbosity control), under the six distance measures the paper
+// evaluates (Manhattan, Minkowski, Hamming, Euclidean, Chebyshev,
+// Canberra). Spectral clustering, the third method of Section 6.1, runs
+// only in the figure drivers and lives in package mining.
 //
 // Points come in two representations. The default pipeline path feeds
 // word-packed binary vectors (BinaryPoints) straight into popcount-native
-// kernels — KMeansBinary, SpectralBinary, HierarchicalBinaryP — which never
-// materialize dense rows (see binary.go for the kernel design and its
-// equivalence guarantees). Dense [][]float64 entry points remain for
-// non-binary inputs (spectral embeddings, research data) and as the oracle
-// the binary kernels are tested against. Either way each point carries a
-// weight — the multiplicity of a distinct query in the log — so clustering
-// distinct vectors is exactly equivalent to clustering the full log.
+// kernels — KMeansBinary, HierarchicalBinaryP — which never materialize
+// dense rows (see binary.go for the kernel design and its equivalence
+// guarantees). Dense [][]float64 entry points remain for non-binary inputs
+// (spectral embeddings, research data) and as the oracle the binary
+// kernels are tested against. Either way each point carries a weight — the
+// multiplicity of a distinct query in the log — so clustering distinct
+// vectors is exactly equivalent to clustering the full log.
 package cluster
 
 import (
@@ -178,10 +180,10 @@ func (a Assignment) Partition() [][]int {
 	return out
 }
 
-// distanceMatrix computes the full symmetric pairwise distance matrix — the
+// DistanceMatrix computes the full symmetric pairwise distance matrix — the
 // O(n²·d) cost that dominates spectral and hierarchical clustering — over up
 // to p workers (p ≤ 0 = all cores).
-func distanceMatrix(points [][]float64, dist DistanceFunc, p int) [][]float64 {
+func DistanceMatrix(points [][]float64, dist DistanceFunc, p int) [][]float64 {
 	return symmetricDistanceMatrix(points, dist, p)
 }
 

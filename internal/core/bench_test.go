@@ -45,10 +45,11 @@ func BenchmarkFeatureMarginals(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressBinaryVsDense compares the default popcount compression
-// against the ForceDense oracle on the same log, seed and options, for
-// fixed-K k-means, the auto sweep and fixed-K hierarchical clustering — the
-// before/after of the binary-kernel refactor at the core layer.
+// BenchmarkCompressBinaryVsDense compares Compress's popcount kernels
+// against the dense oracle (compressDense) on the same log, seed and
+// options, for fixed-K k-means, the auto sweep and fixed-K hierarchical
+// clustering — the before/after of the binary-kernel refactor at the core
+// layer.
 func BenchmarkCompressBinaryVsDense(b *testing.B) {
 	l := benchLog(863, 605)
 	for _, c := range []struct {
@@ -57,19 +58,16 @@ func BenchmarkCompressBinaryVsDense(b *testing.B) {
 	}{
 		{"kmeans", CompressOptions{K: 8, Seed: 1}},
 		{"sweep", CompressOptions{Seed: 1, TargetError: 0.05, MaxK: 12}},
-		{"hierarchical", CompressOptions{K: 8, Method: HierarchicalMethod, Metric: cluster.Hamming, Seed: 1}},
+		{"hierarchical", CompressOptions{K: 8, Method: HierarchicalMethod, Seed: 1}},
 	} {
-		for _, dense := range []bool{false, true} {
-			opts := c.opts
-			opts.ForceDense = dense
-			name := c.name + "/binary"
-			if dense {
-				name = c.name + "/dense"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, k := range []struct {
+			name     string
+			compress func(*Log, CompressOptions) (*Compressed, error)
+		}{{"binary", Compress}, {"dense", compressDense}} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Compress(l, opts); err != nil {
+					if _, err := k.compress(l, c.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -139,23 +137,6 @@ func BenchmarkTrueCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = l.Count(pat)
-	}
-}
-
-func BenchmarkDeviationSampler(b *testing.B) {
-	l := benchLog(40, 200)
-	enc := NewPatternEncoding(l, []bitvec.Vector{
-		bitvec.FromIndices(40, 1, 2),
-		bitvec.FromIndices(40, 6, 7),
-	})
-	s, err := NewDeviationSampler(l, enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.KL(s.SampleDistribution(rng))
 	}
 }
 

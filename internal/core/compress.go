@@ -7,7 +7,9 @@ import (
 )
 
 // Method selects the partitioning algorithm LogR uses to construct naive
-// mixture encodings (Section 6.1 evaluates all three).
+// mixture encodings. Section 6.1 of the paper compares k-means, spectral and
+// hierarchical partitioning; Compress offers k-means and hierarchical, and
+// spectral clustering runs only in the figure drivers (package mining).
 type Method int
 
 // Partitioning methods.
@@ -15,12 +17,9 @@ const (
 	// KMeansMethod is Lloyd's algorithm with Euclidean distance — the
 	// paper's recommendation for time-sensitive applications.
 	KMeansMethod Method = iota
-	// SpectralMethod is normalized spectral clustering under a chosen
-	// distance; with Hamming distance it gives the paper's best
-	// Error/runtime trade-off.
-	SpectralMethod
-	// HierarchicalMethod is average-linkage agglomerative clustering; its
-	// cuts nest, enabling dynamic Error/Verbosity control.
+	// HierarchicalMethod is average-linkage agglomerative clustering under
+	// Hamming distance; its cuts nest, enabling dynamic Error/Verbosity
+	// control.
 	HierarchicalMethod
 )
 
@@ -28,8 +27,6 @@ func (m Method) String() string {
 	switch m {
 	case KMeansMethod:
 		return "kmeans"
-	case SpectralMethod:
-		return "spectral"
 	case HierarchicalMethod:
 		return "hierarchical"
 	}
@@ -45,10 +42,6 @@ type CompressOptions struct {
 	K int
 	// Method selects the clustering algorithm (default KMeansMethod).
 	Method Method
-	// Metric selects the distance for Spectral/Hierarchical methods.
-	Metric cluster.Metric
-	// MinkowskiP is the Minkowski exponent (default 4, as in the paper).
-	MinkowskiP float64
 	// Seed makes clustering reproducible.
 	Seed int64
 	// TargetError is the auto-sweep Error threshold (nats).
@@ -65,17 +58,8 @@ type CompressOptions struct {
 	// to convergence from them, consuming no randomness. The segmented store
 	// warm-starts each sealed segment's summary from the previous segment's
 	// component centroids this way. Ignored by the auto sweep and the
-	// spectral/hierarchical methods.
+	// hierarchical method.
 	WarmCentroids [][]float64
-	// ForceDense routes clustering through the legacy dense float64 path:
-	// every distinct vector is expanded to a []float64 row before k-means /
-	// spectral / hierarchical run dense arithmetic over it. The default
-	// (false) uses the popcount-native binary kernels, which produce the
-	// same assignment and Reproduction Error for a fixed Seed without ever
-	// materializing dense points. The dense path remains as the oracle the
-	// equivalence tests compare against and for research callers clustering
-	// non-binary data through this package.
-	ForceDense bool
 }
 
 // Compressed is the result of LogR compression: the naive mixture encoding
@@ -91,27 +75,53 @@ type Compressed struct {
 
 // Compress builds a naive mixture encoding of l per opts (Section 6.1: the
 // search for a naive mixture encoding reduces to a search for a log
-// partitioning, here delegated to the chosen clustering method).
+// partitioning, here delegated to the chosen clustering method). Clustering
+// runs on the log's packed vectors with the popcount kernels; no dense
+// point matrix is ever built, only the K centroid rows of k-means.
 func Compress(l *Log, opts CompressOptions) (*Compressed, error) {
 	if l.Total() == 0 {
 		return &Compressed{Mixture: Mixture{Universe: l.Universe()}}, nil
 	}
-	if opts.MinkowskiP <= 0 {
-		opts.MinkowskiP = 4
+	k := leafCount(opts)
+	pts := l.Binary()
+	var asg cluster.Assignment
+	switch opts.Method {
+	case KMeansMethod:
+		asg = cluster.KMeansBinary(pts, kmeansOptions(opts, k))
+	case HierarchicalMethod:
+		asg = cluster.HierarchicalBinaryP(pts, cluster.BinaryMetricFunc(cluster.Hamming, 0), opts.Parallelism).Cut(k)
+	default:
+		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 	}
-	k := opts.K
-	if k <= 0 {
-		k = opts.MaxK
-		if k <= 0 {
-			k = 32
-		}
+	return sweep(l, asg, opts)
+}
+
+// leafCount is the cluster count Method partitions into: K, or for the
+// auto sweep MaxK (default 32).
+func leafCount(opts CompressOptions) int {
+	switch {
+	case opts.K > 0:
+		return opts.K
+	case opts.MaxK > 0:
+		return opts.MaxK
 	}
-	c, err := compressK(l, opts, k)
+	return 32
+}
+
+// kmeansOptions are the k-means settings of a k-cluster Compress.
+func kmeansOptions(opts CompressOptions, k int) cluster.KMeansOptions {
+	return cluster.KMeansOptions{K: k, Seed: opts.Seed, Restarts: 3, Parallelism: opts.Parallelism, InitCentroids: warmFor(opts, k)}
+}
+
+// sweep finishes Compress from the clustering asg of l's distinct vectors:
+// a fixed K returns its mixture, and the auto sweep treats its clusters as
+// the leaves of one merge tree, whose cuts give every smaller K without
+// re-clustering.
+func sweep(l *Log, asg cluster.Assignment, opts CompressOptions) (*Compressed, error) {
+	c, err := fromAssignment(l, asg, opts.Parallelism)
 	if err != nil || opts.K > 0 {
 		return c, err
 	}
-	// The auto sweep: the MaxK clusters just built are the leaves of one
-	// merge tree, and its cuts give every smaller K without re-clustering.
 	tree, errs := mergeTree(c, opts.Parallelism)
 	if k := smallestCut(errs, opts.TargetError); k < len(errs) {
 		return fromAssignment(l, composeCut(c, tree.Cut(k)), opts.Parallelism)
@@ -182,66 +192,4 @@ func fromAssignment(l *Log, asg cluster.Assignment, par int) (*Compressed, error
 		return nil, err
 	}
 	return &Compressed{Mixture: mix, Assignment: asg, Parts: parts, Err: e}, nil
-}
-
-func compressK(l *Log, opts CompressOptions, k int) (*Compressed, error) {
-	if opts.ForceDense {
-		points, weights := l.DenseP(opts.Parallelism)
-		return compressDense(l, points, weights, opts, k)
-	}
-	return compressBinary(l, l.Binary(), opts, k)
-}
-
-// compressBinary clusters the log's packed vectors with the popcount
-// kernels — the default path. No dense point matrix is ever built; only the
-// K centroid rows of the k-means stage are float-dense.
-func compressBinary(l *Log, pts cluster.BinaryPoints, opts CompressOptions, k int) (*Compressed, error) {
-	var asg cluster.Assignment
-	switch opts.Method {
-	case KMeansMethod:
-		asg = cluster.KMeansBinary(pts, cluster.KMeansOptions{K: k, Seed: opts.Seed, Restarts: 3, Parallelism: opts.Parallelism, InitCentroids: warmFor(opts, k)})
-	case SpectralMethod:
-		var err error
-		asg, err = cluster.SpectralBinary(pts, cluster.BinaryMetricFunc(opts.Metric, opts.MinkowskiP), cluster.SpectralOptions{
-			K:           k,
-			Seed:        opts.Seed,
-			Parallelism: opts.Parallelism,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: spectral clustering: %w", err)
-		}
-	case HierarchicalMethod:
-		d := cluster.HierarchicalBinaryP(pts, cluster.BinaryMetricFunc(opts.Metric, opts.MinkowskiP), opts.Parallelism)
-		asg = d.Cut(k)
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
-	}
-	return fromAssignment(l, asg, opts.Parallelism)
-}
-
-// compressDense is compressK over a pre-built dense matrix — the legacy
-// ForceDense path, kept as the equivalence oracle.
-func compressDense(l *Log, points [][]float64, weights []float64, opts CompressOptions, k int) (*Compressed, error) {
-	var asg cluster.Assignment
-	switch opts.Method {
-	case KMeansMethod:
-		asg = cluster.KMeans(points, weights, cluster.KMeansOptions{K: k, Seed: opts.Seed, Restarts: 3, Parallelism: opts.Parallelism, InitCentroids: warmFor(opts, k)})
-	case SpectralMethod:
-		var err error
-		asg, err = cluster.Spectral(points, weights, cluster.SpectralOptions{
-			K:           k,
-			Dist:        cluster.MetricFunc(opts.Metric, opts.MinkowskiP),
-			Seed:        opts.Seed,
-			Parallelism: opts.Parallelism,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: spectral clustering: %w", err)
-		}
-	case HierarchicalMethod:
-		d := cluster.HierarchicalP(points, weights, cluster.MetricFunc(opts.Metric, opts.MinkowskiP), opts.Parallelism)
-		asg = d.Cut(k)
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
-	}
-	return fromAssignment(l, asg, opts.Parallelism)
 }

@@ -284,8 +284,8 @@ func TestCompressAutoK(t *testing.T) {
 
 func TestCompressMethods(t *testing.T) {
 	l := section51Log()
-	for _, m := range []Method{KMeansMethod, SpectralMethod, HierarchicalMethod} {
-		c, err := Compress(l, CompressOptions{K: 2, Method: m, Metric: cluster.Hamming, Seed: 1})
+	for _, m := range []Method{KMeansMethod, HierarchicalMethod} {
+		c, err := Compress(l, CompressOptions{K: 2, Method: m, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -293,42 +293,7 @@ func TestCompressMethods(t *testing.T) {
 			t.Errorf("%v: K = %d", m, c.Mixture.K())
 		}
 	}
-}
-
-func TestSynthesisErrorZeroOnPerfectEncoding(t *testing.T) {
-	l := section51Log()
-	mix, parts := BuildNaiveMixture(l, cluster.Assignment{Labels: []int{0, 0, 1}, K: 2})
-	rng := rand.New(rand.NewSource(7))
-	got := mix.SynthesisError(parts, 500, rng)
-	// partition 2 is a point mass (always synthesizes q3); partition 1
-	// synthesizes q1/q2 which both exist. Error should be ≈ 0.
-	if got > 1e-9 {
-		t.Errorf("synthesis error = %g, want 0", got)
-	}
-}
-
-func TestMarginalDeviationZeroOnPerfectEncoding(t *testing.T) {
-	l := section51Log()
-	mix, parts := BuildNaiveMixture(l, cluster.Assignment{Labels: []int{0, 0, 1}, K: 2})
-	if got := mix.MarginalDeviation(parts); got > 1e-9 {
-		t.Errorf("marginal deviation = %g, want 0", got)
-	}
-}
-
-func TestSynthesisErrorPositiveOnCoarseEncoding(t *testing.T) {
-	// One cluster over anti-correlated workloads synthesizes phantom
-	// cross-workload patterns.
-	l := NewLog(8)
-	l.Add(bitvec.FromIndices(8, 0, 1, 2, 3), 50)
-	l.Add(bitvec.FromIndices(8, 4, 5, 6, 7), 50)
-	mix, parts := BuildNaiveMixture(l, cluster.Assignment{Labels: []int{0, 0}, K: 1})
-	rng := rand.New(rand.NewSource(9))
-	got := mix.SynthesisError(parts, 2000, rng)
-	if got < 0.5 {
-		t.Errorf("synthesis error = %g, expected large for anti-correlated mix", got)
-	}
-	mix2, parts2 := BuildNaiveMixture(l, cluster.Assignment{Labels: []int{0, 1}, K: 2})
-	if got2 := mix2.SynthesisError(parts2, 2000, rng); got2 > 1e-9 {
-		t.Errorf("2-cluster synthesis error = %g, want 0", got2)
+	if _, err := Compress(l, CompressOptions{K: 2, Method: HierarchicalMethod + 1}); err == nil {
+		t.Error("Compress accepted an unknown method")
 	}
 }

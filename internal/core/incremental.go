@@ -56,6 +56,14 @@ const DefaultMaxErrorGrowth = 0.10
 // randomness, so its result is deterministic and independent of
 // CompressOptions.Seed; the fallback path is the ordinary Compress.
 func Recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOptions, ropts RecompressOptions) (*Compressed, bool, error) {
+	return recompress(prev, full, prevCounts, opts, ropts, cluster.KMeansBinary)
+}
+
+// recompress is Recompress with the k-means kernel that assigns the new
+// distinct vectors as a parameter, so tests can run the dense kernel on
+// the same delta.
+func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOptions, ropts RecompressOptions,
+	kmeans func(cluster.BinaryPoints, cluster.KMeansOptions) cluster.Assignment) (*Compressed, bool, error) {
 	growth := ropts.MaxErrorGrowth
 	if growth == 0 {
 		growth = DefaultMaxErrorGrowth
@@ -146,21 +154,11 @@ func Recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 			pts.Vecs[t] = full.Vector(fi)
 			pts.Weights[t] = float64(newCount[t])
 		}
-		warmOpts := cluster.KMeansOptions{
+		asg := kmeans(pts, cluster.KMeansOptions{
 			InitCentroids: cents,
 			MaxIter:       1,
 			Parallelism:   opts.Parallelism,
-		}
-		var asg cluster.Assignment
-		if opts.ForceDense {
-			points := make([][]float64, len(newIdx))
-			for t, fi := range newIdx {
-				points[t] = full.Vector(fi).Dense()
-			}
-			asg = cluster.KMeans(points, pts.Weights, warmOpts)
-		} else {
-			asg = cluster.KMeansBinary(pts, warmOpts)
-		}
+		})
 		for t, lbl := range asg.Labels {
 			merged[liveIdx[lbl]].Add(full.Vector(newIdx[t]), newCount[t])
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,7 +135,7 @@ func TestMixtureErrorDecompositionProperty(t *testing.T) {
 		for i, c := range mix.Components {
 			want += mix.Weight(i) * c.ReproductionError(live[i])
 		}
-		return abs(e-want) < 1e-9
+		return math.Abs(e-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestMixtureMassConservationProperty(t *testing.T) {
 			wsum += mix.Weight(i)
 			csum += c.Count
 		}
-		return abs(wsum-1) < 1e-9 && csum == l.Total()
+		return math.Abs(wsum-1) < 1e-9 && csum == l.Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -172,12 +173,12 @@ func TestPerQueryPartitionIsLosslessProperty(t *testing.T) {
 		}
 		mix, parts := BuildNaiveMixture(l, cluster.Assignment{Labels: labels, K: l.Distinct()})
 		e, err := mix.Error(parts)
-		if err != nil || abs(e) > 1e-9 {
+		if err != nil || math.Abs(e) > 1e-9 {
 			return false
 		}
 		for i := 0; i < l.Distinct(); i++ {
 			q := l.Vector(i)
-			if abs(mix.EstimateCount(q)-float64(l.Count(q))) > 1e-6 {
+			if math.Abs(mix.EstimateCount(q)-float64(l.Count(q))) > 1e-6 {
 				return false
 			}
 		}
@@ -210,7 +211,7 @@ func TestProjectPreservesMarginalsProperty(t *testing.T) {
 		orig := l.FeatureMarginals()
 		proj := p.FeatureMarginals()
 		for pi, f := range feats {
-			if abs(orig[f]-proj[pi]) > 1e-12 {
+			if math.Abs(orig[f]-proj[pi]) > 1e-12 {
 				return false
 			}
 		}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -6,13 +6,23 @@ import (
 	"testing"
 
 	"logr/internal/bitvec"
+	"logr/internal/core"
+	"logr/internal/maxent"
+	"logr/internal/mining"
 )
+
+// These tests drive package mining's pattern encodings and Appendix C
+// deviation sampler over core logs: the sampler's equivalence classes, and
+// the Section 7.1 claims that the Reproduction Error tracks Deviation and
+// that more patterns lower Ambiguity (Lemma 2).
+
+func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // validationLog builds a moderately diverse log over 10 features with
 // planted correlations, mirroring the Section 7.1 setup at small scale.
-func validationLog(seed int64) *Log {
+func validationLog(seed int64) *core.Log {
 	r := rand.New(rand.NewSource(seed))
-	l := NewLog(10)
+	l := core.NewLog(10)
 	for i := 0; i < 200; i++ {
 		v := bitvec.New(10)
 		// features 0,1 strongly correlated
@@ -43,8 +53,8 @@ func validationLog(seed int64) *Log {
 func TestDeviationSamplerClasses(t *testing.T) {
 	l := validationLog(1)
 	b1 := bitvec.FromIndices(10, 0, 1)
-	enc := NewPatternEncoding(l, []bitvec.Vector{b1})
-	s, err := NewDeviationSampler(l, enc)
+	enc := mining.NewPatternEncoding(l, []bitvec.Vector{b1})
+	s, err := mining.NewDeviationSampler(l, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +63,8 @@ func TestDeviationSamplerClasses(t *testing.T) {
 	}
 	// two overlapping patterns → up to 4 classes, all non-empty here
 	b2 := bitvec.FromIndices(10, 1, 2)
-	enc2 := NewPatternEncoding(l, []bitvec.Vector{b1, b2})
-	s2, err := NewDeviationSampler(l, enc2)
+	enc2 := mining.NewPatternEncoding(l, []bitvec.Vector{b1, b2})
+	s2, err := mining.NewDeviationSampler(l, enc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +78,8 @@ func TestEmptyClassDetection(t *testing.T) {
 	l := validationLog(2)
 	b1 := bitvec.FromIndices(10, 0, 1, 2)
 	b2 := bitvec.FromIndices(10, 0, 1)
-	enc := NewPatternEncoding(l, []bitvec.Vector{b1, b2})
-	s, err := NewDeviationSampler(l, enc)
+	enc := mining.NewPatternEncoding(l, []bitvec.Vector{b1, b2})
+	s, err := mining.NewDeviationSampler(l, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,45 +88,10 @@ func TestEmptyClassDetection(t *testing.T) {
 	}
 }
 
-func TestSampledDistributionSatisfiesConstraints(t *testing.T) {
-	l := validationLog(3)
-	b1 := bitvec.FromIndices(10, 0, 1)
-	b2 := bitvec.FromIndices(10, 2, 4)
-	enc := NewPatternEncoding(l, []bitvec.Vector{b1, b2})
-	s, err := NewDeviationSampler(l, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		p := s.SampleDistribution(rng)
-		sum := 0.0
-		for _, v := range p {
-			if v < -1e-9 {
-				t.Fatalf("negative class probability %g", v)
-			}
-			sum += v
-		}
-		if !almostEq(sum, 1, 1e-6) {
-			t.Fatalf("class probabilities sum to %g", sum)
-		}
-		// marginal of pattern 1 = mass of classes with bit 0 set
-		m1 := 0.0
-		for i := 0; i < s.Classes(); i++ {
-			if s.classes[i].sig&1 != 0 {
-				m1 += p[i]
-			}
-		}
-		if !almostEq(m1, enc.Marginals[0], 5e-2) {
-			t.Errorf("sampled marginal %g, want %g", m1, enc.Marginals[0])
-		}
-	}
-}
-
 func TestDeviationFiniteAndPositive(t *testing.T) {
 	l := validationLog(4)
-	enc := NewPatternEncoding(l, []bitvec.Vector{bitvec.FromIndices(10, 0, 1)})
-	s, err := NewDeviationSampler(l, enc)
+	enc := mining.NewPatternEncoding(l, []bitvec.Vector{bitvec.FromIndices(10, 0, 1)})
+	s, err := mining.NewDeviationSampler(l, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +112,16 @@ func TestContainmentCapturesDeviation(t *testing.T) {
 	l := validationLog(5)
 	b1 := bitvec.FromIndices(10, 0, 1)
 	b2 := bitvec.FromIndices(10, 2, 4)
-	e1 := NewPatternEncoding(l, []bitvec.Vector{b1})
-	e2 := NewPatternEncoding(l, []bitvec.Vector{b1, b2})
+	e1 := mining.NewPatternEncoding(l, []bitvec.Vector{b1})
+	e2 := mining.NewPatternEncoding(l, []bitvec.Vector{b1, b2})
 	if !e2.Contains(e1) {
 		t.Fatal("e2 should contain e1")
 	}
-	s1, err := NewDeviationSampler(l, e1)
+	s1, err := mining.NewDeviationSampler(l, e1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewDeviationSampler(l, e2)
+	s2, err := mining.NewDeviationSampler(l, e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +143,8 @@ func TestAmbiguityCodimMonotone(t *testing.T) {
 	b3 := bitvec.FromIndices(10, 5, 6)
 	prev := -1
 	for k := 1; k <= 3; k++ {
-		enc := NewPatternEncoding(l, []bitvec.Vector{b1, b2, b3}[:k])
-		s, err := NewDeviationSampler(l, enc)
+		enc := mining.NewPatternEncoding(l, []bitvec.Vector{b1, b2, b3}[:k])
+		s, err := mining.NewDeviationSampler(l, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +160,8 @@ func TestPatternEncodingHelpers(t *testing.T) {
 	l := validationLog(7)
 	b1 := bitvec.FromIndices(10, 0, 1)
 	b2 := bitvec.FromIndices(10, 2, 4)
-	e2 := NewPatternEncoding(l, []bitvec.Vector{b1, b2})
-	e1 := NewPatternEncoding(l, []bitvec.Vector{b1})
+	e2 := mining.NewPatternEncoding(l, []bitvec.Vector{b1, b2})
+	e1 := mining.NewPatternEncoding(l, []bitvec.Vector{b1})
 	diff := e2.Difference(e1)
 	if diff.Verbosity() != 1 || !diff.Patterns[0].Equal(b2) {
 		t.Errorf("Difference wrong: %v", diff.Patterns)
@@ -214,12 +189,12 @@ func TestErrorCapturesDeviation(t *testing.T) {
 	var errs, devs []float64
 	for i := 0; i < len(pool); i++ {
 		for j := i + 1; j < len(pool); j++ {
-			enc := NewPatternEncoding(l, []bitvec.Vector{pool[i], pool[j]})
-			re, err := enc.ReproductionError(l, defaultMaxentOpts())
+			enc := mining.NewPatternEncoding(l, []bitvec.Vector{pool[i], pool[j]})
+			re, err := enc.ReproductionError(l, maxent.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewDeviationSampler(l, enc)
+			s, err := mining.NewDeviationSampler(l, enc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,14 +214,14 @@ func TestErrorCapturesDeviation(t *testing.T) {
 // equal KL(ρ*‖ρ_E) up to the within-class uniformity assumption).
 func TestDeviationEqualsErrorOnDeterminedPolytope(t *testing.T) {
 	l := validationLog(9)
-	enc := NewPatternEncoding(l, []bitvec.Vector{bitvec.FromIndices(10, 0, 1)})
-	s, err := NewDeviationSampler(l, enc)
+	enc := mining.NewPatternEncoding(l, []bitvec.Vector{bitvec.FromIndices(10, 0, 1)})
+	s, err := mining.NewDeviationSampler(l, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(29))
 	d := s.Deviation(50, rng)
-	re, err := enc.ReproductionError(l, defaultMaxentOpts())
+	re, err := enc.ReproductionError(l, maxent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestMergeTreeErrMatchesExactError(t *testing.T) {
 	for _, tc := range []struct {
 		method Method
 		seed   int64
-	}{{KMeansMethod, 1}, {KMeansMethod, 9}, {HierarchicalMethod, 1}, {SpectralMethod, 4}} {
+	}{{KMeansMethod, 1}, {KMeansMethod, 9}, {HierarchicalMethod, 1}} {
 		l := oracleLog(31+tc.seed, 120, 150)
 		leaves, err := Compress(l, CompressOptions{K: 16, Method: tc.method, Seed: tc.seed})
 		if err != nil {
@@ -92,13 +92,13 @@ func TestAutoSweepReturnsSmallestQualifyingCut(t *testing.T) {
 // K = MaxK with the same seed.
 func TestAutoSweepUnmetTargetReturnsMaxK(t *testing.T) {
 	l := oracleLog(43, 100, 120)
-	for _, method := range []Method{KMeansMethod, SpectralMethod, HierarchicalMethod} {
-		for _, dense := range []bool{false, true} {
-			sweep, err := Compress(l, CompressOptions{Method: method, Seed: 5, TargetError: -1, MaxK: 12, ForceDense: dense})
+	for _, method := range []Method{KMeansMethod, HierarchicalMethod} {
+		for _, compress := range []func(*Log, CompressOptions) (*Compressed, error){Compress, compressDense} {
+			sweep, err := compress(l, CompressOptions{Method: method, Seed: 5, TargetError: -1, MaxK: 12})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fixed, err := Compress(l, CompressOptions{Method: method, Seed: 5, K: 12, ForceDense: dense})
+			fixed, err := compress(l, CompressOptions{Method: method, Seed: 5, K: 12})
 			if err != nil {
 				t.Fatal(err)
 			}

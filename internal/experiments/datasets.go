@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"logr/internal/core"
+	"logr/internal/mining"
 	"logr/internal/workload"
 )
 
@@ -13,8 +14,8 @@ type datasets struct {
 	pocket workload.EncodeResult
 	bank   workload.EncodeResult
 
-	income   workload.CategoricalDataset
-	mushroom workload.CategoricalDataset
+	income   mining.CategoricalDataset
+	mushroom mining.CategoricalDataset
 }
 
 var (
@@ -36,8 +37,8 @@ func load(s Scale) *datasets {
 		TotalQueries: s.BankTotal, DistinctTarget: s.BankDistinct,
 		ConstantVariants: s.BankConstVariants, NoiseEntries: s.BankNoise, Seed: s.Seed + 1,
 	}), workload.EncodeOptions{})
-	d.income = workload.Income(workload.IncomeConfig{Rows: s.IncomeRows, Seed: s.Seed + 2})
-	d.mushroom = workload.Mushroom(workload.MushroomConfig{Rows: s.MushroomRows, Seed: s.Seed + 3})
+	d.income = mining.Income(mining.IncomeConfig{Rows: s.IncomeRows, Seed: s.Seed + 2})
+	d.mushroom = mining.Mushroom(mining.MushroomConfig{Rows: s.MushroomRows, Seed: s.Seed + 3})
 	cache[s] = d
 	return d
 }

@@ -7,6 +7,7 @@ import (
 
 	"logr/internal/cluster"
 	"logr/internal/core"
+	"logr/internal/mining"
 )
 
 // Fig2Point is one (dataset, method, K) cell of Figure 2: Error (2a),
@@ -56,7 +57,7 @@ func Figure2(s Scale) ([]Fig2Point, error) {
 			{"spectral-minkowski", cluster.Minkowski},
 			{"spectral-hamming", cluster.Hamming},
 		} {
-			model, err := cluster.NewSpectralModel(points, cluster.MetricFunc(m.metric, 4), 0)
+			model, err := mining.NewSpectralModel(points, cluster.MetricFunc(m.metric, 4), 0)
 			if err != nil {
 				return nil, err
 			}

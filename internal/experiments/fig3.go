@@ -7,6 +7,7 @@ import (
 
 	"logr/internal/cluster"
 	"logr/internal/core"
+	"logr/internal/mining"
 )
 
 // Fig3Point is one (dataset, K) cell of Figure 3: synthesis error (3a) and
@@ -45,8 +46,8 @@ func Figure3(s Scale, synthesisN int) ([]Fig3Point, error) {
 				Dataset:           nl.name,
 				K:                 k,
 				ReproductionError: e,
-				SynthesisError:    mix.SynthesisError(parts, synthesisN, rng),
-				MarginalDeviation: mix.MarginalDeviation(parts),
+				SynthesisError:    mining.SynthesisError(mix, parts, synthesisN, rng),
+				MarginalDeviation: mining.MarginalDeviation(mix, parts),
 			})
 		}
 	}

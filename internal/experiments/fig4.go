@@ -8,6 +8,7 @@ import (
 	"logr/internal/bitvec"
 	"logr/internal/core"
 	"logr/internal/maxent"
+	"logr/internal/mining"
 )
 
 // Figure 4 validates the Reproduction Error metric (Section 7.1). All three
@@ -94,8 +95,8 @@ func Figure4(s Scale) (*Fig4Result, error) {
 		}
 
 		deviationN := func(patterns []bitvec.Vector, samples int) (float64, error) {
-			enc := core.NewPatternEncoding(proj, patterns)
-			sampler, err := core.NewDeviationSampler(proj, enc)
+			enc := mining.NewPatternEncoding(proj, patterns)
+			sampler, err := mining.NewDeviationSampler(proj, enc)
 			if err != nil {
 				return 0, err
 			}
@@ -138,7 +139,7 @@ func Figure4(s Scale) (*Fig4Result, error) {
 			for i, ci := range combo {
 				patterns[i] = pool[ci]
 			}
-			enc := core.NewPatternEncoding(proj, patterns)
+			enc := mining.NewPatternEncoding(proj, patterns)
 			re, err := enc.ReproductionError(proj, maxent.Options{})
 			if err != nil {
 				return nil, err

@@ -158,13 +158,13 @@ func patternOnlyError(l *core.Log, patterns []bitvec.Vector) float64 {
 		if b.IsZero() || b.Count() > 10 {
 			continue
 		}
-		trial := core.NewPatternEncoding(l, append(kept, b))
+		trial := mining.NewPatternEncoding(l, append(kept, b))
 		if _, err := trial.Dist(opts); err != nil {
 			continue
 		}
 		kept = append(kept, b)
 	}
-	enc := core.NewPatternEncoding(l, kept)
+	enc := mining.NewPatternEncoding(l, kept)
 	re, err := enc.ReproductionError(l, opts)
 	if err != nil {
 		// no usable patterns: the empty encoding's model is uniform

@@ -1,9 +1,10 @@
-package stats
+package experiments
 
 import (
 	"strings"
 	"testing"
 
+	"logr/internal/mining"
 	"logr/internal/workload"
 )
 
@@ -33,8 +34,8 @@ func TestFormatTable1(t *testing.T) {
 }
 
 func TestFormatTable2(t *testing.T) {
-	income := workload.Income(workload.IncomeConfig{Rows: 500, Seed: 3})
-	mushroom := workload.Mushroom(workload.MushroomConfig{Rows: 500, Seed: 4})
+	income := mining.Income(mining.IncomeConfig{Rows: 500, Seed: 3})
+	mushroom := mining.Mushroom(mining.MushroomConfig{Rows: 500, Seed: 4})
 	rows := []Table2Row{
 		DescribeCategorical("Income", "> 100,000?", income),
 		DescribeCategorical("Mushroom", "Edibility", mushroom),

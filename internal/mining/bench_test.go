@@ -50,3 +50,9 @@ func BenchmarkAppendixD3Weights(b *testing.B) {
 		_ = AppendixD3Weights(parts)
 	}
 }
+
+func BenchmarkMushroomGen(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Mushroom(MushroomConfig{Rows: 8124, Seed: int64(i + 1)})
+	}
+}

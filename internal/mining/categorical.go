@@ -1,11 +1,10 @@
-package workload
+package mining
 
 import (
-	"math"
 	"math/rand"
 
 	"logr/internal/bitvec"
-	"logr/internal/mining"
+	"logr/internal/workload"
 )
 
 // Categorical datasets for the alternative-application experiments
@@ -17,7 +16,7 @@ import (
 
 // CategoricalDataset carries the generated rows plus the group structure.
 type CategoricalDataset struct {
-	Data *mining.Labeled
+	Data *Labeled
 	// Groups[g] lists the feature indices of attribute g; exactly one is
 	// set per row.
 	Groups [][]int
@@ -142,7 +141,7 @@ func generateCategoricalClassLabel(rng *rand.Rand, rows int, groupSizes []int, l
 	// uniform)
 	popularity := make([][]float64, len(groupSizes))
 	for g, sz := range groupSizes {
-		popularity[g] = ZipfWeights(sz, 1.1, 1)
+		popularity[g] = workload.ZipfWeights(sz, 1.1, 1)
 		// shuffle so popular values are not always the low indices
 		rng.Shuffle(sz, func(i, j int) {
 			popularity[g][i], popularity[g][j] = popularity[g][j], popularity[g][i]
@@ -159,9 +158,9 @@ func generateCategoricalClassLabel(rng *rand.Rand, rows int, groupSizes []int, l
 			prototypes[c][g] = rng.Intn(sz)
 		}
 	}
-	classWeights := ZipfWeights(latentK, 0.8, 1)
+	classWeights := workload.ZipfWeights(latentK, 0.8, 1)
 
-	d := mining.NewLabeled(total)
+	d := NewLabeled(total)
 	values := make([]int, len(groupSizes))
 	for r := 0; r < rows; r++ {
 		class := weightedIndex(classWeights, rng)
@@ -192,13 +191,4 @@ func weightedIndex(w []float64, rng *rand.Rand) int {
 		}
 	}
 	return len(w) - 1
-}
-
-func sigmoidF(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
 }

@@ -1,5 +1,9 @@
-// Package mining implements the two state-of-the-art pattern-based
-// summarizers the paper compares against (Sections 7.2 and 8):
+// Package mining holds the algorithms the paper's evaluation runs but the
+// serving path never does; the figure drivers (internal/experiments) are
+// its callers, and logrd and logrd-gateway never link it.
+//
+// The two state-of-the-art pattern-based summarizers the paper compares
+// against (Sections 7.2 and 8):
 //
 //   - Laserlight — El Gebaly et al., "Interpretable and informative
 //     explanations of outcomes" (explanation tables): greedily mines
@@ -15,7 +19,18 @@
 // Both algorithms are also generalized to partitioned data (Section 8.1.3)
 // in two flavors: Mixture Fixed (a global pattern budget distributed across
 // clusters by the Appendix D.3 weighting) and Mixture Scaled (each cluster
-// mines as many patterns as its naive encoding's verbosity).
+// mines as many patterns as its naive encoding's verbosity). Income and
+// Mushroom generate their Table 2 input datasets.
+//
+// Alongside them, the paper's measurement machinery:
+//
+//   - Spectral and SpectralBinary — normalized spectral clustering, the
+//     third partitioning method of Section 6.1 (Figure 2);
+//   - SynthesisError and MarginalDeviation — the fidelity measures of
+//     Section 6.3 over a core.Mixture (Figure 3);
+//   - PatternEncoding and DeviationSampler — general pattern encodings
+//     and the Appendix C sampler that estimates their Deviation, which
+//     validates the Reproduction Error (Section 7.1, Figures 4–5).
 package mining
 
 import (

@@ -1,11 +1,13 @@
-package core
+package mining
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"logr/internal/bitvec"
+	"logr/internal/core"
 	"logr/internal/linalg"
 )
 
@@ -30,7 +32,7 @@ import (
 // DeviationSampler estimates d(E) for one pattern encoding over a fixed log.
 type DeviationSampler struct {
 	enc PatternEncoding
-	log *Log
+	log *core.Log
 
 	classes  []classInfo
 	classOf  map[uint64]int // signature → class index
@@ -50,13 +52,13 @@ type classInfo struct {
 // NewDeviationSampler prepares the equivalence-class structure. The number
 // of patterns in the encoding must be ≤ 20 (the Section 7.1 experiments use
 // at most 3).
-func NewDeviationSampler(l *Log, enc PatternEncoding) (*DeviationSampler, error) {
+func NewDeviationSampler(l *core.Log, enc PatternEncoding) (*DeviationSampler, error) {
 	m := len(enc.Patterns)
 	if m > 20 {
-		return nil, fmt.Errorf("core: %d patterns exceed the sampler's 2^m class budget", m)
+		return nil, fmt.Errorf("mining: %d patterns exceed the sampler's 2^m class budget", m)
 	}
 	if enc.Universe != l.Universe() {
-		return nil, fmt.Errorf("core: encoding universe %d != log universe %d", enc.Universe, l.Universe())
+		return nil, fmt.Errorf("mining: encoding universe %d != log universe %d", enc.Universe, l.Universe())
 	}
 	s := &DeviationSampler{enc: enc, log: l, classOf: map[uint64]int{}}
 
@@ -68,7 +70,7 @@ func NewDeviationSampler(l *Log, enc PatternEncoding) (*DeviationSampler, error)
 	unions[0] = bitvec.New(n)
 	for t := 1; t < size; t++ {
 		low := t & (-t)
-		j := trailingZeros(uint64(low))
+		j := bits.TrailingZeros(uint(low))
 		unions[t] = unions[t^low].Or(enc.Patterns[j])
 		unionSize[t] = unions[t].Count()
 	}
@@ -82,7 +84,7 @@ func NewDeviationSampler(l *Log, enc PatternEncoding) (*DeviationSampler, error)
 		for sub := rest; ; sub = (sub - 1) & rest {
 			t := v | sub
 			sign := 1.0
-			if popcount(uint64(sub))%2 == 1 {
+			if bits.OnesCount(uint(sub))%2 == 1 {
 				sign = -1
 			}
 			f += sign * math.Exp2(float64(unionSize[v]-unionSize[t]))
@@ -112,7 +114,7 @@ func NewDeviationSampler(l *Log, enc PatternEncoding) (*DeviationSampler, error)
 		}
 		ci, ok := s.classOf[sig]
 		if !ok {
-			return nil, fmt.Errorf("core: log vector fell into an empty class (inconsistent encoding)")
+			return nil, fmt.Errorf("mining: log vector fell into an empty class (inconsistent encoding)")
 		}
 		s.queryCls[i] = ci
 	}
@@ -419,25 +421,4 @@ func matrixRank(rows [][]float64) int {
 		rank++
 	}
 	return rank
-}
-
-func popcount(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-func trailingZeros(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

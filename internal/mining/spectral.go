@@ -1,4 +1,4 @@
-package cluster
+package mining
 
 import (
 	"fmt"
@@ -6,9 +6,17 @@ import (
 	"sort"
 	"time"
 
+	"logr/internal/bitvec"
+	"logr/internal/cluster"
 	"logr/internal/linalg"
 	"logr/internal/parallel"
 )
+
+// Spectral clustering is the third partitioning method Section 6.1
+// compares (Figure 2): the affinity graph of the distinct vectors under one
+// of the paper's distances, the normalized Laplacian's eigenbasis, and
+// k-means in the embedded space. Compress partitions with k-means or
+// average linkage; spectral runs only in the figure drivers.
 
 // SpectralOptions configure normalized spectral clustering.
 type SpectralOptions struct {
@@ -16,7 +24,7 @@ type SpectralOptions struct {
 	// Dist is the distance used to build the affinity graph; nil defaults
 	// to Euclidean. The paper evaluates Manhattan, Minkowski(p=4) and
 	// Hamming affinities (Section 6.1).
-	Dist DistanceFunc
+	Dist cluster.DistanceFunc
 	// Sigma is the Gaussian kernel bandwidth; ≤ 0 selects the median
 	// pairwise distance heuristic.
 	Sigma float64
@@ -37,21 +45,21 @@ type SpectralOptions struct {
 // cluster distinct queries (weighted by multiplicity), which is what the
 // paper's experiments do. For K sweeps over the same points, build a
 // SpectralModel once and call Cluster per K.
-func Spectral(points [][]float64, weights []float64, opts SpectralOptions) (Assignment, error) {
+func Spectral(points [][]float64, weights []float64, opts SpectralOptions) (cluster.Assignment, error) {
 	n := len(points)
 	if n == 0 || opts.K <= 0 {
-		return Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
+		return cluster.Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
 	}
 	if opts.K >= n {
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = i
 		}
-		return Assignment{Labels: labels, K: n}, nil
+		return cluster.Assignment{Labels: labels, K: n}, nil
 	}
 	m, err := NewSpectralModelP(points, opts.Dist, opts.Sigma, opts.Parallelism)
 	if err != nil {
-		return Assignment{}, err
+		return cluster.Assignment{}, err
 	}
 	return m.ClusterP(opts.K, weights, opts.Seed, opts.Parallelism), nil
 }
@@ -69,7 +77,7 @@ type SpectralModel struct {
 
 // NewSpectralModel computes the normalized-Laplacian eigenbasis with all
 // cores.
-func NewSpectralModel(points [][]float64, dist DistanceFunc, sigma float64) (*SpectralModel, error) {
+func NewSpectralModel(points [][]float64, dist cluster.DistanceFunc, sigma float64) (*SpectralModel, error) {
 	return NewSpectralModelP(points, dist, sigma, 0)
 }
 
@@ -77,16 +85,16 @@ func NewSpectralModel(points [][]float64, dist DistanceFunc, sigma float64) (*Sp
 // (p ≤ 0 = all cores). The O(n²) distance, affinity and Laplacian passes
 // fan out by row — each row has one writer, and deg[i] accumulates serially
 // within its row — so the model is identical at any parallelism.
-func NewSpectralModelP(points [][]float64, dist DistanceFunc, sigma float64, p int) (*SpectralModel, error) {
+func NewSpectralModelP(points [][]float64, dist cluster.DistanceFunc, sigma float64, p int) (*SpectralModel, error) {
 	n := len(points)
 	if n == 0 {
 		return &SpectralModel{}, nil
 	}
 	if dist == nil {
-		dist = MetricFunc(Euclidean, 0)
+		dist = cluster.MetricFunc(cluster.Euclidean, 0)
 	}
 	start := time.Now() //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
-	return newSpectralModelFromDistances(distanceMatrix(points, dist, p), sigma, p, start)
+	return newSpectralModelFromDistances(cluster.DistanceMatrix(points, dist, p), sigma, p, start)
 }
 
 // newSpectralModelFromDistances runs the affinity → Laplacian → eigensolve
@@ -131,29 +139,29 @@ func newSpectralModelFromDistances(dm [][]float64, sigma float64, p int, start t
 	})
 	_, vecs, err := linalg.SymEigen(l)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: spectral eigensolve: %w", err)
+		return nil, fmt.Errorf("mining: spectral eigensolve: %w", err)
 	}
 	return &SpectralModel{n: n, vecs: vecs, BuildTime: time.Since(start)}, nil //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
 }
 
 // Cluster embeds the points into the K smallest eigenvectors (rows
 // normalized) and k-means them with all cores.
-func (m *SpectralModel) Cluster(k int, weights []float64, seed int64) Assignment {
+func (m *SpectralModel) Cluster(k int, weights []float64, seed int64) cluster.Assignment {
 	return m.ClusterP(k, weights, seed, 0)
 }
 
 // ClusterP is Cluster with an explicit worker bound (p ≤ 0 = all cores).
-func (m *SpectralModel) ClusterP(k int, weights []float64, seed int64, p int) Assignment {
+func (m *SpectralModel) ClusterP(k int, weights []float64, seed int64, p int) cluster.Assignment {
 	n := m.n
 	if n == 0 || k <= 0 {
-		return Assignment{Labels: make([]int, n), K: max(k, 1)}
+		return cluster.Assignment{Labels: make([]int, n), K: max(k, 1)}
 	}
 	if k >= n {
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = i
 		}
-		return Assignment{Labels: labels, K: n}
+		return cluster.Assignment{Labels: labels, K: n}
 	}
 	embed := make([][]float64, n)
 	parallel.For(n, p, func(i int) {
@@ -171,7 +179,7 @@ func (m *SpectralModel) ClusterP(k int, weights []float64, seed int64, p int) As
 		}
 		embed[i] = row
 	})
-	return KMeans(embed, weights, KMeansOptions{K: k, Seed: seed, Restarts: 3, Parallelism: p})
+	return cluster.KMeans(embed, weights, cluster.KMeansOptions{K: k, Seed: seed, Restarts: 3, Parallelism: p})
 }
 
 func medianPositive(dm [][]float64) float64 {
@@ -188,4 +196,49 @@ func medianPositive(dm [][]float64) float64 {
 	}
 	sort.Float64s(vals)
 	return vals[len(vals)/2]
+}
+
+// SpectralBinary is Spectral over packed binary points: the distance matrix
+// is built with popcount kernels (bit-identical to the dense build — see
+// cluster.BinaryMetricFunc), and the affinity, Laplacian, eigensolve and
+// embedding k-means stages are shared with the dense path, so the
+// assignment is identical to Spectral on the dense expansion.
+//
+// The affinity distance comes from the dist parameter (nil = Euclidean);
+// the dense-typed opts.Dist field cannot apply to packed vectors and must
+// be left nil — setting it panics rather than being silently ignored.
+func SpectralBinary(pts cluster.BinaryPoints, dist cluster.BinaryDistanceFunc, opts SpectralOptions) (cluster.Assignment, error) {
+	if opts.Dist != nil {
+		panic("mining: SpectralBinary takes its distance via the dist parameter; SpectralOptions.Dist must be nil")
+	}
+	n := pts.Len()
+	if n == 0 || opts.K <= 0 {
+		return cluster.Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
+	}
+	if opts.K >= n {
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = i
+		}
+		return cluster.Assignment{Labels: labels, K: n}, nil
+	}
+	m, err := NewSpectralModelBinaryP(pts.Vecs, dist, opts.Sigma, opts.Parallelism)
+	if err != nil {
+		return cluster.Assignment{}, err
+	}
+	return m.ClusterP(opts.K, pts.Weights, opts.Seed, opts.Parallelism), nil
+}
+
+// NewSpectralModelBinaryP computes the normalized-Laplacian eigenbasis of
+// packed binary points with an explicit worker bound (p ≤ 0 = all cores),
+// using a popcount distance matrix. nil dist defaults to Euclidean.
+func NewSpectralModelBinaryP(vecs []bitvec.Vector, dist cluster.BinaryDistanceFunc, sigma float64, p int) (*SpectralModel, error) {
+	if len(vecs) == 0 {
+		return &SpectralModel{}, nil
+	}
+	if dist == nil {
+		dist = cluster.BinaryMetricFunc(cluster.Euclidean, 0)
+	}
+	start := time.Now() //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
+	return newSpectralModelFromDistances(cluster.DistanceMatrixBinary(vecs, dist, p), sigma, p, start)
 }

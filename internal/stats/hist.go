@@ -1,3 +1,5 @@
+// Package stats provides Histogram, the fixed-footprint latency histogram
+// behind obs's histogram series and the gateway's per-shard call timings.
 package stats
 
 import (

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logr/internal/cluster"
 	"logr/internal/core"
 	"logr/internal/obs"
 	"logr/internal/vfs"
@@ -202,10 +201,9 @@ func (o DurableOptions) sealSummary() (core.CompressOptions, bool) {
 	}
 	opts := o.SealSummary
 	if opts.K == 0 && opts.TargetError == 0 {
-		// mirror the public façade's defaults (including the Hamming metric
-		// it selects for an empty Metric string) so seal-time caches are hit
+		// mirror the public façade's defaults so seal-time caches are hit
 		// by default-option queries
-		opts = core.CompressOptions{K: 8, Seed: 1, Metric: cluster.Hamming}
+		opts = core.CompressOptions{K: 8, Seed: 1}
 	}
 	return opts, true
 }

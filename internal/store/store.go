@@ -124,8 +124,7 @@ func (sg *Segment) Log() *core.Log { return sg.log }
 // summaryKey folds the options that shape a summary (not Parallelism, which
 // only changes throughput) into the cache key.
 func summaryKey(opts core.CompressOptions) string {
-	return fmt.Sprintf("k%d|m%d|d%d|p%g|s%d|t%g|x%d|f%v",
-		opts.K, opts.Method, opts.Metric, opts.MinkowskiP, opts.Seed, opts.TargetError, opts.MaxK, opts.ForceDense)
+	return fmt.Sprintf("k%d|m%d|s%d|t%g|x%d", opts.K, opts.Method, opts.Seed, opts.TargetError, opts.MaxK)
 }
 
 // cached returns the segment's summary for the given cache key, or nil.

@@ -37,9 +37,3 @@ func BenchmarkEncoderIncremental(b *testing.B) {
 		_ = enc.Result()
 	}
 }
-
-func BenchmarkMushroomGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Mushroom(MushroomConfig{Rows: 8124, Seed: int64(i + 1)})
-	}
-}

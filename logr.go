@@ -32,8 +32,8 @@
 // (internal/parallel): Append and Load parse, regularize and
 // feature-extract entries on parallel workers with an ordered merge that
 // keeps codebook assignment deterministic; Compress fans out the k-means
-// assignment step and restarts, the O(n²) distance matrices of the spectral
-// and hierarchical methods, the auto sweep's merge scoring, and
+// assignment step and restarts, the hierarchical method's O(n²) distance
+// matrix, the auto sweep's merge scoring, and
 // the word-packed containment counting behind marginal estimation. Both
 // Options.Parallelism and CompressOptions.Parallelism default to all cores
 // (0); setting 1 forces serial execution. For a fixed Seed the output is
@@ -45,20 +45,20 @@
 // # Binary kernels
 //
 // Query feature vectors are binary (q ∈ {0,1}^n, paper Section 2.1), and
-// since every supported distance reduces to a popcount on binary data,
+// since both methods' distances reduce to a popcount on binary data,
 // Compress and Recompress cluster the word-packed vectors directly: k-means
 // scores a query q against a float centroid c through the sparse identity
 // ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i) — touching only q's set bits, with ‖c‖²
 // precomputed per centroid and Hamerly-style movement bounds skipping
-// settled points — while spectral and hierarchical clustering build their
-// distance matrices from XOR popcounts. No dense float64 point matrix is
+// settled points — while hierarchical clustering builds its Hamming
+// distance matrix from XOR popcounts. No dense float64 point matrix is
 // ever materialized, cutting Compress's peak clustering memory from
 // O(distinct·universe·8B) to the log's packed O(distinct·universe/8B) plus
 // K centroid rows, and making the hot loops ~an order of magnitude faster
 // (see the "Binary kernels" section of the README for measurements). The
-// legacy dense path survives inside internal/core as the equivalence
-// oracle: for a fixed Seed both paths produce the identical assignment and
-// Reproduction Error, which the equivalence tests assert.
+// dense float64 path is the equivalence oracle in internal/core's tests:
+// for a fixed Seed both paths produce the identical assignment and
+// Reproduction Error.
 //
 // # Summary epochs and incremental recompression
 //
@@ -128,7 +128,6 @@ import (
 
 	"logr/internal/apps"
 	"logr/internal/bitvec"
-	"logr/internal/cluster"
 	"logr/internal/core"
 	"logr/internal/feature"
 	"logr/internal/obs"
@@ -731,12 +730,10 @@ type CompressOptions struct {
 	// the exact Error each merge adds, and the fewest merged clusters with
 	// Error ≤ TargetError are kept — all MaxClusters when none qualify.
 	Clusters int
-	// Method is "kmeans" (default), "spectral" or "hierarchical".
+	// Method is "kmeans" (default) or "hierarchical" (average linkage under
+	// Hamming distance). Section 6.1's spectral clustering and its other
+	// distances run only in the paper-figure drivers (cmd/logr-bench).
 	Method string
-	// Metric (spectral/hierarchical) is "euclidean", "manhattan",
-	// "minkowski", "hamming", "chebyshev" or "canberra"; default hamming,
-	// the paper's best Error/runtime trade-off.
-	Metric string
 	// TargetError is the auto sweep's Error bound (nats).
 	TargetError float64
 	// MaxClusters is the cluster count the auto sweep starts from and the
@@ -813,14 +810,9 @@ func (opts CompressOptions) internal() (core.CompressOptions, error) {
 	if err != nil {
 		return core.CompressOptions{}, err
 	}
-	metric, err := parseMetric(opts.Metric)
-	if err != nil {
-		return core.CompressOptions{}, err
-	}
 	return core.CompressOptions{
 		K:           opts.Clusters,
 		Method:      method,
-		Metric:      metric,
 		Seed:        opts.Seed,
 		TargetError: opts.TargetError,
 		MaxK:        opts.MaxClusters,
@@ -1024,30 +1016,10 @@ func parseMethod(s string) (core.Method, error) {
 	switch strings.ToLower(s) {
 	case "", "kmeans":
 		return core.KMeansMethod, nil
-	case "spectral":
-		return core.SpectralMethod, nil
 	case "hierarchical":
 		return core.HierarchicalMethod, nil
 	}
-	return 0, fmt.Errorf("logr: unknown method %q", s)
-}
-
-func parseMetric(s string) (cluster.Metric, error) {
-	switch strings.ToLower(s) {
-	case "", "hamming":
-		return cluster.Hamming, nil
-	case "euclidean":
-		return cluster.Euclidean, nil
-	case "manhattan":
-		return cluster.Manhattan, nil
-	case "minkowski":
-		return cluster.Minkowski, nil
-	case "chebyshev":
-		return cluster.Chebyshev, nil
-	case "canberra":
-		return cluster.Canberra, nil
-	}
-	return 0, fmt.Errorf("logr: unknown metric %q", s)
+	return 0, fmt.Errorf("logr: unknown method %q (accepted: kmeans, hierarchical)", s)
 }
 
 // Error returns the Generalized Reproduction Error of the summary (nats);

@@ -3,8 +3,11 @@ package logr
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"logr/internal/cluster"
 )
 
 func toyEntries() []Entry {
@@ -117,20 +120,35 @@ func TestMoreClustersLowerError(t *testing.T) {
 	}
 }
 
+// TestMethodsAndMetrics pins each accepted method to its distance — k-means
+// runs Lloyd's algorithm over Euclidean distance, and hierarchical is the
+// average-linkage dendrogram under Hamming distance, cut at K — and
+// refuses every other method, spectral clustering included, naming the
+// accepted ones.
 func TestMethodsAndMetrics(t *testing.T) {
 	w := FromEntries(toyEntries())
-	for _, m := range []string{"kmeans", "spectral", "hierarchical"} {
-		for _, d := range []string{"hamming", "euclidean", "manhattan", "minkowski"} {
-			if _, err := w.Compress(CompressOptions{Clusters: 2, Method: m, Metric: d, Seed: 1}); err != nil {
-				t.Errorf("%s/%s: %v", m, d, err)
-			}
+	for _, m := range []string{"", "kmeans", "KMeans", "hierarchical"} {
+		if _, err := w.Compress(CompressOptions{Clusters: 2, Method: m, Seed: 1}); err != nil {
+			t.Errorf("%q: %v", m, err)
 		}
 	}
-	if _, err := w.Compress(CompressOptions{Method: "bogus"}); err == nil {
-		t.Error("expected error for bogus method")
+	s, err := w.Compress(CompressOptions{Clusters: 2, Method: "hierarchical", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := w.Compress(CompressOptions{Metric: "bogus"}); err == nil {
-		t.Error("expected error for bogus metric")
+	pts := w.snapshot().Log.Binary()
+	want := cluster.HierarchicalBinaryP(pts, cluster.BinaryMetricFunc(cluster.Hamming, 0), 1).Cut(2)
+	if !reflect.DeepEqual(s.c.Assignment, want) {
+		t.Errorf("hierarchical assignment %v, want the Hamming average-linkage cut %v", s.c.Assignment, want)
+	}
+	for _, m := range []string{"spectral", "bogus"} {
+		_, err := w.Compress(CompressOptions{Clusters: 2, Method: m, Seed: 1})
+		if err == nil {
+			t.Fatalf("%q: Compress accepted it", m)
+		}
+		if !strings.Contains(err.Error(), "kmeans") || !strings.Contains(err.Error(), "hierarchical") {
+			t.Errorf("%q: error %q does not name the accepted methods", m, err)
+		}
 	}
 }
 

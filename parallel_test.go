@@ -60,10 +60,9 @@ func TestCompressDeterministicAcrossParallelism(t *testing.T) {
 	w := logr.FromEntries(pocketEntries(5000, 200, 3))
 	cases := []logr.CompressOptions{
 		{Clusters: 6, Method: "kmeans", Seed: 7},
-		{Clusters: 6, Method: "spectral", Metric: "hamming", Seed: 7},
-		{Clusters: 6, Method: "hierarchical", Metric: "hamming", Seed: 7},
+		{Clusters: 6, Method: "hierarchical", Seed: 7},
 		{Clusters: 0, Method: "kmeans", Seed: 7, TargetError: 0.5, MaxClusters: 8},
-		{Clusters: 0, Method: "hierarchical", Metric: "hamming", Seed: 7, TargetError: 0.5, MaxClusters: 8},
+		{Clusters: 0, Method: "hierarchical", Seed: 7, TargetError: 0.5, MaxClusters: 8},
 	}
 	for _, tc := range cases {
 		tc := tc
