@@ -258,7 +258,9 @@ type DriftResult struct {
 }
 
 // StatsResult is GET /stats: the Table-1-style pipeline statistics plus
-// the durable pipeline's gauges.
+// the durable pipeline's gauges. distinct_queries counts distinct raw
+// statements exactly up to a 64-bit hash collision; there is no
+// with-constants feature count, which is an offline pass (`logr stats`).
 type StatsResult struct {
 	logr.Stats
 	// Ingest reports the durable pipeline's backlog: apply-queue depth and
@@ -561,10 +563,14 @@ func (c *Client) summary(ctx context.Context, from, to int) (*logr.Summary, erro
 // at a gateway keeps working; decode into these types to see the
 // cluster-only annotations. Per route, the single-node fields carry:
 //
-//	POST /ingest      Entries accepted; TotalQueries the cluster total
+//	POST /ingest      Entries accepted; TotalQueries the cluster total; a
+//	                  shard refusing its part (a node answers 400 past its
+//	                  2^50-query cap) counts as failed, and its entries
+//	                  spill (see ClusterIngestResult)
 //	GET  /estimate    an estimate from the merged cross-shard summary
 //	GET  /count       the sum of the shards' exact counts
-//	GET  /stats       Queries and Unparseable summed
+//	GET  /stats       Queries and Unparseable summed; each shard's own
+//	                  hash-exact distinct_queries, and no features field
 //	GET  /segments    the shards' segment lists concatenated (seal ids are
 //	                  per shard, so ids may repeat); ActiveQueries summed
 //	GET  /drift       Score and NoveltyRate weighted by shard query totals;

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"logr"
+	"logr/internal/experiments"
 	"logr/internal/server"
 	"logr/internal/workload"
 )
@@ -224,18 +225,25 @@ func runStats(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("stats: -in is required")
 	}
-	w, err := loadWorkload(*in, *par, 0)
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
-	s := w.Stats()
+	defer f.Close()
+	// compact reader accepts plain lines too
+	entries, err := workload.ReadCompact(f)
+	if err != nil {
+		return err
+	}
+	opts := workload.EncodeOptions{Parallelism: *par}
+	s := workload.Encode(entries, opts).Stats
 	fmt.Printf("queries:                %d\n", s.Queries)
 	fmt.Printf("distinct:               %d\n", s.DistinctQueries)
 	fmt.Printf("distinct (w/o const):   %d\n", s.DistinctNoConst)
 	fmt.Printf("distinct conjunctive:   %d\n", s.DistinctConjunctive)
 	fmt.Printf("distinct rewritable:    %d\n", s.DistinctRewritable)
 	fmt.Printf("max multiplicity:       %d\n", s.MaxMultiplicity)
-	fmt.Printf("features:               %d\n", s.Features)
+	fmt.Printf("features:               %d\n", experiments.DistinctFeatures(entries, opts))
 	fmt.Printf("features (w/o const):   %d\n", s.FeaturesNoConst)
 	fmt.Printf("avg features/query:     %.2f\n", s.AvgFeaturesPerQuery)
 	fmt.Printf("stored procedures:      %d (skipped)\n", s.StoredProcedures)

@@ -87,11 +87,13 @@ func WriteSummary(w io.Writer, m Mixture, book *feature.Codebook) error {
 	return enc.Encode(f)
 }
 
-// maxCount bounds every query count a summary artifact may carry. Counts
+// MaxCount bounds every query count a summary artifact may carry. Counts
 // never size an allocation and may legitimately be huge for a
 // heavy-traffic log, but below 2^50 a count survives the round trip
-// through its stored marginal c/n exactly (snapCount).
-const maxCount = 1 << 50
+// through its stored marginal c/n exactly (snapCount). Ingest refuses a
+// batch that would take a store past it, so every summary it serves can be
+// saved and read back.
+const MaxCount = 1 << 50
 
 // snapCount returns the feature count a stored marginal of a cluster of n
 // queries stands for: round(p·n). Writers store each marginal as c/n, so
@@ -283,7 +285,7 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 	if err != nil {
 		return fail(err)
 	}
-	total, err := readBounded(maxCount)
+	total, err := readBounded(MaxCount)
 	if err != nil {
 		return fail(err)
 	}
@@ -323,7 +325,7 @@ func readSummaryBinary(br *bufio.Reader) (Mixture, *feature.Codebook, error) {
 	m := Mixture{Universe: universe, Total: total}
 	var word [8]byte
 	for ci := 0; ci < nclusters; ci++ {
-		count, err := readBounded(maxCount)
+		count, err := readBounded(MaxCount)
 		if err != nil {
 			return fail(err)
 		}
@@ -401,7 +403,7 @@ func readSummaryJSON(r io.Reader) (Mixture, *feature.Codebook, error) {
 	if len(f.Features) != f.Universe {
 		return Mixture{}, nil, fmt.Errorf("core: summary lists %d features for universe %d", len(f.Features), f.Universe)
 	}
-	if f.Total < 0 || f.Total > maxCount {
+	if f.Total < 0 || f.Total > MaxCount {
 		return Mixture{}, nil, fmt.Errorf("core: summary total %d outside 0..2^50", f.Total)
 	}
 	book := feature.NewCodebook(feature.Scheme(f.Scheme))
@@ -415,7 +417,7 @@ func readSummaryJSON(r io.Reader) (Mixture, *feature.Codebook, error) {
 		if len(rec.Index) != len(rec.Marginal) {
 			return Mixture{}, nil, fmt.Errorf("core: cluster %d has mismatched sparse arrays", ci)
 		}
-		if rec.Count < 0 || rec.Count > maxCount {
+		if rec.Count < 0 || rec.Count > MaxCount {
 			return Mixture{}, nil, fmt.Errorf("core: cluster %d count %d outside 0..2^50", ci, rec.Count)
 		}
 		e := Naive{Count: rec.Count, Feat: make([]uint32, len(rec.Index)), Cnt: make([]int, len(rec.Index))}

@@ -30,17 +30,26 @@ func load(s Scale) *datasets {
 		return d
 	}
 	d := &datasets{}
-	d.pocket = workload.Encode(workload.PocketData(workload.PocketDataConfig{
-		TotalQueries: s.PocketTotal, DistinctTarget: s.PocketDistinct, Seed: s.Seed,
-	}), workload.EncodeOptions{})
-	d.bank = workload.Encode(workload.USBank(workload.USBankConfig{
-		TotalQueries: s.BankTotal, DistinctTarget: s.BankDistinct,
-		ConstantVariants: s.BankConstVariants, NoiseEntries: s.BankNoise, Seed: s.Seed + 1,
-	}), workload.EncodeOptions{})
+	d.pocket = workload.Encode(pocketEntries(s), workload.EncodeOptions{})
+	d.bank = workload.Encode(bankEntries(s), workload.EncodeOptions{})
 	d.income = mining.Income(mining.IncomeConfig{Rows: s.IncomeRows, Seed: s.Seed + 2})
 	d.mushroom = mining.Mushroom(mining.MushroomConfig{Rows: s.MushroomRows, Seed: s.Seed + 3})
 	cache[s] = d
 	return d
+}
+
+// pocketEntries and bankEntries are the raw logs a Scale encodes.
+func pocketEntries(s Scale) []workload.LogEntry {
+	return workload.PocketData(workload.PocketDataConfig{
+		TotalQueries: s.PocketTotal, DistinctTarget: s.PocketDistinct, Seed: s.Seed,
+	})
+}
+
+func bankEntries(s Scale) []workload.LogEntry {
+	return workload.USBank(workload.USBankConfig{
+		TotalQueries: s.BankTotal, DistinctTarget: s.BankDistinct,
+		ConstantVariants: s.BankConstVariants, NoiseEntries: s.BankNoise, Seed: s.Seed + 1,
+	})
 }
 
 // logsByName exposes the two query logs for sweep drivers.

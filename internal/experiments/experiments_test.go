@@ -15,6 +15,25 @@ func TestTable1(t *testing.T) {
 			t.Errorf("Table 1 missing %q", want)
 		}
 	}
+	// every row, the with-constants features included, as the pipeline
+	// that parsed each distinct statement and kept a with-constants
+	// codebook computed it
+	const want = `Statistics                             PocketData      US bank
+# Queries                                    4000         4000
+# Distinct queries                            120          420
+# Distinct queries (w/o const)                120          150
+# Distinct conjunctive queries                 25          127
+# Distinct re-writable queries                120          150
+Max query multiplicity                        326          554
+# Distinct features                            87         1238
+# Distinct features (w/o const)                87          436
+Average features per query                  10.42         7.28
+# Stored procedures (skipped)                   0           20
+# Unparseable (skipped)                         0           10
+`
+	if out != want {
+		t.Errorf("Table 1 at Small scale:\n%s\nwant:\n%s", out, want)
+	}
 }
 
 func TestTable2(t *testing.T) {

@@ -33,6 +33,21 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
+// TestDistinctFeatures: Table 1's with-constants feature count, now an
+// offline pass, matches the count the encoder used to keep in a second
+// codebook, and exceeds the scrubbed count.
+func TestDistinctFeatures(t *testing.T) {
+	entries := workload.USBank(workload.USBankConfig{TotalQueries: 20000, DistinctTarget: 250, ConstantVariants: 5, NoiseEntries: 30, Seed: 2})
+	s := workload.Encode(entries, workload.EncodeOptions{}).Stats
+	got := DistinctFeatures(entries, workload.EncodeOptions{})
+	if got != 2073 {
+		t.Errorf("distinct features with constants = %d, want 2073", got)
+	}
+	if got <= s.FeaturesNoConst {
+		t.Errorf("features with const %d should exceed without %d", got, s.FeaturesNoConst)
+	}
+}
+
 func TestFormatTable2(t *testing.T) {
 	income := mining.Income(mining.IncomeConfig{Rows: 500, Seed: 3})
 	mushroom := mining.Mushroom(mining.MushroomConfig{Rows: 500, Seed: 4})

@@ -308,6 +308,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeDegraded(w, err)
 			return
 		}
+		if errors.Is(err, logr.ErrQueryCap) {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("ingest refused: %w", err))
+			return
+		}
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("persisting ingest: %w", err))
 		return
 	}

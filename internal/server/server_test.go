@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -481,5 +482,54 @@ func TestDegradedModeHTTP(t *testing.T) {
 	}
 	if _, err := c.Segments(ctx); err != nil {
 		t.Fatalf("segment listing while degraded: %v", err)
+	}
+}
+
+// TestIngestQueryCap: both body codecs answer 400, naming the cap, for a
+// batch that would take the workload past 2^50 queries, and the workload
+// keeps serving afterwards.
+func TestIngestQueryCap(t *testing.T) {
+	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ts := httptest.NewServer(New(w, Options{}).Handler())
+	defer ts.Close()
+	post := func(ct, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	over := fmt.Sprint(1<<50 + 1)
+	for _, c := range []struct{ ct, body string }{
+		{"application/json", `{"entries":[{"sql":"SELECT a FROM t","count":` + over + `}]}`},
+		{"text/plain", over + "\tSELECT a FROM t\n"},
+	} {
+		if code, msg := post(c.ct, c.body); code != http.StatusBadRequest || !strings.Contains(msg, "2^50") {
+			t.Fatalf("%s body past the cap: HTTP %d %s, want 400 naming 2^50", c.ct, code, msg)
+		}
+	}
+	if code, msg := post("text/plain", fmt.Sprint(1<<50)+"\tSELECT a FROM t\n"); code != http.StatusOK {
+		t.Fatalf("a body reaching the cap: HTTP %d %s", code, msg)
+	}
+	if code, _ := post("application/json", `{"entries":[{"sql":"SELECT a FROM t"}]}`); code != http.StatusBadRequest {
+		t.Fatalf("one query past a full workload: HTTP %d, want 400", code)
+	}
+	if got := w.Queries(); got != 1<<50 {
+		t.Fatalf("workload holds %d queries, want 2^50", got)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/stats after a refused ingest: HTTP %d", resp.StatusCode)
 	}
 }

@@ -364,7 +364,7 @@ func quoteIdent(name string) string {
 }
 
 func isPlainIdent(name string) bool {
-	if name == "" || keywords[strings.ToUpper(name)] {
+	if _, kw := keyword(name); name == "" || kw {
 		return false
 	}
 	for i, r := range name {

@@ -44,11 +44,19 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzLex asserts the lexer never panics and always terminates.
+// FuzzLex asserts the lexer never panics and always terminates, and that
+// its allocation-free keyword recognition agrees with upper-casing the
+// text and looking it up.
 func FuzzLex(f *testing.F) {
 	f.Add("SELECT a FROM t -- comment\n/* block */ WHERE x = 'lit'")
 	f.Add("$$$ ::: ??? \"unterminated")
+	f.Add("ſelect")
+	f.Add("lımıt")
 	f.Fuzz(func(t *testing.T, src string) {
+		upper := strings.ToUpper(src)
+		if kw, ok := keyword(src); ok != (keywords[upper] != "") || (ok && kw != upper) {
+			t.Fatalf("keyword(%q) = %q, %v; strings.ToUpper gives %q", src, kw, ok, upper)
+		}
 		toks, err := Lex(src)
 		if err != nil {
 			return

@@ -13,6 +13,7 @@
 package sqlparser
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"unicode"
@@ -64,19 +65,49 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("unsupported statement kind %q (only SELECT is parsed)", e.Verb)
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "AS": true, "IN": true, "IS": true, "NULL": true,
-	"LIKE": true, "BETWEEN": true, "EXISTS": true, "UNION": true,
-	"ALL": true, "DISTINCT": true, "GROUP": true, "BY": true, "ORDER": true,
-	"HAVING": true, "LIMIT": true, "OFFSET": true, "ASC": true, "DESC": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true, "ON": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "TRUE": true, "FALSE": true,
-	"CAST": true, "INSERT": true, "UPDATE": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "ALTER": true, "CALL": true, "EXEC": true,
-	"EXECUTE": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"SET": true, "VALUES": true, "INTO": true, "WITH": true,
+// keywords maps each reserved word to itself, so recognizing one yields the
+// canonical upper-case text without building a new string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "AS", "IN", "IS", "NULL",
+		"LIKE", "BETWEEN", "EXISTS", "UNION", "ALL", "DISTINCT", "GROUP", "BY",
+		"ORDER", "HAVING", "LIMIT", "OFFSET", "ASC", "DESC", "JOIN", "INNER",
+		"LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "ON", "CASE", "WHEN", "THEN",
+		"ELSE", "END", "TRUE", "FALSE", "CAST", "INSERT", "UPDATE", "DELETE",
+		"CREATE", "DROP", "ALTER", "CALL", "EXEC", "EXECUTE", "BEGIN", "COMMIT",
+		"ROLLBACK", "SET", "VALUES", "INTO", "WITH",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the longest keyword's length in bytes.
+const maxKeywordLen = 8
+
+// keyword reports whether text is a reserved word in any letter case and
+// returns its canonical upper-case spelling. ASCII text is folded in a
+// stack buffer; text with other runes takes strings.ToUpper, whose Unicode
+// case mapping can turn a non-ASCII letter into an ASCII one ('ſ' → 'S').
+func keyword(text string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(text)]
+			return kw, ok
+		}
+		if i == len(buf) {
+			return "", false
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 type lexer struct {
@@ -137,9 +168,12 @@ scan:
 	// Decode a full rune: treating bytes as runes would accept invalid
 	// UTF-8 as identifier letters (rune(0xda) is 'Ú') and split multi-byte
 	// letters in half, producing names the printer cannot round-trip.
-	c, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-	if c == utf8.RuneError && size <= 1 {
-		return Token{}, lx.errf(start, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
+	c := rune(lx.src[lx.pos])
+	if c >= utf8.RuneSelf {
+		var size int
+		if c, size = utf8.DecodeRuneInString(lx.src[lx.pos:]); c == utf8.RuneError && size <= 1 {
+			return Token{}, lx.errf(start, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
+		}
 	}
 
 	switch {
@@ -171,10 +205,25 @@ scan:
 	}
 }
 
+// asciiIdentPart is isIdentPart on the ASCII range.
+var asciiIdentPart = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isIdentPart(rune(c))
+	}
+	return t
+}()
+
 // scanIdentPart consumes identifier-part runes, stopping at the first rune
 // outside the identifier alphabet and rejecting invalid UTF-8.
 func (lx *lexer) scanIdentPart() error {
 	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if !asciiIdentPart[c] {
+				return nil
+			}
+			lx.pos++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		if r == utf8.RuneError && size <= 1 {
 			return lx.errf(lx.pos, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
@@ -192,9 +241,8 @@ func (lx *lexer) scanIdent(start int) (Token, error) {
 		return Token{}, err
 	}
 	text := lx.src[start:lx.pos]
-	upper := strings.ToUpper(text)
-	if _, ok := keywords[upper]; ok {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}, nil
+	if kw, ok := keyword(text); ok {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 }
@@ -246,20 +294,26 @@ func (lx *lexer) scanQuotedIdent(start int) (Token, error) {
 		closeCh = ']'
 	}
 	lx.pos++
-	var text strings.Builder
+	// the name is a slice of the source unless a doubled closing character
+	// (SQL's "" rule, which lets the printer round-trip any name) forces a
+	// copy
+	var text []byte
+	from := lx.pos
 	for lx.pos < len(lx.src) {
 		if lx.src[lx.pos] == closeCh {
-			// a doubled closing character escapes it (SQL's "" rule),
-			// which is what lets the printer round-trip any name
 			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == closeCh {
-				text.WriteByte(closeCh)
+				text = append(text, lx.src[from:lx.pos+1]...)
 				lx.pos += 2
+				from = lx.pos
 				continue
 			}
+			name := lx.src[from:lx.pos]
+			if text != nil {
+				name = string(append(text, name...))
+			}
 			lx.pos++
-			return Token{Kind: TokIdent, Text: text.String(), Pos: start}, nil
+			return Token{Kind: TokIdent, Text: name, Pos: start}, nil
 		}
-		text.WriteByte(lx.src[lx.pos])
 		lx.pos++
 	}
 	return Token{}, lx.errf(start, "unterminated quoted identifier")
@@ -281,7 +335,7 @@ func (lx *lexer) scanOp(start int) (Token, error) {
 	switch c {
 	case '(', ')', ',', '=', '<', '>', '+', '-', '*', '/', '%', '.', ';':
 		lx.pos++
-		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokOp, Text: lx.src[start:lx.pos], Pos: start}, nil
 	}
 	return Token{}, lx.errf(start, "unexpected character %q", string(rune(c)))
 }
@@ -299,5 +353,32 @@ func Lex(src string) ([]Token, error) {
 		if t.Kind == TokEOF {
 			return out, nil
 		}
+	}
+}
+
+// Fingerprint appends the literal-blind fingerprint of src to dst: one kind
+// byte per token, followed by the token's length-prefixed text, except that
+// number and string literals are the kind byte alone unless keepLiterals is
+// set. Two statements with equal fingerprints therefore lex to token
+// sequences that are equal apart from literal text — and since the parser
+// branches on a literal's kind but never on its text, they parse to trees
+// that differ only in literal values. The scan is the lexer's, so it fails
+// exactly when Lex does; it allocates nothing beyond growing dst.
+func Fingerprint(dst []byte, src string, keepLiterals bool) ([]byte, error) {
+	lx := lexer{src: src}
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return dst, err
+		}
+		if t.Kind == TokEOF {
+			return dst, nil
+		}
+		dst = append(dst, byte(t.Kind))
+		if !keepLiterals && (t.Kind == TokNumber || t.Kind == TokString) {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(t.Text)))
+		dst = append(dst, t.Text...)
 	}
 }

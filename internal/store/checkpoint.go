@@ -67,8 +67,12 @@ import (
 // checkpointed: they rebuild lazily or from artifacts.
 
 const (
-	ckptMagic     = "LGCP"
-	ckptVersion   = 2
+	ckptMagic = "LGCP"
+	// ckptVersion is also the layout version of the admission-log frames
+	// (workload.StateVersion). A version-2 pair still opens; the first
+	// checkpoint after that rewrites the admissions into a new generation
+	// in the current layout, as a re-arm does.
+	ckptVersion   = workload.StateVersion
 	ckptFileName  = "checkpoint"
 	admFilePrefix = ckptFileName + ".adm."
 
@@ -78,13 +82,23 @@ const (
 )
 
 // admission locates the committed prefix of the admission log: which
-// generation, how many bytes of it the head vouches for, their CRC-32, and
-// the encoder position those bytes restore to.
+// generation, how many bytes of it the head vouches for, their CRC-32, the
+// encoder position those bytes restore to, and whether its frames are in
+// the version-2 layout.
 type admission struct {
-	gen  uint64
-	len  int64
-	crc  uint32
-	mark workload.StateMark
+	gen    uint64
+	len    int64
+	crc    uint32
+	mark   workload.StateMark
+	legacy bool
+}
+
+// version is the layout of the log's frames.
+func (a admission) version() byte {
+	if a.legacy {
+		return 2
+	}
+	return ckptVersion
 }
 
 func admFileName(gen uint64) string { return admFilePrefix + strconv.FormatUint(gen, 10) }
@@ -122,7 +136,7 @@ func (s *Store) checkpointState(since workload.StateMark) (frame, state []byte, 
 }
 
 // encodeHead frames a checkpoint head: state as of WAL offset off, resting
-// on the admission-log prefix adm.
+// on the admission-log prefix adm, which must be in the current layout.
 func encodeHead(off int64, adm admission, state []byte) []byte {
 	b := make([]byte, 0, ckptHeaderLen+len(state)+4)
 	b = append(b, ckptMagic...)
@@ -143,8 +157,10 @@ func decodeHead(data []byte) (off int64, adm admission, state []byte, err error)
 	}
 	switch v := data[len(ckptMagic)]; {
 	case v == 1:
-		return 0, adm, nil, errors.New("store: checkpoint is format version 1 (one self-contained file); " +
-			"this build reads and writes version 2 (head + admission log) only — reopen the directory with the release that wrote it")
+		return 0, adm, nil, fmt.Errorf("store: checkpoint is format version 1 (one self-contained file); "+
+			"this build reads versions 2 and %d (head + admission log) only — reopen the directory with the release that wrote it", ckptVersion)
+	case v == 2:
+		adm.legacy = true
 	case v != ckptVersion:
 		return 0, adm, nil, fmt.Errorf("store: unsupported checkpoint version %d", v)
 	}
@@ -197,7 +213,7 @@ func readAdmissions(r io.Reader, adm admission, enc *workload.Encoder) error {
 		}
 		left -= int64(n)
 		crc = crc32.Update(crc32.Update(crc, crc32.IEEETable, hdr[:]), crc32.IEEETable, frame)
-		rest, err := enc.RestoreAdmissions(frame)
+		rest, err := enc.RestoreAdmissions(frame, adm.version())
 		if err != nil {
 			return err
 		}

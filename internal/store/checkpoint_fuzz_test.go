@@ -31,7 +31,8 @@ func fuzzCheckpoint() (head, log []byte, opts Options) {
 // check), over the admission log the seed head belongs to. Whatever
 // the bytes, decoding must return a store or an error — no panic, no
 // allocation driven by a corrupt count — and a store it does return must
-// hold together well enough to snapshot.
+// hold together well enough to snapshot, with canonical multiplicities
+// that add up to its query and feature totals.
 func FuzzCheckpointHead(f *testing.F) {
 	head, log, opts := fuzzCheckpoint()
 	f.Add(head[:len(head)-4])
@@ -57,37 +58,52 @@ func FuzzCheckpointHead(f *testing.F) {
 			return
 		}
 		mem.Segments()
-		mem.TotalQueries()
+		res := mem.Snapshot()
+		queries, feats := 0, 0
+		for i := 0; i < res.Log.Distinct(); i++ {
+			queries += res.Log.Multiplicity(i)
+			feats += res.Log.Vector(i).Count() * res.Log.Multiplicity(i)
+		}
+		if queries != res.Stats.Queries || queries != mem.TotalQueries() || queries != res.Log.Total() {
+			t.Fatalf("multiplicities sum to %d, the store counts %d SELECT and %d encoded queries", queries, res.Stats.Queries, mem.TotalQueries())
+		}
+		if queries > 0 && float64(feats)/float64(queries) != res.Stats.AvgFeaturesPerQuery {
+			t.Fatalf("multiplicities weight to %d features over %d queries, the store averages %v", feats, queries, res.Stats.AvgFeaturesPerQuery)
+		}
 	})
 }
 
 // FuzzAdmissionLog feeds the admission-log decoder arbitrary bytes with a
-// head that vouches for all of them. Restoring must fail cleanly or yield
-// tables a snapshot can be built from: every canonical query's feature
-// indices inside the codebook, every statement's reference inside the
-// canonical table.
+// head that vouches for all of them, read in the current layout and in
+// version 2's. Restoring must fail cleanly or yield tables a snapshot can
+// be built from: every canonical query's feature indices inside the
+// codebook, every version-2 statement's reference inside the canonical
+// table, no statement hash twice.
 func FuzzAdmissionLog(f *testing.F) {
 	_, log, opts := fuzzCheckpoint()
 	f.Add(log)
 	f.Add(log[:len(log)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		enc := workload.NewEncoder(opts.Encode)
-		adm := admission{len: int64(len(data)), crc: crc32.ChecksumIEEE(data)}
-		if readAdmissions(bytes.NewReader(data), adm, enc) != nil {
-			return
-		}
-		res := enc.Result()
-		if res.Log.Universe() != res.Book.Size() {
-			t.Fatalf("snapshot universe %d, codebook %d", res.Log.Universe(), res.Book.Size())
-		}
-		// a restored table serializes back to a log that restores the same
-		again := workload.NewEncoder(opts.Encode)
-		if _, err := again.RestoreAdmissions(enc.AppendAdmissions(nil, workload.StateMark{})); err != nil {
-			t.Fatalf("re-serialized admissions do not restore: %v", err)
-		}
-		if again.Mark() != enc.Mark() {
-			t.Fatalf("re-serialized admissions restore to %+v, want %+v", again.Mark(), enc.Mark())
+		for _, legacy := range []bool{false, true} {
+			enc := workload.NewEncoder(opts.Encode)
+			adm := admission{len: int64(len(data)), crc: crc32.ChecksumIEEE(data), legacy: legacy}
+			if readAdmissions(bytes.NewReader(data), adm, enc) != nil {
+				continue
+			}
+			res := enc.Result()
+			if res.Log.Universe() != res.Book.Size() {
+				t.Fatalf("snapshot universe %d, codebook %d", res.Log.Universe(), res.Book.Size())
+			}
+			// a restored table serializes back, in the current layout, to a
+			// log that restores the same
+			again := workload.NewEncoder(opts.Encode)
+			if _, err := again.RestoreAdmissions(enc.AppendAdmissions(nil, workload.StateMark{}), workload.StateVersion); err != nil {
+				t.Fatalf("re-serialized admissions do not restore: %v", err)
+			}
+			if again.Mark() != enc.Mark() {
+				t.Fatalf("re-serialized admissions restore to %+v, want %+v", again.Mark(), enc.Mark())
+			}
 		}
 	})
 }

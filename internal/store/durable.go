@@ -124,11 +124,12 @@ type Durable struct {
 	stop        chan struct{} // closed by Close; ends the degraded-mode probe
 	probeWg     sync.WaitGroup
 
-	acked   atomic.Int64 // WAL offset of the last acknowledged record
-	applied atomic.Int64 // WAL offset up to which the applier has caught up
-	queued  atomic.Int64 // entries sitting in applyQ, pending apply
-	ckptOff atomic.Int64 // WAL offset covered by the latest checkpoint
-	adm     admission    // admission-log prefix the latest checkpoint rests on; guarded by seqMu
+	acked    atomic.Int64 // WAL offset of the last acknowledged record
+	applied  atomic.Int64 // WAL offset up to which the applier has caught up
+	queued   atomic.Int64 // entries sitting in applyQ, pending apply
+	ckptOff  atomic.Int64 // WAL offset covered by the latest checkpoint
+	adm      admission    // admission-log prefix the latest checkpoint rests on; guarded by seqMu
+	ingested int          // queries acknowledged over the store's life, for the ingest cap; guarded by seqMu
 
 	applyMu   sync.Mutex // barrier condition variable
 	applyCond *sync.Cond
@@ -378,7 +379,7 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 		}
 	}
 	d := &Durable{
-		mem: mem, dir: dir, opts: opts, dopts: dopts, fs: fsys, lock: lock, m: dm, adm: adm,
+		mem: mem, dir: dir, opts: opts, dopts: dopts, fs: fsys, lock: lock, m: dm, adm: adm, ingested: mem.IngestedQueries(),
 		applyQ:      make(chan applyJob, dopts.applyQueue()),
 		applierDone: make(chan struct{}),
 		persistNote: make(chan struct{}, 1),
@@ -448,6 +449,12 @@ func (d *Durable) Append(entries []workload.LogEntry) error {
 		sc.release()
 		return d.degradedErr()
 	}
+	ingested, err := addQueries(d.ingested, entries)
+	if err != nil {
+		d.seqMu.Unlock()
+		sc.release()
+		return err
+	}
 	w := d.w.Load()
 	end, err := w.AppendBatch(sc.payloads)
 	if err != nil {
@@ -456,6 +463,7 @@ func (d *Durable) Append(entries []workload.LogEntry) error {
 		d.maybeDegradeWal(w)
 		return err
 	}
+	d.ingested = ingested
 	d.acked.Store(end)
 	d.queued.Add(queued)
 	sc.jobs[len(sc.jobs)-1].lsn = end
@@ -630,6 +638,9 @@ func (d *Durable) checkpointLocked() error {
 func (d *Durable) writeCheckpoint(fresh bool) (int64, error) {
 	d.Barrier()
 	cut := d.acked.Load()
+	// a log in an older layout cannot take a frame in the current one, so
+	// it is rewritten whole into the next generation, like a re-arm's
+	fresh = fresh || d.adm.legacy
 	adm := d.adm
 	if fresh {
 		adm = admission{gen: d.adm.gen + 1}
@@ -756,7 +767,8 @@ func (d *Durable) applier() {
 		var res applyResult
 		switch job.op.kind {
 		case opEntries:
-			d.mem.Append(job.op.entries)
+			// cannot fail: Append admitted the batch against the same cap
+			_ = d.mem.Append(job.op.entries)
 			d.queued.Add(-int64(len(job.op.entries)))
 			d.m.appliedEntries.Add(int64(len(job.op.entries)))
 		case opSeal:

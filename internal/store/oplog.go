@@ -151,7 +151,7 @@ func decodeOp(p []byte) (walOp, error) {
 func applyOp(mem *Store, op walOp) error {
 	switch op.kind {
 	case opEntries:
-		mem.Append(op.entries)
+		return mem.Append(op.entries)
 	case opSeal:
 		mem.Seal()
 	case opDrop:

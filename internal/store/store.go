@@ -206,15 +206,37 @@ func New(opts Options) *Store {
 	return &Store{enc: workload.NewEncoder(opts.Encode), opts: opts}
 }
 
-// Append feeds entries through the shared encoder. With a SealThreshold the
-// buffer is fed in threshold-sized slices and sealed as it fills, so one
-// huge batch still lands as evenly sized segments.
-func (s *Store) Append(entries []workload.LogEntry) {
+// ErrQueryCap refuses a batch that would take a store past core.MaxCount
+// queries over its life, the most a summary artifact can count.
+var ErrQueryCap = fmt.Errorf("store: a store ingests at most 2^50 (%d) queries, the most a summary can count", core.MaxCount)
+
+// addQueries returns total plus the batch's queries, counting a
+// non-positive Count as one, or an ErrQueryCap error when that passes
+// core.MaxCount.
+func addQueries(total int, entries []workload.LogEntry) (int, error) {
+	for _, e := range entries {
+		c := max(e.Count, 1)
+		if c > core.MaxCount-total {
+			return total, fmt.Errorf("%w: the batch would take it past the cap", ErrQueryCap)
+		}
+		total += c
+	}
+	return total, nil
+}
+
+// Append feeds entries through the shared encoder, or refuses the whole
+// batch with ErrQueryCap. With a SealThreshold the buffer is fed in
+// threshold-sized slices and sealed as it fills, so one huge batch still
+// lands as evenly sized segments.
+func (s *Store) Append(entries []workload.LogEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, err := addQueries(s.enc.IngestedQueries(), entries); err != nil {
+		return err
+	}
 	if s.opts.SealThreshold <= 0 {
 		s.enc.AddBatch(entries)
-		return
+		return nil
 	}
 	for len(entries) > 0 {
 		// EncodedQueries is a counter, so fine-grained streaming appends
@@ -240,6 +262,7 @@ func (s *Store) Append(entries []workload.LogEntry) {
 	if s.enc.EncodedQueries()-s.boundaryEpoch.TotalQueries >= s.opts.SealThreshold {
 		s.sealLocked()
 	}
+	return nil
 }
 
 // Snapshot returns the encoder's current snapshot over the whole stream
@@ -265,6 +288,14 @@ func (s *Store) ActiveQueries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.enc.EncodedQueries() - s.boundaryEpoch.TotalQueries
+}
+
+// IngestedQueries returns the number of queries fed to the store over its
+// life, unparseable entries included: what the ingest cap counts.
+func (s *Store) IngestedQueries() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.enc.IngestedQueries()
 }
 
 // TotalQueries returns the number of encoded queries in the whole stream

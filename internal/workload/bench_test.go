@@ -37,3 +37,18 @@ func BenchmarkEncoderIncremental(b *testing.B) {
 		_ = enc.Result()
 	}
 }
+
+// BenchmarkEncodeNovel encodes a stream in which almost every statement is
+// new but carries one of a few hundred shapes — the literal-bearing live
+// stream the fingerprint fast path exists for. Each iteration is a fresh
+// encoder over the whole stream; stmt/s counts entries.
+func BenchmarkEncodeNovel(b *testing.B) {
+	entries := novelStream(50000, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc := NewEncoder(EncodeOptions{})
+		enc.AddBatch(entries)
+	}
+	b.ReportMetric(float64(b.N*len(entries))/b.Elapsed().Seconds(), "stmt/s")
+}

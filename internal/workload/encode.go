@@ -16,7 +16,8 @@ type PipelineStats struct {
 	TotalQueries int `json:"-"`
 	// Queries counts entries that parsed as SELECT (incl. duplicates).
 	Queries int `json:"queries"`
-	// DistinctQueries counts distinct raw SQL strings (constants intact).
+	// DistinctQueries counts distinct raw SQL strings (constants intact),
+	// exactly up to a collision of their 64-bit hashes.
 	DistinctQueries int `json:"distinct_queries"`
 	// DistinctNoConst counts distinct queries after constant removal.
 	DistinctNoConst int `json:"distinct_no_const"`
@@ -28,9 +29,10 @@ type PipelineStats struct {
 	DistinctRewritable int `json:"distinct_rewritable"`
 	// MaxMultiplicity is the largest post-scrub multiplicity.
 	MaxMultiplicity int `json:"max_multiplicity"`
-	// Features counts distinct features before constant removal.
-	Features int `json:"features"`
-	// FeaturesNoConst counts distinct features after constant removal.
+	// FeaturesNoConst counts the codebook's distinct features: after
+	// constant removal, unless EncodeOptions.KeepConstants is set. Table 1's
+	// with-constants count is an offline pass of its own
+	// (experiments.DistinctFeatures).
 	FeaturesNoConst int `json:"features_no_const"`
 	// AvgFeaturesPerQuery averages the post-scrub feature count over all
 	// encoded queries.
@@ -46,15 +48,14 @@ type PipelineStats struct {
 type EncodeOptions struct {
 	// Scheme selects the feature-extraction scheme (default Aligon).
 	Scheme feature.Scheme
-	// KeepConstants disables constant scrubbing (Table 1's "with constants"
-	// feature counts are collected either way; this switches what the
-	// returned log encodes).
+	// KeepConstants disables constant scrubbing: literals stay in the
+	// canonical queries, the features and the statement fingerprints.
 	KeepConstants bool
 	// MaxDisjuncts bounds conjunctive rewriting (default 16).
 	MaxDisjuncts int
-	// Parallelism bounds the workers AddBatch uses to parse, regularize and
-	// feature-extract new SQL (≤ 0 = all cores). The codebook and all
-	// statistics are identical at any parallelism.
+	// Parallelism bounds the workers AddBatch uses to parse and regularize
+	// new shapes (≤ 0 = all cores). The codebook and all statistics are
+	// identical at any parallelism.
 	Parallelism int
 }
 
@@ -106,49 +107,74 @@ func (r EncodeResult) Counts() []int {
 
 // Encoder runs the parse → regularize → feature-extraction pipeline
 // incrementally: entries can be added in batches (a live monitoring stream,
-// a growing log file) and a snapshot taken at any point. Each distinct SQL
-// string is parsed at most once regardless of multiplicity.
+// a growing log file) and a snapshot taken at any point.
 //
-// The pipeline is sharded: AddBatch parses and regularizes distinct new SQL
-// on parallel workers (stateless work), then merges in input order on one
-// goroutine, so codebook feature indices are assigned exactly as a serial
-// Add loop would assign them. An Encoder is not itself safe for concurrent
-// use; the public logr.Workload wrapper adds the locking.
+// Statements that differ only in their literals are one query to the paper
+// (Section 7), and the encoder does the work once per such shape: a
+// statement is lexed into its literal-blind fingerprint
+// (sqlparser.Fingerprint), and only the first statement of a fingerprint is
+// parsed and regularized; every later one maps straight to the same
+// canonical query or failure kind. Per statement it keeps only a 64-bit
+// hash of the raw string, which is what keeps DistinctQueries exact (up to
+// a hash collision). The fingerprint table and a cache of recent raw
+// strings are memo tables: bounded by cacheLimit, never persisted, and
+// consulted only for outcomes prepare would recompute identically.
+//
+// The pipeline is sharded: AddBatch parses and regularizes the first
+// statement of each new fingerprint on parallel workers (stateless work),
+// then merges in input order on one goroutine, so codebook feature indices
+// are assigned exactly as a serial Add loop would assign them. An Encoder
+// is not itself safe for concurrent use; the public logr.Workload wrapper
+// adds the locking.
 type Encoder struct {
-	opts          EncodeOptions
-	book          *feature.Codebook
-	withConstBook *feature.Codebook
-	scrubOpts     regularize.Options
-	keepOpts      regularize.Options
+	opts    EncodeOptions
+	book    *feature.Codebook
+	regOpts regularize.Options
 
 	stats PipelineStats
-	// The admission tables are append-only: a distinct SQL string, a
-	// canonical query and a feature are each added once, in input order,
-	// and never rewritten — only canonical.count moves afterwards. That is
-	// what lets state.go serialize "everything admitted since a StateMark"
-	// as four slice expressions.
-	raws     []string          // distinct raw SQL, in admission order
-	refs     map[string]rawRef // raw SQL → its cached classification
-	canon    []canonical       // canonical queries, in admission order
-	canonIdx map[string]uint32 // canonical key → index into canon
-	featSum  int
-	encodedN int
-	snapshot *EncodeResult // cached Result; nil after any mutation
+	// The admission tables are append-only: a canonical query, a feature
+	// and a raw statement's hash are each added once, in input order, and
+	// never rewritten — only canonical.count moves afterwards. That is what
+	// lets state.go serialize "everything admitted since a StateMark" as
+	// three slice suffixes.
+	canon     []canonical       // canonical queries, in admission order
+	canonIdx  map[string]uint32 // canonical key → index into canon
+	rawHashes hashSet           // hashes of the distinct raw statements
+	featSum   int
+	encodedN  int
+	snapshot  *EncodeResult // cached Result; nil after any mutation
 
-	// per-window scratch reused across addBatch calls so the steady state
-	// (every SQL string already seen) allocates nothing: the job list and
-	// dedup index of newly-seen SQL, and the parallel workers' result
-	// slots. Cleared after each window — results hold parsed ASTs that
-	// must not outlive the merge.
-	scratchJobs []string
+	// memo tables, see cacheLimit: a statement's shape key (its
+	// fingerprint, or lexFailMark and the statement when it does not lex)
+	// and a recently admitted raw statement, each to its outcome
+	shapes   map[string]rawRef
+	rawCache map[string]rawRef
+
+	// scratch reused across calls so the steady state (every statement's
+	// shape already known) allocates nothing: the fingerprint buffer, the
+	// window's per-entry resolutions, its jobs (the first statement of each
+	// new shape) with their dedup index, and the parallel workers' result
+	// slots. Results hold parsed ASTs, so they are cleared after each
+	// window.
+	fp          []byte
+	scratchPend []pending
+	scratchJobs []job
 	scratchIdx  map[string]int
 	scratchRes  []prepared
 }
 
-// rawRef caches a distinct SQL string's parse outcome so repeats never
-// reparse: one of the two failure kinds, or refCanon plus the index of the
-// statement's canonical query. The same number is the statement's record
-// in the serialized state.
+// cacheLimit bounds each memo table. A table that reaches it is cleared and
+// refills from the stream, so a shift in the workload costs at most one
+// parse per shape again; outcomes never depend on what the tables hold.
+const cacheLimit = 1 << 14
+
+// lexFailMark starts the shape key of a statement the lexer rejects. No
+// fingerprint starts with it (token kinds are non-zero), so such a
+// statement is keyed by its full text and takes the parser's verdict.
+const lexFailMark = 0
+
+// rawRef is a statement's outcome: one of the two failure kinds, or
+// refCanon plus the index of its canonical query.
 type rawRef uint32
 
 const (
@@ -167,13 +193,12 @@ const (
 )
 
 // prepared is the outcome of the stateless (parallelizable) half of the
-// pipeline for one distinct SQL string: parse + both regularizations.
+// pipeline for one shape's first statement: parse + regularization.
 // Feature extraction against the shared codebook happens later, in input
 // order.
 type prepared struct {
 	fail        failKind
-	withConst   []*sqlparser.Select // blocks with constants kept
-	blocks      []*sqlparser.Select // scrubbed conjunctive blocks
+	blocks      []*sqlparser.Select // regularized conjunctive blocks
 	conjunctive bool
 	rewritable  bool
 	canonKey    string
@@ -187,20 +212,34 @@ type canonical struct {
 	rewritable  bool
 }
 
+// pending is a window entry's resolution from AddBatch's pre-pass: its
+// outcome, or the job that will produce it.
+type pending struct {
+	ref    rawRef
+	job    int32 // index into the window's jobs, or -1 when ref is final
+	cached bool  // found in rawCache: the raw statement is already admitted
+}
+
+// job is the first statement of a shape new to the window.
+type job struct {
+	key, sql string
+	ref      rawRef
+	done     bool
+}
+
 // NewEncoder prepares an empty pipeline.
 func NewEncoder(opts EncodeOptions) *Encoder {
 	if opts.MaxDisjuncts <= 0 {
 		opts.MaxDisjuncts = 16
 	}
 	return &Encoder{
-		opts:          opts,
-		book:          feature.NewCodebook(opts.Scheme),
-		withConstBook: feature.NewCodebook(opts.Scheme),
-		scrubOpts:     regularize.Options{ScrubConstants: !opts.KeepConstants, MaxDisjuncts: opts.MaxDisjuncts},
-		keepOpts:      regularize.Options{ScrubConstants: false, MaxDisjuncts: opts.MaxDisjuncts},
-		refs:          map[string]rawRef{},
-		canonIdx:      map[string]uint32{},
-		scratchIdx:    map[string]int{},
+		opts:       opts,
+		book:       feature.NewCodebook(opts.Scheme),
+		regOpts:    regularize.Options{ScrubConstants: !opts.KeepConstants, MaxDisjuncts: opts.MaxDisjuncts},
+		canonIdx:   map[string]uint32{},
+		shapes:     map[string]rawRef{},
+		rawCache:   map[string]rawRef{},
+		scratchIdx: map[string]int{},
 	}
 }
 
@@ -214,11 +253,15 @@ func (e *Encoder) Add(entry LogEntry) {
 	}
 	e.snapshot = nil
 	e.stats.TotalQueries += count
-	if ref, seen := e.refs[entry.SQL]; seen {
-		e.replay(ref, count)
-		return
+	ref, cached := e.rawCache[entry.SQL]
+	if !cached {
+		var known bool
+		if ref, known = e.lookupShape(entry.SQL); !known {
+			ref = e.admitShape(string(e.fp), e.prepare(entry.SQL)) //logr:allow(noalloc) a shape's first statement; steady state never reaches this
+		}
+		e.admitRaw(entry.SQL, ref)
 	}
-	e.admit(entry.SQL, e.prepare(entry.SQL), count)
+	e.replay(ref, count)
 }
 
 // addBatchWindow is the window size AddBatch shards a batch into: large
@@ -227,12 +270,12 @@ func (e *Encoder) Add(entry LogEntry) {
 const addBatchWindow = 8192
 
 // AddBatch feeds a batch of entries through the pipeline. The stateless
-// half — parse + regularize of each distinct new SQL string — runs on up to
-// EncodeOptions.Parallelism workers; the merge (codebook extraction, stats,
-// multiplicities) then runs in input order, so the resulting codebook, log
-// and statistics are byte-identical to a serial Add loop over the same
-// entries, at any parallelism. Batches are processed in fixed windows so
-// peak memory is O(window), not O(batch).
+// half — parse + regularize of the first statement of each new shape — runs
+// on up to EncodeOptions.Parallelism workers; the merge (codebook
+// extraction, stats, multiplicities) then runs in input order, so the
+// resulting codebook, log and statistics are byte-identical to a serial
+// Add loop over the same entries, at any parallelism. Batches are processed
+// in fixed windows so peak memory is O(window), not O(batch).
 func (e *Encoder) AddBatch(entries []LogEntry) {
 	for len(entries) > addBatchWindow {
 		e.addBatch(entries[:addBatchWindow])
@@ -247,21 +290,32 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 		return
 	}
 	e.snapshot = nil
-	// distinct new SQL strings, in first-appearance order; the job list,
-	// dedup index and result slots are encoder-owned scratch — the steady
-	// state, where every string is already in refs, touches none of them
-	// and allocates nothing
+	// pre-pass: resolve each entry against the memo tables as they stand
+	// (the merge below may clear them); the first statement of each shape
+	// they do not know becomes a job
+	if cap(e.scratchPend) < len(entries) {
+		e.scratchPend = make([]pending, addBatchWindow) //logr:allow(noalloc) one-time scratch growth
+	}
+	pend := e.scratchPend[:len(entries)]
 	jobs := e.scratchJobs[:0]
 	jobIdx := e.scratchIdx
-	for _, en := range entries {
-		if _, seen := e.refs[en.SQL]; seen {
+	for i, en := range entries {
+		if ref, ok := e.rawCache[en.SQL]; ok {
+			pend[i] = pending{ref: ref, job: -1, cached: true}
 			continue
 		}
-		if _, dup := jobIdx[en.SQL]; dup {
+		if ref, ok := e.lookupShape(en.SQL); ok {
+			pend[i] = pending{ref: ref, job: -1}
 			continue
 		}
-		jobIdx[en.SQL] = len(jobs) //logr:allow(noalloc) admission of a new distinct SQL string; steady state never reaches this
-		jobs = append(jobs, en.SQL)
+		j, dup := jobIdx[string(e.fp)] //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
+		if !dup {
+			j = len(jobs)
+			key := string(e.fp)                             //logr:allow(noalloc) a shape's first statement; steady state never reaches this
+			jobIdx[key] = j                                 //logr:allow(noalloc) as above
+			jobs = append(jobs, job{key: key, sql: en.SQL}) //logr:allow(noalloc) as above
+		}
+		pend[i] = pending{job: int32(j)}
 	}
 	var results []prepared
 	if len(jobs) > 0 {
@@ -269,31 +323,55 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 			e.scratchRes = make([]prepared, len(jobs)) //logr:allow(noalloc) result-slot capacity growth, amortizes to zero
 		}
 		results = e.scratchRes[:len(jobs)]
-		parallel.For(len(jobs), e.opts.Parallelism, func(i int) { //logr:allow(noalloc) parse fan-out runs only when the window carries new distinct SQL
-			results[i] = e.prepare(jobs[i])
+		parallel.For(len(jobs), e.opts.Parallelism, func(i int) { //logr:allow(noalloc) parse fan-out runs only when the window carries a new shape
+			results[i] = e.prepare(jobs[i].sql)
 		})
 	}
-	for _, en := range entries {
+	for i, en := range entries {
 		count := en.Count
 		if count <= 0 {
 			count = 1
 		}
 		e.stats.TotalQueries += count
-		if ref, seen := e.refs[en.SQL]; seen {
-			e.replay(ref, count)
-			continue
+		p := pend[i]
+		if p.job >= 0 {
+			jb := &jobs[p.job]
+			if !jb.done {
+				jb.ref, jb.done = e.admitShape(jb.key, results[p.job]), true
+			}
+			p.ref = jb.ref
 		}
-		e.admit(en.SQL, results[jobIdx[en.SQL]], count)
+		if !p.cached {
+			e.admitRaw(en.SQL, p.ref)
+		}
+		e.replay(p.ref, count)
 	}
 	if len(jobs) > 0 {
 		// drop AST references so the scratch does not pin parsed trees, and
-		// keep the (string-header) job list and index for the next window
+		// keep the job list and index for the next window
 		clear(results)
 		clear(jobIdx)
 		clear(jobs)
 		e.scratchRes = results[:0]
 	}
 	e.scratchJobs = jobs[:0]
+}
+
+// lookupShape computes sql's shape key into e.fp and looks it up in the
+// fingerprint table.
+//
+//logr:noalloc
+func (e *Encoder) lookupShape(sql string) (rawRef, bool) {
+	fp, err := sqlparser.Fingerprint(e.fp[:0], sql, e.opts.KeepConstants)
+	if err != nil {
+		// the lexer rejects it: key the statement by its text and let
+		// prepare take the parser's verdict, which may still be a stored
+		// procedure ("CALL p('unterminated")
+		fp = append(append(fp[:0], lexFailMark), sql...)
+	}
+	e.fp = fp
+	ref, ok := e.shapes[string(fp)] //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
+	return ref, ok
 }
 
 // prepare runs the stateless half of the pipeline for one SQL string. It
@@ -307,10 +385,8 @@ func (e *Encoder) prepare(sql string) prepared {
 		}
 		return prepared{fail: failUnparseable}
 	}
-	withConst := regularize.Regularize(stmt, e.keepOpts)
-	r := regularize.Regularize(stmt, e.scrubOpts)
+	r := regularize.Regularize(stmt, e.regOpts)
 	return prepared{
-		withConst:   withConst.Blocks,
 		blocks:      r.Blocks,
 		conjunctive: r.WasConjunctive && len(r.Blocks) == 1,
 		rewritable:  r.Rewritable,
@@ -318,10 +394,10 @@ func (e *Encoder) prepare(sql string) prepared {
 	}
 }
 
-// replay recounts a previously-seen distinct SQL string from its cached
-// classification. This is the duplicate-heavy steady state of ingest —
-// the Table 1 workloads repeat each distinct query ~700× — so it must
-// stay pure counter arithmetic.
+// replay counts a statement whose outcome is known. This is the steady
+// state of ingest — the Table 1 workloads repeat each distinct query ~700×,
+// and a novel statement of a known shape lands here after a lex — so it
+// must stay pure counter arithmetic.
 //
 //logr:noalloc
 func (e *Encoder) replay(ref rawRef, count int) {
@@ -340,57 +416,68 @@ func (e *Encoder) replay(ref rawRef, count int) {
 	e.encodedN += count
 }
 
-// admit merges one newly-seen distinct SQL string into the shared state.
-// This is the only place features enter the codebooks, and callers invoke
-// it in input order, which pins every feature's index.
-func (e *Encoder) admit(sql string, p prepared, count int) {
-	e.raws = append(e.raws, sql)
-	e.stats.DistinctQueries++
+// admitShape records the outcome of a shape's first statement under the
+// shape's key. This is the only place features enter the codebook, and
+// callers invoke it in input order, which pins every feature's index.
+func (e *Encoder) admitShape(key string, p prepared) rawRef {
+	ref := refUnparseable
 	switch p.fail {
 	case failStoredProc:
-		e.refs[sql] = refStoredProc
-		e.stats.StoredProcedures += count
-		return
-	case failUnparseable:
-		e.refs[sql] = refUnparseable
-		e.stats.Unparseable += count
-		return
-	}
-	e.stats.Queries += count
-
-	// feature count before constant removal (Table 1 row 7)
-	for _, blk := range p.withConst {
-		e.withConstBook.Extract(blk)
-	}
-
-	// A statement whose canonical query is already in the table — all but
-	// one per shape on a log whose statements differ only in constants —
-	// needs no scrubbed-block extraction: the features are a function of
-	// the canonical key, so they are interned and their indices are
-	// c.indices.
-	ci, ok := e.canonIdx[p.canonKey]
-	if !ok {
-		set := map[int]bool{}
-		for _, blk := range p.blocks {
-			for _, f := range e.book.Extract(blk) {
-				set[f] = true
+		ref = refStoredProc
+	case failNone:
+		// A shape whose canonical query is already in the table — one
+		// fingerprint per IN-list length, say — needs no extraction: the
+		// features are a function of the canonical key, so they are
+		// interned and their indices are c.indices.
+		ci, ok := e.canonIdx[p.canonKey]
+		if !ok {
+			set := map[int]bool{}
+			for _, blk := range p.blocks {
+				for _, f := range e.book.Extract(blk) {
+					set[f] = true
+				}
 			}
+			indices := make([]int, 0, len(set))
+			for f := range set {
+				indices = append(indices, f)
+			}
+			sortInts(indices)
+			ci = uint32(len(e.canon))
+			e.canon = append(e.canon, canonical{key: p.canonKey, indices: indices, conjunctive: p.conjunctive, rewritable: p.rewritable})
+			e.canonIdx[p.canonKey] = ci
 		}
-		indices := make([]int, 0, len(set))
-		for f := range set {
-			indices = append(indices, f)
-		}
-		sortInts(indices)
-		ci = uint32(len(e.canon))
-		e.canon = append(e.canon, canonical{key: p.canonKey, indices: indices, conjunctive: p.conjunctive, rewritable: p.rewritable})
-		e.canonIdx[p.canonKey] = ci
+		ref = refCanon + rawRef(ci)
 	}
-	e.refs[sql] = refCanon + rawRef(ci)
-	c := &e.canon[ci]
-	c.count += count
-	e.featSum += len(c.indices) * count
-	e.encodedN += count
+	remember(e.shapes, key, ref)
+	return ref
 }
+
+// admitRaw records a raw statement not in rawCache: it counts towards
+// DistinctQueries unless its hash was admitted before, and it enters the
+// cache.
+//
+//logr:noalloc
+func (e *Encoder) admitRaw(sql string, ref rawRef) {
+	if e.rawHashes.add(hashRaw(sql)) {
+		e.stats.DistinctQueries++
+	}
+	remember(e.rawCache, sql, ref)
+}
+
+// remember inserts into a memo table, clearing it first when it is full.
+//
+//logr:noalloc
+func remember(m map[string]rawRef, key string, ref rawRef) {
+	if len(m) >= cacheLimit {
+		clear(m)
+	}
+	m[key] = ref //logr:allow(noalloc) map growth stops at cacheLimit entries; clear keeps the capacity
+}
+
+// IngestedQueries returns the number of queries fed so far (entry counts
+// summed), stored procedures and unparseable entries included: the running
+// Stats.TotalQueries.
+func (e *Encoder) IngestedQueries() int { return e.stats.TotalQueries }
 
 // EncodedQueries returns the number of encoded queries so far (duplicates
 // included) — the running Log.Total() of the next snapshot, maintained as
@@ -414,7 +501,6 @@ func (e *Encoder) Result() EncodeResult {
 	}
 	stats := e.stats
 	stats.DistinctNoConst = len(e.canon)
-	stats.Features = e.withConstBook.Size()
 	stats.FeaturesNoConst = e.book.Size()
 
 	l := core.NewLog(e.book.Size())

@@ -1,0 +1,99 @@
+package workload
+
+// hashSet is an append-only set of 64-bit hashes: the members in insertion
+// order, which is what a checkpoint persists, and an open-addressing index
+// over them — about 16 bytes per member in all. Both grow in small steps,
+// the members in fixed-size chunks and the index in shards that double one
+// at a time, so a set of millions never copies or re-slots itself whole:
+// its peak footprint stays close to its size.
+type hashSet struct {
+	chunks [][]uint64 // the members, hashChunk to a chunk
+	n      int
+	shards [1 << hashShardBits]hashIndex // picked by a hash's top bits
+}
+
+const (
+	hashChunk     = 1 << 13
+	hashShardBits = 4
+)
+
+// hashIndex is one shard of a hashSet's index: slots hold 1 + a member's
+// position (so a set holds fewer than 2^32 members), 0 when empty, probed
+// linearly from the slot a hash's mixed top bits pick, at most 3/4 full.
+type hashIndex struct {
+	slots []uint32
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// add inserts h and reports whether it was absent.
+//
+//logr:noalloc
+func (s *hashSet) add(h uint64) bool {
+	x := &s.shards[h>>(64-hashShardBits)]
+	if 4*(x.n+1) > 3*len(x.slots) {
+		x.grow(s)
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(h); ; i = (i + 1) & mask {
+		j := x.slots[i]
+		if j == 0 {
+			if s.n%hashChunk == 0 {
+				s.chunks = append(s.chunks, make([]uint64, 0, hashChunk)) //logr:allow(noalloc) one chunk per hashChunk members
+			}
+			last := &s.chunks[len(s.chunks)-1]
+			*last = append(*last, h)
+			s.n++
+			x.n++
+			x.slots[i] = uint32(s.n)
+			return true
+		}
+		if s.at(int(j)-1) == h {
+			return false
+		}
+	}
+}
+
+// at returns the member at position j, in insertion order.
+func (s *hashSet) at(j int) uint64 { return s.chunks[j/hashChunk][j%hashChunk] }
+
+// len is the number of members.
+func (s *hashSet) len() int { return s.n }
+
+// home is h's first slot (Fibonacci hashing, so the slot does not lean on
+// the bits that picked the shard).
+func (x *hashIndex) home(h uint64) int {
+	return int((h * 0x9e3779b97f4a7c15) >> x.shift)
+}
+
+// grow doubles the shard and re-slots its members.
+func (x *hashIndex) grow(s *hashSet) {
+	old := x.slots
+	n := max(2*len(old), 1<<6)
+	x.slots = make([]uint32, n)
+	x.shift = 64
+	for m := n; m > 1; m >>= 1 {
+		x.shift--
+	}
+	for _, j := range old {
+		if j == 0 {
+			continue
+		}
+		i := x.home(s.at(int(j) - 1))
+		for x.slots[i] != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		x.slots[i] = j
+	}
+}
+
+// hashRaw is the 64-bit FNV-1a hash of a raw statement. It is persisted in
+// checkpoints, so it must never change.
+func hashRaw[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

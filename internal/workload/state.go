@@ -11,18 +11,18 @@ import (
 // Encoder state serialization, used by the durable store's checkpoints.
 //
 // The encoder's state is a function of the entire entry stream ever fed to
-// it — the codebook only grows, every distinct SQL string stays cached,
+// it — the codebook only grows, every distinct raw statement stays counted,
 // multiplicities accumulate — so a recovery that wants to replay only the
 // WAL tail after a checkpoint must restore the full pipeline state, not
 // just the current snapshot. That state has two parts with very different
 // lifetimes, and the codec keeps them apart so a checkpoint can write each
 // at its own cost:
 //
-//   - the admissions: both codebooks in index order (indices are
+//   - the admissions: the codebook in index order (indices are
 //     load-bearing: every stored vector references them), the
 //     canonical-query table in admission order (which pins snapshot vector
-//     order) and the raw-SQL parse cache in admission order. All four are
-//     append-only, so "everything admitted since a StateMark" is four
+//     order) and the raw statements' hashes in admission order. All three
+//     are append-only, so "everything admitted since a StateMark" is three
 //     slice suffixes, and a sequence of such deltas, applied in order to
 //     an empty encoder, rebuilds the tables exactly — the full state is
 //     just the delta since the zero mark;
@@ -30,27 +30,27 @@ import (
 //     canonical query — the only state that is rewritten in place. They
 //     are small (O(shapes), not O(statements)) and serialized whole.
 //
-// Restoring and then feeding the same suffix of entries yields an encoder
-// byte-identical, snapshot for snapshot, to one that saw the whole stream.
+// The memo tables (fingerprints, recent raw statements) are not state: a
+// restored encoder refills them from the stream. Restoring and then feeding
+// the same suffix of entries yields an encoder byte-identical, snapshot for
+// snapshot, to one that saw the whole stream.
 
-// encStateVersion guards the layouts below.
-const encStateVersion = 2
+// StateVersion is the layout AppendAdmissions and AppendCounters write.
+// Version 2 also carried a with-constants codebook and every raw statement
+// with its outcome; RestoreAdmissions still reads it, hashing the
+// statements and skipping that codebook.
+const StateVersion = 3
 
 // StateMark is a position in the encoder's append-only admission tables:
-// how many features of each codebook, canonical queries and raw SQL
-// strings a serialized delta already covers. The zero mark covers nothing.
+// how many features, canonical queries and raw-statement hashes a
+// serialized delta already covers. The zero mark covers nothing.
 type StateMark struct {
-	book, withConstBook, canon, raws int
+	book, canon, hashes int
 }
 
 // Mark returns the position just past everything admitted so far.
 func (e *Encoder) Mark() StateMark {
-	return StateMark{
-		book:          e.book.Size(),
-		withConstBook: e.withConstBook.Size(),
-		canon:         len(e.canon),
-		raws:          len(e.raws),
-	}
+	return StateMark{book: e.book.Size(), canon: len(e.canon), hashes: e.rawHashes.len()}
 }
 
 // AppendAdmissions appends everything admitted after since, in admission
@@ -59,13 +59,11 @@ func (e *Encoder) Mark() StateMark {
 // (a → b) followed by those for (b → c) restore the same tables as the
 // bytes for (a → c).
 //
-//	nfeat, (kind, text)*          scrubbed codebook
-//	nfeat, (kind, text)*          with-constants codebook
+//	nfeat, (kind, text)*          codebook
 //	ncanon, (key, conjunctive, rewritable, nidx, idx-delta*)*
-//	nraw, (sql, ref)*             ref: see rawRef
+//	nraw, hash u64le*             raw statements' hashes
 func (e *Encoder) AppendAdmissions(b []byte, since StateMark) []byte {
 	b = appendBook(b, e.book, since.book)
-	b = appendBook(b, e.withConstBook, since.withConstBook)
 	canon := e.canon[since.canon:]
 	b = binary.AppendUvarint(b, uint64(len(canon)))
 	for i := range canon {
@@ -79,11 +77,9 @@ func (e *Encoder) AppendAdmissions(b []byte, since StateMark) []byte {
 			prev = idx
 		}
 	}
-	raws := e.raws[since.raws:]
-	b = binary.AppendUvarint(b, uint64(len(raws)))
-	for _, sql := range raws {
-		b = appendString(b, sql)
-		b = binary.AppendUvarint(b, uint64(e.refs[sql]))
+	b = binary.AppendUvarint(b, uint64(e.rawHashes.len()-since.hashes))
+	for j := since.hashes; j < e.rawHashes.len(); j++ {
+		b = binary.LittleEndian.AppendUint64(b, e.rawHashes.at(j))
 	}
 	return b
 }
@@ -93,7 +89,7 @@ func (e *Encoder) AppendAdmissions(b []byte, since StateMark) []byte {
 // the tables and must not be double-restored) and every canonical query's
 // multiplicity, in admission order.
 func (e *Encoder) AppendCounters(b []byte) []byte {
-	b = append(b, encStateVersion)
+	b = append(b, StateVersion)
 	b = binary.AppendUvarint(b, uint64(e.stats.TotalQueries))
 	b = binary.AppendUvarint(b, uint64(e.stats.Queries))
 	b = binary.AppendUvarint(b, uint64(e.stats.StoredProcedures))
@@ -121,7 +117,7 @@ func (e *Encoder) AppendState(b []byte) []byte {
 // exactly.
 func RestoreEncoder(opts EncodeOptions, data []byte) (*Encoder, []byte, error) {
 	e := NewEncoder(opts)
-	rest, err := e.RestoreAdmissions(data)
+	rest, err := e.RestoreAdmissions(data, StateVersion)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,19 +127,26 @@ func RestoreEncoder(opts EncodeOptions, data []byte) (*Encoder, []byte, error) {
 	return e, rest, nil
 }
 
-// RestoreAdmissions applies one AppendAdmissions delta to the encoder's
-// tables and returns the bytes following it. Deltas must be applied in the
-// order they were taken, starting from an empty encoder; a delta that does
-// not continue the tables where they stand (a feature landing on the wrong
-// index, a repeated key, a reference to a canonical query or feature not
-// yet admitted) is an error. On error the encoder is unusable.
-func (e *Encoder) RestoreAdmissions(data []byte) ([]byte, error) {
+// RestoreAdmissions applies one AppendAdmissions delta, written in layout
+// version (2 or 3), to the encoder's tables and returns the bytes following
+// it. Deltas must be applied in the order they were taken, starting from an
+// empty encoder; a delta that does not continue the tables where they stand
+// (a feature landing on the wrong index, a repeated key or statement, a
+// reference to a canonical query or feature not yet admitted) is an error.
+// On error the encoder is unusable.
+func (e *Encoder) RestoreAdmissions(data []byte, version byte) ([]byte, error) {
+	if version != 2 && version != StateVersion {
+		return nil, fmt.Errorf("workload: unsupported encoder state version %d", version)
+	}
 	r := &stateReader{b: data}
 	if err := restoreBook(r, e.book); err != nil {
 		return nil, err
 	}
-	if err := restoreBook(r, e.withConstBook); err != nil {
-		return nil, err
+	if version == 2 {
+		// the with-constants codebook: Table 1's offline pass recomputes it
+		if err := restoreBook(r, feature.NewCodebook(e.opts.Scheme)); err != nil {
+			return nil, err
+		}
 	}
 	universe := e.book.Size()
 	for n := r.count(4); n > 0 && r.err == nil; n-- {
@@ -168,17 +171,21 @@ func (e *Encoder) RestoreAdmissions(data []byte) ([]byte, error) {
 		e.canonIdx[c.key] = uint32(len(e.canon))
 		e.canon = append(e.canon, c)
 	}
-	for n := r.count(2); n > 0 && r.err == nil; n-- {
-		sql := r.string()
-		ref := r.int()
-		if r.err != nil {
-			break
+	if version == 2 {
+		// (sql, ref)*: the statements themselves, hashed on the way in
+		for n := r.count(2); n > 0 && r.err == nil; n-- {
+			sql := r.bytes()
+			ref := r.int()
+			if r.err == nil && (ref >= int(refCanon)+len(e.canon) || !e.rawHashes.add(hashRaw(sql))) {
+				return nil, errRepeatedStatement
+			}
 		}
-		if _, dup := e.refs[sql]; dup || ref >= int(refCanon)+len(e.canon) {
-			return nil, errors.New("workload: encoder state repeats a statement or references a canonical query out of range")
+	} else {
+		for n := r.count(8); n > 0 && r.err == nil; n-- {
+			if h := r.uint64(); r.err == nil && !e.rawHashes.add(h) {
+				return nil, errRepeatedStatement
+			}
 		}
-		e.refs[sql] = rawRef(ref)
-		e.raws = append(e.raws, sql)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -187,13 +194,18 @@ func (e *Encoder) RestoreAdmissions(data []byte) ([]byte, error) {
 	return r.b, nil
 }
 
+var errRepeatedStatement = errors.New("workload: encoder state repeats a statement or references a canonical query out of range")
+
 // RestoreCounters applies AppendCounters output on top of the restored
 // admission tables and returns the bytes following it. Counters taken at a
 // different table size than the encoder now holds — a delta missing or one
-// too many — are an error.
+// too many — are an error, and so are multiplicities that disagree with the
+// totals: every encoded query is one canonical query's, so the
+// multiplicities sum to the encoded and SELECT totals, and weighted by the
+// canonical queries' feature counts to the feature total.
 func (e *Encoder) RestoreCounters(data []byte) ([]byte, error) {
 	r := &stateReader{b: data}
-	if v := r.byte(); r.err == nil && v != encStateVersion {
+	if v := r.byte(); r.err == nil && v != 2 && v != StateVersion {
 		return nil, fmt.Errorf("workload: unsupported encoder state version %d", v)
 	}
 	e.stats.TotalQueries = r.int()
@@ -204,15 +216,23 @@ func (e *Encoder) RestoreCounters(data []byte) ([]byte, error) {
 	e.featSum = r.int()
 	e.encodedN = r.int()
 	ncanon := r.int()
-	if r.err == nil && (ncanon != len(e.canon) || e.stats.DistinctQueries != len(e.raws)) {
+	if r.err == nil && (ncanon != len(e.canon) || e.stats.DistinctQueries != e.rawHashes.len()) {
 		return nil, fmt.Errorf("workload: encoder counters cover %d canonical queries and %d statements, the admission tables hold %d and %d",
-			ncanon, e.stats.DistinctQueries, len(e.canon), len(e.raws))
+			ncanon, e.stats.DistinctQueries, len(e.canon), e.rawHashes.len())
 	}
+	queries, feats := 0, 0
 	for i := 0; i < ncanon && r.err == nil; i++ {
-		e.canon[i].count = r.int()
+		c := &e.canon[i]
+		c.count = r.int()
+		queries += c.count
+		feats += len(c.indices) * c.count
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if queries != e.encodedN || queries != e.stats.Queries || feats != e.featSum {
+		return nil, fmt.Errorf("workload: canonical multiplicities sum to %d queries and %d features, the counters record %d encoded, %d SELECT queries and %d features",
+			queries, feats, e.encodedN, e.stats.Queries, e.featSum)
 	}
 	e.snapshot = nil
 	return r.b, nil
@@ -311,16 +331,32 @@ func (r *stateReader) byte() byte {
 	return v
 }
 
-func (r *stateReader) string() string {
+func (r *stateReader) string() string { return string(r.bytes()) }
+
+// bytes reads a length-prefixed byte string, aliasing the input.
+func (r *stateReader) bytes() []byte {
 	n := r.int()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > len(r.b) {
 		r.fail()
-		return ""
+		return nil
 	}
-	s := string(r.b[:n])
+	v := r.b[:n]
 	r.b = r.b[n:]
-	return s
+	return v
+}
+
+func (r *stateReader) uint64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -145,13 +146,13 @@ func TestEncoderStateDeltas(t *testing.T) {
 		deltas = append(deltas, full.AppendAdmissions(nil, mark))
 		mark = full.Mark()
 	}
-	if empty := full.AppendAdmissions(nil, mark); len(empty) != 4 {
-		t.Fatalf("a delta since the current mark is %d bytes, want four zero counts", len(empty))
+	if empty := full.AppendAdmissions(nil, mark); len(empty) != 3 {
+		t.Fatalf("a delta since the current mark is %d bytes, want three zero counts", len(empty))
 	}
 
 	fromDeltas := NewEncoder(opts)
 	for i, d := range deltas {
-		rest, err := fromDeltas.RestoreAdmissions(d)
+		rest, err := fromDeltas.RestoreAdmissions(d, StateVersion)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("delta %d: rest=%d err=%v", i, len(rest), err)
 		}
@@ -179,7 +180,7 @@ func TestEncoderStateDeltas(t *testing.T) {
 	// counters taken at another table size do not fit
 	short := NewEncoder(opts)
 	for _, d := range deltas[:len(deltas)-1] {
-		if _, err := short.RestoreAdmissions(d); err != nil {
+		if _, err := short.RestoreAdmissions(d, StateVersion); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,11 +188,48 @@ func TestEncoderStateDeltas(t *testing.T) {
 		t.Fatal("counters restored onto tables missing a delta")
 	}
 	// a delta applied twice, or before its predecessor, does not continue the tables
-	if _, err := short.RestoreAdmissions(deltas[0]); err == nil {
+	if _, err := short.RestoreAdmissions(deltas[0], StateVersion); err == nil {
 		t.Fatal("a repeated delta restored without error")
 	}
 	skip := NewEncoder(opts)
-	if _, err := skip.RestoreAdmissions(deltas[1]); err == nil {
+	if _, err := skip.RestoreAdmissions(deltas[1], StateVersion); err == nil {
 		t.Fatal("a delta restored without its predecessor")
+	}
+}
+
+// TestRestoreCountersRejectsInconsistentSums: counters whose canonical
+// multiplicities do not add up to the restored totals — the encoded and
+// SELECT counts, and weighted by each canonical query's feature count the
+// feature total — are refused with an error that names the mismatch.
+func TestRestoreCountersRejectsInconsistentSums(t *testing.T) {
+	e := NewEncoder(EncodeOptions{})
+	e.AddBatch(stateTestEntries(80, 0))
+	adm := e.AppendAdmissions(nil, StateMark{})
+	counters := func(mut func(c *Encoder)) []byte {
+		cp := *e
+		cp.canon = append([]canonical(nil), e.canon...)
+		mut(&cp)
+		return cp.AppendCounters(nil)
+	}
+	for name, mut := range map[string]func(c *Encoder){
+		"multiplicity":  func(c *Encoder) { c.canon[0].count++ },
+		"encoded total": func(c *Encoder) { c.encodedN++ },
+		"SELECT total":  func(c *Encoder) { c.stats.Queries-- },
+		"feature total": func(c *Encoder) { c.featSum += 3 },
+	} {
+		r := NewEncoder(EncodeOptions{})
+		if _, err := r.RestoreAdmissions(adm, StateVersion); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RestoreCounters(counters(mut)); err == nil || !strings.Contains(err.Error(), "sum to") {
+			t.Errorf("%s off: RestoreCounters returned %v, want an error naming the sums", name, err)
+		}
+	}
+	r := NewEncoder(EncodeOptions{})
+	if _, err := r.RestoreAdmissions(adm, StateVersion); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RestoreCounters(e.AppendCounters(nil)); err != nil {
+		t.Fatalf("consistent counters refused: %v", err)
 	}
 }

@@ -146,6 +146,11 @@ import (
 // recovers; until then every mutation fails wrapping this error.
 var ErrDegraded = store.ErrDegraded
 
+// ErrQueryCap refuses a batch that would take a workload past 2^50 queries
+// over its life: the most a summary artifact counts, so every summary a
+// workload produces can be saved and read back.
+var ErrQueryCap = store.ErrQueryCap
+
 // Entry is one distinct query of a workload with its multiplicity.
 type Entry struct {
 	SQL   string
@@ -290,12 +295,12 @@ func FromEntries(entries []Entry) *Workload {
 	return FromEntriesWithOptions(entries, Options{})
 }
 
-// FromEntriesWithOptions encodes a deduplicated workload. The in-memory
-// append cannot fail, so the constructor feeds the store directly rather
-// than routing through Append's durable error path.
+// FromEntriesWithOptions encodes a deduplicated workload. Entries that
+// would take it past 2^50 queries are refused whole (ErrQueryCap): the
+// workload stays empty and Err reports why.
 func FromEntriesWithOptions(entries []Entry, opts Options) *Workload {
 	w := &Workload{st: store.New(opts.storeOptions()), par: opts.Parallelism}
-	w.st.Append(publicToInternal(entries))
+	w.sticky = w.st.Append(publicToInternal(entries))
 	return w
 }
 
@@ -328,23 +333,25 @@ func publicToInternal(entries []Entry) []workload.LogEntry {
 // acknowledgement additionally waits until the batch is on stable storage
 // (concurrent callers share fsyncs). An error reports a persistence
 // failure: the batch was not acknowledged. In-memory workloads apply
-// synchronously and always return nil.
+// synchronously. Either kind refuses a batch that would take the workload
+// past 2^50 queries over its life with ErrQueryCap, acknowledging none of
+// it.
 func (w *Workload) Append(entries []Entry) error {
 	batch := publicToInternal(entries)
 	if w.d != nil {
 		return w.note(w.d.Append(batch))
 	}
-	w.st.Append(batch)
-	return nil
+	return w.st.Append(batch)
 }
 
 // note records a persistence error in the workload's sticky slot (reported
 // by Err, Sync and Close) and passes it through. Degraded-mode errors are
 // deliberately not latched: degradation is current health, owned and
 // cleared by the store's recovery probe, so Err tracks it live instead of
-// pinning the workload to a fault that has since healed.
+// pinning the workload to a fault that has since healed. A refusal at the
+// query cap is no persistence failure at all.
 func (w *Workload) note(err error) error {
-	if err != nil && !errors.Is(err, ErrDegraded) {
+	if err != nil && !errors.Is(err, ErrDegraded) && !errors.Is(err, ErrQueryCap) {
 		w.errMu.Lock()
 		if w.sticky == nil {
 			w.sticky = err
@@ -452,7 +459,7 @@ func LoadWithOptions(r io.Reader, opts Options) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromInternal(entries, opts), nil
+	return fromInternal(entries, opts)
 }
 
 // LoadCompact reads a deduplicated "count<TAB>sql" log and encodes it with
@@ -468,13 +475,15 @@ func LoadCompactWithOptions(r io.Reader, opts Options) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromInternal(entries, opts), nil
+	return fromInternal(entries, opts)
 }
 
-func fromInternal(entries []workload.LogEntry, opts Options) *Workload {
+func fromInternal(entries []workload.LogEntry, opts Options) (*Workload, error) {
 	w := &Workload{st: store.New(opts.storeOptions()), par: opts.Parallelism}
-	w.st.Append(entries)
-	return w
+	if err := w.st.Append(entries); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // OpenDir opens (creating if needed) a durable workload rooted at dir: the
