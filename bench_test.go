@@ -191,19 +191,18 @@ func BenchmarkRecompressDelta(b *testing.B) {
 }
 
 // BenchmarkCompressRange* complete the maintenance-strategy table: the same
-// 55k-query stream as the Recompress benchmarks, sealed into 10 segments
-// with per-segment summaries already cached. CompressRangeMerge alternates
-// two windows, so every call re-derives its summary through the algebra
-// (merge + aligned consolidation — no clustering); CompressRangeWarm
-// re-queries one window, the steady state a monitoring dashboard sits in
-// between seals (served from the store's range cache). Compare in one
-// table:
+// 55k-query stream as the Recompress benchmarks, sealed into 10 segments.
+// CompressRangeCold alternates two windows, so every call misses the
+// store's one-slot range cache and compresses its range's log;
+// CompressRangeWarm re-queries one window, the steady state a monitoring
+// dashboard sits in between seals (served from the range cache). Compare
+// in one table:
 //
 //	go test -run '^$' -bench 'BenchmarkCompressKMeansPAll|BenchmarkCompressRange|BenchmarkRecompress' .
 //
-// BenchmarkCompress* re-cluster everything, BenchmarkRecompressDelta
-// clusters only the delta and merges, BenchmarkCompressRange* cluster
-// nothing.
+// BenchmarkCompress* and BenchmarkCompressRangeCold cluster their whole
+// log, BenchmarkRecompressDelta clusters only the delta and merges,
+// BenchmarkCompressRangeWarm clusters nothing.
 
 var compressRangeBenchOnce struct {
 	sync.Once
@@ -226,7 +225,7 @@ func compressRangeBenchState(b *testing.B) (*logr.Workload, int, int) {
 			}
 		}
 		from, to, _ := w.SealedRange()
-		// build and cache the per-segment summaries outside the timing
+		// fill the range cache outside the timing
 		if _, err := w.CompressRange(from, to, logr.CompressOptions{Clusters: 8, Seed: 1}); err != nil {
 			compressRangeBenchOnce.err = err
 			return
@@ -240,7 +239,7 @@ func compressRangeBenchState(b *testing.B) (*logr.Workload, int, int) {
 	return compressRangeBenchOnce.w, compressRangeBenchOnce.from, compressRangeBenchOnce.to
 }
 
-func BenchmarkCompressRangeMerge(b *testing.B) {
+func BenchmarkCompressRangeCold(b *testing.B) {
 	w, from, to := compressRangeBenchState(b)
 	segs := w.Segments()
 	alt := segs[1].ID // second window: drop the oldest segment

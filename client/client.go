@@ -599,8 +599,9 @@ type ClusterIngestResult struct {
 	// Unavailable lists shards that could not accept their partition
 	// (their entries were spilled or, if Rejected > 0, lost).
 	Unavailable []string `json:"shards_unavailable,omitempty"`
-	// Rejected counts entries no healthy shard would accept; > 0 only on
-	// a 502 response.
+	// Rejected counts entries no healthy shard would accept or their
+	// owner refused with a 4xx other than 429; > 0 only on a 502
+	// response.
 	Rejected int `json:"rejected,omitempty"`
 }
 

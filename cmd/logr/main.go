@@ -89,8 +89,8 @@ commands:
   stats     print Table-1-style statistics for a log
   compress  compress a log and report Error/Verbosity; with -delta [-incremental],
             append a second log and recompress (incrementally or from scratch);
-            with -segment N [-window W], seal N-query segments and summarize
-            the last W of them algebraically (CompressRange)
+            with -segment N [-window W], seal N-query segments and compress
+            the last W of them (CompressRange)
   inspect   visualize the compressed summary
   estimate  estimate a pattern's frequency from the summary
   advise    suggest indexes and materialized views
@@ -340,13 +340,7 @@ func runCompress(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		mode := "full re-cluster (drift fallback)"
-		if s.Incremental() {
-			mode = "merged per-segment summaries"
-		} else if width == 1 {
-			mode = "single segment summary"
-		}
-		fmt.Printf("windowed summary over segments [%d, %d) (%s)\n", from, to, mode)
+		fmt.Printf("windowed summary over segments [%d, %d) (%d segments)\n", from, to, width)
 		fmt.Printf("  epoch:             universe %d, %d queries\n", s.Epoch().Universe, s.Epoch().TotalQueries)
 		fmt.Printf("  clusters:          %d\n", s.Clusters())
 		fmt.Printf("  total verbosity:   %d\n", s.TotalVerbosity())
@@ -508,8 +502,8 @@ func runDrift(ctx context.Context, args []string) error {
 
 // runDriftSliding segments one log and scores each segment against the
 // summary of the preceding lookback segments — the windowed-analytics drift
-// monitor. Per-segment summaries are cached inside the store, so each row
-// reuses all but the newest segment's work.
+// monitor. Each row compresses its baseline range and scores the newest
+// segment's already-encoded queries against it.
 func runDriftSliding(ctx context.Context, path string, segment, lookback, k int, seed int64, par int) error {
 	if lookback <= 0 {
 		lookback = 1

@@ -144,12 +144,8 @@ verbs:
 			if sg.EndID > sg.ID+1 {
 				span = fmt.Sprintf("%d..%d", sg.ID, sg.EndID-1)
 			}
-			cached := " "
-			if sg.Summarized {
-				cached = "*"
-			}
-			fmt.Printf("  [%s]%s %7d queries, %5d distinct, universe %d\n",
-				span, cached, sg.Queries, sg.Distinct, sg.Epoch.Universe)
+			fmt.Printf("  [%s]  %7d queries, %5d distinct, universe %d\n",
+				span, sg.Queries, sg.Distinct, sg.Epoch.Universe)
 		}
 		return nil
 	case "drift":

@@ -68,11 +68,6 @@ func TestOpenDirLifecycle(t *testing.T) {
 	if len(segs) == 0 {
 		t.Fatal("reopened with no sealed segments")
 	}
-	for i, sg := range segs {
-		if !sg.Summarized {
-			t.Fatalf("reopened segment %d lost its seal-time summary", i)
-		}
-	}
 	s2, err := re.Compress(CompressOptions{Clusters: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

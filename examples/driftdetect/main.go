@@ -1,11 +1,10 @@
 // Workload-drift detector over the segmented store: the Section 2 "Online
 // Database Monitoring" application, rebuilt on sliding-window comparisons
-// of per-segment summaries. Traffic streams into a segmented workload;
-// each new sealed segment is scored against the summary of the segments
-// preceding it (Workload.DriftBetween). Nothing is re-encoded per check —
-// the window's sub-log and the baseline's per-segment summaries are the
-// artifacts the store already maintains, so a refresh costs a merge, not a
-// re-cluster. An injected exfiltration-style workload (new tables, new
+// of sealed segments. Traffic streams into a segmented workload; each new
+// sealed segment is scored against the summary of the segments preceding
+// it (Workload.DriftBetween). Nothing is re-encoded per check: the
+// baseline is the compression of its segments' already-encoded sub-logs,
+// and the window's sub-log is scored against it directly. An injected exfiltration-style workload (new tables, new
 // predicate shapes) trips the alarm on exactly the segment that carries it.
 package main
 

@@ -28,7 +28,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// A durable workload: every Append is WAL-logged before it applies,
-	// every seal exports a segment artifact (binary summary + sub-log).
+	// and checkpoints bound how much of the log a restart replays.
 	w, err := logr.OpenDir(dir, logr.Options{
 		Sync:             logr.SyncAlways, // each acknowledged batch survives a crash
 		SegmentThreshold: 5000,            // auto-seal every ~5k queries
@@ -81,8 +81,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// recovery: reopen the directory — the WAL replays and the seal-time
-	// summaries load from the segment artifacts
+	// recovery: reopen the directory — the checkpoint restores and the WAL
+	// tail replays
 	re, err := logr.OpenDir(dir, logr.Options{Sync: logr.SyncAlways, SegmentThreshold: 5000})
 	if err != nil {
 		log.Fatal(err)

@@ -132,7 +132,6 @@ var blockingFuncs = map[string]string{
 	"logr/internal/mining.SpectralBinary":        "spectral clustering (O(n³) eigensolve)",
 	"logr/internal/core.Compress":                "summary compression",
 	"logr/internal/core.Recompress":              "summary compression",
-	"logr/internal/core.Consolidate":             "summary compression",
 }
 
 func run(pass *analysis.Pass) error {

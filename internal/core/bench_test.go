@@ -86,37 +86,29 @@ func BenchmarkCompressKMeans(b *testing.B) {
 	}
 }
 
-// benchRange range-merges three segments of 64 clusters each: 192
+// benchMixture merges three compressions of 64 clusters each: 192
 // components over a universe of 600.
-func benchRange(b *testing.B) *Compressed {
-	segs := make([]*Compressed, 3)
-	for i := range segs {
+func benchMixture(b *testing.B) Mixture {
+	var m Mixture
+	for i := 0; i < 3; i++ {
 		c, err := Compress(segLog(600, 900, int64(i+1)), CompressOptions{K: 64, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		segs[i] = c
-	}
-	m, err := MergeRange(segs, 0)
-	if err != nil {
-		b.Fatal(err)
+		if i == 0 {
+			m = c.Mixture
+		} else {
+			m = m.Merge(c.Mixture)
+		}
 	}
 	return m
 }
 
-func BenchmarkConsolidate(b *testing.B) {
-	m := benchRange(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Consolidate(m, CompressOptions{K: 8})
-	}
-}
-
 func BenchmarkCoalesceMixture(b *testing.B) {
-	m := benchRange(b)
+	m := benchMixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CoalesceMixture(m.Mixture, 8)
+		CoalesceMixture(m, 8)
 	}
 }
 

@@ -18,8 +18,8 @@ type consolidateOracleOptions struct {
 	Parallelism int
 }
 
-// consolidateOracle is the greedy loop Consolidate's merge-tree cut
-// replaced, kept as the oracle: it rescans every live pair at every merge,
+// consolidateOracle is the greedy loop the merge tree's cuts replaced,
+// kept as the oracle: it rescans every live pair at every merge,
 // shift-deletes the merged row and, in error-target mode, re-evaluates the
 // exact error after each merge and rolls back the first one that overshoots.
 func consolidateOracle(c *Compressed, opts consolidateOracleOptions, total int) *Compressed {
@@ -174,39 +174,41 @@ func componentCounts(m Mixture) []int {
 	return counts
 }
 
-// TestCoalescersMatchGreedyOracles compares Consolidate and CoalesceMixture
-// with the greedy loops they replaced over a grid of range merges: 2, 3 and
-// 5 segments of four clusters each, cut to K ∈ {1, 2, 3, 5}, 40 seeds.
-//   - At a component budget Consolidate returns the oracle's partition (the
-//     same multiset of parts, each the same vectors with the same
+// TestCoalescersMatchGreedyOracles compares the merge tree's cuts and
+// CoalesceMixture with the greedy loops they replaced over a grid of
+// clusterings: 8, 12 and 20 k-means leaves, cut to K ∈ {1, 2, 3, 5},
+// 40 seeds.
+//   - At a component budget the tree's K-part cut is the oracle's partition
+//     (the same multiset of parts, each the same vectors with the same
 //     multiplicities) at the same Err.
 //   - CoalesceMixture returns the oracle's component counts and bound.
-//   - At an error target Consolidate meets it with no more components than
-//     the oracle, which stops at the first merge that overshoots.
+//   - At an error target the auto sweep meets it with no more components
+//     than the oracle, which stops at the first merge that overshoots.
 func TestCoalescersMatchGreedyOracles(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, nseg := range []int{2, 3, 5} {
-			segs := make([]*Compressed, nseg)
-			for i := range segs {
-				segs[i] = compressSeg(t, segLog(64, 30+10*i, seed*7+int64(i)), 4)
+		for _, nleaf := range []int{8, 12, 20} {
+			l := segLog(64, 120, seed*7+int64(nleaf))
+			leaves := compressSeg(t, l, nleaf)
+			if leaves.Mixture.K() != nleaf {
+				t.Fatalf("seed %d: %d leaves, want %d", seed, leaves.Mixture.K(), nleaf)
 			}
-			m, err := MergeRange(segs, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tree, _ := mergeTree(leaves, 1)
 			for _, k := range []int{1, 2, 3, 5} {
-				ctx := fmt.Sprintf("seed %d, %d segments, K %d", seed, nseg, k)
-				want := consolidateOracle(m, consolidateOracleOptions{TargetK: k}, m.Mixture.Total)
-				got := Consolidate(m, CompressOptions{K: k})
+				ctx := fmt.Sprintf("seed %d, %d leaves, K %d", seed, nleaf, k)
+				want := consolidateOracle(leaves, consolidateOracleOptions{TargetK: k}, leaves.Mixture.Total)
+				got, err := fromAssignment(l, composeCut(leaves, tree.Cut(k)), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !slices.Equal(partSignatures(got.Parts), partSignatures(want.Parts)) {
-					t.Fatalf("%s: Consolidate partition differs from the oracle's", ctx)
+					t.Fatalf("%s: the tree's cut differs from the oracle's partition", ctx)
 				}
 				if math.Abs(got.Err-want.Err) > 1e-9 {
-					t.Fatalf("%s: Consolidate Err %v, oracle %v", ctx, got.Err, want.Err)
+					t.Fatalf("%s: cut Err %v, oracle %v", ctx, got.Err, want.Err)
 				}
 
-				wantMix, wantBound := coalesceMixtureOracle(m.Mixture, k)
-				gotMix, gotBound := CoalesceMixture(m.Mixture, k)
+				wantMix, wantBound := coalesceMixtureOracle(leaves.Mixture, k)
+				gotMix, gotBound := CoalesceMixture(leaves.Mixture, k)
 				if !slices.Equal(componentCounts(gotMix), componentCounts(wantMix)) {
 					t.Fatalf("%s: CoalesceMixture counts %v, oracle %v", ctx, componentCounts(gotMix), componentCounts(wantMix))
 				}
@@ -217,8 +219,11 @@ func TestCoalescersMatchGreedyOracles(t *testing.T) {
 				// a target just above the K-part cut's Err, so float noise in
 				// either error bookkeeping cannot decide whether that cut holds
 				target := want.Err + 1e-12
-				wantT := consolidateOracle(m, consolidateOracleOptions{TargetError: target}, m.Mixture.Total)
-				gotT := Consolidate(m, CompressOptions{TargetError: target})
+				wantT := consolidateOracle(leaves, consolidateOracleOptions{TargetError: target}, leaves.Mixture.Total)
+				gotT, err := Compress(l, CompressOptions{TargetError: target, MaxK: nleaf, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if gotT.Err > target+1e-9 {
 					t.Fatalf("%s: error target %v overshot: Err %v", ctx, target, gotT.Err)
 				}

@@ -53,13 +53,6 @@ type CompressOptions struct {
 	// ≤ 0 means all cores; 1 forces serial execution. Output is
 	// bit-identical at any parallelism for a fixed Seed.
 	Parallelism int
-	// WarmCentroids seeds the k-means path from these centroids instead of
-	// k-means++ (cluster.KMeansOptions.InitCentroids): Lloyd's algorithm runs
-	// to convergence from them, consuming no randomness. The segmented store
-	// warm-starts each sealed segment's summary from the previous segment's
-	// component centroids this way. Ignored by the auto sweep and the
-	// hierarchical method.
-	WarmCentroids [][]float64
 }
 
 // Compressed is the result of LogR compression: the naive mixture encoding
@@ -110,7 +103,7 @@ func leafCount(opts CompressOptions) int {
 
 // kmeansOptions are the k-means settings of a k-cluster Compress.
 func kmeansOptions(opts CompressOptions, k int) cluster.KMeansOptions {
-	return cluster.KMeansOptions{K: k, Seed: opts.Seed, Restarts: 3, Parallelism: opts.Parallelism, InitCentroids: warmFor(opts, k)}
+	return cluster.KMeansOptions{K: k, Seed: opts.Seed, Restarts: 3, Parallelism: opts.Parallelism}
 }
 
 // sweep finishes Compress from the clustering asg of l's distinct vectors:
@@ -132,8 +125,7 @@ func sweep(l *Log, asg cluster.Assignment, opts CompressOptions) (*Compressed, e
 // mergeTree agglomerates the non-empty parts of c, always merging the pair
 // with the lowest compactionScore. errs[i] is the Reproduction Error after
 // i merges, so the cut into K parts has Err errs[len(errs)−K]: each step
-// adds the merged part's exact share of T·Err minus its two inputs' shares,
-// which holds whether or not the parts share distinct vectors.
+// adds the merged part's exact share of T·Err minus its two inputs' shares.
 func mergeTree(c *Compressed, par int) (*cluster.Dendrogram, []float64) {
 	t := float64(c.Mixture.Total)
 	errs := []float64{c.Err}
@@ -172,17 +164,6 @@ func composeCut(c *Compressed, cut cluster.Assignment) cluster.Assignment {
 		labels[v] = cut.Labels[leaf[lbl]]
 	}
 	return cluster.Assignment{Labels: labels, K: cut.K}
-}
-
-// warmFor gates CompressOptions.WarmCentroids: the warm start applies only
-// to a fixed-K k-means run whose requested K matches the centroid count, so
-// the auto sweep and mismatched-K calls fall back to cold seeding instead of
-// silently inheriting a different K.
-func warmFor(opts CompressOptions, k int) [][]float64 {
-	if opts.K == k && len(opts.WarmCentroids) == k {
-		return opts.WarmCentroids
-	}
-	return nil
 }
 
 func fromAssignment(l *Log, asg cluster.Assignment, par int) (*Compressed, error) {

@@ -1,8 +1,8 @@
 package core
 
-// Cross-shard merging: the segment algebra (segmerge.go) assumes every
-// input shares one codebook, so feature index f means the same thing in
-// every mixture and Merge alone aligns universes. Shard summaries break
+// Cross-shard merging: Mixture.Merge assumes every input shares one
+// codebook, so feature index f means the same thing in every mixture and
+// Merge alone aligns universes. Shard summaries break
 // that assumption — each logrd shard registers features in its own
 // arrival order, so index f on shard A and index f on shard B usually
 // name different features. RemapMixture is the missing alignment step:
@@ -12,11 +12,12 @@ package core
 // without changing any of them, so every entropy term — model and
 // empirical — is untouched: a remapped-then-merged mixture's
 // Reproduction Error is still exactly the total-weighted combination of
-// the inputs' errors, same as MergeRange's shared-codebook guarantee.
+// the inputs' errors.
 //
-// CoalesceMixture is Consolidate's parts-free sibling for the gateway:
+// CoalesceMixture is the parts-free sibling of the auto sweep's merge tree
+// (mergeTree) for the gateway:
 // summaries restored from the wire carry no partition sub-logs, so the
-// exact per-merge error Consolidate's merge tree records is unavailable.
+// exact per-merge error mergeTree records is unavailable.
 // The coalescer runs the same agglomeration engine over the components,
 // pooling their feature counts and scoring pairs by the model-entropy
 // increase of pooling alone, which upper-bounds the true error increase

@@ -7,32 +7,8 @@ import (
 
 // TestMergeTreeErrMatchesExactError pins the merge tree's recorded Err: at
 // every cut it must equal Mixture.ErrorP of that cut's partition,
-// recomputed from scratch — for the sweep's leaves, which partition the
-// distinct vectors, and for a range merge whose segments share distinct
-// vectors, where pooling two parts is not a disjoint union.
+// recomputed from scratch.
 func TestMergeTreeErrMatchesExactError(t *testing.T) {
-	// segLog draws vectors from its seed in sequence, so the segments of
-	// seed 3 share their first 40 distinct vectors.
-	segs := []*Compressed{
-		compressSeg(t, segLog(64, 40, 3), 4),
-		compressSeg(t, segLog(64, 60, 3), 4),
-		compressSeg(t, segLog(64, 50, 4), 4),
-	}
-	m, err := MergeRange(segs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errs := mergeTree(m, 0)
-	for k := 1; k <= len(errs); k++ {
-		cut := Consolidate(m, CompressOptions{K: k})
-		if cut.Mixture.K() != k {
-			t.Fatalf("range: cut %d has %d components", k, cut.Mixture.K())
-		}
-		if got := errs[len(errs)-k]; math.Abs(got-cut.Err) > 1e-9 {
-			t.Errorf("range: cut %d: recorded Err %v, exact %v", k, got, cut.Err)
-		}
-	}
-
 	for _, tc := range []struct {
 		method Method
 		seed   int64

@@ -548,8 +548,11 @@ func badBodyStatus(err error) int {
 // Ingest partitions entries by rendezvous owner and fans the
 // sub-batches out concurrently. Entries whose owner is ejected — or
 // whose owner fails the batch — spill down their rendezvous ranking to
-// the next healthy shard; only entries no shard would accept are
-// counted in Rejected (and the response becomes a 502 upstream). The
+// the next healthy shard. A 4xx other than 429 is no failure but a
+// definitive answer: the owner refused that sub-batch (say, past the
+// query cap), any other shard would too, so its entries do not spill.
+// Entries a shard refused or no shard would accept are counted in
+// Rejected (and the response becomes a 502 upstream). The
 // returned TotalQueries is the cluster total: fresh counts from the
 // shards that answered plus the last-known counts of the rest.
 func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.ClusterIngestResult, error) {
@@ -586,9 +589,7 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 			}
 			parts[owner] = append(parts[owner], e)
 		}
-		if rejected > 0 {
-			res.Rejected = rejected
-		}
+		res.Rejected += rejected
 		var idxs []int
 		for i, p := range parts {
 			if len(p) > 0 {
@@ -620,6 +621,10 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 		wg.Wait()
 		pending = pending[:0:0]
 		for _, o := range outs {
+			if refused(o.err) {
+				res.Rejected += len(parts[o.idx])
+				continue
+			}
 			if o.err != nil {
 				exclude[o.idx] = true
 				unavailable = append(unavailable, g.addrs[o.idx])
@@ -650,6 +655,15 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 	sort.Strings(unavailable)
 	res.Unavailable = unavailable
 	return res, nil
+}
+
+// refused reports a shard's definitive refusal of a request: an HTTP
+// 4xx other than 429, which is backpressure and worth retrying
+// elsewhere.
+func refused(err error) bool {
+	var apiErr *client.APIError
+	return errors.As(err, &apiErr) && apiErr.StatusCode >= 400 && apiErr.StatusCode < 500 &&
+		apiErr.StatusCode != http.StatusTooManyRequests
 }
 
 // entryQueries sums entry multiplicities the way the shards count them:

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -315,6 +316,73 @@ func TestGatewayPartialResults(t *testing.T) {
 	}
 	if er.Shards != 2 || len(er.Unavailable) != 1 {
 		t.Fatalf("estimate %d shards, unavailable %v", er.Shards, er.Unavailable)
+	}
+}
+
+// TestGatewayIngestRefusalDoesNotSpill: a shard that answers a
+// sub-batch with a 400 has refused it, and any other shard would too.
+// Those entries count as Rejected and do not spill, the other shard
+// receives none of them, and the refusing shard stays admitted.
+func TestGatewayIngestRefusalDoesNotSpill(t *testing.T) {
+	liveURL, live := newShard(t)
+	var refusals atomic.Int64
+	refusing := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ingest" {
+			refusals.Add(1)
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		rw.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(rw).Encode(client.ErrorResponse{Error: "refused"})
+	}))
+	t.Cleanup(refusing.Close)
+	g, gwURL := newGateway(t, Options{Shards: []string{liveURL, refusing.URL}, EjectAfter: 1})
+
+	entries := gwEntries(60, 0)
+	refused, liveQueries := 0, 0
+	for _, e := range entries {
+		if g.addrs[Owner(e.SQL, g.addrs)] == refusing.URL {
+			refused++
+		} else {
+			liveQueries += max(e.Count, 1)
+		}
+	}
+	if refused == 0 || refused == len(entries) {
+		t.Fatalf("the refusing shard owns %d of %d entries; the test needs a split", refused, len(entries))
+	}
+	res, err := g.Ingest(context.Background(), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected != refused || res.Spilled != 0 || res.Entries != len(entries)-refused {
+		t.Fatalf("ingest = %+v; want %d rejected, none spilled, %d accepted", res, refused, len(entries)-refused)
+	}
+	if len(res.Unavailable) != 0 {
+		t.Fatalf("a refusal marked shards unavailable: %v", res.Unavailable)
+	}
+	if got := live.Queries(); got != liveQueries {
+		t.Fatalf("the live shard holds %d queries, want only its own %d", got, liveQueries)
+	}
+	if n := refusals.Load(); n != 1 {
+		t.Fatalf("the refusing shard saw %d ingest requests, want 1", n)
+	}
+	for i := range g.shards {
+		if ok, _, _ := g.shards[i].snapshotHealth(); !ok {
+			t.Fatalf("shard %s ejected after answering", g.addrs[i])
+		}
+	}
+	// over HTTP the refusal is a 502 carrying the count
+	body, _ := json.Marshal(client.IngestRequest{Entries: entries})
+	resp, err := http.Post(gwURL+"/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cr client.ClusterIngestResult
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || cr.Rejected != refused {
+		t.Fatalf("POST /ingest = %d %+v; want 502 with %d rejected", resp.StatusCode, cr, refused)
 	}
 }
 

@@ -41,11 +41,10 @@ func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// wireNode is one durable logrd over a temp dir, without seal-time
-// summaries so /segments' "summarized" flags do not race the persister.
+// wireNode is one durable logrd over a temp dir.
 func wireNode(t *testing.T) *server.Server {
 	t.Helper()
-	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever, DisableSealSummaries: true})
+	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +69,7 @@ func wireScenario(t *testing.T, h http.Handler) {
 }
 
 // wireRoutes are the routes whose JSON the golden files pin, in the order
-// they are fetched (/segments precedes /drift, which builds the segment
-// summaries /segments reports).
+// they are fetched.
 var wireRoutes = []struct{ name, path string }{
 	{"stats", "/stats"},
 	{"segments", "/segments"},

@@ -12,10 +12,10 @@ import (
 // `logr serve` reuses it so both binaries accept identical flags.
 func ParseFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
 	addr := fs.String("addr", ":8080", "listen address")
-	dir := fs.String("dir", "logrd-data", "data directory (WAL + segment artifacts)")
+	dir := fs.String("dir", "logrd-data", "data directory (WAL + checkpoints)")
 	segment := fs.Int("segment", 50000, "auto-seal the ingest buffer every N queries (0 = explicit /seal only)")
 	compact := fs.Int("compact", 0, "auto-compact adjacent segments smaller than N queries (0 = off)")
-	k := fs.Int("k", 8, "clusters for served summaries and seal-time artifacts")
+	k := fs.Int("k", 8, "clusters for served summaries")
 	seed := fs.Int64("seed", 1, "clustering seed")
 	par := fs.Int("p", 0, "parallelism: worker count (0 = all cores, 1 = serial)")
 	sync := fs.String("sync", "interval", "WAL fsync policy: always | interval | off")
@@ -53,7 +53,6 @@ func ParseFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
 			Sync:             pol,
 			SyncEvery:        *syncEvery,
 			CheckpointBytes:  *checkpoint,
-			SealSummary:      copts,
 		},
 		Server: Options{
 			Compress:     copts,

@@ -24,7 +24,7 @@ type RunConfig struct {
 	// Dir is the durable workload's data directory.
 	Dir string
 	// Workload are the workload options (encoding, segmentation, fsync
-	// policy, seal-summary defaults).
+	// policy, checkpoints).
 	Workload logr.Options
 	// Server are the serving-layer options.
 	Server Options
@@ -42,7 +42,8 @@ type RunConfig struct {
 // is canceled (the signal-aware callers cancel on SIGINT/SIGTERM) or the
 // listener fails. Shutdown is graceful and durable: in-flight requests
 // drain within ShutdownGrace, the active buffer is sealed (so the tail of
-// ingest gets its segment artifact), and the WAL is synced and closed —
+// ingest is a segment range queries can address), and the WAL is synced
+// and closed —
 // reopening the directory then recovers everything that was ever
 // acknowledged.
 func Run(ctx context.Context, cfg RunConfig) error {
@@ -107,8 +108,8 @@ func Run(ctx context.Context, cfg RunConfig) error {
 		cancel()
 	}
 
-	// seal the ingest tail so it gets a segment artifact, then flush and
-	// close the WAL; the first failure wins but every step still runs
+	// seal the ingest tail into a segment, then flush and close the WAL;
+	// the first failure wins but every step still runs
 	if _, ok := w.Seal(); ok {
 		logf("logrd: sealed the active buffer")
 	}

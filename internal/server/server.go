@@ -65,9 +65,7 @@ import (
 // Options configure the serving layer.
 type Options struct {
 	// Compress are the compression options behind /estimate, /summary and
-	// /drift. The zero value means Clusters = 8, Seed = 1 — the same
-	// default the durable store's seal-time summaries use, so segment
-	// caches are shared.
+	// /drift. The zero value means Clusters = 8, Seed = 1.
 	Compress logr.CompressOptions
 	// MaxBodyBytes caps one /ingest request body (default 32 MiB).
 	MaxBodyBytes int64

@@ -27,9 +27,8 @@ import (
 // offset. Without one, replay cost and WAL size grow with the store's
 // whole life; with one, both are O(tail since last checkpoint).
 //
-// The checkpoint is self-contained: it does not lean on segment artifacts
-// (which stay pure caches — loadArtifacts still re-installs their summary
-// caches after a checkpointed recovery) and it must capture full encoder
+// The checkpoint is self-contained — together with the WAL tail it is
+// everything the data directory holds — and it must capture full encoder
 // state because the encoder is a function of the entire entry stream ever
 // ingested, not of the current snapshot. Nearly all of that state is
 // append-only (see workload/state.go), so rewriting it at every checkpoint
@@ -62,9 +61,8 @@ import (
 //
 // Re-arming after a disk fault trusts nothing on disk: it writes the whole
 // admission state as one frame into generation N+1 and points a new head
-// at it; a stale generation is removed when the store opens. Summary
-// caches (segment sums, the range cache) are deliberately not
-// checkpointed: they rebuild lazily or from artifacts.
+// at it; a stale generation is removed when the store opens. The range
+// cache is deliberately not checkpointed: it rebuilds on the first query.
 
 const (
 	ckptMagic = "LGCP"
@@ -79,6 +77,10 @@ const (
 	// magic, version, walOffset, admGen, admLen, admCRC
 	ckptHeaderLen = len(ckptMagic) + 1 + 8 + 8 + 8 + 4
 	admFrameHdr   = 8
+	// maxFieldValue caps every decoded uvarint of the state section: far
+	// above any legitimate count, far below where int(v) would overflow
+	// negative.
+	maxFieldValue = 1 << 62
 )
 
 // admission locates the committed prefix of the admission log: which
@@ -316,8 +318,7 @@ func removeStaleAdmissionLogs(fsys vfs.FS, dir string, keep uint64) {
 }
 
 // restoreState rebuilds a store from a head's state section on top of enc,
-// whose admission tables are already restored. Cached summaries are not
-// part of the state; loadArtifacts re-installs them afterwards.
+// whose admission tables are already restored.
 func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, error) {
 	rest, err := enc.RestoreCounters(state)
 	if err != nil {
@@ -368,7 +369,7 @@ func readEpoch(r *ckptReader) workload.Epoch {
 
 // appendSubLog serializes a segment's sub-log: universe, then each
 // distinct vector in first-appearance order as (multiplicity, support,
-// support × index-delta) — the same shape segment artifacts use.
+// support × index-delta).
 func appendSubLog(b []byte, l *core.Log) []byte {
 	b = binary.AppendUvarint(b, uint64(l.Universe()))
 	b = binary.AppendUvarint(b, uint64(l.Distinct()))
@@ -438,7 +439,7 @@ func (r *ckptReader) int() int {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > maxSegFieldValue {
+	if n <= 0 || v > maxFieldValue {
 		r.fail()
 		return 0
 	}

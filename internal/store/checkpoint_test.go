@@ -158,7 +158,7 @@ func TestCheckpointCorruption(t *testing.T) {
 // checkpointFaultOptions: explicit checkpoints only, every ack on disk.
 func checkpointFaultOptions(ffs *faultfs.FS) (Options, DurableOptions) {
 	return Options{SealThreshold: 60},
-		DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, CheckpointBytes: -1, FS: ffs}
+		DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1, FS: ffs}
 }
 
 // TestCheckpointCrashOrdering drives the two-file protocol through the
@@ -306,7 +306,7 @@ func TestCheckpointVersion1Rejected(t *testing.T) {
 func TestCheckpointBytesLinear(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := Options{}
-	dopts := DurableOptions{Sync: wal.SyncNever, DisableSealSummaries: true, CheckpointBytes: -1, Obs: reg}
+	dopts := DurableOptions{Sync: wal.SyncNever, CheckpointBytes: -1, Obs: reg}
 	d, err := Open(t.TempDir(), opts, dopts)
 	if err != nil {
 		t.Fatal(err)

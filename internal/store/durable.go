@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logr/internal/core"
 	"logr/internal/obs"
 	"logr/internal/vfs"
 	"logr/internal/wal"
@@ -19,12 +18,10 @@ import (
 )
 
 // Durable is the disk-backed segmented store: a Store whose every mutating
-// operation is written to a write-ahead log before it is applied, and whose
-// sealed segments are exported as self-contained artifacts. Open restores
-// the latest checkpoint (if any) and replays the WAL tail after it into a
-// fresh in-memory store — recovery is equivalent to a store that never
-// crashed, up to the last durable record — and re-installs the seal-time
-// summary caches from the segment artifacts.
+// operation is written to a write-ahead log before it is applied. Open
+// restores the latest checkpoint (if any) and replays the WAL tail after it
+// into a fresh in-memory store — recovery is equivalent to a store that
+// never crashed, up to the last durable record.
 //
 // The WAL is the system of record and holds the full raw entry stream;
 // this is what makes recovery exact (the shared codebook, the raw-SQL
@@ -32,9 +29,7 @@ import (
 // of the entry sequence) and it is also what the exact-count query path
 // fundamentally needs. Checkpoints bound its growth: once a checkpoint
 // captures the full in-memory state at a WAL offset, the covered prefix is
-// rotated away and recovery replays only the tail. Segment artifacts are
-// caches and shippable exports: losing one costs a lazy re-clustering,
-// never data.
+// rotated away and recovery replays only the tail.
 //
 // # Files
 //
@@ -45,7 +40,9 @@ import (
 //	                    atomically by every checkpoint
 //	checkpoint.adm.N    admission log: the encoder's append-only state,
 //	                    extended (never rewritten) by every checkpoint
-//	segments/           one artifact per sealed segment
+//
+// Older builds also kept a segments/ directory of per-segment summary
+// artifacts; Open deletes it.
 //
 // A checkpoint writes in the order admission log, head, WAL rotation, each
 // step durable before the next starts, and every prefix of that order is
@@ -57,7 +54,7 @@ import (
 // # Ingest pipeline
 //
 // Ingest is split into three decoupled stages so an acknowledgement never
-// waits on the encoder or on artifact clustering:
+// waits on the encoder or on a checkpoint:
 //
 //  1. Commit: Append/Seal/DropBefore/Compact serialize on one sequencing
 //     lock just long enough to hand their records to the WAL's buffered
@@ -73,15 +70,11 @@ import (
 //     when the applier falls behind, commits block enqueueing. Reads that
 //     need append-then-read visibility call Barrier, which waits until the
 //     applier has caught up to "applied ≥ acknowledged WAL offset".
-//  3. Persist: a background worker rebuilds segment artifacts (including
-//     seal-time summary clustering, under its own parallelism budget)
-//     whenever the segment set changes, and takes a checkpoint whenever
-//     the WAL has grown past DurableOptions.CheckpointBytes since the last
-//     one — a stall of the commit stage whose cost follows what was
-//     admitted since the last checkpoint, not the store's age. A seal
-//     therefore never stalls ingest acknowledgements; Close
-//     drains the worker so artifacts are current before the directory lock
-//     is released.
+//  3. Persist: a background worker takes a checkpoint whenever the WAL
+//     has grown past DurableOptions.CheckpointBytes since the last one — a
+//     stall of the commit stage whose cost follows what was admitted since
+//     the last checkpoint, not the store's age. Close drains the worker
+//     before the directory lock is released.
 //
 // # Failure handling
 //
@@ -118,7 +111,7 @@ type Durable struct {
 
 	applyQ      chan applyJob
 	applierDone chan struct{}
-	persistNote chan struct{}      // coalesced "segment set changed" signal
+	persistNote chan struct{}      // coalesced "checkpoint due" signal
 	persistSync chan chan struct{} // WaitPersisted rendezvous
 	persistDone chan struct{}
 	stop        chan struct{} // closed by Close; ends the degraded-mode probe
@@ -139,7 +132,6 @@ type Durable struct {
 	degraded     atomic.Bool
 	errMu        sync.Mutex
 	degradeCause error // first fault that degraded the store; nil once re-armed
-	sticky       error // first asynchronous failure (apply WAL poison, artifact write)
 	stopping     bool  // guarded by errMu; Close sets it before waiting out the probe
 }
 
@@ -171,16 +163,6 @@ type DurableOptions struct {
 	// each); when the applier falls this far behind, commits block and
 	// backpressure reaches the caller (0 = 64 windows).
 	ApplyQueue int
-	// SealSummary are the compression options used to build the summary
-	// written into each seal's segment artifact (and cached for range
-	// queries). The zero value (K == 0 and TargetError == 0) selects the
-	// default of K=8, Seed=1. Queries with different options simply
-	// re-cluster lazily; the artifact summary is the export default.
-	SealSummary core.CompressOptions
-	// DisableSealSummaries skips the summary build at seal: artifacts then
-	// carry only the sub-log, and summaries are built lazily on first use.
-	// The right setting when recovery warmth matters less than idle CPU.
-	DisableSealSummaries bool
 	// CheckpointBytes is how far the WAL may grow past the last checkpoint
 	// before the persist worker takes a new one (checkpoint the state,
 	// rotate the covered WAL prefix away). 0 selects the 1 MiB default; a
@@ -194,19 +176,6 @@ type DurableOptions struct {
 	// barrier waits, seal and checkpoint costs, retry and degrade counts,
 	// flush/fsync series). Nil disables instrumentation.
 	Obs *obs.Registry
-}
-
-func (o DurableOptions) sealSummary() (core.CompressOptions, bool) {
-	if o.DisableSealSummaries {
-		return core.CompressOptions{}, false
-	}
-	opts := o.SealSummary
-	if opts.K == 0 && opts.TargetError == 0 {
-		// mirror the public façade's defaults so seal-time caches are hit
-		// by default-option queries
-		opts = core.CompressOptions{K: 8, Seed: 1}
-	}
-	return opts, true
 }
 
 func (o DurableOptions) applyQueue() int {
@@ -248,15 +217,16 @@ var ErrDegraded = errors.New("store: durable store is in degraded read-only mode
 const (
 	walFileName  = "wal.log"
 	lockFileName = "LOCK"
+	// legacySegDir held per-segment summary artifacts in older builds.
+	legacySegDir = "segments"
 )
 
 // ingestWindow bounds one WAL record (and one apply job) so a giant batch
 // cannot demand a giant replay allocation.
 const ingestWindow = 8192
 
-// ioRetries bounds the bounded-backoff retry loops on the asynchronous
-// persistence paths (artifact builds, automatic checkpoints) before the
-// store degrades.
+// ioRetries bounds the bounded-backoff retry loop of automatic
+// checkpoints before the store degrades.
 const ioRetries = 3
 
 // recordBufPool recycles the ~150 KiB encode buffers of entry-batch WAL
@@ -308,7 +278,7 @@ func (sc *appendScratch) release() {
 // boundaries re-cut under the new options.
 func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 	fsys := dopts.fsys()
-	if err := fsys.MkdirAll(filepath.Join(dir, segDirName), 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	// single-writer guard: two processes appending to one WAL would
@@ -323,10 +293,10 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 		return nil, err
 	}
 	// startup hygiene: clear temp files stranded by a crash between a
-	// temp-file write and its rename (segment artifacts, checkpoints, WAL
-	// rotations all land via rename)
+	// temp-file write and its rename (checkpoints and WAL rotations land
+	// via rename), and an older build's artifact directory
 	vfs.RemoveTempFiles(fsys, dir)
-	vfs.RemoveTempFiles(fsys, filepath.Join(dir, segDirName))
+	removeLegacySegDir(fsys, dir)
 
 	mem, ckptOff, adm, err := loadCheckpoint(fsys, dir, opts)
 	if err != nil {
@@ -392,7 +362,7 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 	d.ckptOff.Store(ckptOff)
 	d.acked.Store(w.Size())
 	d.applied.Store(w.Size())
-	d.loadArtifacts()
+	mem.sealSeconds = dm.sealSeconds // replayed seals are not timed
 	if dopts.Obs != nil {
 		d.registerGauges(dopts.Obs)
 	}
@@ -409,8 +379,21 @@ func (d *Durable) Mem() *Store { return d.mem }
 // Dir returns the store's data directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// segDir returns the segment-artifact directory.
-func (d *Durable) segDir() string { return filepath.Join(d.dir, segDirName) }
+// removeLegacySegDir deletes the segments/ directory an older build kept
+// per-segment summary artifacts in. Nothing reads them: the WAL and the
+// checkpoint hold every segment's sub-log. Best-effort, like the temp-file
+// sweep.
+func removeLegacySegDir(fsys vfs.FS, dir string) {
+	legacy := filepath.Join(dir, legacySegDir)
+	ents, err := fsys.ReadDir(legacy)
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		fsys.Remove(filepath.Join(legacy, e.Name()))
+	}
+	fsys.Remove(legacy)
+}
 
 // Append logs a batch of entries (in bounded windows) and enqueues it for
 // the ordered applier; it acknowledges once every window is accepted by the
@@ -516,9 +499,8 @@ func (d *Durable) control(op walOp, payload []byte) (applyResult, error) {
 }
 
 // Seal freezes the active buffer into a segment and returns its
-// descriptor; ok is false when the buffer is empty. The segment's artifact
-// (summary per DurableOptions.SealSummary plus the sub-log) is built by
-// the background persist worker — WaitPersisted blocks until it lands.
+// descriptor; ok is false when the buffer is empty. Sealing only cuts the
+// segment's sub-log; nothing is clustered.
 func (d *Durable) Seal() (SegmentMeta, bool, error) {
 	// an empty active buffer seals to nothing; checking it needs the
 	// applier caught up, and holding seqMu keeps new appends out between
@@ -564,7 +546,7 @@ func (d *Durable) Seal() (SegmentMeta, bool, error) {
 }
 
 // DropBefore logs and applies retention: segments entirely before seal id
-// are retired and their artifact files removed. The WAL keeps their raw
+// are retired. The WAL keeps their raw
 // entries until the next checkpoint — the codebook, dedup state and
 // statistics they contributed are still live state — so reopening replays
 // them and re-drops the segments.
@@ -573,9 +555,7 @@ func (d *Durable) DropBefore(id int) (int, error) {
 	return res.n, err
 }
 
-// Compact logs and applies a compaction pass, then lets the background
-// persist worker refresh the artifact directory (merged runs get a
-// combined sub-log artifact; their old files are removed).
+// Compact logs and applies a compaction pass.
 func (d *Durable) Compact(minQueries int) (int, error) {
 	res, err := d.control(walOp{kind: opCompact, arg: minQueries}, encodeCompactOp(minQueries))
 	return res.n, err
@@ -758,12 +738,11 @@ func (d *Durable) Durability() DurabilityInfo {
 
 // applier is the single ordered apply stage: it drains WAL-committed jobs
 // into the in-memory store, publishes apply progress for Barrier, answers
-// control-op replies, and nudges the persist worker when the segment set
-// changes or the WAL has outgrown its checkpoint threshold.
+// control-op replies, and nudges the persist worker when the WAL has
+// outgrown its checkpoint threshold.
 func (d *Durable) applier() {
 	defer close(d.applierDone)
 	for job := range d.applyQ {
-		before := d.mem.NextID()
 		var res applyResult
 		switch job.op.kind {
 		case opEntries:
@@ -787,10 +766,10 @@ func (d *Durable) applier() {
 		if job.reply != nil {
 			job.reply <- res
 		}
-		if job.op.kind != opEntries || d.mem.NextID() != before || d.wantCheckpoint(job.lsn) {
+		if d.wantCheckpoint(job.lsn) {
 			select {
 			case d.persistNote <- struct{}{}:
-			default: // a reconcile is already pending; it will see this change
+			default: // a checkpoint check is already pending
 			}
 		}
 	}
@@ -803,52 +782,33 @@ func (d *Durable) wantCheckpoint(lsn int64) bool {
 	return every > 0 && lsn > 0 && lsn-d.ckptOff.Load() >= every
 }
 
-// persister is the background persist worker: every nudge reconciles the
-// artifact directory against the live segments (clustering seal summaries)
-// and checkpoints when the WAL has outgrown its threshold. Failures get
-// bounded retries; exhaustion or a fatal fault degrades the store — the
-// WAL already holds the truth, so a failed artifact build costs recovery
-// warmth, never data.
+// persister is the background persist worker: every nudge takes an
+// automatic checkpoint when the WAL has outgrown its threshold.
 func (d *Durable) persister() {
 	defer close(d.persistDone)
 	for {
 		select {
 		case _, ok := <-d.persistNote:
 			if !ok {
-				// shutdown: one final reconcile so Close leaves artifacts
-				// current before the directory lock is released (no degrade
-				// on this path — the store is closing, note the error)
-				if err := d.persistSegments(); err != nil {
-					d.note(err)
-				}
 				return
 			}
-			d.reconcile()
+			d.maybeCheckpoint()
 		case ready := <-d.persistSync:
 			// drain a pending nudge first so the wait covers it
 			select {
 			case <-d.persistNote:
 			default:
 			}
-			d.reconcile()
+			d.maybeCheckpoint()
 			close(ready)
 		}
 	}
 }
 
-// reconcile is one persist-worker pass: artifact reconciliation with
-// bounded retries, then an automatic checkpoint if the WAL has outgrown
-// its threshold. Retry exhaustion or a fatal fault degrades the store.
-func (d *Durable) reconcile() {
-	if err := d.retryIO(d.persistSegments); err != nil {
-		d.degrade(err)
-		return
-	}
-	d.maybeCheckpoint()
-}
-
-// maybeCheckpoint runs an automatic checkpoint when due, with the same
-// retry/degrade policy as artifact persistence.
+// maybeCheckpoint runs an automatic checkpoint when due. Failures get
+// bounded retries; exhaustion or a fatal fault degrades the store — the
+// WAL already holds the truth, so a failed checkpoint costs replay time,
+// never data.
 func (d *Durable) maybeCheckpoint() {
 	if !d.wantCheckpoint(d.acked.Load()) || d.degraded.Load() {
 		return
@@ -876,17 +836,15 @@ func (d *Durable) retryIO(fn func() error) error {
 	return err
 }
 
-// WaitPersisted blocks until the persist worker has reconciled the
-// artifact directory with the segment set as of the call. It does not
-// barrier on the applier; callers that need "everything I appended is
-// sealed and persisted" should Barrier (or Seal) first.
+// WaitPersisted blocks until the persist worker has taken any automatic
+// checkpoint due as of the call. It does not barrier on the applier.
 func (d *Durable) WaitPersisted() {
 	ready := make(chan struct{})
 	select {
 	case d.persistSync <- ready:
 		<-ready
 	case <-d.persistDone:
-		// worker already shut down: Close's final reconcile covered it
+		// worker already shut down: nothing is pending
 	}
 }
 
@@ -1018,7 +976,6 @@ func (d *Durable) rearm() error {
 	old := d.w.Swap(nw)
 	d.errMu.Lock()
 	d.degradeCause = nil
-	d.sticky = nil
 	d.errMu.Unlock()
 	d.degraded.Store(false)
 	d.seqMu.Unlock()
@@ -1026,30 +983,15 @@ func (d *Durable) rearm() error {
 	return nil
 }
 
-// note records the first asynchronous failure.
-func (d *Durable) note(err error) {
-	if err == nil {
-		return
-	}
-	d.errMu.Lock()
-	if d.sticky == nil {
-		d.sticky = err
-	}
-	d.errMu.Unlock()
-}
-
 // Err reports the store's current health: the degraded-mode cause while
-// degraded (cleared when the probe re-arms writes), else the first
-// asynchronous failure (artifact persistence, deferred WAL fsync
-// poisoning), nil if none.
+// degraded (cleared when the probe re-arms writes; a deferred WAL fsync
+// that failed after the ack degrades the store too), nil if healthy.
 func (d *Durable) Err() error {
 	d.checkWalHealth()
 	if d.degraded.Load() {
 		return d.degradedErr()
 	}
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.sticky
+	return nil
 }
 
 // Degraded reports whether the store is in degraded read-only mode.
@@ -1102,98 +1044,4 @@ func (d *Durable) Close() error {
 		err = d.Err()
 	}
 	return err
-}
-
-// persistSegments reconciles the artifact directory with the live
-// segments: every live segment lacking an artifact file gets one — with a
-// freshly built seal summary (warm-chained from its predecessor's, the
-// same recurrence lazy range queries follow) unless seal summaries are
-// disabled — and files naming no live segment are removed. It runs on the
-// persist worker (segment clustering must not stall ingest) and re-reads
-// the live segment list each run: a drop/compact racing an artifact write
-// at worst leaves a stale file the next reconciliation removes. Artifact
-// failures never leave the store inconsistent: the WAL already holds the
-// truth.
-func (d *Durable) persistSegments() error {
-	segs := d.mem.liveSegments()
-	keep := make(map[string]bool, len(segs))
-	var firstErr error
-	for i, sg := range segs {
-		name := segFileName(sg.meta)
-		keep[name] = true
-		if _, err := d.fs.Stat(filepath.Join(d.segDir(), name)); err == nil {
-			continue
-		}
-		var sum *core.Compressed
-		sumKey := ""
-		if opts, enabled := d.dopts.sealSummary(); enabled {
-			key := summaryKey(opts)
-			var prev *core.Compressed
-			if i > 0 {
-				prev = segs[i-1].cached(key)
-			}
-			start := time.Now()
-			s, err := sg.summary(opts, key, func() [][]float64 {
-				return warmCentroids(prev, sg.log.Universe(), opts.K)
-			})
-			d.m.sealSeconds.RecordSince(start)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err == nil {
-				sum, sumKey = s, key
-			}
-		}
-		if err := writeSegFile(d.fs, d.segDir(), sg, sumKey, sum, d.mem.Book()); err != nil && firstErr == nil {
-			firstErr = err
-		} else if err == nil {
-			d.m.segmentsPersisted.Inc()
-		}
-	}
-	d.gcArtifacts(keep)
-	return firstErr
-}
-
-// gcArtifacts removes artifact files naming no live segment.
-func (d *Durable) gcArtifacts(keep map[string]bool) {
-	ents, err := d.fs.ReadDir(d.segDir())
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if !keep[e.Name()] {
-			d.fs.Remove(filepath.Join(d.segDir(), e.Name()))
-		}
-	}
-}
-
-// loadArtifacts re-installs seal-time summary caches from the artifacts
-// that match the replayed segments, and clears out files describing
-// segments that no longer exist (stale survivors of a crash between a
-// WAL-logged drop/compaction and its file cleanup).
-func (d *Durable) loadArtifacts() {
-	segs := d.mem.liveSegments()
-	keep := make(map[string]bool, len(segs))
-	for _, sg := range segs {
-		keep[segFileName(sg.meta)] = true
-		sumKey, asg, ok := readSegFile(d.fs, d.segDir(), sg)
-		if !ok || sumKey == "" {
-			continue
-		}
-		sum, err := rebuildSummary(sg.log, asg)
-		if err != nil {
-			continue
-		}
-		sg.mu.Lock()
-		sg.sum, sg.sumKey = sum, sumKey
-		sg.mu.Unlock()
-	}
-	d.gcArtifacts(keep)
-}
-
-// liveSegments snapshots the live segment slice.
-func (s *Store) liveSegments() []*Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Segment(nil), s.segs...)
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -43,22 +43,6 @@ func logsEqual(a, b *core.Log) bool {
 	return true
 }
 
-// metasEqual compares segment descriptors modulo the Summarized flag (a
-// cache observation, not state: recovery restores seal-time caches the
-// reference never built).
-func metasEqual(a, b []SegmentMeta) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		a[i].Summarized, b[i].Summarized = false, false
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // assertStoresEquivalent pins the recovery contract: snapshot epoch, full
 // pipeline statistics, the encoded log vector for vector, the segment
 // structure, and the byte-identical Compress artifact.
@@ -74,7 +58,7 @@ func assertStoresEquivalent(t *testing.T, label string, got, want *Store) {
 	if !logsEqual(gres.Log, wres.Log) {
 		t.Fatalf("%s: snapshot logs diverged", label)
 	}
-	if !metasEqual(got.Segments(), want.Segments()) {
+	if !slices.Equal(got.Segments(), want.Segments()) {
 		t.Fatalf("%s: segments diverged:\n got %+v\nwant %+v", label, got.Segments(), want.Segments())
 	}
 	if !bytes.Equal(compressBytes(t, got), compressBytes(t, want)) {
@@ -146,7 +130,7 @@ var crashScript = []durableOp{
 
 func crashOptions() (Options, DurableOptions) {
 	return Options{SealThreshold: 120, CompactMinQueries: 50, Encode: workload.EncodeOptions{Parallelism: 2}},
-		DurableOptions{Sync: wal.SyncAlways, SealSummary: core.CompressOptions{K: 2, Seed: 3}}
+		DurableOptions{Sync: wal.SyncAlways}
 }
 
 // TestKillPointRecovery is the crash-recovery property test: the WAL is
@@ -210,7 +194,6 @@ func TestKillPointRecovery(t *testing.T) {
 	}
 	sort.Slice(cutList, func(i, j int) bool { return cutList[i] < cutList[j] })
 
-	segSrc := filepath.Join(dir, segDirName)
 	for _, cut := range cutList {
 		// durable prefix: records wholly inside the cut
 		nrec := 0
@@ -220,29 +203,9 @@ func TestKillPointRecovery(t *testing.T) {
 			}
 		}
 		crashDir := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(crashDir, segDirName), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(filepath.Join(crashDir, walFileName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// the artifact directory survives the crash as-is: recovery must
-		// ignore artifacts describing segments the truncated WAL no longer
-		// produces
-		ents, err := os.ReadDir(segSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			data, err := os.ReadFile(filepath.Join(segSrc, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(crashDir, segDirName, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-
 		rec, err := Open(crashDir, opts, dopts)
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
@@ -269,9 +232,7 @@ func itoa(n int) string {
 
 // TestDurableMatchesInMemory: without any crash, the durable store's state
 // after a scripted run equals a plain in-memory store's fed the same
-// script, including byte-identical windowed range summaries (the script
-// avoids compaction and retention, so the summary warm-start chains of
-// both stores follow the identical recurrence).
+// script, including byte-identical windowed range summaries.
 func TestDurableMatchesInMemory(t *testing.T) {
 	opts := Options{SealThreshold: 100, Encode: workload.EncodeOptions{}}
 	dopts := DurableOptions{Sync: wal.SyncNever}
@@ -300,13 +261,13 @@ func TestDurableMatchesInMemory(t *testing.T) {
 	}
 	assertStoresEquivalent(t, "live", d.Mem(), ref)
 
-	copts, _ := dopts.sealSummary()
+	copts := core.CompressOptions{K: 8, Seed: 1}
 	from, to := d.Mem().Segments()[0].ID, d.Mem().NextID()
-	got, err := d.Mem().CompressRange(from, to, copts, RangeOptions{})
+	got, err := d.Mem().CompressRange(from, to, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.CompressRange(from, to, copts, RangeOptions{})
+	want, err := ref.CompressRange(from, to, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,134 +286,61 @@ func summaryArtifact(t *testing.T, s *Store, r RangeResult) []byte {
 	return buf.Bytes()
 }
 
-// TestReopenRestoresSummaries: a clean close and reopen restores the
-// seal-time summary caches from the segment artifacts — the segments
-// report Summarized without any re-clustering, the restored range summary
-// is byte-identical to the pre-close one, and the artifact's embedded LGRS
-// blob round-trips through the summary reader.
-func TestReopenRestoresSummaries(t *testing.T) {
+// TestOpenRemovesLegacySegmentsDir: a data directory written by an older
+// build also holds segments/, one summary artifact per sealed segment.
+// testdata/seg-00000000-00000001.seg is such an artifact, written for the
+// first segment of the script below. Opening the directory deletes it
+// unread, and the store recovers from the WAL alone, equal to an
+// in-memory twin.
+func TestOpenRemovesLegacySegmentsDir(t *testing.T) {
+	const name = "seg-00000000-00000001.seg"
+	artifact, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{SealThreshold: 80}
 	dopts := DurableOptions{Sync: wal.SyncAlways}
+	script := []durableOp{scriptAppend(60, 0), {kind: opSeal}}
 	dir := t.TempDir()
 	d, err := Open(dir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runScript(t, d, []durableOp{
-		scriptAppend(60, 0),
-		{kind: opSeal},
-		scriptAppend(70, 20),
-		{kind: opSeal},
-	})
-	// seal-time summaries are built by the background persist worker; wait
-	// for it before asserting on them
-	d.WaitPersisted()
-	copts, _ := dopts.sealSummary()
-	beforeSegs := d.Mem().Segments()
-	for i, m := range beforeSegs {
-		if !m.Summarized {
-			t.Fatalf("segment %d has no seal-time summary before close", i)
-		}
-	}
-	from, to := beforeSegs[0].ID, d.Mem().NextID()
-	before, err := d.Mem().CompressRange(from, to, copts, RangeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	beforeBytes := summaryArtifact(t, d.Mem(), before)
+	runScript(t, d, script)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	legacy := filepath.Join(dir, legacySegDir)
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, name), artifact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, name+".tmp"), artifact[:40], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	re, err := Open(dir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	segs := re.Mem().Segments()
-	if !metasEqual(re.Mem().Segments(), beforeSegs) {
-		t.Fatalf("segments diverged on reopen:\n got %+v\nwant %+v", re.Mem().Segments(), beforeSegs)
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("%s survived Open: %v", legacy, err)
 	}
-	for i, m := range segs {
-		if !m.Summarized {
-			t.Fatalf("segment %d lost its seal-time summary on reopen", i)
+	ref := New(opts)
+	for _, op := range script {
+		if op.entries != nil {
+			ref.Append(op.entries)
+		} else {
+			ref.Seal()
 		}
 	}
-	after, err := re.Mem().CompressRange(from, to, copts, RangeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if len(ref.Segments()) < 2 {
+		t.Fatalf("the script cut %d segments; the artifact names the first of several", len(ref.Segments()))
 	}
-	if !bytes.Equal(beforeBytes, summaryArtifact(t, re.Mem(), after)) {
-		t.Fatal("range summary not byte-identical after reopen")
-	}
-
-	// the newest artifact's embedded LGRS blob decodes and matches the
-	// restored segment summary
-	last := len(segs) - 1
-	blob, err := readSegSummaryBlob(filepath.Join(dir, segDirName, segFileName(metaOf(re.Mem(), last))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := core.ReadSummary(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("embedded summary blob: %v", err)
-	}
-	sg := re.Mem().liveSegments()[last]
-	if !reflect.DeepEqual(m, sg.sum.Mixture) {
-		t.Fatal("embedded summary blob diverges from the restored cache")
-	}
-}
-
-func metaOf(s *Store, i int) SegmentMeta {
-	return s.liveSegments()[i].meta
-}
-
-// TestCorruptArtifactIsIgnored: a flipped byte in a segment artifact must
-// not poison recovery — the store reopens correctly, merely without that
-// segment's cached summary.
-func TestCorruptArtifactIsIgnored(t *testing.T) {
-	opts := Options{SealThreshold: 80}
-	dopts := DurableOptions{Sync: wal.SyncAlways}
-	dir := t.TempDir()
-	d, err := Open(dir, opts, dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runScript(t, d, []durableOp{scriptAppend(60, 0), {kind: opSeal}})
-	want := compressBytes(t, d.Mem())
-	beforeSegs := d.Mem().Segments()
-	d.Close()
-
-	segPath := filepath.Join(dir, segDirName, segFileName(metaOf(d.Mem(), 0)))
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(segPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, opts, dopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	segs := re.Mem().Segments()
-	if !metasEqual(re.Mem().Segments(), beforeSegs) {
-		t.Fatalf("segments diverged on reopen:\n got %+v\nwant %+v", re.Mem().Segments(), beforeSegs)
-	}
-	if segs[0].Summarized {
-		t.Fatal("corrupt artifact still installed a summary cache")
-	}
-	if !bytes.Equal(compressBytes(t, re.Mem()), want) {
-		t.Fatal("corrupt artifact changed recovered data")
-	}
-	// the summary rebuilds lazily on demand
-	copts, _ := dopts.sealSummary()
-	if _, err := re.Mem().CompressRange(segs[0].ID, segs[0].EndID, copts, RangeOptions{}); err != nil {
-		t.Fatalf("lazy rebuild after corrupt artifact: %v", err)
-	}
+	assertStoresEquivalent(t, "legacy reopen", re.Mem(), ref)
 }
 
 // TestClosedDurableRejectsMutations pins the ErrClosed contract.
@@ -497,7 +385,7 @@ func TestConcurrentDurableIngestAndQuery(t *testing.T) {
 	if _, _, err := d.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	copts, _ := (DurableOptions{}).sealSummary()
+	copts := core.CompressOptions{K: 8, Seed: 1}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -519,7 +407,7 @@ func TestConcurrentDurableIngestAndQuery(t *testing.T) {
 			d.Mem().Snapshot()
 			if segs := d.Mem().Segments(); len(segs) > 0 {
 				from, to := segs[0].ID, segs[len(segs)-1].EndID
-				if _, err := d.Mem().CompressRange(from, to, copts, RangeOptions{}); err != nil {
+				if _, err := d.Mem().CompressRange(from, to, copts); err != nil {
 					// a concurrent seal/compact can race the range resolution;
 					// only misaligned-range errors are expected
 					continue

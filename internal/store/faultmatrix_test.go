@@ -34,9 +34,9 @@ import (
 // replays this way contributes zero queries — invisible to any total-based
 // precondition.
 //
-// The schedule is only near-deterministic: the persist worker's reconciles
-// race the foreground ops, so the op count and the position of each fsync
-// drift by a few ops from run to run. The sweeps therefore address op
+// The schedule is only near-deterministic: the persist worker's automatic
+// checkpoints race the foreground ops, so the op count and the position of
+// each fsync drift by a few ops from run to run. The sweeps therefore address op
 // positions rather than the dry run's individual ops, and reach past the
 // dry run's end (see sweepEnd) so a faulted run that happens to be longer
 // is covered too; a rule past a run's end fires during the reopen or not
@@ -49,7 +49,7 @@ const matrixDir = "data"
 
 func matrixOptions() (Options, DurableOptions) {
 	return Options{SealThreshold: 40, CompactMinQueries: 25, Encode: workload.EncodeOptions{}},
-		DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, CheckpointBytes: 1500}
+		DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: 1500}
 }
 
 // matrixScript exercises every WAL op kind plus the automatic seal and
@@ -82,8 +82,8 @@ func (r matrixRun) ackedTotal() int {
 
 // runMatrixWorkload drives the scripted workload against ffs, recording
 // which ops were acknowledged. WaitPersisted after every op keeps the
-// background artifact/checkpoint IO inside a near-deterministic schedule so
-// the dry-run enumeration stays representative.
+// background checkpoint IO inside a near-deterministic schedule so the
+// dry-run enumeration stays representative.
 func runMatrixWorkload(ffs *faultfs.FS) matrixRun {
 	opts, dopts := matrixOptions()
 	dopts.FS = ffs
@@ -333,7 +333,7 @@ func TestFaultMatrixSyncLies(t *testing.T) {
 func TestDegradedModeRecovery(t *testing.T) {
 	ffs := faultfs.New()
 	opts := Options{}
-	dopts := DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, FS: ffs}
+	dopts := DurableOptions{Sync: wal.SyncAlways, FS: ffs}
 	d, err := Open(matrixDir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestDegradedModeRecovery(t *testing.T) {
 func TestCheckpointBoundsRecoveryReplay(t *testing.T) {
 	ffs := faultfs.New()
 	opts := Options{}
-	dopts := DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, CheckpointBytes: -1, FS: ffs}
+	dopts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1, FS: ffs}
 	d, err := Open(matrixDir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
@@ -484,7 +484,7 @@ func TestCheckpointBoundsRecoveryReplay(t *testing.T) {
 func TestAutoCheckpoint(t *testing.T) {
 	ffs := faultfs.New()
 	opts := Options{SealThreshold: 60}
-	dopts := DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, CheckpointBytes: 512, FS: ffs}
+	dopts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: 512, FS: ffs}
 	d, err := Open(matrixDir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
@@ -512,14 +512,15 @@ func TestAutoCheckpoint(t *testing.T) {
 	assertStoresEquivalent(t, "auto-checkpoint reopen", re.Mem(), ref)
 }
 
-// TestCrashBetweenTempWriteAndRename pins the startup GC: a crash after an
-// artifact's temp file is fully written and fsynced but before its rename
-// strands a *.tmp file; reopening must sweep it, recover the data from the
-// WAL, and rebuild the artifact.
+// TestCrashBetweenTempWriteAndRename pins the startup GC: a crash after
+// the checkpoint head's temp file is fully written and fsynced but before
+// its rename strands a *.tmp file; reopening must sweep it and recover the
+// data from the WAL. The explicit Checkpoint call is the only writer of
+// the head, so the crash lands at the same point on every run.
 func TestCrashBetweenTempWriteAndRename(t *testing.T) {
 	ffs := faultfs.New()
 	opts := Options{}
-	dopts := DurableOptions{Sync: wal.SyncAlways, DisableSealSummaries: true, CheckpointBytes: -1, FS: ffs}
+	dopts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1, FS: ffs}
 	d, err := Open(matrixDir, opts, dopts)
 	if err != nil {
 		t.Fatal(err)
@@ -528,43 +529,47 @@ func TestCrashBetweenTempWriteAndRename(t *testing.T) {
 	if err := d.Append(batch); err != nil {
 		t.Fatal(err)
 	}
-	// crash exactly on the artifact's tmp→live rename
-	ffs.AddRule(faultfs.Rule{Kind: "rename", Path: ".seg.tmp", Crash: true})
 	if _, _, err := d.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	d.WaitPersisted()
+	// crash exactly on the head's tmp→live rename
+	ffs.AddRule(faultfs.Rule{Kind: "rename", Path: ckptFileName + ".tmp", Crash: true})
+	if err := d.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded through a crash on its rename")
+	}
 	d.Close() // the filesystem is frozen; close errors are expected
 	if !ffs.Crashed() {
-		t.Fatal("the artifact rename never happened; the persist path changed?")
+		t.Fatal("the checkpoint rename never happened; the checkpoint path changed?")
 	}
 
 	img := ffs.CrashImage(false)
+	stranded := false
+	ents, err := img.ReadDir(matrixDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		stranded = stranded || strings.HasSuffix(e.Name(), ".tmp")
+	}
+	if !stranded {
+		t.Fatal("the crash image holds no temp file; nothing tests the sweep")
+	}
 	dopts.FS = img
 	re, err := Open(matrixDir, opts, dopts)
 	if err != nil {
 		t.Fatalf("reopen after stranded temp file: %v", err)
 	}
 	defer re.Close()
-	for _, dirn := range []string{matrixDir, filepath.Join(matrixDir, segDirName)} {
-		ents, err := img.ReadDir(dirn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".tmp") {
-				t.Fatalf("stranded temp file %s/%s survived startup GC", dirn, e.Name())
-			}
+	if ents, err = img.ReadDir(matrixDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("stranded temp file %s survived startup GC", e.Name())
 		}
 	}
 	ref := New(opts)
 	ref.Append(batch)
 	ref.Seal()
 	assertStoresEquivalent(t, "tmp-strand recovery", re.Mem(), ref)
-	// the persist worker rebuilds the artifact the crash destroyed
-	re.WaitPersisted()
-	name := segFileName(metaOf(re.Mem(), 0))
-	if _, err := img.Stat(filepath.Join(matrixDir, segDirName, name)); err != nil {
-		t.Fatalf("artifact %s not rebuilt after recovery: %v", name, err)
-	}
 }

@@ -14,8 +14,7 @@ type durableMetrics struct {
 	wal               *wal.Metrics   // handed to every wal.Log the store opens
 	barrierWait       *obs.Histogram // slow-path barrier waits
 	appliedEntries    *obs.Counter   // entries drained by the applier
-	sealSeconds       *obs.Histogram // seal-time summary clustering (k-means)
-	segmentsPersisted *obs.Counter   // segment artifacts written
+	sealSeconds       *obs.Histogram // each seal's sub-log cut
 	checkpoints       *obs.Counter   // checkpoints taken
 	checkpointBytes   *obs.Counter   // checkpoint bytes written: head + admission-log frame
 	checkpointSeconds *obs.Histogram // commit-stage stall per checkpoint
@@ -33,8 +32,7 @@ func newDurableMetrics(reg *obs.Registry) *durableMetrics {
 		wal:               wal.NewMetrics(reg),
 		barrierWait:       reg.Histogram("logr_barrier_wait_seconds", "Time read barriers spent waiting for the applier (slow path only; caught-up barriers record nothing)."),
 		appliedEntries:    reg.Counter("logr_applied_entries_total", "Log entries drained from the apply queue into the in-memory store."),
-		sealSeconds:       reg.Histogram("logr_seal_summary_seconds", "Seal-time summary clustering duration per segment artifact."),
-		segmentsPersisted: reg.Counter("logr_segments_persisted_total", "Segment artifacts written by the background persister."),
+		sealSeconds:       reg.Histogram("logr_seal_summary_seconds", "Time each seal took to cut its segment's sub-log (a seal clusters nothing); the count is the number of seals."),
 		checkpoints:       reg.Counter("logr_checkpoints_total", "Checkpoints taken (manual and automatic)."),
 		checkpointBytes:   reg.Counter("logr_checkpoint_bytes_total", "Checkpoint bytes written: the rewritten head plus the frame appended to the admission log."),
 		checkpointSeconds: reg.Histogram("logr_checkpoint_seconds", "Time a completed checkpoint held the commit-stage sequencing lock (applier drain, encode, fsyncs, WAL rotation)."),

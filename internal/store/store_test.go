@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"logr/internal/core"
+	"logr/internal/wal"
 	"logr/internal/workload"
 )
 
@@ -101,12 +103,9 @@ func TestFirstSegmentOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.CompressRange(0, 1, opts, RangeOptions{})
+	res, err := s.CompressRange(0, 1, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Merged {
-		t.Fatal("single-segment range took the merge path")
 	}
 	if res.Compressed.Err != direct.Err {
 		t.Fatalf("single-segment error %v != direct %v", res.Compressed.Err, direct.Err)
@@ -116,51 +115,124 @@ func TestFirstSegmentOracle(t *testing.T) {
 	}
 }
 
-func TestCompressRangeMergesAndConsolidates(t *testing.T) {
-	s := New(Options{})
-	for i := 0; i < 4; i++ {
-		s.Append(streamEntries(40, i*40))
-		s.Seal()
+// lgrs is the byte form the range contract is stated in: the binary
+// summary artifact of c over the store's codebook.
+func lgrs(t *testing.T, s *Store, c *core.Compressed) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.WriteSummaryBinary(&buf, c.Mixture, s.Book()); err != nil {
+		t.Fatal(err)
 	}
-	opts := core.CompressOptions{K: 3, Seed: 1}
-	res, err := s.CompressRange(0, 4, opts, RangeOptions{MaxErrorGrowth: -1})
+	return buf.Bytes()
+}
+
+// assertRangesAreCompressions checks every multi-segment range of s: its
+// CompressRange artifact is byte-identical to Compress of its RangeLog at
+// the same options, and its epoch is the range's last segment's.
+func assertRangesAreCompressions(t *testing.T, label string, s *Store, opts core.CompressOptions) {
+	t.Helper()
+	segs := s.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("%s: %d segments; the check needs multi-segment ranges", label, len(segs))
+	}
+	for i := range segs {
+		for j := i + 1; j < len(segs); j++ {
+			from, to := segs[i].ID, segs[j].EndID
+			got, err := s.CompressRange(from, to, opts)
+			if err != nil {
+				t.Fatalf("%s: CompressRange(%d, %d): %v", label, from, to, err)
+			}
+			l, epoch, err := s.RangeLog(from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Compress(l, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Epoch != epoch || epoch != segs[j].Epoch {
+				t.Fatalf("%s: [%d, %d) epoch %+v, RangeLog %+v, last segment %+v", label, from, to, got.Epoch, epoch, segs[j].Epoch)
+			}
+			if !bytes.Equal(lgrs(t, s, got.Compressed), lgrs(t, s, want)) {
+				t.Fatalf("%s: CompressRange(%d, %d) is not Compress(RangeLog(%d, %d))", label, from, to, from, to)
+			}
+		}
+	}
+}
+
+// TestCompressRangeIsCompressOfRangeLog pins the range contract,
+// CompressRange ≡ Compress(RangeLog), over every multi-segment range of a
+// durable store: live, after a reopen, after DropBefore of the first
+// segment and after Compact of a later run. It also checks the cache and
+// the range bounds.
+func TestCompressRangeIsCompressOfRangeLog(t *testing.T) {
+	opts := Options{}
+	dir := t.TempDir()
+	d, err := Open(dir, opts, DurableOptions{Sync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Merged {
-		t.Fatal("range summary did not take the algebraic path")
+	// three full segments, two small ones a compaction merges, a full one
+	for i, n := range []int{40, 40, 40, 4, 4, 40} {
+		if err := d.Append(streamEntries(n, i*40)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.Seal(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := res.Compressed.Mixture.K(); got > 3 {
-		t.Fatalf("consolidation left %d components, budget 3", got)
+	copts := core.CompressOptions{K: 3, Seed: 1}
+	assertRangesAreCompressions(t, "live", d.Mem(), copts)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if res.Compressed.Mixture.Total != s.Snapshot().Log.Total() {
-		t.Fatalf("range total %d != stream total %d", res.Compressed.Mixture.Total, s.Snapshot().Log.Total())
-	}
-	// deterministic on repeat (and served from cache)
-	res2, err := s.CompressRange(0, 4, opts, RangeOptions{MaxErrorGrowth: -1})
+
+	re, err := Open(dir, opts, DurableOptions{Sync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Compressed.Err != res.Compressed.Err || !reflect.DeepEqual(res2.Compressed.Mixture, res.Compressed.Mixture) {
-		t.Fatal("repeated CompressRange diverged")
+	defer re.Close()
+	assertRangesAreCompressions(t, "reopened", re.Mem(), copts)
+	if n, err := re.DropBefore(1); err != nil || n != 1 {
+		t.Fatalf("DropBefore(1) = %d, %v", n, err)
 	}
-	// sub-ranges work and respect boundaries
-	if _, err := s.CompressRange(1, 3, opts, RangeOptions{}); err != nil {
+	assertRangesAreCompressions(t, "after DropBefore", re.Mem(), copts)
+	if n, err := re.Compact(50); err != nil || n != 1 {
+		t.Fatalf("Compact(50) = %d, %v", n, err)
+	}
+	assertRangesAreCompressions(t, "after Compact", re.Mem(), copts)
+	auto := core.CompressOptions{TargetError: 1, MaxK: 6, Seed: 2}
+	assertRangesAreCompressions(t, "auto sweep", re.Mem(), auto)
+
+	s := re.Mem()
+	// a repeat is served from the cache; a seal leaves the range's
+	// segments, and so the cached summary, in place
+	res, err := s.CompressRange(1, 6, copts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CompressRange(1, 1, opts, RangeOptions{}); err == nil {
+	if err := re.Append(streamEntries(10, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := re.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if res2, err := s.CompressRange(1, 6, copts); err != nil || res2.Compressed != res.Compressed {
+		t.Fatalf("repeated CompressRange was not served from the cache (err %v)", err)
+	}
+	if _, err := s.CompressRange(1, 1, copts); err == nil {
 		t.Fatal("empty range accepted")
 	}
-	if _, err := s.CompressRange(0, 9, opts, RangeOptions{}); err == nil {
+	if _, err := s.CompressRange(0, 6, copts); err == nil {
+		t.Fatal("range over a dropped segment accepted")
+	}
+	if _, err := s.CompressRange(1, 99, copts); err == nil {
 		t.Fatal("out-of-bounds range accepted")
 	}
 }
 
 // TestCompressRangeErrorTarget covers the range path with no component
-// budget: K = 0 and a TargetError. The segments repeat the same shapes, so
-// pooling one shape's clusters across segments lowers the error, and the
-// smallest cut of the merge tree within the target lies below the lossless
-// merge's error, which the target does not meet.
+// budget: K = 0 and a TargetError, the auto sweep over the range's log.
 func TestCompressRangeErrorTarget(t *testing.T) {
 	s := New(Options{})
 	for i := 0; i < 4; i++ {
@@ -169,17 +241,14 @@ func TestCompressRangeErrorTarget(t *testing.T) {
 	}
 	const target = 2.0
 	opts := core.CompressOptions{TargetError: target, MaxK: 8, Seed: 1}
-	res, err := s.CompressRange(0, 4, opts, RangeOptions{})
+	res, err := s.CompressRange(0, 4, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Merged {
-		t.Fatal("range summary did not take the algebraic path")
 	}
 	if res.Compressed.Err > target {
 		t.Fatalf("range Err %v above target %v", res.Compressed.Err, target)
 	}
-	res2, err := s.CompressRange(0, 4, opts, RangeOptions{})
+	res2, err := s.CompressRange(0, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +270,10 @@ func TestDropBefore(t *testing.T) {
 	if len(segs) != 1 || segs[0].ID != 2 {
 		t.Fatalf("live segments after drop: %+v", segs)
 	}
-	if _, err := s.CompressRange(0, 3, core.CompressOptions{K: 2, Seed: 1}, RangeOptions{}); err == nil {
+	if _, err := s.CompressRange(0, 3, core.CompressOptions{K: 2, Seed: 1}); err == nil {
 		t.Fatal("range over dropped segments accepted")
 	}
-	if _, err := s.CompressRange(2, 3, core.CompressOptions{K: 2, Seed: 1}, RangeOptions{}); err != nil {
+	if _, err := s.CompressRange(2, 3, core.CompressOptions{K: 2, Seed: 1}); err != nil {
 		t.Fatalf("live range rejected: %v", err)
 	}
 	// dropping everything is fine; the stream keeps flowing
@@ -241,7 +310,7 @@ func TestCompactMergesSmallRuns(t *testing.T) {
 		t.Fatalf("compacted segment holds %d queries, want %d", m.Queries, total)
 	}
 	// the compacted span is addressable as a range
-	res, err := s.CompressRange(0, 4, core.CompressOptions{K: 2, Seed: 1}, RangeOptions{})
+	res, err := s.CompressRange(0, 4, core.CompressOptions{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +318,7 @@ func TestCompactMergesSmallRuns(t *testing.T) {
 		t.Fatalf("compacted range total %d != %d", res.Compressed.Mixture.Total, total)
 	}
 	// interior boundaries are gone
-	if _, err := s.CompressRange(1, 4, core.CompressOptions{K: 2, Seed: 1}, RangeOptions{}); err == nil {
+	if _, err := s.CompressRange(1, 4, core.CompressOptions{K: 2, Seed: 1}); err == nil {
 		t.Fatal("range splitting a compacted segment accepted")
 	}
 }

@@ -87,25 +87,21 @@
 // A long-running ingest additionally segments the stream: Seal (explicit,
 // or automatic every Options.SegmentThreshold queries) freezes the entries
 // appended since the last seal into an immutable segment with its own
-// epoch-stamped sub-log and a lazily built summary, warm-started from the
-// previous segment's centroids. CompressRange(from, to, opts) then derives
-// the summary of any contiguous sealed range algebraically — per-segment
-// mixtures are grown onto the union universe, merged, and consolidated down
-// to the requested component budget, falling back to a full re-cluster of
-// the range only if consolidation drifts the Reproduction Error too far.
-// DriftBetween scores one segment range against another the same way,
-// turning drift detection into sliding-window comparisons of per-segment
-// summaries with no re-encoding of raw entries; DropBefore retires old
-// segments (retention) and the store transparently compacts runs of small
-// adjacent segments. A store with a single sealed segment compresses
-// bit-identically to Compress on the same snapshot.
+// epoch-stamped sub-log; a seal clusters nothing. CompressRange(from, to,
+// opts) is the compression of any contiguous sealed range: the range's
+// sub-logs are merged onto its end universe and compressed like any log,
+// so the summary depends only on the range's queries and the options.
+// DriftBetween scores one segment range's already-encoded queries against
+// another range's summary, with no re-encoding of raw entries; DropBefore
+// retires old segments (retention) and the store transparently compacts
+// runs of small adjacent segments. A store with a single sealed segment
+// compresses bit-identically to Compress on the same snapshot.
 //
 // # Durability and serving
 //
 // OpenDir turns the store durable: mutations are written to an append-only
-// CRC-checked write-ahead log before they apply, sealed segments are
-// exported as artifacts (binary summary + sub-log), and reopening the
-// directory recovers a workload equivalent to one that never crashed, up
+// CRC-checked write-ahead log before they apply, checkpoints bound its
+// replay, and reopening the directory recovers a workload equivalent to one that never crashed, up
 // to the last durable record — the crash-recovery property tests truncate
 // the WAL at every record boundary and assert byte-identical compression.
 // Options.Sync picks the fsync policy (always / interval group-commit /
@@ -170,8 +166,7 @@ type Stats = workload.PipelineStats
 //
 // A Workload is either in-memory (FromEntries, Load) or durable (OpenDir):
 // a durable workload writes every ingest mutation to a write-ahead log
-// before applying it and persists sealed segments as artifacts, so Close —
-// or a crash — loses at most the fsync window of the configured Options.Sync
+// before applying it, so Close — or a crash — loses at most the fsync window of the configured Options.Sync
 // policy. Append reports persistence errors directly; the mutation methods
 // that predate durability (Seal, DropBefore, CompactSegments) record the
 // first persistence failure instead, which Err, Sync and Close all report —
@@ -214,16 +209,11 @@ type Options struct {
 	// SyncEvery bounds the SyncInterval policy's staleness window
 	// (0 = 100ms).
 	SyncEvery time.Duration
-	// SealSummary configures the summary built and persisted into each
-	// sealed segment's artifact of a durable workload. The zero value
-	// selects Clusters = 8, Seed = 1. Queries using the same options hit
-	// these caches; others re-cluster lazily.
+	// SealSummary is read by nothing: a seal clusters nothing and writes
+	// no summary.
+	//
+	// Deprecated: the field remains only so existing callers compile.
 	SealSummary CompressOptions
-	// DisableSealSummaries skips the summary build at seal time: segment
-	// artifacts then carry only the sub-log and summaries are built lazily
-	// on first use. For ingest paths where seal latency matters more than
-	// recovery warmth.
-	DisableSealSummaries bool
 	// ApplyQueue bounds a durable workload's apply queue, in ingest
 	// windows (≈8k entries each; 0 = 64). Appends are acknowledged as soon
 	// as the WAL accepts them; a full queue is the pipeline's backpressure,
@@ -366,7 +356,7 @@ func (w *Workload) note(err error) error {
 // recovery probe re-enables writes), else the first persistence error
 // recorded by a mutation whose signature predates durability (Seal,
 // DropBefore, CompactSegments), by Append, or by the asynchronous pipeline
-// stages (deferred WAL flush/fsync, background artifact persistence).
+// stages (deferred WAL flush/fsync, automatic checkpoints).
 // In-memory workloads always report nil.
 func (w *Workload) Err() error {
 	if w.d != nil {
@@ -488,34 +478,25 @@ func fromInternal(entries []workload.LogEntry, opts Options) (*Workload, error) 
 
 // OpenDir opens (creating if needed) a durable workload rooted at dir: the
 // persistent form of a long-running ingest. Every mutation is written to an
-// append-only, CRC-checked write-ahead log under dir before it is applied,
-// and each sealed segment is exported as a self-contained artifact (its
-// binary summary plus sub-log). Opening an existing directory recovers by
-// restoring the latest checkpoint and replaying the WAL tail after it —
-// recovery is equivalent to a workload that never crashed, up to the last
-// durable record; a torn tail from a crash is truncated — and re-installs
-// the seal-time summary caches from the artifacts.
+// append-only, CRC-checked write-ahead log under dir before it is applied.
+// Opening an existing directory recovers by restoring the latest
+// checkpoint and replaying the WAL tail after it — recovery is equivalent
+// to a workload that never crashed, up to the last durable record; a torn
+// tail from a crash is truncated.
 //
 // Checkpoints (automatic every Options.CheckpointBytes of WAL growth)
 // bound both the WAL's size and the recovery replay to the tail since the
-// last one; segment artifacts spare recovery the re-clustering. For exact
-// pre-crash equivalence reopen
-// with the same Options — SegmentThreshold and CompactSegments govern where
-// replay re-cuts automatic boundaries.
+// last one. For exact pre-crash equivalence reopen with the same Options —
+// SegmentThreshold and CompactSegments govern where replay re-cuts
+// automatic boundaries.
 func OpenDir(dir string, opts Options) (*Workload, error) {
-	sealOpts, err := opts.SealSummary.internal()
-	if err != nil {
-		return nil, err
-	}
 	d, err := store.Open(dir, opts.storeOptions(), store.DurableOptions{
-		Sync:                 opts.Sync.internal(),
-		SyncInterval:         opts.SyncEvery,
-		SealSummary:          sealOpts,
-		DisableSealSummaries: opts.DisableSealSummaries,
-		ApplyQueue:           opts.ApplyQueue,
-		CheckpointBytes:      opts.CheckpointBytes,
-		FS:                   opts.FS,
-		Obs:                  opts.Metrics,
+		Sync:            opts.Sync.internal(),
+		SyncInterval:    opts.SyncEvery,
+		ApplyQueue:      opts.ApplyQueue,
+		CheckpointBytes: opts.CheckpointBytes,
+		FS:              opts.FS,
+		Obs:             opts.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -784,11 +765,11 @@ type Epoch = workload.Epoch
 // Epoch returns the snapshot version the summary covers.
 func (s *Summary) Epoch() Epoch { return s.epoch }
 
-// Incremental reports whether the summary was produced by merging prior
-// summaries — Recompress's delta-merge path, or CompressRange's algebraic
-// merge of per-segment summaries — rather than by a fresh clustering. It is
-// false for full compressions, including the error-drift fallbacks inside
-// Recompress and CompressRange.
+// Incremental reports whether Recompress produced the summary by its
+// delta-merge path rather than by a fresh clustering. It is false for full
+// compressions, including CompressRange and Recompress's error-drift
+// fallback. MergeSummaries of two or more summaries also sets it: the
+// result merges prior summaries without clustering.
 func (s *Summary) Incremental() bool { return s.incremental }
 
 // newSummary wraps a compression result with the snapshot version it
@@ -898,9 +879,8 @@ type SegmentInfo = store.SegmentMeta
 // segment and returns its ID; ok is false when the buffer is empty. With
 // Options.SegmentThreshold set, sealing also happens automatically as the
 // buffer fills. On a durable workload the seal is WAL-logged and ordered
-// with in-flight appends; the segment's artifact (summary + sub-log) is
-// built by a background worker so the seal never stalls ingest.
-// Persistence failures are recorded for Err/Sync/Close.
+// with in-flight appends. A seal only cuts the segment's sub-log; it
+// clusters nothing. Persistence failures are recorded for Err/Sync/Close.
 func (w *Workload) Seal() (id int, ok bool) {
 	if w.d != nil {
 		meta, ok, err := w.d.Seal()
@@ -930,12 +910,12 @@ func (w *Workload) SealedRange() (from, to int, ok bool) {
 }
 
 // DropBefore retires every sealed segment lying entirely before seal id —
-// the retention knob of a long-running store. The segments' sub-logs and
-// summaries are released; the codebook (append-only by design) and the
+// the retention knob of a long-running store. The segments' sub-logs are
+// released; the codebook (append-only by design) and the
 // active buffer are untouched. It returns the number of segments dropped.
-// On a durable workload the retention is WAL-logged and the dropped
-// segments' artifact files removed (the WAL keeps their raw entries: the
-// codebook and statistics they contributed remain live state).
+// On a durable workload the retention is WAL-logged (the WAL keeps their
+// raw entries: the codebook and statistics they contributed remain live
+// state).
 func (w *Workload) DropBefore(id int) int {
 	if w.d != nil {
 		n, err := w.d.DropBefore(id)
@@ -959,14 +939,13 @@ func (w *Workload) CompactSegments(minQueries int) int {
 }
 
 // CompressRange summarizes the contiguous sealed segments spanning seal
-// ids [from, to) using the summary algebra: per-segment summaries (cached,
-// built on demand, warm-started from their predecessor's centroids) are
-// merged over the union universe and consolidated down to opts.Clusters
-// components — or, with Clusters == 0 and a TargetError, consolidated as
-// far as the error target allows. Only if consolidation drifts the
-// Reproduction Error more than 10% above the lossless merge does the range
-// get fully re-clustered. A single-segment range returns that segment's
-// summary, bit-identical to compressing the segment directly.
+// ids [from, to): it compresses the range's queries — the segments'
+// sub-logs merged onto the range's end universe — exactly as Compress
+// compresses a workload, so the same range and options give the same
+// summary before and after retention, compaction or a restart. A
+// single-segment store's range is bit-identical to Compress of the
+// workload. The most recent range summary is cached until the range's
+// segments change.
 //
 // The returned summary is universe-versioned like any other: probes
 // resolve against the range's end epoch. It has no delta basis, so
@@ -977,26 +956,19 @@ func (w *Workload) CompressRange(from, to int, opts CompressOptions) (*Summary, 
 		return nil, err
 	}
 	w.barrier()
-	res, err := w.st.CompressRange(from, to, coreOpts, store.RangeOptions{})
+	res, err := w.st.CompressRange(from, to, coreOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{
-		c:           res.Compressed,
-		book:        w.st.Book(),
-		epoch:       res.Epoch,
-		incremental: res.Merged,
-	}, nil
+	return &Summary{c: res.Compressed, book: w.st.Book(), epoch: res.Epoch}, nil
 }
 
 // DriftBetween scores the traffic of one sealed segment range (the window)
 // against the summary of another (the baseline): the segmented successor of
 // Summary.CheckDrift. Both ranges are addressed by seal ids, the baseline
-// summary comes from CompressRange (cached per-segment summaries — no
-// re-clustering on repeat calls), and the window's already-encoded
-// sub-logs are scored directly — no raw SQL is re-parsed or re-encoded. A
-// sliding monitor therefore re-uses all but the newest segment's work from
-// one refresh to the next.
+// summary comes from CompressRange (cached, so a monitor that keeps its
+// baseline fixed compresses it once), and the window's already-encoded
+// sub-logs are scored directly — no raw SQL is re-parsed or re-encoded.
 //
 // Queries carrying features first registered after the baseline range
 // (unseen by construction) score as novel, as do shapes the baseline
@@ -1007,7 +979,7 @@ func (w *Workload) DriftBetween(baseFrom, baseTo, winFrom, winTo int, opts Compr
 		return DriftReport{}, err
 	}
 	w.barrier()
-	base, err := w.st.CompressRange(baseFrom, baseTo, coreOpts, store.RangeOptions{})
+	base, err := w.st.CompressRange(baseFrom, baseTo, coreOpts)
 	if err != nil {
 		return DriftReport{}, err
 	}

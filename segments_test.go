@@ -92,9 +92,6 @@ func TestCompressRangeOverSegments(t *testing.T) {
 	if s.Clusters() > 6 {
 		t.Fatalf("range summary has %d clusters, budget 6", s.Clusters())
 	}
-	if !s.Incremental() {
-		t.Log("range summary fell back to a full re-cluster (drift guard)")
-	}
 	// estimates work and stay in range
 	freq, err := s.EstimateFrequency("SELECT _id FROM messages WHERE status = ?")
 	if err != nil {
@@ -103,7 +100,7 @@ func TestCompressRangeOverSegments(t *testing.T) {
 	if freq < 0 || freq > 1 {
 		t.Fatalf("frequency = %v", freq)
 	}
-	// fidelity: within the 10% drift guard of the full compression's error
+	// fidelity: close to the full compression's error
 	full, err := logr.FromEntries(entries).Compress(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +228,7 @@ func TestSegmentsAndRetention(t *testing.T) {
 		t.Fatal("post-retention range summary is empty")
 	}
 	// the whole-stream paths still see everything (the encoder retains the
-	// full snapshot; retention frees the per-segment artifacts)
+	// full snapshot; retention frees only the segments' sub-logs)
 	if w.Queries() != 3000 {
 		t.Fatalf("Queries = %d after retention", w.Queries())
 	}
