@@ -15,7 +15,7 @@
 // design, not an afterthought:
 //
 //   - hedged reads: every read fan-out launches a backup request when a
-//     shard has not answered within its observed p95 latency (clamped),
+//     shard has not answered within its observed p95 read latency (clamped),
 //     and the first response wins — the tail-at-scale recipe;
 //   - health ejection: consecutive shard failures (request-path or
 //     background probe) eject a shard from reads and ingest ownership;
@@ -27,6 +27,15 @@
 //     through their rendezvous ranking to the next healthy shard, so a
 //     single shard outage degrades placement, not durability.
 //
+// Every fan-out runs on one engine, fanout: scatter adds hedging for
+// reads, mutate makes one attempt per shard for ingest and the other
+// mutations, the health probe runs it bare, and gather folds the answers
+// and names the shards that did not contribute.
+//
+// The HTTP shell around the handlers is logrd's (package server): the
+// /ingest body decoder with its 400/413 statuses, the JSON reply and error
+// writers, the shared flags, and the listen → pprof → serve → drain loop.
+//
 // Wire DTOs live in package logr/client (Cluster*), supersets of the
 // single-node types, so any logrd client can point at a gateway; the
 // client package documents what each route's single-node fields mean.
@@ -34,11 +43,9 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"mime"
 	"net/http"
 	"sort"
 	"strconv"
@@ -96,9 +103,6 @@ type Options struct {
 	// ring keeps: 0 means obs.DefaultSlowRequest, negative means every
 	// request (errored requests are always kept).
 	SlowRequest time.Duration
-	// RequestRing is the /debug/requests ring capacity (0 selects
-	// obs.DefaultRingSize).
-	RequestRing int
 	// Logf logs ejections, re-admissions and lifecycle (default: drop).
 	Logf func(format string, args ...any)
 }
@@ -222,7 +226,7 @@ func New(opts Options) (*Gateway, error) {
 	g.mergeSeconds = reg.Histogram("logr_merge_seconds", "Cache-miss merged-summary builds: per-shard summary fetch plus merge.")
 	g.sumCacheHits = reg.Counter("logr_summary_epoch_cache_hits_total", "Merged-summary requests answered from the epoch cache.")
 	g.sumCacheMiss = reg.Counter("logr_summary_epoch_cache_misses_total", "Merged-summary rebuilds (some shard's query total advanced).")
-	g.httpm = obs.NewHTTP(reg, obs.NewRequestRing(opts.RequestRing), opts.SlowRequest)
+	g.httpm = obs.NewHTTP(reg, obs.NewRequestRing(obs.DefaultRingSize), opts.SlowRequest)
 
 	handle := func(pattern, route string, h http.HandlerFunc) {
 		g.mux.Handle(pattern, g.httpm.Wrap(route, h))
@@ -292,32 +296,35 @@ func (g *Gateway) probeLoop() {
 func (g *Gateway) probeOnce() {
 	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ProbeInterval)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, s := range g.shards {
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			h, err := s.c.Health(ctx)
-			if err != nil {
-				var apiErr *client.APIError
-				if errors.As(err, &apiErr) {
-					// the daemon answered (degraded counts): alive
-					if s.noteSuccess(nil, 0) {
-						g.logf("gateway: shard %s re-admitted (probe)", s.addr)
-					}
-					return
-				}
+	fanout(g.allIdx(), func(i int) (struct{}, error) {
+		s := g.shards[i]
+		h, err := s.c.Health(ctx)
+		probe := &h
+		if err != nil {
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) {
 				if s.noteFailure(g.opts.EjectAfter, err) {
 					g.logf("gateway: shard %s ejected after %d probe failures", s.addr, g.opts.EjectAfter)
 				}
-				return
+				return struct{}{}, nil
 			}
-			if s.noteSuccess(&h, 0) {
-				g.logf("gateway: shard %s re-admitted (probe)", s.addr)
-			}
-		}(s)
+			// the daemon answered (degraded counts): alive
+			probe = nil
+		}
+		if s.noteSuccess(probe, 0) {
+			g.logf("gateway: shard %s re-admitted (probe)", s.addr)
+		}
+		return struct{}{}, nil
+	})
+}
+
+// allIdx returns every shard index.
+func (g *Gateway) allIdx() []int {
+	out := make([]int, len(g.shards))
+	for i := range out {
+		out[i] = i
 	}
-	wg.Wait()
+	return out
 }
 
 // healthyIdx returns the indexes of admitted shards — or every index
@@ -331,10 +338,7 @@ func (g *Gateway) healthyIdx() []int {
 		}
 	}
 	if len(out) == 0 {
-		out = make([]int, len(g.shards))
-		for i := range out {
-			out[i] = i
-		}
+		return g.allIdx()
 	}
 	return out
 }
@@ -357,62 +361,66 @@ func (g *Gateway) skippedAddrs(idxs []int) []string {
 	return out
 }
 
-// callOutcome is one shard's result in a scatter round.
+// callOutcome is one shard's result in a fan-out.
 type callOutcome[T any] struct {
 	idx int
 	v   T
 	err error
 }
 
-// scatter fans fn out to the given shards concurrently with hedging and
-// health accounting, and returns one outcome per index. A transport
-// error feeds the ejection streak; an HTTP-level error (the daemon
-// answered, just not 2xx) counts as alive but still fails the call.
-func scatter[T any](ctx context.Context, g *Gateway, idxs []int, fn func(context.Context, *client.Client) (T, error)) []callOutcome[T] {
+// shardCall is one shard's part of a fan-out: a call through the shard's
+// client c, which also learns the shard's index i.
+type shardCall[T any] func(ctx context.Context, c *client.Client, i int) (T, error)
+
+// fanout runs call once per index concurrently and returns the outcomes in
+// the order of idxs.
+func fanout[T any](idxs []int, call func(i int) (T, error)) []callOutcome[T] {
 	out := make([]callOutcome[T], len(idxs))
 	var wg sync.WaitGroup
 	for oi, idx := range idxs {
 		wg.Add(1)
-		go func(oi, idx int) {
+		go func() {
 			defer wg.Done()
-			s := g.shards[idx]
-			delay := g.opts.HedgeAfter
-			if delay <= 0 {
-				delay = s.hedgeDelay(g.opts.HedgeMin, g.opts.HedgeMax)
-			}
-			start := time.Now()
-			m := hedgeObs{fired: g.hedgeFired, won: g.hedgeWon, wasted: g.hedgeWasted}
-			v, err := hedged(ctx, delay, m, func(hctx context.Context) (T, error) {
-				return fn(hctx, s.c)
-			})
-			d := time.Since(start)
-			g.noteOutcome(s, err, d)
-			obs.AddStage(ctx, "shard "+s.addr, d)
+			v, err := call(idx)
 			out[oi] = callOutcome[T]{idx: idx, v: v, err: err}
-		}(oi, idx)
+		}()
 	}
 	wg.Wait()
 	return out
 }
 
+// scatter fans the read fn out to the given shards concurrently with
+// hedging and health accounting, and returns one outcome per index. A
+// transport error feeds the ejection streak; an HTTP-level error (the daemon
+// answered, just not 2xx) counts as alive but still fails the call.
+func scatter[T any](ctx context.Context, g *Gateway, idxs []int, fn shardCall[T]) []callOutcome[T] {
+	m := hedgeObs{fired: g.hedgeFired, won: g.hedgeWon, wasted: g.hedgeWasted}
+	return fanout(idxs, func(i int) (T, error) {
+		s := g.shards[i]
+		delay := g.opts.HedgeAfter
+		if delay <= 0 {
+			delay = s.hedgeDelay(g.opts.HedgeMin, g.opts.HedgeMax)
+		}
+		start := time.Now()
+		v, err := hedged(ctx, delay, m, func(hctx context.Context) (T, error) {
+			return fn(hctx, s.c, i)
+		})
+		d := time.Since(start)
+		g.noteOutcome(s, err, d)
+		obs.AddStage(ctx, "shard "+s.addr, d)
+		return v, err
+	})
+}
+
 // mutate fans fn out once to each given shard, without hedging: a
 // backup request could apply a mutation twice. Health accounting matches
 // scatter, but mutation latencies stay out of the hedging histogram.
-func mutate[T any](ctx context.Context, g *Gateway, idxs []int, fn func(context.Context, *client.Client) (T, error)) []callOutcome[T] {
-	out := make([]callOutcome[T], len(idxs))
-	var wg sync.WaitGroup
-	for oi, idx := range idxs {
-		wg.Add(1)
-		go func(oi, idx int) {
-			defer wg.Done()
-			s := g.shards[idx]
-			v, err := fn(ctx, s.c)
-			g.noteOutcome(s, err, 0)
-			out[oi] = callOutcome[T]{idx: idx, v: v, err: err}
-		}(oi, idx)
-	}
-	wg.Wait()
-	return out
+func mutate[T any](ctx context.Context, g *Gateway, idxs []int, fn shardCall[T]) []callOutcome[T] {
+	return fanout(idxs, func(i int) (T, error) {
+		v, err := fn(ctx, g.shards[i].c, i)
+		g.noteOutcome(g.shards[i], err, 0)
+		return v, err
+	})
 }
 
 // gather folds a fan-out's outcomes into a cluster response: add sees
@@ -440,26 +448,30 @@ func gather[T any](g *Gateway, route string, idxs []int, outs []callOutcome[T], 
 	return unavailable, nil
 }
 
+// perShard fans call out to the admitted shards — through scatter for a
+// read, mutate otherwise — and gathers the answers: each one under its
+// shard address in the returned map, and into the cluster totals by add.
+func perShard[T any](ctx context.Context, g *Gateway, route string, read bool, call shardCall[T], add func(i int, v T)) (map[string]T, []string, error) {
+	idxs := g.healthyIdx()
+	fan := mutate[T]
+	if read {
+		fan = scatter[T]
+	}
+	shards := map[string]T{}
+	unavailable, err := gather(g, route, idxs, fan(ctx, g, idxs, call), func(i int, v T) {
+		shards[g.addrs[i]] = v
+		add(i, v)
+	})
+	return shards, unavailable, err
+}
+
 // reply writes a gathered response, or the gather's failure.
 func reply(w http.ResponseWriter, res any, err error) {
 	if err != nil {
-		writeErr(w, gatherFailureStatus(err), err)
+		server.WriteErr(w, gatherFailureStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// intArg parses the integer query parameter name; -1 when absent.
-func intArg(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return -1, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q", name, raw)
-	}
-	return n, nil
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // noteOutcome translates a shard call result into health state.
@@ -483,66 +495,24 @@ func (g *Gateway) noteOutcome(s *shard, err error, d time.Duration) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, client.ErrorResponse{Error: err.Error()})
-}
-
 // --- ingest -----------------------------------------------------------
 
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	entries, err := g.readEntries(w, r)
+	entries, code, err := server.DecodeIngest(w, r, g.opts.MaxBodyBytes, g.opts.MaxLineBytes)
 	if err != nil {
-		writeErr(w, badBodyStatus(err), err)
+		server.WriteErr(w, code, err)
 		return
 	}
 	res, err := g.Ingest(r.Context(), entries)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		server.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	code := http.StatusOK
+	code = http.StatusOK
 	if res.Rejected > 0 {
 		code = http.StatusBadGateway
 	}
-	writeJSON(w, code, res)
-}
-
-func (g *Gateway) readEntries(w http.ResponseWriter, r *http.Request) ([]logr.Entry, error) {
-	body := http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes)
-	mediaType := ""
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil {
-			return nil, fmt.Errorf("bad Content-Type %q: %w", ct, err)
-		}
-		mediaType = mt
-	}
-	if mediaType == "" || mediaType == "application/json" {
-		var req client.IngestRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return nil, fmt.Errorf("decoding ingest body: %w", err)
-		}
-		return req.Entries, nil
-	}
-	entries, err := server.ReadIngestBody(body, g.opts.MaxLineBytes)
-	if err != nil {
-		return nil, fmt.Errorf("reading ingest body: %w", err)
-	}
-	return entries, nil
-}
-
-func badBodyStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
+	server.WriteJSON(w, code, res)
 }
 
 // Ingest partitions entries by rendezvous owner and fans the
@@ -600,25 +570,9 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 			break
 		}
 		// mutations do not hedge: /ingest is not idempotent
-		type ingestOut struct {
-			idx int
-			r   client.IngestResult
-			err error
-		}
-		outs := make([]ingestOut, len(idxs))
-		var wg sync.WaitGroup
-		for oi, idx := range idxs {
-			wg.Add(1)
-			go func(oi, idx int) {
-				defer wg.Done()
-				s := g.shards[idx]
-				start := time.Now()
-				ir, err := s.c.Ingest(ctx, parts[idx])
-				g.noteOutcome(s, err, time.Since(start))
-				outs[oi] = ingestOut{idx: idx, r: ir, err: err}
-			}(oi, idx)
-		}
-		wg.Wait()
+		outs := mutate(ctx, g, idxs, func(ctx context.Context, c *client.Client, i int) (client.IngestResult, error) {
+			return c.Ingest(ctx, parts[i])
+		})
 		pending = pending[:0:0]
 		for _, o := range outs {
 			if refused(o.err) {
@@ -631,9 +585,9 @@ func (g *Gateway) Ingest(ctx context.Context, entries []logr.Entry) (client.Clus
 				pending = append(pending, parts[o.idx]...)
 				continue
 			}
-			res.Entries += o.r.Entries
-			ingestedQueries += entryQueries(parts[o.idx])
-			freshTotals[o.idx] = o.r.TotalQueries
+			res.Entries += o.v.Entries
+			ingestedQueries += server.EntryQueries(parts[o.idx])
+			freshTotals[o.idx] = o.v.TotalQueries
 		}
 		if len(pending) > 0 && len(exclude) >= len(healthySet) {
 			res.Rejected += len(pending)
@@ -666,20 +620,6 @@ func refused(err error) bool {
 		apiErr.StatusCode != http.StatusTooManyRequests
 }
 
-// entryQueries sums entry multiplicities the way the shards count them:
-// a non-positive Count ingests as one occurrence.
-func entryQueries(entries []logr.Entry) int64 {
-	var n int64
-	for _, e := range entries {
-		if e.Count > 0 {
-			n += int64(e.Count)
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
 // --- merged summary ---------------------------------------------------
 
 // MergedSummary scatter-gathers every healthy shard's binary summary
@@ -690,7 +630,7 @@ func entryQueries(entries []logr.Entry) int64 {
 // somewhere. The second return lists shards that did not contribute.
 func (g *Gateway) MergedSummary(ctx context.Context) (*logr.Summary, []string, error) {
 	idxs := g.healthyIdx()
-	checks := scatter(ctx, g, idxs, func(ctx context.Context, c *client.Client) (client.Health, error) {
+	checks := scatter(ctx, g, idxs, func(ctx context.Context, c *client.Client, _ int) (client.Health, error) {
 		return c.Health(ctx)
 	})
 	var live []int
@@ -721,7 +661,7 @@ func (g *Gateway) MergedSummary(ctx context.Context) (*logr.Summary, []string, e
 		sum     *logr.Summary
 		queries int
 	}
-	outs := scatter(ctx, g, live, func(ctx context.Context, c *client.Client) (fetched, error) {
+	outs := scatter(ctx, g, live, func(ctx context.Context, c *client.Client, _ int) (fetched, error) {
 		var buf strings.Builder
 		_, meta, err := c.SummaryRawMeta(ctx, &buf, -1, -1)
 		if err != nil {
@@ -774,17 +714,17 @@ func cacheKey(addrs []string, idxs []int, totals map[int]int) string {
 func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
 	sum, miss, err := g.MergedSummary(r.Context())
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		server.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
 	freq, err := sum.EstimateFrequency(q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	count, _ := sum.EstimateCount(q)
@@ -796,17 +736,17 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if e := sum.Error(); !math.IsNaN(e) {
 		res.Err = &e
 	}
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 func (g *Gateway) handleSummary(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query(); q.Has("from") || q.Has("to") {
-		writeErr(w, http.StatusBadRequest, errors.New("gateway: ?from= and ?to= are per-shard seal ids; ask a shard for a range summary"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("gateway: ?from= and ?to= are per-shard seal ids; ask a shard for a range summary"))
 		return
 	}
 	sum, miss, err := g.MergedSummary(r.Context())
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		server.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -827,65 +767,47 @@ func (g *Gateway) handleSummary(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleCount(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
+		server.WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
 	idxs := g.healthyIdx()
-	outs := scatter(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (int, error) {
-		return c.Count(ctx, q)
-	})
-	res := client.ClusterCountResult{}
-	res.Unavailable = g.skippedAddrs(idxs)
-	ok := 0
-	var lastErr error
-	for _, o := range outs {
-		if o.err != nil {
-			// 404 = the shard never saw the pattern's features; under hash
-			// partitioning that is the common case and means zero matches
-			var apiErr *client.APIError
-			if errors.As(o.err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-				ok++
-				continue
-			}
-			res.Unavailable = append(res.Unavailable, g.addrs[o.idx])
-			lastErr = o.err
-			continue
+	outs := scatter(r.Context(), g, idxs, func(ctx context.Context, c *client.Client, _ int) (int, error) {
+		n, err := c.Count(ctx, q)
+		// 404 = the shard never saw the pattern's features; under hash
+		// partitioning that is the common case and means zero matches
+		var apiErr *client.APIError
+		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
+			return 0, nil
 		}
-		ok++
-		res.Count += o.v
-	}
-	if ok == 0 {
-		writeErr(w, gatherFailureStatus(lastErr), fmt.Errorf("gateway: no shard answered /count: %w", lastErr))
-		return
-	}
-	sort.Strings(res.Unavailable)
-	writeJSON(w, http.StatusOK, res)
+		return n, err
+	})
+	var res client.ClusterCountResult
+	var err error
+	res.Unavailable, err = gather(g, "/count", idxs, outs, func(_ int, n int) { res.Count += n })
+	reply(w, res, err)
 }
 
 func (g *Gateway) handleDrift(w http.ResponseWriter, r *http.Request) {
 	var params [4]int
 	for i, name := range []string{"baseFrom", "baseTo", "winFrom", "winTo"} {
-		v, err := intArg(r, name)
+		v, err := server.IntParam(r, name, -1)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			server.WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		params[i] = v
 	}
-	idxs := g.healthyIdx()
-	outs := scatter(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.DriftResult, error) {
-		return c.Drift(ctx, params[0], params[1], params[2], params[3])
-	})
-	res := client.ClusterDriftResult{Shards: map[string]client.DriftResult{}}
+	var res client.ClusterDriftResult
 	totalW := 0.0
 	var err error
-	res.Unavailable, err = gather(g, "/drift", idxs, outs, func(i int, v client.DriftResult) {
-		first := len(res.Shards) == 0
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/drift", true, func(ctx context.Context, c *client.Client, _ int) (client.DriftResult, error) {
+		return c.Drift(ctx, params[0], params[1], params[2], params[3])
+	}, func(i int, v client.DriftResult) {
+		first := totalW == 0
 		agree(&res.BaseFrom, v.BaseFrom, first)
 		agree(&res.BaseTo, v.BaseTo, first)
 		agree(&res.WinFrom, v.WinFrom, first)
 		agree(&res.WinTo, v.WinTo, first)
-		res.Shards[g.addrs[i]] = v
 		_, _, h := g.shards[i].snapshotHealth()
 		wgt := float64(max(h.Queries, 1))
 		totalW += wgt
@@ -911,14 +833,11 @@ func agree(agg *int, v int, first bool) {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	idxs := g.healthyIdx()
-	outs := scatter(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.StatsResult, error) {
-		return c.Stats(ctx)
-	})
-	res := client.ClusterStatsResult{Shards: map[string]client.StatsResult{}}
+	var res client.ClusterStatsResult
 	var err error
-	res.Unavailable, err = gather(g, "/stats", idxs, outs, func(i int, v client.StatsResult) {
-		res.Shards[g.addrs[i]] = v
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/stats", true, func(ctx context.Context, c *client.Client, _ int) (client.StatsResult, error) {
+		return c.Stats(ctx)
+	}, func(_ int, v client.StatsResult) {
 		res.Queries += v.Queries
 		res.Unparseable += v.Unparseable
 	})
@@ -943,15 +862,12 @@ func (g *Gateway) shardHealthView() map[string]client.ShardHealth {
 }
 
 func (g *Gateway) handleSegments(w http.ResponseWriter, r *http.Request) {
-	idxs := g.healthyIdx()
-	outs := scatter(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.SegmentsResult, error) {
-		return c.Segments(ctx)
-	})
-	res := client.ClusterSegmentsResult{Shards: map[string]client.SegmentsResult{}}
+	res := client.ClusterSegmentsResult{}
 	res.Segments = []logr.SegmentInfo{}
 	var err error
-	res.Unavailable, err = gather(g, "/segments", idxs, outs, func(i int, v client.SegmentsResult) {
-		res.Shards[g.addrs[i]] = v
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/segments", true, func(ctx context.Context, c *client.Client, _ int) (client.SegmentsResult, error) {
+		return c.Segments(ctx)
+	}, func(_ int, v client.SegmentsResult) {
 		res.Segments = append(res.Segments, v.Segments...)
 		res.ActiveQueries += v.ActiveQueries
 	})
@@ -959,14 +875,11 @@ func (g *Gateway) handleSegments(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleSeal(w http.ResponseWriter, r *http.Request) {
-	idxs := g.healthyIdx()
-	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.SealResult, error) {
-		return c.Seal(ctx)
-	})
-	res := client.ClusterSealResult{Shards: map[string]client.SealResult{}}
+	var res client.ClusterSealResult
 	var err error
-	res.Unavailable, err = gather(g, "/seal", idxs, outs, func(i int, v client.SealResult) {
-		res.Shards[g.addrs[i]] = v
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/seal", false, func(ctx context.Context, c *client.Client, _ int) (client.SealResult, error) {
+		return c.Seal(ctx)
+	}, func(_ int, v client.SealResult) {
 		if v.Sealed {
 			res.Sealed, res.ID = true, max(res.ID, v.ID)
 		}
@@ -975,38 +888,28 @@ func (g *Gateway) handleSeal(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleCompact(w http.ResponseWriter, r *http.Request) {
-	minQ, err := intArg(r, "min")
+	minQ, err := server.IntParam(r, "min", -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	idxs := g.healthyIdx()
-	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.CompactResult, error) {
+	var res client.ClusterCompactResult
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/compact", false, func(ctx context.Context, c *client.Client, _ int) (client.CompactResult, error) {
 		return c.Compact(ctx, minQ)
-	})
-	res := client.ClusterCompactResult{Shards: map[string]client.CompactResult{}}
-	res.Unavailable, err = gather(g, "/compact", idxs, outs, func(i int, v client.CompactResult) {
-		res.Shards[g.addrs[i]] = v
-		res.Eliminated += v.Eliminated
-	})
+	}, func(_ int, v client.CompactResult) { res.Eliminated += v.Eliminated })
 	reply(w, res, err)
 }
 
 func (g *Gateway) handleDropBefore(w http.ResponseWriter, r *http.Request) {
-	id, err := intArg(r, "id")
+	id, err := server.IntParam(r, "id", -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	idxs := g.healthyIdx()
-	outs := mutate(r.Context(), g, idxs, func(ctx context.Context, c *client.Client) (client.DropResult, error) {
+	var res client.ClusterDropResult
+	res.Shards, res.Unavailable, err = perShard(r.Context(), g, "/dropBefore", false, func(ctx context.Context, c *client.Client, _ int) (client.DropResult, error) {
 		return c.DropBefore(ctx, id)
-	})
-	res := client.ClusterDropResult{Shards: map[string]client.DropResult{}}
-	res.Unavailable, err = gather(g, "/dropBefore", idxs, outs, func(i int, v client.DropResult) {
-		res.Shards[g.addrs[i]] = v
-		res.Dropped += v.Dropped
-	})
+	}, func(_ int, v client.DropResult) { res.Dropped += v.Dropped })
 	reply(w, res, err)
 }
 
@@ -1047,9 +950,9 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 		res.Status = "down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, res)
+	server.WriteJSON(w, code, res)
 }
 
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, client.Health{Status: "ok"})
+	server.WriteJSON(w, http.StatusOK, client.Health{Status: "ok"})
 }

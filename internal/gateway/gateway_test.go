@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -705,5 +708,98 @@ func TestGatewayHealthTotals(t *testing.T) {
 		Segments: segments[0] + segments[1]}
 	if h.Health != want {
 		t.Fatalf("/healthz totals after ejection %+v, want %+v", h.Health, want)
+	}
+}
+
+// TestGatewayIngestKeepsHedgeDelay: ingest round trips are mutations and
+// stay out of the read-hedging histogram, so a burst of slow ingests
+// leaves the adaptive hedge delay at its floor.
+func TestGatewayIngestKeepsHedgeDelay(t *testing.T) {
+	_, w := newShard(t)
+	inner := server.New(w, server.Options{}).Handler()
+	slow := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/ingest" {
+			time.Sleep(50 * time.Millisecond)
+		}
+		inner.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(slow.Close)
+	g, _ := newGateway(t, Options{Shards: []string{slow.URL}})
+	for i := 0; i < 20; i++ {
+		if _, err := g.Ingest(context.Background(), gwEntries(3, 3*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := g.shards[0].hedgeDelay(g.opts.HedgeMin, g.opts.HedgeMax); d != g.opts.HedgeMin {
+		t.Fatalf("hedge delay %v after 20 slow ingests, want the floor %v", d, g.opts.HedgeMin)
+	}
+}
+
+// TestGatewayRun drives the gateway runner end to end: serve on an
+// ephemeral port, ingest through it, cancel the context (the signal path),
+// and check Run returns nil and releases the port.
+func TestGatewayRun(t *testing.T) {
+	shardURL, w := newShard(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrCh := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	cfg := RunConfig{
+		Shell:   server.Shell{Addr: "127.0.0.1:0", OnListen: func(a net.Addr) { addrCh <- a }, Logf: t.Logf},
+		Gateway: Options{Shards: []string{shardURL}},
+	}
+	go func() { done <- Run(ctx, cfg) }()
+	var base string
+	select {
+	case a := <-addrCh:
+		base = "http://" + a.String()
+	case err := <-done:
+		t.Fatalf("Run exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("gateway never started listening")
+	}
+	entries := gwEntries(30, 0)
+	res, err := client.New(base).Ingest(ctx, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Entries != len(entries) || w.Queries() != res.TotalQueries {
+		t.Fatalf("ingest through Run = %+v; the shard holds %d queries", res, w.Queries())
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("shutdown never completed")
+	}
+	if _, err := (&http.Client{Timeout: time.Second}).Get(base + "/healthz"); err == nil {
+		t.Fatal("gateway still serving after shutdown")
+	}
+}
+
+// TestParseFlagsDefaults pins what a logrd-gateway command line naming only
+// its shards parses to, the shared shell flags included.
+func TestParseFlagsDefaults(t *testing.T) {
+	cfg, err := ParseFlags(flag.NewFlagSet("logrd-gateway", flag.ContinueOnError), []string{"-shards", "http://a, http://b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunConfig{
+		Shell: server.Shell{Addr: ":8081"},
+		Gateway: Options{
+			Shards:        []string{"http://a", "http://b"},
+			MaxBodyBytes:  32 << 20,
+			HedgeMin:      2 * time.Millisecond,
+			HedgeMax:      time.Second,
+			ProbeInterval: 2 * time.Second,
+			EjectAfter:    3,
+			Timeout:       15 * time.Second,
+		},
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("defaults %+v, want %+v", cfg, want)
 	}
 }

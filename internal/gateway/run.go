@@ -4,144 +4,62 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"strings"
 	"time"
 
-	"logr/internal/obs"
+	"logr/internal/server"
 )
 
 // RunConfig configures a gateway run (cmd/logrd-gateway).
 type RunConfig struct {
-	// Addr is the listen address (e.g. ":8081"; ":0" picks a free port).
-	Addr string
-	// PprofAddr, when non-empty, serves net/http/pprof on its own listener
-	// and mux at this address (profiling never shares the API surface).
-	// Empty means no profiling endpoint at all.
-	PprofAddr string
+	server.Shell
 	// Gateway are the fan-out options, including the shard list.
 	Gateway Options
-	// ShutdownGrace bounds the drain of in-flight requests at shutdown
-	// (default 10s).
-	ShutdownGrace time.Duration
-	// OnListen, when non-nil, is invoked with the bound address once the
-	// listener is up (tests and callers binding ":0" learn the port here).
-	OnListen func(addr net.Addr)
-	// Logf logs lifecycle events (default log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // ParseFlags registers and parses the gateway's flag set into a RunConfig.
 func ParseFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
-	addr := fs.String("addr", ":8081", "listen address")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (own listener; empty = off)")
+	var cfg RunConfig
+	server.ShellFlags(fs, ":8081", &cfg.Shell, &cfg.Gateway.MaxBodyBytes, &cfg.Gateway.MaxLineBytes)
 	shards := fs.String("shards", "", "comma-separated logrd base URLs (required)")
-	maxComponents := fs.Int("max-components", 0, "coalesce the merged cluster summary to this component budget (0 = lossless merge)")
-	hedge := fs.Duration("hedge", 0, "fixed hedging delay for read fan-outs (0 = adaptive per-shard p95)")
-	hedgeMin := fs.Duration("hedge-min", 2*time.Millisecond, "adaptive hedging delay floor")
-	hedgeMax := fs.Duration("hedge-max", time.Second, "adaptive hedging delay ceiling")
-	probe := fs.Duration("probe", 2*time.Second, "shard health-probe interval")
-	eject := fs.Int("eject-after", 3, "consecutive shard failures before ejection")
-	timeout := fs.Duration("timeout", 15*time.Second, "per-shard request timeout")
-	maxBody := fs.Int64("max-body", 32<<20, "max /ingest body bytes")
-	maxLine := fs.Int("max-line", 0, "max bytes per text-ingest line (0 = 1 MiB)")
+	fs.IntVar(&cfg.Gateway.MaxComponents, "max-components", 0, "coalesce the merged cluster summary to this component budget (0 = lossless merge)")
+	fs.DurationVar(&cfg.Gateway.HedgeAfter, "hedge", 0, "fixed hedging delay for read fan-outs (0 = adaptive per-shard p95)")
+	fs.DurationVar(&cfg.Gateway.HedgeMin, "hedge-min", 2*time.Millisecond, "adaptive hedging delay floor")
+	fs.DurationVar(&cfg.Gateway.HedgeMax, "hedge-max", time.Second, "adaptive hedging delay ceiling")
+	fs.DurationVar(&cfg.Gateway.ProbeInterval, "probe", 2*time.Second, "shard health-probe interval")
+	fs.IntVar(&cfg.Gateway.EjectAfter, "eject-after", 3, "consecutive shard failures before ejection")
+	fs.DurationVar(&cfg.Gateway.Timeout, "timeout", 15*time.Second, "per-shard request timeout")
 	if err := fs.Parse(args); err != nil {
 		return RunConfig{}, err
 	}
-	var list []string
 	for _, s := range strings.Split(*shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
-			list = append(list, s)
+			cfg.Gateway.Shards = append(cfg.Gateway.Shards, s)
 		}
 	}
-	if len(list) == 0 {
+	if len(cfg.Gateway.Shards) == 0 {
 		return RunConfig{}, errors.New("-shards is required (comma-separated logrd base URLs)")
 	}
-	return RunConfig{
-		Addr:      *addr,
-		PprofAddr: *pprofAddr,
-		Gateway: Options{
-			Shards:        list,
-			MaxComponents: *maxComponents,
-			MaxBodyBytes:  *maxBody,
-			MaxLineBytes:  *maxLine,
-			HedgeAfter:    *hedge,
-			HedgeMin:      *hedgeMin,
-			HedgeMax:      *hedgeMax,
-			ProbeInterval: *probe,
-			EjectAfter:    *eject,
-			Timeout:       *timeout,
-		},
-	}, nil
+	return cfg, nil
 }
 
-// Run serves a gateway over cfg.Gateway.Shards on cfg.Addr and blocks
-// until ctx is canceled or the listener fails. Shutdown drains in-flight
-// fan-outs within ShutdownGrace and stops the health prober. The gateway
-// holds no durable state of its own — every restart is stateless — so
-// unlike logrd there is nothing to seal or sync on the way out.
+// Run serves a gateway over cfg.Gateway.Shards through server.Serve and
+// blocks until ctx is canceled or the listener fails; then it stops the
+// health prober. The gateway holds no durable state of its own — every
+// restart is stateless — so unlike logrd there is nothing to seal or sync
+// on the way out.
 func Run(ctx context.Context, cfg RunConfig) error {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = log.Printf
+	if cfg.Logf == nil {
+		cfg.Logf = log.Printf
 	}
-	grace := cfg.ShutdownGrace
-	if grace <= 0 {
-		grace = 10 * time.Second
+	if cfg.Gateway.Logf == nil {
+		cfg.Gateway.Logf = cfg.Logf
 	}
-	opts := cfg.Gateway
-	if opts.Logf == nil {
-		opts.Logf = logf
-	}
-	g, err := New(opts)
+	g, err := New(cfg.Gateway)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: g.Handler()}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return errors.Join(err, g.Close())
-	}
-	if cfg.OnListen != nil {
-		cfg.OnListen(ln.Addr())
-	}
-	logf("logrd-gateway: listening on %s, %d shards: %s", ln.Addr(), len(cfg.Gateway.Shards), strings.Join(cfg.Gateway.Shards, ", "))
-
-	if cfg.PprofAddr != "" {
-		pln, err := net.Listen("tcp", cfg.PprofAddr)
-		if err != nil {
-			ln.Close()
-			return errors.Join(fmt.Errorf("pprof listener: %w", err), g.Close())
-		}
-		ps := &http.Server{Handler: obs.PprofMux()}
-		go ps.Serve(pln)
-		defer ps.Close()
-		logf("logrd-gateway: pprof on %s", pln.Addr())
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	var runErr error
-	select {
-	case err := <-serveErr:
-		runErr = err
-	case <-ctx.Done():
-		logf("logrd-gateway: shutting down: draining fan-outs")
-		shutCtx, cancel := context.WithTimeout(context.Background(), grace)
-		if err := hs.Shutdown(shutCtx); err != nil {
-			runErr = err
-		}
-		cancel()
-	}
-	if err := g.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil && !errors.Is(runErr, http.ErrServerClosed) {
-		return fmt.Errorf("logrd-gateway: %w", runErr)
-	}
-	return nil
+	g.logf("logrd-gateway: %d shards: %s", len(g.addrs), strings.Join(g.addrs, ", "))
+	return errors.Join(server.Serve(ctx, cfg.Shell, "logrd-gateway", g.Handler(), nil), g.Close())
 }

@@ -41,15 +41,19 @@
 // drain ingest traffic, while /readyz stays 200 so orchestrators do not
 // kill a replica that is still useful for analytics. The store's
 // background probe re-arms writes automatically once the disk recovers.
+//
+// The serving shell around the handlers (shell.go) is shared with
+// logrd-gateway: DecodeIngest turns an /ingest body into entries (400 or
+// 413 on failure), WriteJSON/WriteErr write every reply, ShellFlags
+// registers the common flags, and Serve is the listen → pprof → serve →
+// drain loop both daemons run.
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"mime"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -65,7 +69,8 @@ import (
 // Options configure the serving layer.
 type Options struct {
 	// Compress are the compression options behind /estimate, /summary and
-	// /drift. The zero value means Clusters = 8, Seed = 1.
+	// /drift, served as given. Only the zero value is replaced, by
+	// Clusters = 8, Seed = 1.
 	Compress logr.CompressOptions
 	// MaxBodyBytes caps one /ingest request body (default 32 MiB).
 	MaxBodyBytes int64
@@ -77,9 +82,6 @@ type Options struct {
 	// (backpressure, not queueing — the client owns the retry policy).
 	// Default: 2 × GOMAXPROCS.
 	MaxConcurrentIngest int
-	// DriftLookback is how many segments before the window form the default
-	// /drift baseline when the request does not pin one (default 4).
-	DriftLookback int
 	// Obs is the telemetry registry /metrics scrapes. Pass the same
 	// registry as logr.Options.Metrics so one scrape covers the WAL, the
 	// store and the serving layer (the daemon runner wires this up). Nil
@@ -91,13 +93,14 @@ type Options struct {
 	// 0 means obs.DefaultSlowRequest; negative records every request
 	// (tracing mode — tests and incident debugging).
 	SlowRequest time.Duration
-	// RequestRing is the /debug/requests ring capacity
-	// (0 = obs.DefaultRingSize).
-	RequestRing int
 }
 
+// driftLookback is how many segments before the window form the default
+// /drift baseline when the request does not pin one.
+const driftLookback = 4
+
 func (o Options) withDefaults() Options {
-	if o.Compress.Clusters == 0 && o.Compress.TargetError == 0 {
+	if o.Compress == (logr.CompressOptions{}) {
 		o.Compress = logr.CompressOptions{Clusters: 8, Seed: 1}
 	}
 	if o.Obs == nil {
@@ -108,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxConcurrentIngest <= 0 {
 		o.MaxConcurrentIngest = 2 * runtime.GOMAXPROCS(0)
-	}
-	if o.DriftLookback <= 0 {
-		o.DriftLookback = 4
 	}
 	return o
 }
@@ -149,7 +149,7 @@ func New(w *logr.Workload, opts Options) *Server {
 		opts:      opts,
 		mux:       http.NewServeMux(),
 		ingestSem: make(chan struct{}, opts.MaxConcurrentIngest),
-		httpm:     obs.NewHTTP(reg, obs.NewRequestRing(opts.RequestRing), opts.SlowRequest),
+		httpm:     obs.NewHTTP(reg, obs.NewRequestRing(obs.DefaultRingSize), opts.SlowRequest),
 		ingested: reg.Counter("logr_ingest_queries_total",
 			"Queries accepted through POST /ingest (entry multiplicities summed)."),
 		backpressure: reg.Counter("logr_ingest_backpressure_total",
@@ -200,23 +200,13 @@ func (s *Server) Ring() *obs.RequestRing { return s.httpm.Ring() }
 // it at shutdown).
 func (s *Server) Workload() *logr.Workload { return s.w }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, client.ErrorResponse{Error: err.Error()})
-}
-
 // writeDegraded refuses a mutation because the durable store is in degraded
 // read-only mode: 503 with Retry-After (the store's probe re-arms writes by
 // itself once the disk recovers) and a structured body a client can branch
 // on without parsing the message.
 func writeDegraded(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "5")
-	writeJSON(w, http.StatusServiceUnavailable, client.ErrorResponse{Error: err.Error(), Degraded: true})
+	WriteJSON(w, http.StatusServiceUnavailable, client.ErrorResponse{Error: err.Error(), Degraded: true})
 }
 
 // persisted maps a mutation's outcome: degraded read-only mode is a 503 the
@@ -230,10 +220,10 @@ func (s *Server) persisted(w http.ResponseWriter, v any) {
 			writeDegraded(w, err)
 			return
 		}
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("persistence degraded: %w", err))
+		WriteErr(w, http.StatusInternalServerError, fmt.Errorf("persistence degraded: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // summary returns the shared estimation summary, incrementally refreshed
@@ -262,43 +252,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.backpressure.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeErr(w, http.StatusTooManyRequests, errors.New("ingest backlog full, retry later"))
+		WriteErr(w, http.StatusTooManyRequests, errors.New("ingest backlog full, retry later"))
 		return
 	}
 	decodeStart := time.Now()
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	// the media type decides the codec; parameters (charset) and casing
-	// must not push a JSON body down the raw-SQL text path
-	mediaType := ""
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad Content-Type %q: %w", ct, err))
-			return
-		}
-		mediaType = mt
-	}
-	var entries []logr.Entry
-	if mediaType == "" || mediaType == "application/json" {
-		var req client.IngestRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			writeErr(w, badBodyStatus(err), fmt.Errorf("decoding ingest body: %w", err))
-			return
-		}
-		entries = req.Entries
-	} else {
-		// a raw or compact log file body, through the same line-capped
-		// reader the file loaders use
-		var err error
-		entries, err = ReadIngestBody(body, s.opts.MaxLineBytes)
-		if err != nil {
-			writeErr(w, badBodyStatus(err), fmt.Errorf("reading ingest body: %w", err))
-			return
-		}
+	entries, code, err := DecodeIngest(w, r, s.opts.MaxBodyBytes, s.opts.MaxLineBytes)
+	if err != nil {
+		WriteErr(w, code, err)
+		return
 	}
 	obs.AddStage(r.Context(), "decode", time.Since(decodeStart))
 	appendStart := time.Now()
-	err := s.w.Append(entries)
+	err = s.w.Append(entries)
 	obs.AddStage(r.Context(), "append", time.Since(appendStart))
 	if err != nil {
 		if errors.Is(err, logr.ErrDegraded) {
@@ -307,28 +272,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if errors.Is(err, logr.ErrQueryCap) {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("ingest refused: %w", err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("ingest refused: %w", err))
 			return
 		}
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("persisting ingest: %w", err))
+		WriteErr(w, http.StatusInternalServerError, fmt.Errorf("persisting ingest: %w", err))
 		return
 	}
-	s.ingested.Add(entryQueries(entries))
-	writeJSON(w, http.StatusOK, client.IngestResult{Entries: len(entries), TotalQueries: s.w.Queries()})
-}
-
-// entryQueries sums entry multiplicities the way the workload counts them:
-// a non-positive Count ingests as one occurrence.
-func entryQueries(entries []logr.Entry) int64 {
-	var n int64
-	for _, e := range entries {
-		if e.Count > 0 {
-			n += int64(e.Count)
-		} else {
-			n++
-		}
-	}
-	return n
+	s.ingested.Add(EntryQueries(entries))
+	WriteJSON(w, http.StatusOK, client.IngestResult{Entries: len(entries), TotalQueries: s.w.Queries()})
 }
 
 // retryAfter derives the 429 Retry-After hint from the durable pipeline's
@@ -347,40 +298,30 @@ func (s *Server) retryAfter() int {
 	return secs
 }
 
-// badBodyStatus distinguishes an oversized body (413) from a malformed one
-// (400).
-func badBodyStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
 	sum, err := s.summary()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	freq, err := sum.EstimateFrequency(q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	count, _ := sum.EstimateCount(q)
-	writeJSON(w, http.StatusOK, client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()})
+	WriteJSON(w, http.StatusOK, client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()})
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
 	n, err := s.w.Count(q)
@@ -389,60 +330,47 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		// request: 404 lets cluster gateways fold this shard in as zero
 		var unk *logr.UnknownFeatureError
 		if errors.As(err, &unk) {
-			writeErr(w, http.StatusNotFound, err)
+			WriteErr(w, http.StatusNotFound, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.CountResult{Count: n})
-}
-
-// intParam parses an optional integer query parameter, def when absent.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q", name, v)
-	}
-	return n, nil
+	WriteJSON(w, http.StatusOK, client.CountResult{Count: n})
 }
 
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	segs := s.w.Segments()
 	if len(segs) < 2 {
-		writeErr(w, http.StatusConflict, fmt.Errorf("drift needs at least 2 sealed segments, have %d", len(segs)))
+		WriteErr(w, http.StatusConflict, fmt.Errorf("drift needs at least 2 sealed segments, have %d", len(segs)))
 		return
 	}
 	last := segs[len(segs)-1]
-	baseLo := len(segs) - 1 - s.opts.DriftLookback
+	baseLo := len(segs) - 1 - driftLookback
 	if baseLo < 0 {
 		baseLo = 0
 	}
 	var params [4]int
 	defaults := [4]int{segs[baseLo].ID, last.ID, last.ID, last.EndID}
 	for i, name := range []string{"baseFrom", "baseTo", "winFrom", "winTo"} {
-		v, err := intParam(r, name, defaults[i])
+		v, err := IntParam(r, name, defaults[i])
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 		params[i] = v
 	}
 	rep, err := s.w.DriftBetween(params[0], params[1], params[2], params[3], s.opts.Compress)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.DriftResult{DriftReport: rep,
+	WriteJSON(w, http.StatusOK, client.DriftResult{DriftReport: rep,
 		BaseFrom: params[0], BaseTo: params[1], WinFrom: params[2], WinTo: params[3]})
 }
 
 func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, client.SegmentsResult{Segments: s.w.Segments(), ActiveQueries: s.w.ActiveQueries()})
+	WriteJSON(w, http.StatusOK, client.SegmentsResult{Segments: s.w.Segments(), ActiveQueries: s.w.ActiveQueries()})
 }
 
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
@@ -451,9 +379,9 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	minQ, err := intParam(r, "min", -1)
+	minQ, err := IntParam(r, "min", -1)
 	if err != nil || minQ <= 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("missing or bad ?min= (queries)"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing or bad ?min= (queries)"))
 		return
 	}
 	n := s.w.CompactSegments(minQ)
@@ -461,9 +389,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDropBefore(w http.ResponseWriter, r *http.Request) {
-	id, err := intParam(r, "id", -1)
+	id, err := IntParam(r, "id", -1)
 	if err != nil || id < 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("missing or bad ?id= (seal id)"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing or bad ?id= (seal id)"))
 		return
 	}
 	n := s.w.DropBefore(id)
@@ -471,29 +399,29 @@ func (s *Server) handleDropBefore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	from, err := intParam(r, "from", -1)
+	from, err := IntParam(r, "from", -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	to, err := intParam(r, "to", -1)
+	to, err := IntParam(r, "to", -1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var sum *logr.Summary
 	if from >= 0 || to >= 0 {
 		if from < 0 || to < 0 {
-			writeErr(w, http.StatusBadRequest, errors.New("?from= and ?to= must be given together"))
+			WriteErr(w, http.StatusBadRequest, errors.New("?from= and ?to= must be given together"))
 			return
 		}
 		sum, err = s.w.CompressRange(from, to, s.opts.Compress)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteErr(w, http.StatusBadRequest, err)
 			return
 		}
 	} else if sum, err = s.summary(); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -510,7 +438,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, client.StatsResult{
+	WriteJSON(w, http.StatusOK, client.StatsResult{
 		Stats:      s.w.Stats(),
 		Ingest:     s.w.IngestLag(),
 		Durability: s.w.Durability(),
@@ -534,7 +462,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		h.Degraded = true
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // handleReady is pure liveness: 200 whenever the process is serving at all,
@@ -542,7 +470,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // drain traffic on /healthz failure — a degraded replica still answers
 // every analytics read.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, client.Health{Status: "ok", Queries: s.w.Queries()})
+	WriteJSON(w, http.StatusOK, client.Health{Status: "ok", Queries: s.w.Queries()})
 }
 
 // ReadIngestBody parses a text ingest body — raw one-statement-per-line or

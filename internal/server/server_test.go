@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 
 	"logr"
 	"logr/client"
+	"logr/internal/obs"
 	"logr/internal/vfs/faultfs"
 )
 
@@ -176,30 +179,6 @@ func TestEndToEndHTTP(t *testing.T) {
 	}
 }
 
-// TestIngestBodyLimit: an oversized ingest body is refused with 413.
-func TestIngestBodyLimit(t *testing.T) {
-	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	srv := New(w, Options{MaxBodyBytes: 256})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	big := strings.Repeat("SELECT c FROM t WHERE k = ?\n", 100)
-	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
-	}
-	if w.Queries() != 0 {
-		t.Fatalf("refused body still ingested %d queries", w.Queries())
-	}
-}
-
 // TestIngestBackpressure: with a zero-width ingest gate every request is
 // refused with 429 + Retry-After rather than queueing without bound.
 func TestIngestBackpressure(t *testing.T) {
@@ -256,12 +235,10 @@ func TestRunGracefulShutdown(t *testing.T) {
 	addrCh := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	cfg := RunConfig{
-		Addr:     "127.0.0.1:0",
+		Shell:    Shell{Addr: "127.0.0.1:0", OnListen: func(a net.Addr) { addrCh <- a }, Logf: t.Logf},
 		Dir:      dir,
 		Workload: logr.Options{Sync: logr.SyncInterval},
 		Server:   Options{Compress: logr.CompressOptions{Clusters: 2, Seed: 1}},
-		OnListen: func(a net.Addr) { addrCh <- a },
-		Logf:     t.Logf,
 	}
 	go func() { done <- Run(ctx, cfg) }()
 	var base string
@@ -344,46 +321,6 @@ func TestDriftPinnedRanges(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pinned drift: HTTP %d: %s", resp.StatusCode, buf.String())
-	}
-}
-
-// TestIngestContentTypeVariants: JSON bodies with charset parameters or
-// different casing must hit the JSON codec, never the raw-SQL text path.
-func TestIngestContentTypeVariants(t *testing.T) {
-	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	srv := New(w, Options{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	body := `{"entries":[{"sql":"SELECT c FROM t WHERE k = ?","count":3}]}`
-	for _, ct := range []string{
-		"application/json; charset=utf-8",
-		"application/json;charset=UTF-8",
-		"Application/JSON",
-	} {
-		resp, err := http.Post(ts.URL+"/ingest", ct, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%q: HTTP %d", ct, resp.StatusCode)
-		}
-	}
-	if got := w.Queries(); got != 9 {
-		t.Fatalf("3 JSON ingests of count 3 yielded %d queries, want 9 (a variant fell into the text path)", got)
-	}
-	// a malformed Content-Type is a client error, not a text-path fallback
-	resp, err := http.Post(ts.URL+"/ingest", "application/", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed Content-Type: HTTP %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -531,5 +468,106 @@ func TestIngestQueryCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats after a refused ingest: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestServedCompressOptionsAsGiven: a non-zero Options.Compress is served
+// as given, even with Clusters and TargetError both 0 — here an auto sweep
+// capped at 3 clusters, not the zero value's default K = 8.
+func TestServedCompressOptionsAsGiven(t *testing.T) {
+	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(testEntries(60, 0)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(w, Options{Compress: logr.CompressOptions{MaxClusters: 3, Seed: 1}}).Handler())
+	defer ts.Close()
+	sum, err := client.New(ts.URL).Summary(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.Clusters(); got != 3 {
+		t.Fatalf("/summary has %d components, want the 3 of MaxClusters", got)
+	}
+}
+
+// TestLagGaugesMatchStats: after ingest and the barrier a /stats read
+// takes, the apply-queue and lag gauges on /metrics equal /stats' ingest
+// object.
+func TestLagGaugesMatchStats(t *testing.T) {
+	reg := obs.NewRegistry()
+	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ts := httptest.NewServer(New(w, Options{Obs: reg}).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, err := c.Ingest(ctx, testEntries(20, 20*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	gauges := map[string]float64{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(name, "#") {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				gauges[name] = f
+			}
+		}
+	}
+	for name, want := range map[string]int64{
+		"logr_apply_queue_depth":    int64(st.Ingest.QueuedBatches),
+		"logr_apply_queue_cap":      int64(st.Ingest.QueueCap),
+		"logr_apply_queued_entries": st.Ingest.QueuedEntries,
+		"logr_ingest_lag_bytes":     st.Ingest.LagBytes,
+	} {
+		got, ok := gauges[name]
+		if !ok || got != float64(want) {
+			t.Errorf("%s = %v (exported %v), /stats says %d", name, got, ok, want)
+		}
+	}
+	if st.Ingest.QueueCap == 0 {
+		t.Fatal("/stats reports no apply queue; the durable pipeline is not under test")
+	}
+}
+
+// TestParseFlagsDefaults pins what an empty logrd command line parses to,
+// the shared shell flags included.
+func TestParseFlagsDefaults(t *testing.T) {
+	cfg, err := ParseFlags(flag.NewFlagSet("logrd", flag.ContinueOnError), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunConfig{
+		Shell: Shell{Addr: ":8080"},
+		Dir:   "logrd-data",
+		Workload: logr.Options{
+			SegmentThreshold: 50000,
+			Sync:             logr.SyncInterval,
+			SyncEvery:        100 * time.Millisecond,
+		},
+		Server: Options{
+			Compress:     logr.CompressOptions{Clusters: 8, Seed: 1},
+			MaxBodyBytes: 32 << 20,
+		},
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("defaults %+v, want %+v", cfg, want)
 	}
 }

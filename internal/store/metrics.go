@@ -46,14 +46,15 @@ func newDurableMetrics(reg *obs.Registry) *durableMetrics {
 // re-registration replaces the callback, so reopening a store directory
 // against the same registry re-binds cleanly.
 func (d *Durable) registerGauges(reg *obs.Registry) {
+	// the queue and lag gauges read Lag, the same snapshot /stats serves
 	reg.GaugeFunc("logr_apply_queue_depth", "Apply-queue depth, in ingest windows.",
-		func() float64 { return float64(len(d.applyQ)) })
+		func() float64 { return float64(d.Lag().QueuedBatches) })
 	reg.GaugeFunc("logr_apply_queue_cap", "Apply-queue capacity, in ingest windows.",
-		func() float64 { return float64(cap(d.applyQ)) })
+		func() float64 { return float64(d.Lag().QueueCap) })
 	reg.GaugeFunc("logr_apply_queued_entries", "Log entries acknowledged but not yet applied.",
-		func() float64 { return float64(d.queued.Load()) })
+		func() float64 { return float64(d.Lag().QueuedEntries) })
 	reg.GaugeFunc("logr_ingest_lag_bytes", "WAL bytes acknowledged but not yet applied (acked offset minus applied offset).",
-		func() float64 { return float64(d.acked.Load() - d.applied.Load()) })
+		func() float64 { return float64(d.Lag().LagBytes) })
 	reg.GaugeFunc("logr_wal_size_bytes", "WAL tail length: the replay cost of the next recovery.",
 		func() float64 { w := d.w.Load(); return float64(w.Size() - w.Base()) })
 	reg.GaugeFunc("logr_checkpoint_offset_bytes", "WAL offset covered by the latest checkpoint.",
