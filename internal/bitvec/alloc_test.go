@@ -29,7 +29,6 @@ func TestKernelAllocs(t *testing.T) {
 		{"XorCount", func() { sink += v.XorCount(u) }},
 		{"AndCountInto", func() { v.AndCountInto(us, counts) }},
 		{"AccumulateInto", func() { v.AccumulateInto(dense, 0) }},
-		{"Dot", func() { fsink += v.Dot(dense) }},
 		{"SqDist", func() { fsink += v.SqDist(dense) }},
 		{"Contains", func() { _ = v.Contains(u) }},
 		{"NextSet", func() { sink += v.NextSet(66) }},

@@ -10,9 +10,9 @@
 // intersections and Hamming distances cheap even for the multi-thousand
 // feature universes produced by diverse logs. Beyond the set algebra, the
 // package provides the batch kernels the binary clustering path runs on:
-// XorCount (Hamming popcount), AndCountInto (batched intersection counts),
-// AccumulateInto (weighted bit-column accumulation for centroids and
-// marginals) and Dot (sparse dot product for the Lloyd scoring identity).
+// XorCount (Hamming popcount), AndCountInto (batched intersection counts)
+// and AccumulateInto (weighted bit-column accumulation for centroids and
+// marginals).
 package bitvec
 
 import (
@@ -361,24 +361,6 @@ func (v Vector) AccumulateInto(counts []float64, w float64) {
 			word &= word - 1
 		}
 	}
-}
-
-// Dot returns Σ_{i : v_i = 1} vals[i], accumulated in ascending index order —
-// the sparse dot product of a binary vector with a dense coefficient row.
-// The binary Lloyd scorer uses it to evaluate ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i)
-// while touching only q's set bits. vals must span the vector's universe.
-//
-//logr:noalloc
-func (v Vector) Dot(vals []float64) float64 {
-	s := 0.0
-	for wi, word := range v.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			s += vals[wi*wordBits+b]
-			word &= word - 1
-		}
-	}
-	return s
 }
 
 // Indices returns the sorted indices of set bits.

@@ -1,7 +1,6 @@
 package bitvec
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -81,85 +80,6 @@ func TestAccumulateIntoMatchesDenseReference(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d: AccumulateInto[%d] = %v, dense reference = %v", n, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestDotMatchesDenseReference(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(300)
-		v := randVecDensity(r, n, 1+r.Intn(4), 4)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = r.NormFloat64()
-		}
-		// reference: same ascending-index accumulation over the set bits
-		want := 0.0
-		for _, i := range v.Indices() {
-			want += vals[i]
-		}
-		if got := v.Dot(vals); got != want {
-			t.Fatalf("n=%d: Dot = %v, reference = %v", n, got, want)
-		}
-	}
-}
-
-// TestSparseScoreIdentityExactOnDyadics pins the binary Lloyd scoring
-// identity ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i) down to bit-exactness when the
-// centroid coordinates are dyadic rationals (exactly representable, with
-// exactly representable squares) — the regime covering binary centroids,
-// where the identity is pure integer arithmetic.
-func TestSparseScoreIdentityExactOnDyadics(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(200)
-		q := randVecDensity(r, n, 1+r.Intn(4), 4)
-		c := make([]float64, n)
-		for i := range c {
-			c[i] = float64(r.Intn(9)) / 8 // dyadic: k/8, k ∈ [0,8]
-		}
-		norm2, dense := 0.0, 0.0
-		delta := make([]float64, n)
-		for i, v := range c {
-			norm2 += v * v
-			delta[i] = 1 - 2*v
-		}
-		for i, x := range q.Dense() {
-			d := x - c[i]
-			dense += d * d
-		}
-		if got := norm2 + q.Dot(delta); got != dense {
-			t.Fatalf("n=%d: sparse score = %v, dense ‖q−c‖² = %v", n, got, dense)
-		}
-	}
-}
-
-// TestSparseScoreIdentityCloseOnFloats checks the identity against the dense
-// sum for arbitrary float centroids, where only near-equality (last-ulp
-// rounding) is guaranteed.
-func TestSparseScoreIdentityCloseOnFloats(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(200)
-		q := randVecDensity(r, n, 1+r.Intn(4), 4)
-		c := make([]float64, n)
-		for i := range c {
-			c[i] = r.Float64()
-		}
-		norm2, dense := 0.0, 0.0
-		delta := make([]float64, n)
-		for i, v := range c {
-			norm2 += v * v
-			delta[i] = 1 - 2*v
-		}
-		for i, x := range q.Dense() {
-			d := x - c[i]
-			dense += d * d
-		}
-		got := norm2 + q.Dot(delta)
-		if math.Abs(got-dense) > 1e-9*(1+dense) {
-			t.Fatalf("n=%d: sparse score = %v, dense ‖q−c‖² = %v", n, got, dense)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -79,6 +80,45 @@ func BenchmarkHierarchicalBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HierarchicalBinaryP(pts, dist, 0)
+	}
+}
+
+// BenchmarkKMeansBinaryTies runs k-means at the bank log's shape (≈1,700
+// distinct vectors over 400 features drawn from 48 family pools), where
+// most points meet an exact integer tie between binary centroids in
+// Lloyd's first iteration; K = 8 is the served size, K = 30 the batch one.
+func BenchmarkKMeansBinaryTies(b *testing.B) {
+	pts := bankShaped(rand.New(rand.NewSource(1)), 1700, 400, 48)
+	for _, k := range []int{8, 30} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				KMeansBinary(pts, KMeansOptions{K: k, Seed: 1})
+			}
+		})
+	}
+}
+
+// BenchmarkAgglomerate times the merge engine alone: average linkage over a
+// pre-built Hamming triangle of the bank-shaped vectors, copied afresh
+// outside the timer before each run because Agglomerate consumes it.
+func BenchmarkAgglomerate(b *testing.B) {
+	pts := bankShaped(rand.New(rand.NewSource(1)), 1700, 400, 48)
+	n, dist := pts.Len(), BinaryMetricFunc(Hamming, 0)
+	src, s := UpperTriangle(n), UpperTriangle(n)
+	for i := range src {
+		for j := i + 1; j < n; j++ {
+			src[i][j] = dist(pts.Vecs[i], pts.Vecs[j])
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range s {
+			copy(s[r][r+1:], src[r][r+1:])
+		}
+		b.StartTimer()
+		averageLinkage(s, pts.Weights)
 	}
 }
 

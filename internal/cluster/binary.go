@@ -22,18 +22,22 @@ import (
 //     (bitvec.AccumulateInto) in the same point order as the dense update;
 //     adding 0.0 for unset bits is a float no-op, so the sums are identical.
 //   - Lloyd's assignment scores a point q against a float centroid c with the
-//     sparse identity ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i): ‖c‖² is precomputed
-//     once per centroid per iteration and the Σ touches only q's set bits.
-//     While c stays binary (every first iteration, and any cluster holding
-//     one distinct point) the identity is exact integer arithmetic; for
-//     fractional centroids it agrees with the dense sum up to last-ulp
-//     rounding, so whenever the best two centroids land within tieEps of
-//     each other the argmin is re-resolved with bitvec.SqDist — the
-//     bit-exact dense accumulation — and outside that band the sparse and
-//     dense orderings provably coincide. Empty-cluster re-seeding and the
-//     final inertia (which decides the restart winner) always use the
-//     bit-exact arithmetic, so labels, re-seeds and restart selection all
-//     match the dense path exactly.
+//     sparse identity ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i): ‖c‖² and a transposed
+//     coefficient table deltaT[i·K+c] = 1−2c_i are rebuilt once per
+//     iteration, so one walk over q's set bits sums the scores of all K
+//     centroids, each in ascending-bit order from 0.0. While c is binary
+//     (every first iteration, and any cluster holding one distinct point)
+//     the score is the exact integer Hamming distance, i.e. the dense value
+//     itself. For fractional
+//     centroids it agrees with the dense sum up to last-ulp rounding, so
+//     when a fractional centroid lands within tieEps of the best score its
+//     score is replaced by bitvec.SqDist — the bit-exact dense accumulation
+//     — for every fractional centroid in that band, and the argmin is taken
+//     again; outside the band the sparse and dense orderings provably
+//     coincide. Empty-cluster re-seeding and the final inertia (which
+//     decides the restart winner) always use the bit-exact arithmetic, so
+//     labels, re-seeds and restart selection all match the dense path
+//     exactly.
 //   - Hamerly-style center-movement bounds skip the scorer entirely for
 //     points whose assignment provably cannot have changed; movements are
 //     padded by a relative epsilon so float rounding can only make the
@@ -43,7 +47,8 @@ import (
 //
 // Distance matrices for the spectral and hierarchical methods come out
 // bit-identical to the dense path (see BinaryMetricFunc), so those methods
-// are exact end to end.
+// are exact end to end. The hierarchical path fills only the upper triangle
+// Agglomerate reads, in one slab of n(n−1)/2 floats (UpperTriangle).
 
 // BinaryPoints is packed clustering input: distinct binary vectors plus
 // their multiplicity weights (nil Weights = unweighted). It replaces the
@@ -74,12 +79,14 @@ func (p BinaryPoints) weightsOrOnes() []float64 {
 // the distance scale the bounds discriminate on.
 const movementPad = 1 + 1e-9
 
-// tieEps is the relative gap below which two sparse-identity scores count as
-// a near-tie: the sparse and dense accumulations of ‖q−c‖² agree only to
-// last-ulp rounding (≲1e-11 relative for any realistic universe), so a
-// comparison this close is re-resolved with bitvec.SqDist — the bit-exact
-// dense arithmetic — to keep the binary argmin identical to the dense
-// path's even when two centroids are equidistant to within rounding.
+// tieEps is the relative gap below which a sparse-identity score counts as
+// tied with the best one: for a fractional centroid the sparse and dense
+// accumulations of ‖q−c‖² agree only to last-ulp rounding (≲1e-11 relative
+// for any realistic universe), so a fractional score this close to the best
+// is replaced by bitvec.SqDist — the bit-exact dense arithmetic — to keep
+// the binary argmin identical to the dense path's even when two centroids
+// are equidistant to within rounding. Binary centroids score exactly and
+// never need it.
 const tieEps = 1e-7
 
 // boundsEps is the relative slack Hamerly skip tests must clear: a point is
@@ -171,6 +178,7 @@ type kmeansScratch struct {
 	ub, lb []float64 // Hamerly bounds per point
 	d2     []float64 // seeding: squared distance to the nearest center
 	probs  []float64 // seeding: pick weights
+	scores []float64 // assignment: K scores per parallel.Chunks chunk
 	scorer *binaryScorer
 }
 
@@ -185,6 +193,7 @@ func newKMeansScratch(n, dim, k int) *kmeansScratch {
 		lb:     make([]float64, n),
 		d2:     make([]float64, n),
 		probs:  make([]float64, n),
+		scores: make([]float64, parallel.Chunks(n)*k),
 		scorer: newBinaryScorer(k, dim),
 	}
 	for c := 0; c < k; c++ {
@@ -239,30 +248,30 @@ func seedPlusPlusBinary(vecs []bitvec.Vector, w []float64, k int, rng *rand.Rand
 
 // binaryScorer evaluates ‖q−c‖² for packed q against float centroids via the
 // sparse identity, rebuilt once per Lloyd iteration: norm2[c] = ‖c‖² and
-// delta[c][j] = 1−2c_j, so score(q,c) = norm2[c] + Σ_{j∈q} delta[c][j].
+// deltaT[j·k+c] = 1−2c_j, so score(q,c) = norm2[c] + Σ_{j∈q} deltaT[j·k+c].
+// The table is transposed so that each set bit of q reads the coefficients
+// of all k centroids from one contiguous row.
 type binaryScorer struct {
-	norm2 []float64
-	delta [][]float64
+	k      int
+	norm2  []float64
+	deltaT []float64
+	binary []bool // centroid c has every coordinate in {0, 1}
 }
 
 func newBinaryScorer(k, dim int) *binaryScorer {
-	s := &binaryScorer{norm2: make([]float64, k), delta: make([][]float64, k)}
-	for c := range s.delta {
-		s.delta[c] = make([]float64, dim)
-	}
-	return s
+	return &binaryScorer{k: k, norm2: make([]float64, k), deltaT: make([]float64, dim*k), binary: make([]bool, k)}
 }
 
 // refresh recomputes the per-centroid tables from cents.
 func (s *binaryScorer) refresh(cents [][]float64) {
 	for c, cent := range cents {
-		n2 := 0.0
-		d := s.delta[c]
+		n2, bin := 0.0, true
 		for j, v := range cent {
 			n2 += v * v
-			d[j] = 1 - 2*v
+			s.deltaT[j*s.k+c] = 1 - 2*v
+			bin = bin && (v == 0 || v == 1)
 		}
-		s.norm2[c] = n2
+		s.norm2[c], s.binary[c] = n2, bin
 	}
 }
 
@@ -270,7 +279,58 @@ func (s *binaryScorer) refresh(cents [][]float64) {
 // exact integer (the Hamming distance); otherwise it matches the dense sum
 // up to last-ulp rounding.
 func (s *binaryScorer) score(q bitvec.Vector, c int) float64 {
-	return s.norm2[c] + q.Dot(s.delta[c])
+	acc := 0.0
+	for j := q.NextSet(0); j >= 0; j = q.NextSet(j + 1) {
+		acc += s.deltaT[j*s.k+c]
+	}
+	return s.norm2[c] + acc
+}
+
+// scoreAll writes score(q, c) into out[c] for every centroid in one walk
+// over q's set bits; each sum is built in the same order as score's, so the
+// values are bit-identical to it.
+func (s *binaryScorer) scoreAll(q bitvec.Vector, out []float64) {
+	for c := range out {
+		out[c] = 0
+	}
+	for j := q.NextSet(0); j >= 0; j = q.NextSet(j + 1) {
+		for c, d := range s.deltaT[j*s.k : (j+1)*s.k] {
+			out[c] += d
+		}
+	}
+	for c, n2 := range s.norm2 {
+		out[c] = n2 + out[c]
+	}
+}
+
+// exactTies replaces the score of every fractional centroid within tieEps of
+// the best score bd by q's bit-exact dense distance to it, and reports
+// whether it replaced any. Binary centroids' scores already are exact, and a
+// centroid outside the band cannot become the argmin, so after this the
+// strict-< argmin over scores is the dense path's argmin.
+func (s *binaryScorer) exactTies(q bitvec.Vector, cents [][]float64, scores []float64, bd float64) bool {
+	hit := false
+	for c, d := range scores {
+		if !s.binary[c] && d-bd <= tieEps*(bd+1) {
+			scores[c] = q.SqDist(cents[c])
+			hit = true
+		}
+	}
+	return hit
+}
+
+// argmin2 returns the index of the lowest score (the earliest on ties) with
+// that score and the second-lowest one.
+func argmin2(scores []float64) (bi int, bd, sd float64) {
+	bd, sd = math.Inf(1), math.Inf(1)
+	for c, d := range scores {
+		if d < bd {
+			bi, sd, bd = c, bd, d
+		} else if d < sd {
+			sd = d
+		}
+	}
+	return bi, bd, sd
 }
 
 // lloydBinary is the binary-input Lloyd loop: the same control flow as lloyd
@@ -303,60 +363,49 @@ func lloydBinary(vecs []bitvec.Vector, w []float64, maxIter, par int, reseedEmpt
 				}
 			}
 		}
-		parallel.For(n, par, func(i int) {
-			q := vecs[i]
-			if bounded {
-				a := labels[i]
-				u := ub[i] + moved[a]
-				other := m1
-				if a == m1i {
-					other = m2
-				}
-				l := lb[i] - other
-				// skips must clear a slack proportional to the bound, so a
-				// rounding-ambiguous point always reaches the full scan
-				if u+boundsEps*(u+1) < l {
-					// no centroid moved enough to overtake: argmin unchanged
-					ub[i], lb[i] = u, l
-					return
-				}
-				// tighten the upper bound before paying for a full scan
-				d := math.Sqrt(math.Max(scorer.score(q, a), 0))
-				if d+boundsEps*(d+1) < l {
-					ub[i], lb[i] = d, l
-					return
-				}
-			}
-			bi, bd, sd := 0, math.Inf(1), math.Inf(1)
-			for c := 0; c < k; c++ {
-				d := scorer.score(q, c)
-				if d < bd {
-					bi, sd, bd = c, bd, d
-				} else if d < sd {
-					sd = d
-				}
-			}
-			if sd-bd <= tieEps*(bd+1) {
-				// near-tie between the best two centroids: the sparse scores
-				// cannot be trusted to order them the way the dense sums
-				// would, so redo the argmin with the bit-exact arithmetic
-				// (same loop, same strict-< tie-break as the dense path)
-				bi, bd, sd = 0, math.Inf(1), math.Inf(1)
-				for c := 0; c < k; c++ {
-					d := q.SqDist(cents[c])
-					if d < bd {
-						bi, sd, bd = c, bd, d
-					} else if d < sd {
-						sd = d
+		parallel.ForChunks(n, par, func(ch, lo, hi int) {
+			scores := s.scores[ch*k : (ch+1)*k]
+			for i := lo; i < hi; i++ {
+				q := vecs[i]
+				if bounded {
+					a := labels[i]
+					u := ub[i] + moved[a]
+					other := m1
+					if a == m1i {
+						other = m2
+					}
+					l := lb[i] - other
+					// skips must clear a slack proportional to the bound, so
+					// a rounding-ambiguous point always reaches the full scan
+					if u+boundsEps*(u+1) < l {
+						// no centroid moved enough to overtake: argmin unchanged
+						ub[i], lb[i] = u, l
+						continue
+					}
+					// tighten the upper bound before paying for a full scan
+					d := math.Sqrt(math.Max(scorer.score(q, a), 0))
+					if d+boundsEps*(d+1) < l {
+						ub[i], lb[i] = d, l
+						continue
 					}
 				}
+				scorer.scoreAll(q, scores)
+				bi, bd, sd := argmin2(scores)
+				if sd-bd <= tieEps*(bd+1) && scorer.exactTies(q, cents, scores, bd) {
+					// a fractional centroid ties the best within rounding:
+					// the sparse scores cannot be trusted to order the band
+					// the way the dense sums would, so take the argmin again
+					// over the band's exact scores (same strict-< tie-break
+					// as the dense path)
+					bi, bd, sd = argmin2(scores)
+				}
+				if labels[i] != bi {
+					labels[i] = bi
+					changed.Store(true)
+				}
+				ub[i] = math.Sqrt(math.Max(bd, 0))
+				lb[i] = math.Sqrt(math.Max(sd, 0))
 			}
-			if labels[i] != bi {
-				labels[i] = bi
-				changed.Store(true)
-			}
-			ub[i] = math.Sqrt(math.Max(bd, 0))
-			lb[i] = math.Sqrt(math.Max(sd, 0))
 		})
 		bounded = true
 		// update step: identical to the dense path — serial, fixed point
@@ -488,18 +537,20 @@ func BinaryMetricFunc(m Metric, p float64) BinaryDistanceFunc {
 
 // DistanceMatrixBinary computes the full symmetric pairwise distance matrix
 // over packed binary vectors — the popcount replacement for the dense
-// O(n²·universe) build dominating spectral and hierarchical clustering. The
-// fan-out scheme is shared with the dense DistanceMatrix, so the result is
-// parallelism-independent the same way.
+// O(n²·universe) build dominating spectral clustering (HierarchicalBinaryP
+// fills only the triangle it needs). The fan-out scheme is shared with the
+// dense DistanceMatrix, so the result is parallelism-independent the same
+// way.
 func DistanceMatrixBinary(vecs []bitvec.Vector, dist BinaryDistanceFunc, p int) [][]float64 {
 	return symmetricDistanceMatrix(vecs, dist, p)
 }
 
 // HierarchicalBinaryP builds the average-linkage dendrogram of packed binary
-// points with an explicit worker bound (p ≤ 0 = all cores), using a popcount
-// distance matrix; the merge loop is shared with the dense path, so the
-// dendrogram is identical to HierarchicalP on the dense expansion. nil dist
-// defaults to Euclidean.
+// points with an explicit worker bound (p ≤ 0 = all cores). It fills only
+// the upper triangle Agglomerate reads (UpperTriangle, ≈n²/2 floats) with
+// popcount distances, split by row so each entry has one writer; the merge
+// loop is shared with the dense path, so the dendrogram is identical to
+// HierarchicalP on the dense expansion. nil dist defaults to Euclidean.
 func HierarchicalBinaryP(pts BinaryPoints, dist BinaryDistanceFunc, p int) *Dendrogram {
 	n := pts.Len()
 	if n <= 1 {
@@ -508,5 +559,12 @@ func HierarchicalBinaryP(pts BinaryPoints, dist BinaryDistanceFunc, p int) *Dend
 	if dist == nil {
 		dist = BinaryMetricFunc(Euclidean, 0)
 	}
-	return averageLinkage(DistanceMatrixBinary(pts.Vecs, dist, p), pts.Weights)
+	s, vecs := UpperTriangle(n), pts.Vecs
+	parallel.For(n, p, func(i int) {
+		row := s[i]
+		for j := i + 1; j < n; j++ {
+			row[j] = dist(vecs[i], vecs[j])
+		}
+	})
+	return averageLinkage(s, pts.Weights)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -73,6 +74,58 @@ func TestDistanceMatrixBinaryMatchesDense(t *testing.T) {
 	}
 }
 
+// scorerCases scores a random sparse q against k random centroids whose
+// coordinates coord draws, and calls check with each centroid's score from
+// scoreAll and score and its bit-exact dense distance (bitvec.SqDist).
+func scorerCases(t *testing.T, seed int64, coord func(*rand.Rand) float64, check func(all, one, dense float64)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 100; trial++ {
+		n, k := 1+r.Intn(200), 1+r.Intn(8)
+		pts, _ := randBinary(r, 1, n, 1+r.Intn(4), 4)
+		q := pts.Vecs[0]
+		cents := make([][]float64, k)
+		for c := range cents {
+			cents[c] = make([]float64, n)
+			for j := range cents[c] {
+				cents[c][j] = coord(r)
+			}
+		}
+		s := newBinaryScorer(k, n)
+		s.refresh(cents)
+		scores := make([]float64, k)
+		s.scoreAll(q, scores)
+		for c, cent := range cents {
+			check(scores[c], s.score(q, c), q.SqDist(cent))
+		}
+	}
+}
+
+// TestSparseScoreIdentityExactOnDyadics pins the Lloyd scoring identity
+// ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i) down to bit-exactness when the centroid
+// coordinates are dyadic rationals (exactly representable, with exactly
+// representable squares) — the regime covering binary centroids, whose
+// scores the assignment step therefore never re-checks.
+func TestSparseScoreIdentityExactOnDyadics(t *testing.T) {
+	scorerCases(t, 11, func(r *rand.Rand) float64 { return float64(r.Intn(9)) / 8 }, func(all, one, dense float64) {
+		if all != dense || one != dense {
+			t.Fatalf("sparse scores %v (all) / %v (one), dense ‖q−c‖² = %v", all, one, dense)
+		}
+	})
+}
+
+// TestSparseScoreIdentityCloseOnFloats checks the identity against the dense
+// sum for arbitrary float centroids, where only near-equality (last-ulp
+// rounding) is guaranteed, and that scoring all centroids at once builds
+// each sum exactly as scoring one does.
+func TestSparseScoreIdentityCloseOnFloats(t *testing.T) {
+	scorerCases(t, 12, (*rand.Rand).Float64, func(all, one, dense float64) {
+		if all != one || math.Abs(all-dense) > 1e-9*(1+dense) {
+			t.Fatalf("sparse scores %v (all) / %v (one), dense ‖q−c‖² = %v", all, one, dense)
+		}
+	})
+}
+
 // TestKMeansBinaryMatchesDense is the equal-assignment oracle: for a range
 // of shapes, densities, Ks and seeds, the popcount k-means must produce the
 // exact labeling of the dense-float k-means, at any parallelism.
@@ -116,6 +169,100 @@ func TestKMeansBinaryMatchesDenseNearTies(t *testing.T) {
 		got := KMeansBinary(pts, KMeansOptions{K: k, Seed: seed, Restarts: 2, Parallelism: 1})
 		if got.K != want.K || !reflect.DeepEqual(got.Labels, want.Labels) {
 			t.Fatalf("trial %d (n=%d dim=%d k=%d seed=%d): binary labels differ from dense", trial, n, dim, k, seed)
+		}
+	}
+}
+
+// bankShaped builds n distinct weighted vectors over dim features shaped
+// like a bank log's distinct queries: each takes 4–7 features from one of
+// `pools` family pools (dim/pools contiguous features each), so pairwise
+// Hamming distances take a handful of integer values and Lloyd's assignment
+// meets exact ties between binary centroids at every turn.
+func bankShaped(r *rand.Rand, n, dim, pools int) BinaryPoints {
+	pts := BinaryPoints{Vecs: make([]bitvec.Vector, 0, n), Weights: make([]float64, 0, n)}
+	size := dim / pools
+	seen := map[string]bool{}
+	for len(pts.Vecs) < n {
+		v := bitvec.New(dim)
+		base := r.Intn(pools) * size
+		for _, j := range r.Perm(size)[:min(4+r.Intn(4), size)] {
+			v.Set(base + j)
+		}
+		if k := v.Key(); !seen[k] {
+			seen[k] = true
+			pts.Vecs = append(pts.Vecs, v)
+			pts.Weights = append(pts.Weights, float64(1+r.Intn(1000)))
+		}
+	}
+	return pts
+}
+
+// TestKMeansBinaryMatchesDenseOnIntegerTies pins the skipped re-check: a
+// binary centroid's sparse score is the exact Hamming distance, so integer
+// ties between binary centroids resolve without bitvec.SqDist, and only
+// fractional centroids inside the tie band are re-scored. On bank-shaped
+// inputs, where such ties are the rule, every K from 2 to n must still
+// label exactly as the dense k-means does, at any parallelism.
+func TestKMeansBinaryMatchesDenseOnIntegerTies(t *testing.T) {
+	check := func(pts BinaryPoints, k int, seed int64) {
+		t.Helper()
+		dense := dense4(pts)
+		want := KMeans(dense, pts.Weights, KMeansOptions{K: k, Seed: seed, Parallelism: 1})
+		for _, par := range []int{1, 0} {
+			got := KMeansBinary(pts, KMeansOptions{K: k, Seed: seed, Parallelism: par})
+			if got.K != want.K || !reflect.DeepEqual(got.Labels, want.Labels) {
+				t.Fatalf("n=%d k=%d seed=%d par=%d: binary labels differ from dense", pts.Len(), k, seed, par)
+			}
+		}
+	}
+	seeds := 200
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pts := bankShaped(r, 40+r.Intn(80), 96, 12)
+		n := pts.Len()
+		for _, k := range []int{2, 8, 30, n / 2, n} {
+			check(pts, k, seed)
+		}
+	}
+	if !testing.Short() {
+		// the bank log's own size: ≈1,700 distinct vectors over 400 features
+		pts := bankShaped(rand.New(rand.NewSource(1)), 1700, 400, 48)
+		for _, k := range []int{2, 8, 30} {
+			check(pts, k, 1)
+		}
+	}
+
+	// A fractional centroid inside the band next to a binary one: q = {1,2}
+	// is at squared distance exactly 2 from the binary centroid {1,2,3,4}
+	// and, densely, from (⅔,1,⅔,1,⅔) too, but that centroid's sparse score
+	// rounds to 2−2⁻⁵². The dense path keeps the earlier centroid on the
+	// tie; only the re-check of the fractional score gets there too.
+	const dim = 5
+	q, b, far := bitvec.New(dim), bitvec.New(dim), bitvec.New(dim)
+	for _, j := range []int{1, 2} {
+		q.Set(j)
+	}
+	for _, j := range []int{1, 2, 3, 4} {
+		b.Set(j)
+	}
+	far.Set(0)
+	frac := []float64{2.0 / 3, 1, 2.0 / 3, 1, 2.0 / 3}
+	pts := BinaryPoints{Vecs: []bitvec.Vector{q, far}, Weights: []float64{1, 1}}
+	for _, cents := range [][][]float64{{b.Dense(), frac, far.Dense()}, {frac, b.Dense(), far.Dense()}} {
+		s := newBinaryScorer(len(cents), dim)
+		s.refresh(cents)
+		scores := make([]float64, len(cents))
+		s.scoreAll(q, scores)
+		if _, bd, _ := argmin2(scores); !s.exactTies(q, cents, scores, bd) {
+			t.Fatalf("centroids %v: the fractional tie was not re-checked", cents)
+		}
+		want := KMeans(dense4(pts), pts.Weights, KMeansOptions{InitCentroids: cents, MaxIter: 1, Parallelism: 1})
+		got := KMeansBinary(pts, KMeansOptions{InitCentroids: cents, MaxIter: 1, Parallelism: 1})
+		if !reflect.DeepEqual(got.Labels, want.Labels) {
+			t.Fatalf("centroids %v: binary labels %v, dense %v", cents, got.Labels, want.Labels)
 		}
 	}
 }

@@ -41,6 +41,7 @@ func Hierarchical(points [][]float64, weights []float64, dist DistanceFunc) *Den
 // HierarchicalP is Hierarchical with an explicit worker bound (p ≤ 0 = all
 // cores). The O(n²·d) distance-matrix build fans out; the O(n²) merge loop
 // itself is serial, so the dendrogram is identical at any parallelism.
+// Agglomerate reads only the matrix's upper triangle.
 func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p int) *Dendrogram {
 	n := len(points)
 	if n <= 1 {
@@ -52,12 +53,12 @@ func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p i
 	return averageLinkage(DistanceMatrix(points, dist, p), weights)
 }
 
-// averageLinkage runs Agglomerate over a pre-built distance matrix — the
-// stage shared by the dense and binary paths — with the Lance–Williams
-// recurrence for weighted average linkage: the distance from a merged
-// cluster to any other is the mass-weighted mean of the two constituent
-// distances. The dendrogram depends only on the matrix, never on the point
-// representation that produced it.
+// averageLinkage runs Agglomerate over the upper triangle of a pre-built
+// distance matrix — the stage shared by the dense and binary paths — with
+// the Lance–Williams recurrence for weighted average linkage: the distance
+// from a merged cluster to any other is the mass-weighted mean of the two
+// constituent distances. The dendrogram depends only on the matrix, never
+// on the point representation that produced it.
 func averageLinkage(dm [][]float64, weights []float64) *Dendrogram {
 	mass := make([]float64, len(dm), 2*len(dm))
 	for i := range mass {
@@ -75,21 +76,48 @@ func averageLinkage(dm [][]float64, weights []float64) *Dendrogram {
 	})
 }
 
+// UpperTriangle returns the rows of an n×n score matrix for Agglomerate over
+// one slab of n(n−1)/2+1 floats: s[i][j] is storage of its own only for
+// j > i. The entries on and below the diagonal alias the tails of earlier
+// rows, so callers write and read the upper triangle alone — the half
+// Agglomerate's contract names.
+func UpperTriangle(n int) [][]float64 {
+	rows := make([][]float64, n)
+	if n == 0 {
+		return rows
+	}
+	slab := make([]float64, n*(n-1)/2+1)
+	// row i's own entries j = i+1..n−1 start at off, so s[i][j] is
+	// slab[off−i−1+j]; off−i−1 ≥ 0 for every i because of the slab's one
+	// leading pad float
+	off := 1
+	for i := range rows {
+		lo := off - i - 1
+		rows[i] = slab[lo : lo+n : lo+n]
+		off += n - i - 1
+	}
+	return rows
+}
+
 // Agglomerate performs the n−1 greedy merges of a pair-merge clustering over
-// n nodes whose pairwise scores are the symmetric matrix s, which it
-// consumes as scratch. Nodes live in slots: each step merges the pair of
-// slots with the lowest score, the earliest pair in slot order on ties; the
-// merged node takes the lower slot and the last slot moves into the higher
-// one. join is called once per merge with the node ids of the pair — 0..n−1
-// for the input nodes, n+i for the i-th merge — and returns the score of the
-// merged node against each remaining node k, given k's scores sa and sb to
-// the pair. The dendrogram records every merge at its score.
+// n nodes whose pairwise scores are the upper triangle of s: the score of
+// nodes i < j is s[i][j], and Agglomerate neither reads nor writes any entry
+// on or below the diagonal, so s may be a full symmetric matrix or the rows
+// of UpperTriangle. It consumes s as scratch. Nodes live in slots: each step
+// merges the pair of slots with the lowest score, the earliest pair in slot
+// order on ties; the merged node takes the lower slot and the last slot
+// moves into the higher one. join is called once per merge with the node ids
+// of the pair — 0..n−1 for the input nodes, n+i for the i-th merge — and
+// returns the score of the merged node against each remaining node k, in
+// ascending slot order, given k's scores sa and sb to the pair. The
+// dendrogram records every merge at its score.
 //
 // Each slot caches its lowest-scoring partner among the slots above it, so a
 // merge rescans only the two slots it rewrote and the rows whose cached
 // partner it moved or rescored: O(n²) work in practice rather than the
 // O(n³) of rescanning every pair at every merge, with the identical merge
-// order.
+// order. A merge rewrites one triangle row and column per slot it touches,
+// never a mirrored copy.
 func Agglomerate(s [][]float64, join func(a, b int) func(k int, sa, sb float64) float64) *Dendrogram {
 	n := len(s)
 	d := &Dendrogram{n: n, merges: make([]merge, 0, max(n-1, 0))}
@@ -130,28 +158,36 @@ func Agglomerate(s [][]float64, join func(a, b int) func(k int, sa, sb float64) 
 				bi, bd = i, nd[i]
 			}
 		}
-		bj := nn[bi]
+		bj := nn[bi] // bi < bj
 		d.merges = append(d.merges, merge{a: ids[bi], b: ids[bj], dist: bd})
 
+		// rescore the merged node against every other slot k into its
+		// triangle entry: column bi above bi, row bi below it
 		score := join(ids[bi], ids[bj])
-		for k := 0; k < m; k++ {
-			if k == bi || k == bj {
-				continue
-			}
-			v := score(ids[k], s[bi][k], s[bj][k])
-			s[bi][k] = v
-			s[k][bi] = v
+		rowI, rowJ := s[bi], s[bj]
+		for k := 0; k < bi; k++ {
+			s[k][bi] = score(ids[k], s[k][bi], s[k][bj])
+		}
+		for k := bi + 1; k < bj; k++ {
+			rowI[k] = score(ids[k], rowI[k], s[k][bj])
+		}
+		for k := bj + 1; k < m; k++ {
+			rowI[k] = score(ids[k], rowI[k], rowJ[k])
 		}
 		ids[bi] = n + len(d.merges) - 1
 
-		// remove slot bj by moving the last slot into it
+		// remove slot bj by moving the last slot into it: column last
+		// becomes column bj above bj and row bj below it
 		last := m - 1
-		ids[bj] = ids[last]
-		for k := 0; k < last; k++ {
-			s[bj][k] = s[last][k]
-			s[k][bj] = s[k][last]
+		if bj < last {
+			ids[bj] = ids[last]
+			for k := 0; k < bj; k++ {
+				s[k][bj] = s[k][last]
+			}
+			for k := bj + 1; k < last; k++ {
+				rowJ[k] = s[k][last]
+			}
 		}
-		s[bj][bj] = 0
 
 		// Repair the caches of the m−1 remaining rows. Row bi was rescored
 		// and row bj holds a new node, so both rescan, as does any row whose

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -99,6 +100,17 @@ func assertSameDendrogram(t *testing.T, got, want *Dendrogram, ctx string) {
 // so any cache repair that resolves a tie differently from the full rescan
 // shows up as a different merge.
 func TestAverageLinkageMatchesCubicOracleOnTies(t *testing.T) {
+	tieMatrices(func(dm [][]float64, w []float64) {
+		want := agglomerate(cloneMatrix(dm), w, len(dm))
+		got := averageLinkage(dm, w)
+		assertSameDendrogram(t, got, want, "trial")
+	})
+}
+
+// tieMatrices calls fn with 2000 small symmetric integer matrices, where
+// nearly every nearest-neighbour scan meets a tie, and weights (nil in
+// every fifth trial).
+func tieMatrices(fn func(dm [][]float64, w []float64)) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + r.Intn(40)
@@ -119,9 +131,37 @@ func TestAverageLinkageMatchesCubicOracleOnTies(t *testing.T) {
 				w[i] = float64(1 + r.Intn(5))
 			}
 		}
-		want := agglomerate(cloneMatrix(dm), w, n)
-		got := averageLinkage(dm, w)
-		assertSameDendrogram(t, got, want, "trial")
+		fn(dm, w)
+	}
+}
+
+// TestAgglomerateReadsUpperTriangleOnly pins Agglomerate's contract: with
+// every entry on or below the diagonal poisoned with NaN, the tie-heavy
+// matrices must still yield the cubic oracle's dendrogram (a NaN read
+// anywhere would change a merge or its distance). HierarchicalBinaryP then
+// needs only the triangle, so its matrix costs ≈n²/2 floats, not n².
+func TestAgglomerateReadsUpperTriangleOnly(t *testing.T) {
+	tieMatrices(func(dm [][]float64, w []float64) {
+		want := agglomerate(cloneMatrix(dm), w, len(dm))
+		for i := range dm {
+			for j := 0; j <= i; j++ {
+				dm[i][j] = math.NaN()
+			}
+		}
+		assertSameDendrogram(t, averageLinkage(dm, w), want, "poisoned")
+	})
+
+	const n = 1000
+	pts, _ := randBinary(rand.New(rand.NewSource(41)), n, 400, 7, 400)
+	dist := BinaryMetricFunc(Hamming, 0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	HierarchicalBinaryP(pts, dist, 1)
+	runtime.ReadMemStats(&after)
+	full := float64(n * n * 8)
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got < 0.5*full*(n-1)/n || got > 0.6*full {
+		t.Fatalf("HierarchicalBinaryP allocated %.0f bytes for n = %d, want ≈ n²/2 floats (%.0f)", got, n, full/2)
 	}
 }
 

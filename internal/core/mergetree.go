@@ -64,25 +64,17 @@ func compactionScore(a, b *consPart) float64 {
 
 // agglomerateParts runs cluster.Agglomerate over leaves under a pair score:
 // each merge pools its pair into a new node, scored against the remaining
-// ones. The initial O(K²) score fill is the bulk of the scoring work and
-// fans out over the pool by rows — each worker writes only its own row, so
-// the tree is deterministic at any parallelism.
+// ones. The initial O(K²) fill of the score triangle is the bulk of the
+// scoring work and fans out over the pool by rows — each worker writes only
+// its own row, so the tree is deterministic at any parallelism.
 func agglomerateParts[P any](leaves []P, par int, score func(a, b P) float64, pool func(a, b P) P) *cluster.Dendrogram {
 	nodes := leaves[:len(leaves):len(leaves)] // appends never write into the caller's array
-	s := make([][]float64, len(nodes))
-	for i := range s {
-		s[i] = make([]float64, len(nodes))
-	}
+	s := cluster.UpperTriangle(len(nodes))
 	parallel.For(len(nodes), par, func(i int) {
 		for j := i + 1; j < len(nodes); j++ {
 			s[i][j] = score(nodes[i], nodes[j])
 		}
 	})
-	for i := range s {
-		for j := 0; j < i; j++ {
-			s[i][j] = s[j][i]
-		}
-	}
 	return cluster.Agglomerate(s, func(a, b int) func(int, float64, float64) float64 {
 		m := pool(nodes[a], nodes[b])
 		nodes = append(nodes, m)

@@ -21,7 +21,7 @@
 package regularize
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"logr/internal/sqlparser"
@@ -542,24 +542,42 @@ func joinAnd(atoms []sqlparser.Expr) sqlparser.Expr {
 // canonicalizeConjuncts flattens the WHERE conjunction, deduplicates atoms
 // by rendered SQL, sorts them, and rebuilds a left-deep AND chain. It also
 // sorts SELECT items by rendered SQL (the paper treats a query as the *set*
-// of its features, modulo commutativity and column order).
+// of its features, modulo commutativity and column order). Each atom and
+// item is rendered once.
 func canonicalizeConjuncts(s *sqlparser.Select) {
 	if s.Where != nil && isConjunction(s.Where) {
 		var atoms []sqlparser.Expr
 		collectConjuncts(s.Where, &atoms)
-		seen := map[string]bool{}
+		sorted := sortedBySQL(atoms, sqlparser.Expr.SQL)
 		uniq := atoms[:0]
-		for _, a := range atoms {
-			k := a.SQL()
-			if !seen[k] {
-				seen[k] = true
-				uniq = append(uniq, a)
+		for i, a := range sorted {
+			// the stable sort puts an atom's first occurrence first
+			if i == 0 || a.key != sorted[i-1].key {
+				uniq = append(uniq, a.node)
 			}
 		}
-		sort.Slice(uniq, func(i, j int) bool { return uniq[i].SQL() < uniq[j].SQL() })
 		s.Where = joinAnd(uniq)
 	}
-	sort.SliceStable(s.Items, func(i, j int) bool { return s.Items[i].SQL() < s.Items[j].SQL() })
+	for i, it := range sortedBySQL(s.Items, sqlparser.SelectItem.SQL) {
+		s.Items[i] = it.node
+	}
+}
+
+// rendered pairs an AST node with its SQL text.
+type rendered[T any] struct {
+	key  string
+	node T
+}
+
+// sortedBySQL renders each node once and returns the nodes stably sorted
+// by their SQL text.
+func sortedBySQL[T any](nodes []T, sql func(T) string) []rendered[T] {
+	out := make([]rendered[T], len(nodes))
+	for i, n := range nodes {
+		out[i] = rendered[T]{sql(n), n}
+	}
+	slices.SortStableFunc(out, func(a, b rendered[T]) int { return strings.Compare(a.key, b.key) })
+	return out
 }
 
 func collectConjuncts(e sqlparser.Expr, out *[]sqlparser.Expr) {
