@@ -1,8 +1,8 @@
 // Package lockdiscipline guards the ingest pipeline's latency contract:
 // the store sequencing lock and the WAL/encoder mutexes are held only
 // for buffer framing and queue handoff — never across disk I/O, network
-// calls, sleeps, or seal-time clustering. PR 5/6 review-hardening fixed
-// this bug class by hand twice; this analyzer flags it at vet time.
+// calls, sleeps, clustering or compression. This bug class was fixed by
+// hand twice; this analyzer flags it at vet time.
 //
 // Lock state is tracked per function by a small branch-sensitive walk:
 //   - x.Lock()/x.RLock() on a sync.Mutex/RWMutex marks x held,
@@ -17,8 +17,8 @@
 //
 // While any lock is held, a direct call to a blocking callee — file
 // Sync/Write/Read, file-system mutation, net dials and conn I/O,
-// time.Sleep, WAL commit/sync, or the seal-time clustering and
-// compression entry points — is a finding. Only direct calls are
+// time.Sleep, WAL commit/sync, or the clustering and compression entry
+// points — is a finding. Only direct calls are
 // checked: lock-managing helpers release around their blocking regions,
 // and transitive propagation would drown those in false positives.
 package lockdiscipline
@@ -34,12 +34,12 @@ import (
 // Analyzer is the lock-discipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "flag blocking calls (disk, net, sleep, seal-time clustering) made while holding a mutex",
+	Doc:  "flag blocking calls (disk, net, sleep, clustering, compression) made while holding a mutex",
 	Run:  run,
 }
 
 // blockingFuncs are callee keys (analysis.FuncKey form) that block or
-// burn seal-time compute. Kept explicit: auditability beats inference.
+// burn compute proportional to the log. Kept explicit: auditability beats inference.
 var blockingFuncs = map[string]string{
 	"(*os.File).Sync":        "fsync",
 	"(*os.File).Write":       "file write",
@@ -120,14 +120,15 @@ var blockingFuncs = map[string]string{
 	// application locks; only the scrape path blocks.
 	"(*logr/internal/obs.Registry).WritePrometheus": "metrics scrape render (walks all series, writes to the connection)",
 
-	"logr/internal/cluster.KMeans":               "seal-time clustering",
-	"logr/internal/cluster.KMeansBinary":         "seal-time clustering",
-	"logr/internal/cluster.DistanceMatrix":       "seal-time clustering",
-	"logr/internal/cluster.Hierarchical":         "seal-time clustering",
-	"logr/internal/cluster.HierarchicalP":        "seal-time clustering",
-	"logr/internal/cluster.HierarchicalBinaryP":  "seal-time clustering",
-	"logr/internal/cluster.DistanceMatrixBinary": "seal-time clustering",
-	"logr/internal/cluster.Agglomerate":          "seal-time clustering",
+	"logr/internal/cluster.KMeans":               "k-means clustering (up to 100 Lloyd rounds over every point)",
+	"logr/internal/cluster.KMeansBinary":         "k-means clustering (up to 100 Lloyd rounds over every point)",
+	"logr/internal/cluster.NearestBinary":        "nearest-centroid pass (every point against every centroid)",
+	"logr/internal/cluster.DistanceMatrix":       "pairwise distance matrix (n² distances)",
+	"logr/internal/cluster.DistanceMatrixBinary": "pairwise distance matrix (n² distances)",
+	"logr/internal/cluster.Hierarchical":         "hierarchical clustering (n² distances + merge loop)",
+	"logr/internal/cluster.HierarchicalP":        "hierarchical clustering (n² distances + merge loop)",
+	"logr/internal/cluster.HierarchicalBinaryP":  "hierarchical clustering (n² distances + merge loop)",
+	"logr/internal/cluster.Agglomerate":          "agglomerative merge loop over an n² matrix",
 	"logr/internal/mining.Spectral":              "spectral clustering (O(n³) eigensolve)",
 	"logr/internal/mining.SpectralBinary":        "spectral clustering (O(n³) eigensolve)",
 	"logr/internal/core.Compress":                "summary compression",

@@ -52,17 +52,24 @@ func (s *S) earlyExitUnlock(cond bool) {
 	s.mu.Unlock()
 }
 
-// sealClusteringUnderLock burns seal-time compute inside the lock.
-func (s *S) sealClusteringUnderLock() int {
+// clusteringUnderLock burns clustering compute inside the lock.
+func (s *S) clusteringUnderLock() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return cluster.KMeansBinary(4) // want `seal-time clustering\) while holding s\.mu`
+	return cluster.KMeansBinary(4) // want `k-means clustering \(up to 100 Lloyd rounds over every point\)\) while holding s\.mu`
+}
+
+// nearestUnderLock places points by their nearest centroid inside the lock.
+func (s *S) nearestUnderLock() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return cluster.NearestBinary(4) // want `cluster\.NearestBinary \(nearest-centroid pass \(every point against every centroid\)\) while holding s\.mu`
 }
 
 func (s *S) dendrogramUnderLock() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return cluster.HierarchicalBinaryP(4) // want `seal-time clustering\) while holding s\.mu`
+	return cluster.HierarchicalBinaryP(4) // want `hierarchical clustering \(n² distances \+ merge loop\)\) while holding s\.mu`
 }
 
 // sleepLocked documents lock ownership with //logr:holds: the lock is

@@ -101,9 +101,6 @@ const boundsEps = 1e-9
 // For a fixed Seed it produces the same assignment as KMeans on the dense
 // expansion of the same points (enforced by TestKMeansBinaryMatchesDense).
 func KMeansBinary(pts BinaryPoints, opts KMeansOptions) Assignment {
-	if len(opts.InitCentroids) > 0 {
-		return kmeansWarmBinary(pts, opts)
-	}
 	n := pts.Len()
 	if n == 0 || opts.K <= 0 {
 		return Assignment{Labels: make([]int, n), K: max(opts.K, 1)}
@@ -111,9 +108,6 @@ func KMeansBinary(pts BinaryPoints, opts KMeansOptions) Assignment {
 	k := opts.K
 	if k > n {
 		k = n
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
 	}
 	if opts.Restarts <= 0 {
 		opts.Restarts = 1
@@ -135,33 +129,34 @@ func KMeansBinary(pts BinaryPoints, opts KMeansOptions) Assignment {
 		s := <-scratch
 		defer func() { scratch <- s }()
 		seedPlusPlusBinary(pts.Vecs, w, k, rand.New(rand.NewSource(seed)), inner, s)
-		return lloydBinary(pts.Vecs, w, opts.MaxIter, inner, true, true, s)
+		return lloydBinary(pts.Vecs, w, inner, s)
 	})
 }
 
-// kmeansWarmBinary mirrors kmeansWarm: Lloyd's algorithm from caller-supplied
-// float centroids over packed points, preserving the label ↔ centroid
-// correspondence (no empty-cluster re-seeding, no compaction, no RNG).
-func kmeansWarmBinary(pts BinaryPoints, opts KMeansOptions) Assignment {
-	n := pts.Len()
-	k := len(opts.InitCentroids)
+// NearestBinary labels every point with the index of its nearest centroid
+// in squared Euclidean distance, the earliest index on a tie: one
+// assignment step of Lloyd's algorithm, with no update. The labels are the
+// dense strict-< argmin over ‖p−c‖² exactly, at any parallelism (par ≤ 0
+// means all cores). cents must hold at least one centroid over the points'
+// universe; it is only read.
+func NearestBinary(pts []bitvec.Vector, cents [][]float64, par int) []int {
+	n, k := len(pts), len(cents)
+	labels := make([]int, n)
 	if n == 0 {
-		return Assignment{Labels: []int{}, K: k}
+		return labels
 	}
-	if dim := pts.Vecs[0].Len(); len(opts.InitCentroids[0]) != dim {
-		panic(fmt.Sprintf("cluster: warm-start centroid dimension %d != point universe %d", len(opts.InitCentroids[0]), dim))
+	if dim := pts[0].Len(); len(cents[0]) != dim {
+		panic(fmt.Sprintf("cluster: centroid dimension %d != point universe %d", len(cents[0]), dim))
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	w := pts.weightsOrOnes()
-	s := newKMeansScratch(n, pts.Vecs[0].Len(), k)
-	for i, c := range opts.InitCentroids {
-		copy(s.cents[i], c)
-	}
-	// the warm caller discards inertia, so skip the exact final pass
-	labels, _ := lloydBinary(pts.Vecs, w, opts.MaxIter, parallel.Degree(opts.Parallelism), false, false, s)
-	return Assignment{Labels: labels, K: k}
+	s := newBinaryScorer(k, pts[0].Len())
+	s.refresh(cents)
+	scores := make([]float64, parallel.Chunks(n)*k)
+	parallel.ForChunks(n, par, func(ch, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			labels[i], _, _ = s.nearest(pts[i], cents, scores[ch*k:(ch+1)*k])
+		}
+	})
+	return labels
 }
 
 // kmeansScratch bundles the per-run buffers of the binary k-means: the K
@@ -319,6 +314,20 @@ func (s *binaryScorer) exactTies(q bitvec.Vector, cents [][]float64, scores []fl
 	return hit
 }
 
+// nearest returns the index of q's nearest centroid — the dense strict-<
+// argmin — with its score and the runner-up's, using scores as scratch.
+func (s *binaryScorer) nearest(q bitvec.Vector, cents [][]float64, scores []float64) (bi int, bd, sd float64) {
+	s.scoreAll(q, scores)
+	bi, bd, sd = argmin2(scores)
+	if sd-bd <= tieEps*(bd+1) && s.exactTies(q, cents, scores, bd) {
+		// a fractional centroid ties the best within rounding: the sparse
+		// scores cannot be trusted to order the band the way the dense sums
+		// would, so take the argmin again over the band's exact scores
+		bi, bd, sd = argmin2(scores)
+	}
+	return bi, bd, sd
+}
+
 // argmin2 returns the index of the lowest score (the earliest on ties) with
 // that score and the second-lowest one.
 func argmin2(scores []float64) (bi int, bd, sd float64) {
@@ -334,13 +343,14 @@ func argmin2(scores []float64) (bi int, bd, sd float64) {
 }
 
 // lloydBinary is the binary-input Lloyd loop: the same control flow as lloyd
-// (assignment fan-out, serial fixed-order update, reseed-empty semantics,
+// (assignment fan-out, serial fixed-order update, empty-cluster re-seeding,
 // chunk-ordered inertia), with the assignment step running on the sparse
-// scorer and Hamerly-style bounds. Bounds state (one upper bound to the
-// assigned center, one lower bound to the runner-up, per point) lets an
-// iteration skip every point whose centroids provably did not move enough to
-// change its argmin — the common case once the partition stabilizes.
-func lloydBinary(vecs []bitvec.Vector, w []float64, maxIter, par int, reseedEmpty, needInertia bool, s *kmeansScratch) ([]int, float64) {
+// scorer's nearest — NearestBinary's argmin — behind Hamerly-style bounds.
+// Bounds state (one upper bound to the assigned center, one lower bound to
+// the runner-up, per point) lets an iteration skip every point whose
+// centroids provably did not move enough to change its argmin — the common
+// case once the partition stabilizes.
+func lloydBinary(vecs []bitvec.Vector, w []float64, par int, s *kmeansScratch) ([]int, float64) {
 	n, dim, k := len(vecs), vecs[0].Len(), len(s.cents)
 	labels := make([]int, n) // fresh per run: it outlives the scratch
 	cents, scorer := s.cents, s.scorer
@@ -423,10 +433,6 @@ func lloydBinary(vecs []bitvec.Vector, w []float64, maxIter, par int, reseedEmpt
 		}
 		for c := 0; c < k; c++ {
 			if mass[c] == 0 {
-				if !reseedEmpty {
-					moved[c] = 0
-					continue
-				}
 				// Re-seed from the point farthest from its centroid, with
 				// the bit-exact arithmetic against the *current* cents —
 				// like the dense path, lower-indexed centroids have already
@@ -460,10 +466,6 @@ func lloydBinary(vecs []bitvec.Vector, w []float64, maxIter, par int, reseedEmpt
 		if !changed.Load() {
 			break
 		}
-	}
-	if !needInertia {
-		// warm starts run once and ignore inertia; skip the exact pass
-		return labels, 0
 	}
 	// Final inertia uses the bit-exact arithmetic in the same chunk order as
 	// the dense path: with identical labels and centroids (guaranteed above)

@@ -234,12 +234,30 @@ func TestKMeansBinaryMatchesDenseOnIntegerTies(t *testing.T) {
 			check(pts, k, 1)
 		}
 	}
+}
 
-	// A fractional centroid inside the band next to a binary one: q = {1,2}
-	// is at squared distance exactly 2 from the binary centroid {1,2,3,4}
-	// and, densely, from (⅔,1,⅔,1,⅔) too, but that centroid's sparse score
-	// rounds to 2−2⁻⁵². The dense path keeps the earlier centroid on the
-	// tie; only the re-check of the fractional score gets there too.
+// nearestDense is NearestBinary's oracle: the strict-< argmin of the dense
+// squared distance, the earliest centroid on a tie.
+func nearestDense(points, cents [][]float64) []int {
+	labels := make([]int, len(points))
+	for i, p := range points {
+		bd := math.Inf(1)
+		for c, cent := range cents {
+			if d := sqDist(p, cent); d < bd {
+				labels[i], bd = c, d
+			}
+		}
+	}
+	return labels
+}
+
+// TestNearestBinaryMatchesDenseOnFractionalTies: a fractional centroid
+// inside the tie band next to a binary one. q = {1,2} is at squared
+// distance exactly 2 from the binary centroid {1,2,3,4} and, densely, from
+// (⅔,1,⅔,1,⅔) too, but that centroid's sparse score rounds to 2−2⁻⁵². The
+// dense argmin keeps the earlier centroid on the tie; only the re-check of
+// the fractional score gets there too.
+func TestNearestBinaryMatchesDenseOnFractionalTies(t *testing.T) {
 	const dim = 5
 	q, b, far := bitvec.New(dim), bitvec.New(dim), bitvec.New(dim)
 	for _, j := range []int{1, 2} {
@@ -250,7 +268,7 @@ func TestKMeansBinaryMatchesDenseOnIntegerTies(t *testing.T) {
 	}
 	far.Set(0)
 	frac := []float64{2.0 / 3, 1, 2.0 / 3, 1, 2.0 / 3}
-	pts := BinaryPoints{Vecs: []bitvec.Vector{q, far}, Weights: []float64{1, 1}}
+	pts := []bitvec.Vector{q, far}
 	for _, cents := range [][][]float64{{b.Dense(), frac, far.Dense()}, {frac, b.Dense(), far.Dense()}} {
 		s := newBinaryScorer(len(cents), dim)
 		s.refresh(cents)
@@ -259,17 +277,18 @@ func TestKMeansBinaryMatchesDenseOnIntegerTies(t *testing.T) {
 		if _, bd, _ := argmin2(scores); !s.exactTies(q, cents, scores, bd) {
 			t.Fatalf("centroids %v: the fractional tie was not re-checked", cents)
 		}
-		want := KMeans(dense4(pts), pts.Weights, KMeansOptions{InitCentroids: cents, MaxIter: 1, Parallelism: 1})
-		got := KMeansBinary(pts, KMeansOptions{InitCentroids: cents, MaxIter: 1, Parallelism: 1})
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("centroids %v: binary labels %v, dense %v", cents, got.Labels, want.Labels)
+		want := nearestDense([][]float64{q.Dense(), far.Dense()}, cents)
+		for _, par := range []int{1, 0} {
+			if got := NearestBinary(pts, cents, par); !reflect.DeepEqual(got, want) {
+				t.Fatalf("centroids %v par=%d: binary labels %v, dense %v", cents, par, got, want)
+			}
 		}
 	}
 }
 
-// TestKMeansBinaryWarmMatchesDense checks the warm-start path (fractional
-// caller-supplied centroids, no RNG) against the dense warm start.
-func TestKMeansBinaryWarmMatchesDense(t *testing.T) {
+// TestNearestBinaryMatchesDense checks NearestBinary against the dense
+// argmin on random fractional centroids.
+func TestNearestBinaryMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + r.Intn(60)
@@ -283,13 +302,38 @@ func TestKMeansBinaryWarmMatchesDense(t *testing.T) {
 				cents[c][j] = r.Float64()
 			}
 		}
-		for _, maxIter := range []int{1, 0} {
-			want := KMeans(dense, pts.Weights, KMeansOptions{InitCentroids: cents, MaxIter: maxIter, Parallelism: 1})
-			got := KMeansBinary(pts, KMeansOptions{InitCentroids: cents, MaxIter: maxIter, Parallelism: 1})
-			if got.K != want.K || !reflect.DeepEqual(got.Labels, want.Labels) {
-				t.Fatalf("n=%d dim=%d k=%d maxIter=%d: warm binary labels differ from dense", n, dim, k, maxIter)
+		want := nearestDense(dense, cents)
+		for _, par := range []int{1, 0} {
+			if got := NearestBinary(pts.Vecs, cents, par); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d dim=%d k=%d par=%d: binary labels differ from dense", n, dim, k, par)
 			}
 		}
+	}
+}
+
+// TestNearestBinaryAssignsNearest pins the contract Recompress places new
+// query shapes by: label i names cents[i] — no compaction, so a centroid
+// no point is nearest to keeps its index even with more centroids than
+// points — the result does not depend on parallelism, an empty input gives
+// no labels, and the centroids are left as they were.
+func TestNearestBinaryAssignsNearest(t *testing.T) {
+	vec := func(bits ...int) bitvec.Vector { return bitvec.FromIndices(4, bits...) }
+	cents := [][]float64{{0, 0, 0, 0}, {1, 1, 0, 0}, {0.5, 0.5, 0.5, 0.5}, {0, 0, 1, 1}}
+	pts := []bitvec.Vector{vec(0), vec(0, 1), vec(2, 3), vec(3), vec(0, 1, 2)}
+	want := []int{0, 1, 3, 0, 1}
+	for _, par := range []int{1, 2, 0} {
+		if got := NearestBinary(pts, cents, par); !reflect.DeepEqual(got, want) {
+			t.Fatalf("par=%d: labels %v, want %v", par, got, want)
+		}
+	}
+	if got := NearestBinary(pts[:2], cents, 1); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatalf("more centroids than points: labels %v, want [0 1]", got)
+	}
+	if got := NearestBinary(nil, cents, 1); len(got) != 0 {
+		t.Fatalf("empty input: labels %v", got)
+	}
+	if cents[2][0] != 0.5 || cents[1][0] != 1 {
+		t.Fatalf("NearestBinary mutated the centroids: %v", cents)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -9,10 +8,12 @@ import (
 	"logr/internal/parallel"
 )
 
-// KMeansOptions configure Lloyd's algorithm.
+// KMeansOptions configure Lloyd's algorithm: k-means++ seeding, then up to
+// 100 rounds of assignment and update, stopping early once no label
+// changes. NearestBinary is one assignment step alone, against
+// caller-supplied centroids.
 type KMeansOptions struct {
 	K        int
-	MaxIter  int   // default 100
 	Restarts int   // independent runs, best inertia wins; default 1
 	Seed     int64 // RNG seed for reproducible experiments
 	// Parallelism bounds the worker count; ≤ 0 means all cores, 1 forces a
@@ -20,19 +21,10 @@ type KMeansOptions struct {
 	// Seed: restarts draw pre-assigned seeds from the master RNG and the
 	// per-point reductions merge fixed-boundary chunks in order.
 	Parallelism int
-	// InitCentroids warm-starts Lloyd's algorithm from these centroids
-	// instead of k-means++ seeding: K is taken from len(InitCentroids)
-	// (ignoring the K field), a single run is performed (Lloyd's is
-	// deterministic given its initialization, so restarts would be
-	// identical), and — unlike the cold path — label i always corresponds
-	// to InitCentroids[i]: clusters that attract no points stay empty
-	// rather than being re-seeded, and the labeling is not compacted.
-	// This is the incremental-recompression hook: seeding from a previous
-	// summary's component centroids assigns a delta's points to the
-	// existing components without re-clustering the whole log, with no RNG
-	// involved at all.
-	InitCentroids [][]float64
 }
+
+// maxIter bounds the Lloyd rounds of one k-means run.
+const maxIter = 100
 
 // KMeans clusters weighted points with Lloyd's algorithm and k-means++
 // seeding (Euclidean geometry, matching the paper's "KMeans Euclidean"
@@ -48,9 +40,6 @@ type KMeansOptions struct {
 // cluster. Empty clusters are re-seeded from the point farthest from its
 // centroid.
 func KMeans(points [][]float64, weights []float64, opts KMeansOptions) Assignment {
-	if len(opts.InitCentroids) > 0 {
-		return kmeansWarm(points, weights, opts)
-	}
 	n := len(points)
 	if n == 0 || opts.K <= 0 {
 		return Assignment{Labels: make([]int, n), K: max(opts.K, 1)}
@@ -58,9 +47,6 @@ func KMeans(points [][]float64, weights []float64, opts KMeansOptions) Assignmen
 	k := opts.K
 	if k > n {
 		k = n
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
 	}
 	if opts.Restarts <= 0 {
 		opts.Restarts = 1
@@ -73,7 +59,7 @@ func KMeans(points [][]float64, weights []float64, opts KMeansOptions) Assignmen
 		}
 	}
 	return kmeansRestarts(k, opts, func(seed int64, inner int) ([]int, float64) {
-		return kmeansRun(points, w, k, opts.MaxIter, rand.New(rand.NewSource(seed)), inner)
+		return kmeansRun(points, w, k, rand.New(rand.NewSource(seed)), inner)
 	})
 }
 
@@ -135,48 +121,13 @@ func kmeansRestarts(k int, opts KMeansOptions, run func(seed int64, inner int) (
 	return best
 }
 
-// kmeansWarm is the warm-start path: Lloyd's algorithm from caller-supplied
-// centroids, preserving the label ↔ centroid correspondence (no empty-cluster
-// re-seeding, no label compaction). Deterministic — no RNG is consulted.
-func kmeansWarm(points [][]float64, weights []float64, opts KMeansOptions) Assignment {
-	n := len(points)
-	k := len(opts.InitCentroids)
-	if n == 0 {
-		return Assignment{Labels: []int{}, K: k}
-	}
-	if dim := len(points[0]); len(opts.InitCentroids[0]) != dim {
-		panic(fmt.Sprintf("cluster: warm-start centroid dimension %d != point dimension %d", len(opts.InitCentroids[0]), dim))
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 100
-	}
-	w := weights
-	if w == nil {
-		w = make([]float64, n)
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	// lloyd mutates its centroids in the update step; keep the caller's.
-	cents := make([][]float64, k)
-	for i, c := range opts.InitCentroids {
-		cents[i] = make([]float64, len(c))
-		copy(cents[i], c)
-	}
-	labels, _ := lloyd(points, w, cents, opts.MaxIter, parallel.Degree(opts.Parallelism), false)
-	return Assignment{Labels: labels, K: k}
+func kmeansRun(points [][]float64, w []float64, k int, rng *rand.Rand, par int) ([]int, float64) {
+	return lloyd(points, w, seedPlusPlus(points, w, k, rng, par), par)
 }
 
-func kmeansRun(points [][]float64, w []float64, k, maxIter int, rng *rand.Rand, par int) ([]int, float64) {
-	cents := seedPlusPlus(points, w, k, rng, par)
-	return lloyd(points, w, cents, maxIter, par, true)
-}
-
-// lloyd is the shared Lloyd's-algorithm loop. reseedEmpty re-seeds clusters
-// that lose all their points from the farthest point (the cold-start
-// behavior); warm starts disable it so every label keeps denoting the
-// cluster its initial centroid described.
-func lloyd(points [][]float64, w []float64, cents [][]float64, maxIter, par int, reseedEmpty bool) ([]int, float64) {
+// lloyd is Lloyd's algorithm from the given centroids. A cluster that loses
+// all its points is re-seeded from the point farthest from its centroid.
+func lloyd(points [][]float64, w []float64, cents [][]float64, par int) ([]int, float64) {
 	n, dim, k := len(points), len(points[0]), len(cents)
 	labels := make([]int, n)
 	for iter := 0; iter < maxIter; iter++ {
@@ -214,10 +165,6 @@ func lloyd(points [][]float64, w []float64, cents [][]float64, maxIter, par int,
 		}
 		for c := 0; c < k; c++ {
 			if mass[c] == 0 {
-				if !reseedEmpty {
-					// warm start: an unpopulated cluster keeps its centroid
-					continue
-				}
 				// re-seed from the point with the largest current distance
 				far, fd := 0, -1.0
 				for i, p := range points {

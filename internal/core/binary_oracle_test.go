@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -34,14 +35,25 @@ func compressDense(l *Log, opts CompressOptions) (*Compressed, error) {
 	return sweep(l, asg, opts)
 }
 
-// kmeansDense is cluster.KMeansBinary's dense oracle: cluster.KMeans over
-// the dense expansion of the packed points.
-func kmeansDense(pts cluster.BinaryPoints, opts cluster.KMeansOptions) cluster.Assignment {
-	points := make([][]float64, pts.Len())
-	for i, v := range pts.Vecs {
-		points[i] = v.Dense()
+// nearestDense is cluster.NearestBinary's dense oracle: the strict-<
+// argmin of the squared distance between each point's dense expansion and
+// every centroid, the earliest centroid on a tie.
+func nearestDense(pts []bitvec.Vector, cents [][]float64, _ int) []int {
+	labels := make([]int, len(pts))
+	for i, v := range pts {
+		p, bd := v.Dense(), math.Inf(1)
+		for c, cent := range cents {
+			d := 0.0
+			for j := range p {
+				x := p[j] - cent[j]
+				d += x * x
+			}
+			if d < bd {
+				labels[i], bd = c, d
+			}
+		}
 	}
-	return cluster.KMeans(points, pts.Weights, opts)
+	return labels
 }
 
 func oracleLog(seed int64, universe, distinct int) *Log {
@@ -167,7 +179,7 @@ func TestRecompressBinaryMatchesDenseOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotD, incD, err := recompress(prevD, full, prevCounts, CompressOptions{K: 4, Seed: 5}, RecompressOptions{MaxErrorGrowth: -1}, kmeansDense)
+	gotD, incD, err := recompress(prevD, full, prevCounts, CompressOptions{K: 4, Seed: 5}, RecompressOptions{MaxErrorGrowth: -1}, nearestDense)
 	if err != nil {
 		t.Fatal(err)
 	}

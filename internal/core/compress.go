@@ -59,7 +59,10 @@ type CompressOptions struct {
 // plus the supporting partition (kept so fidelity can be audited; callers
 // that only need the summary can drop Parts).
 type Compressed struct {
-	Mixture    Mixture
+	Mixture Mixture
+	// Assignment labels every distinct vector of the compressed log, in the
+	// log's order, with the index of the part in Parts holding it — after
+	// Compress and after an incremental Recompress alike.
 	Assignment cluster.Assignment
 	Parts      []*Log
 	// Err is the Generalized Reproduction Error of Mixture against Parts.

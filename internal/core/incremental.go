@@ -9,19 +9,19 @@ import (
 
 // Incremental recompression: the online-monitoring loop of Section 2
 // re-summarizes a growing log on every refresh, but only the delta appended
-// since the previous summary is new information. Recompress clusters just
-// that delta — warm-started from the previous summary's component centroids
-// (for 0/1 query vectors, a partition's Euclidean centroid IS its marginal
-// vector, so the previous Naive encodings double as centroids; the
-// assignment itself runs on the popcount kernels, like Compress) — merges it
-// into the prior partition, and rebuilds the mixture. The expensive step
-// of a refresh — clustering, with its many passes over the vectors — is
-// thereby delta-only; what remains proportional to the full log is a
-// single cheap linear pass (copying the partition onto the new universe
-// and re-scoring the mixture). If the merged
-// summary's Reproduction Error drifts too far above the previous one (the
-// delta carries genuinely new structure the old partition cannot absorb),
-// Recompress falls back to a full re-cluster.
+// since the previous summary is new information. Recompress places just
+// that delta into the previous partition — an increment on a known vector
+// rejoins the part its label names, a new distinct vector joins the part
+// whose marginal vector is nearest (for 0/1 query vectors a part's
+// Euclidean centroid IS its marginal vector, so the previous Naive
+// encodings double as centroids, and cluster.NearestBinary scores them on
+// the popcount kernels, like Compress) — and rebuilds the mixture. No
+// clustering runs; what remains proportional to the full log is a single
+// cheap linear pass (copying the partition onto the new universe and
+// re-scoring the mixture). If the merged summary's Reproduction Error
+// drifts too far above the previous one (the delta carries genuinely new
+// structure the old partition cannot absorb), Recompress falls back to a
+// full re-cluster.
 
 // RecompressOptions tune the incremental path of Recompress.
 type RecompressOptions struct {
@@ -45,25 +45,27 @@ const DefaultMaxErrorGrowth = 0.10
 // keep distinct vectors in first-appearance order and only ever append, so
 // full's first len(prevCounts) vectors are exactly prev's vectors over a
 // possibly larger universe). The delta is therefore: multiplicity
-// increments on known vectors, which rejoin the partition holding their
-// vector, plus brand-new distinct vectors, which are assigned to the
-// nearest existing component by a warm-started k-means over the delta only.
+// increments on known vectors, which rejoin the part prev.Assignment labels
+// them with, plus brand-new distinct vectors, which join the nearest live
+// part by cluster.NearestBinary. The result labels every distinct vector
+// of full, so it can be the prev of the next Recompress.
 //
 // The returned bool reports whether the incremental path was used; false
 // means a full re-cluster ran — because prev cannot support a merge (no
-// parts, unknown Err, inconsistent counts) or because the merged error
-// drifted past opts' threshold. The incremental path consumes no
-// randomness, so its result is deterministic and independent of
-// CompressOptions.Seed; the fallback path is the ordinary Compress.
+// parts, unknown Err, labels not covering prevCounts, a shrunk
+// multiplicity) or because the merged error drifted past opts' threshold.
+// The incremental path consumes no randomness, so its result is
+// deterministic and independent of CompressOptions.Seed; the fallback path
+// is the ordinary Compress.
 func Recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOptions, ropts RecompressOptions) (*Compressed, bool, error) {
-	return recompress(prev, full, prevCounts, opts, ropts, cluster.KMeansBinary)
+	return recompress(prev, full, prevCounts, opts, ropts, cluster.NearestBinary)
 }
 
-// recompress is Recompress with the k-means kernel that assigns the new
-// distinct vectors as a parameter, so tests can run the dense kernel on
-// the same delta.
+// recompress is Recompress with the kernel that places the new distinct
+// vectors as a parameter, so tests can run a dense argmin on the same
+// delta.
 func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOptions, ropts RecompressOptions,
-	kmeans func(cluster.BinaryPoints, cluster.KMeansOptions) cluster.Assignment) (*Compressed, bool, error) {
+	nearest func([]bitvec.Vector, [][]float64, int) []int) (*Compressed, bool, error) {
 	growth := ropts.MaxErrorGrowth
 	if growth == 0 {
 		growth = DefaultMaxErrorGrowth
@@ -72,8 +74,8 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 		c, err := Compress(full, opts)
 		return c, false, err
 	}
-	if prev == nil || prev.Mixture.K() == 0 || len(prev.Parts) == 0 ||
-		math.IsNaN(prev.Err) || len(prevCounts) > full.Distinct() {
+	if prev == nil || prev.Mixture.K() == 0 || len(prev.Parts) == 0 || math.IsNaN(prev.Err) ||
+		len(prev.Assignment.Labels) != len(prevCounts) || len(prevCounts) > full.Distinct() {
 		return fullRecluster()
 	}
 	u := full.Universe()
@@ -84,17 +86,15 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 	// Lift the previous partition onto the current universe. Grow copies,
 	// so the merge below never mutates prev.
 	merged := make([]*Log, len(prev.Parts))
-	partOf := map[string]int{} // distinct-vector key → part index
 	for i, p := range prev.Parts {
 		merged[i] = p.Grow(u)
-		for d := 0; d < merged[i].Distinct(); d++ {
-			partOf[merged[i].Vector(d).Key()] = i
-		}
 	}
 
-	// Split the delta: increments on known vectors rejoin their part;
-	// new distinct vectors queue for warm-start assignment.
-	var newIdx, newCount []int
+	// Split the delta: increments on known vectors rejoin their part; new
+	// distinct vectors queue for the nearest-part pass.
+	labels := make([]int, full.Distinct())
+	copy(labels, prev.Assignment.Labels)
+	var newIdx []int
 	deltaTotal := 0
 	for i := 0; i < full.Distinct(); i++ {
 		count := full.Multiplicity(i)
@@ -106,21 +106,14 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 			// a different log
 			return fullRecluster()
 		}
-		if count == 0 {
-			continue
-		}
 		deltaTotal += count
-		if pi, ok := partOf[full.Vector(i).Key()]; ok {
-			merged[pi].Add(full.Vector(i), count)
-			continue
-		}
 		if i < len(prevCounts) {
-			// a vector prev's snapshot held is missing from its partition:
-			// inconsistent baseline
-			return fullRecluster()
+			if count > 0 {
+				merged[labels[i]].Add(full.Vector(i), count)
+			}
+			continue
 		}
 		newIdx = append(newIdx, i)
-		newCount = append(newCount, count)
 	}
 	if deltaTotal == 0 {
 		if u == prev.Mixture.Universe {
@@ -133,34 +126,24 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 	}
 
 	if len(newIdx) > 0 {
-		// Assign each new distinct vector to the nearest live part, where
-		// "nearest" is the Euclidean distance to the part's marginal vector
-		// — exactly one warm-started assignment step of Lloyd's algorithm.
+		// Each new distinct vector joins the live part whose marginal
+		// vector is nearest in Euclidean distance.
 		var liveIdx []int
+		var cents [][]float64
 		for pi, p := range merged {
 			if p.Total() > 0 {
 				liveIdx = append(liveIdx, pi)
+				cents = append(cents, p.FeatureMarginals())
 			}
 		}
-		cents := make([][]float64, len(liveIdx))
-		for j, pi := range liveIdx {
-			cents[j] = merged[pi].FeatureMarginals()
-		}
-		pts := cluster.BinaryPoints{
-			Vecs:    make([]bitvec.Vector, len(newIdx)),
-			Weights: make([]float64, len(newIdx)),
-		}
+		vecs := make([]bitvec.Vector, len(newIdx))
 		for t, fi := range newIdx {
-			pts.Vecs[t] = full.Vector(fi)
-			pts.Weights[t] = float64(newCount[t])
+			vecs[t] = full.Vector(fi)
 		}
-		asg := kmeans(pts, cluster.KMeansOptions{
-			InitCentroids: cents,
-			MaxIter:       1,
-			Parallelism:   opts.Parallelism,
-		})
-		for t, lbl := range asg.Labels {
-			merged[liveIdx[lbl]].Add(full.Vector(newIdx[t]), newCount[t])
+		for t, lbl := range nearest(vecs, cents, opts.Parallelism) {
+			fi := newIdx[t]
+			labels[fi] = liveIdx[lbl]
+			merged[labels[fi]].Add(full.Vector(fi), full.Multiplicity(fi))
 		}
 	}
 
@@ -172,8 +155,5 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 	if growth >= 0 && e > prev.Err*(1+growth) {
 		return fullRecluster()
 	}
-	// Instance-level merging has no distinct-vector labeling (an increment
-	// may share a part with vectors a full re-cluster would separate); as
-	// with SplitWorst, the partition itself is the authoritative grouping.
-	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{K: len(merged)}, Parts: merged, Err: e}, true, nil
+	return &Compressed{Mixture: mix, Assignment: cluster.Assignment{Labels: labels, K: len(merged)}, Parts: merged, Err: e}, true, nil
 }

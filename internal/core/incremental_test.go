@@ -298,3 +298,51 @@ func TestRecompressNoDeltaCore(t *testing.T) {
 		t.Fatal("no-delta recompress should return prev unchanged")
 	}
 }
+
+// TestRecompressLabelsEveryVector: an incremental result labels every
+// distinct vector of the grown log with the part holding it, so it can be
+// the prev of the next Recompress; a prev whose labels do not cover the
+// baseline counts cannot place its increments and runs the full path.
+func TestRecompressLabelsEveryVector(t *testing.T) {
+	l, prev, counts := compressBlobs(t)
+	full := l.Grow(7)
+	full.Add(bitvec.FromIndices(7, 0, 1), 10)
+	full.Add(bitvec.FromIndices(7, 3, 4, 5, 6), 15)
+	full.Add(bitvec.FromIndices(7, 0, 6), 4)
+	got, incremental, err := Recompress(prev, full, counts, CompressOptions{K: 2, Seed: 1}, RecompressOptions{MaxErrorGrowth: -1})
+	if err != nil || !incremental {
+		t.Fatalf("incremental=%v err=%v", incremental, err)
+	}
+	if len(got.Assignment.Labels) != full.Distinct() || got.Assignment.K != len(got.Parts) {
+		t.Fatalf("%d labels over K=%d for %d distinct vectors in %d parts", len(got.Assignment.Labels), got.Assignment.K, full.Distinct(), len(got.Parts))
+	}
+	holds := func(p *Log, v bitvec.Vector) int {
+		for j := 0; j < p.Distinct(); j++ {
+			if p.Vector(j).Key() == v.Key() {
+				return p.Multiplicity(j)
+			}
+		}
+		return 0
+	}
+	for i, lbl := range got.Assignment.Labels {
+		if n := holds(got.Parts[lbl], full.Vector(i)); n != full.Multiplicity(i) {
+			t.Fatalf("vector %d labeled %d, whose part holds %d of its %d queries", i, lbl, n, full.Multiplicity(i))
+		}
+	}
+
+	// chained: the result is the baseline of the next step
+	next := full.Clone()
+	next.Add(bitvec.FromIndices(7, 3, 4, 5, 6), 5)
+	nextCounts := make([]int, full.Distinct())
+	for i := range nextCounts {
+		nextCounts[i] = full.Multiplicity(i)
+	}
+	if _, incremental, err := Recompress(got, next, nextCounts, CompressOptions{K: 2, Seed: 1}, RecompressOptions{MaxErrorGrowth: -1}); err != nil || !incremental {
+		t.Fatalf("chained step: incremental=%v err=%v", incremental, err)
+	}
+
+	unlabeled := &Compressed{Mixture: prev.Mixture, Assignment: cluster.Assignment{K: len(prev.Parts)}, Parts: prev.Parts, Err: prev.Err}
+	if _, incremental, err := Recompress(unlabeled, full, counts, CompressOptions{K: 2, Seed: 1}, RecompressOptions{MaxErrorGrowth: -1}); err != nil || incremental {
+		t.Fatalf("unlabeled prev: incremental=%v err=%v; want full path", incremental, err)
+	}
+}

@@ -143,6 +143,12 @@ func TestCoalesceMixtureBudgetAndBound(t *testing.T) {
 		leaves[i] = newCoalescePart(comp)
 	}
 	tree := agglomerateParts(leaves, 0, coalesceScore, poolCoalesceParts)
+	var live []*Log // the leaves' parts: c's non-empty ones, in order
+	for _, p := range c.Parts {
+		if p.Total() > 0 {
+			live = append(live, p)
+		}
+	}
 	prevBound := 0.0
 	for _, k := range []int{5, 3, 1} {
 		cm, bound := CoalesceMixture(m, k)
@@ -154,7 +160,7 @@ func TestCoalesceMixtureBudgetAndBound(t *testing.T) {
 			if pooled[lbl] == nil {
 				pooled[lbl] = NewLog(m.Universe)
 			}
-			pooled[lbl].Merge(c.liveParts()[leaf])
+			pooled[lbl].Merge(live[leaf])
 		}
 		for i, l := range pooled {
 			if want := NaiveEncode(l); !reflect.DeepEqual(cm.Components[i], want) {

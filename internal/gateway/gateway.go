@@ -48,7 +48,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -722,12 +721,11 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
-	freq, err := sum.EstimateFrequency(q)
+	freq, count, err := sum.Estimate(q)
 	if err != nil {
 		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	count, _ := sum.EstimateCount(q)
 	res := client.ClusterEstimateResult{
 		EstimateResult: client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()},
 		Shards:         len(g.shards) - len(miss),
@@ -749,17 +747,10 @@ func (g *Gateway) handleSummary(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Logr-Clusters", strconv.Itoa(sum.Clusters()))
-	w.Header().Set("X-Logr-Epoch-Universe", strconv.Itoa(sum.Epoch().Universe))
-	w.Header().Set("X-Logr-Epoch-Queries", strconv.Itoa(sum.Epoch().TotalQueries))
-	if e := sum.Error(); !math.IsNaN(e) {
-		w.Header().Set("X-Logr-Err", strconv.FormatFloat(e, 'g', -1, 64))
-	}
 	if len(miss) > 0 {
 		w.Header().Set("X-Logr-Shards-Unavailable", strings.Join(miss, ","))
 	}
-	sum.Save(w)
+	server.WriteSummary(w, sum)
 }
 
 // --- scatter-gather reads --------------------------------------------

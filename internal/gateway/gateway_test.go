@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -109,7 +110,7 @@ func TestGatewayEquivalence(t *testing.T) {
 		u, _ := newShard(t)
 		shardURLs = append(shardURLs, u)
 	}
-	_, gwURL := newGateway(t, Options{Shards: shardURLs})
+	g, gwURL := newGateway(t, Options{Shards: shardURLs})
 
 	entries := gwSkewedEntries(300)
 	ref := client.New(refURL)
@@ -181,6 +182,15 @@ func TestGatewayEquivalence(t *testing.T) {
 	}
 	if er.Err == nil {
 		t.Fatal("merged estimate carries no error bound")
+	}
+	// the served count comes from the same resolution as the frequency:
+	// bit for bit the merged summary's EstimateCount
+	msum, _, err := g.MergedSummary(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := msum.EstimateCount(pattern); err != nil || math.Float64bits(er.Count) != math.Float64bits(want) {
+		t.Fatalf("served count %v, merged summary's EstimateCount %v (%v)", er.Count, want, err)
 	}
 	var sink discard
 	_, meta, err := ref.SummaryRawMeta(ctx, &sink, -1, -1)

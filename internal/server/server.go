@@ -309,12 +309,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	freq, err := sum.EstimateFrequency(q)
+	freq, count, err := sum.Estimate(q)
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	count, _ := sum.EstimateCount(q)
 	WriteJSON(w, http.StatusOK, client.EstimateResult{Frequency: freq, Count: count, Epoch: sum.Epoch()})
 }
 
@@ -424,17 +423,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Logr-Clusters", strconv.Itoa(sum.Clusters()))
-	w.Header().Set("X-Logr-Epoch-Universe", strconv.Itoa(sum.Epoch().Universe))
-	w.Header().Set("X-Logr-Epoch-Queries", strconv.Itoa(sum.Epoch().TotalQueries))
-	// the artifact cannot carry its Reproduction Error (no ground truth
-	// travels with it); the header lets readers — the gateway's cross-shard
-	// merge above all — re-attach it via Summary.WithError
-	if e := sum.Error(); !math.IsNaN(e) {
-		w.Header().Set("X-Logr-Err", strconv.FormatFloat(e, 'g', -1, 64))
-	}
-	sum.Save(w)
+	WriteSummary(w, sum)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -35,6 +36,37 @@ func testEntries(n, offset int) []logr.Entry {
 		}
 	}
 	return out
+}
+
+// TestEstimateCountIsSummaryCount: /estimate resolves its probe once and
+// derives the count from that frequency, so the served count must be the
+// summary's EstimateCount bit for bit, for patterns of every kind.
+func TestEstimateCountIsSummaryCount(t *testing.T) {
+	w := logr.FromEntries(testEntries(60, 0))
+	opts := logr.CompressOptions{Clusters: 2, Seed: 1}
+	ts := httptest.NewServer(New(w, Options{Compress: opts}).Handler())
+	defer ts.Close()
+	sum, err := w.Compress(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(ts.URL)
+	for _, pattern := range []string{
+		"SELECT c0 FROM messages WHERE k0 = ?",
+		"SELECT c1 FROM contacts",
+		"SELECT c2 FROM orders WHERE k3 = ?",
+		"SELECT nope FROM nowhere",
+	} {
+		est, err := c.Estimate(context.Background(), pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freq, _ := sum.EstimateFrequency(pattern)
+		count, _ := sum.EstimateCount(pattern)
+		if math.Float64bits(est.Frequency) != math.Float64bits(freq) || math.Float64bits(est.Count) != math.Float64bits(count) {
+			t.Fatalf("%q: served frequency %v count %v, summary %v and %v", pattern, est.Frequency, est.Count, freq, count)
+		}
+	}
 }
 
 // TestEndToEndHTTP is the serving-layer smoke the CI step mirrors: ingest

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"mime"
 	"net"
 	"net/http"
@@ -160,6 +161,24 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// WriteSummary writes sum as a /summary reply: the binary artifact, with
+// its cluster count, epoch and Reproduction Error in X-Logr-* headers. The
+// artifact cannot carry its Error (no ground truth travels with it); the
+// header lets readers — the gateway's cross-shard merge above all —
+// re-attach it via Summary.WithError. Headers the caller set beforehand go
+// out with the reply.
+func WriteSummary(w http.ResponseWriter, sum *logr.Summary) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-Logr-Clusters", strconv.Itoa(sum.Clusters()))
+	h.Set("X-Logr-Epoch-Universe", strconv.Itoa(sum.Epoch().Universe))
+	h.Set("X-Logr-Epoch-Queries", strconv.Itoa(sum.Epoch().TotalQueries))
+	if e := sum.Error(); !math.IsNaN(e) {
+		h.Set("X-Logr-Err", strconv.FormatFloat(e, 'g', -1, 64))
+	}
+	sum.Save(w)
 }
 
 // WriteErr writes err as a client.ErrorResponse with status code.

@@ -74,9 +74,10 @@
 //
 // Epochs also make the summary incrementally maintainable. A monitoring
 // loop that compresses every refresh re-clusters the full log each time;
-// Workload.Recompress(prev, opts) instead clusters only the delta appended
-// since prev's epoch — warm-starting from prev's component centroids —
-// merges it into the prior mixture in one linear pass, and re-evaluates
+// Workload.Recompress(prev, opts) instead places only the delta appended
+// since prev's epoch — known query shapes rejoin their component, new ones
+// join the nearest component centroid — merges it into the prior mixture
+// in one linear pass, and re-evaluates
 // the Reproduction Error. If the merged error drifts more than RecompressOptions.
 // MaxErrorGrowth above prev's (the delta carries structure the old
 // partition cannot absorb), Recompress automatically falls back to a full
@@ -824,11 +825,11 @@ type RecompressOptions struct {
 }
 
 // Recompress updates prev for the entries appended since prev's epoch
-// without re-clustering the whole log: the delta is clustered alone —
-// multiplicity increments rejoin the component already holding their query
-// shape, brand-new shapes are assigned to the nearest component centroid —
-// and merged into the prior mixture. A monitoring loop's refresh therefore
-// pays the expensive clustering only for the delta, plus one cheap linear
+// without re-clustering the log: multiplicity increments rejoin the
+// component already holding their query shape, brand-new shapes join the
+// nearest component centroid, and the delta is merged into the prior
+// mixture. A monitoring loop's refresh therefore pays no clustering, only
+// one nearest-centroid pass over the new shapes plus one cheap linear
 // merge-and-rescore pass over the partition. The merged summary's Reproduction
 // Error is re-evaluated against the true merged partition; if it drifted
 // more than opts.MaxErrorGrowth above prev's, or prev cannot support a
@@ -1033,11 +1034,19 @@ func (s *Summary) EstimateFrequency(patternSQL string) (float64, error) {
 // EstimateCount estimates Γ_pattern(L), the absolute number of matching
 // queries.
 func (s *Summary) EstimateCount(patternSQL string) (float64, error) {
-	f, err := s.EstimateFrequency(patternSQL)
+	_, count, err := s.Estimate(patternSQL)
+	return count, err
+}
+
+// Estimate returns EstimateFrequency's and EstimateCount's answers from one
+// resolution of the pattern — resolving the probe is most of an estimate's
+// cost.
+func (s *Summary) Estimate(patternSQL string) (freq, count float64, err error) {
+	freq, err = s.EstimateFrequency(patternSQL)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return f * float64(s.c.Mixture.Total), nil
+	return freq, freq * float64(s.c.Mixture.Total), nil
 }
 
 // Visualize renders the summary as per-cluster shaded pseudo-queries
