@@ -201,8 +201,8 @@ func BenchmarkRecompressDelta(b *testing.B) {
 //	go test -run '^$' -bench 'BenchmarkCompressKMeansPAll|BenchmarkCompressRange|BenchmarkRecompress' .
 //
 // BenchmarkCompress* and BenchmarkCompressRangeCold cluster their whole
-// log, BenchmarkRecompressDelta clusters only the delta and merges,
-// BenchmarkCompressRangeWarm clusters nothing.
+// log, BenchmarkRecompressDelta places only the delta and merges, and
+// BenchmarkCompressRangeWarm does neither.
 
 var compressRangeBenchOnce struct {
 	sync.Once

@@ -90,30 +90,36 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 		merged[i] = p.Grow(u)
 	}
 
-	// Split the delta: increments on known vectors rejoin their part; new
-	// distinct vectors queue for the nearest-part pass.
+	// Split the delta. An increment on a known vector lands on the vector's
+	// slot in the part its label names: Partition and the appends below
+	// keep each part's vectors in the log's order, so the slot is the
+	// vector's rank among those sharing its label. New distinct vectors
+	// queue for the nearest-part pass.
 	labels := make([]int, full.Distinct())
 	copy(labels, prev.Assignment.Labels)
+	slot := make([]int, len(merged))
 	var newIdx []int
 	deltaTotal := 0
 	for i := 0; i < full.Distinct(); i++ {
-		count := full.Multiplicity(i)
-		if i < len(prevCounts) {
-			count -= prevCounts[i]
-		}
-		if count < 0 {
-			// multiplicities never shrink in one pipeline; prev belongs to
-			// a different log
-			return fullRecluster()
-		}
-		deltaTotal += count
-		if i < len(prevCounts) {
-			if count > 0 {
-				merged[labels[i]].Add(full.Vector(i), count)
-			}
+		if i >= len(prevCounts) {
+			newIdx = append(newIdx, i)
+			deltaTotal += full.Multiplicity(i)
 			continue
 		}
-		newIdx = append(newIdx, i)
+		count := full.Multiplicity(i) - prevCounts[i]
+		p, j := merged[labels[i]], slot[labels[i]]
+		slot[labels[i]]++
+		if count == 0 {
+			continue
+		}
+		if count < 0 || j >= len(p.vecs) || !p.vecs[j].Equal(full.Vector(i)) {
+			// a shrunk multiplicity or a partition that does not hold
+			// prev's log in order: prev belongs to a different log
+			return fullRecluster()
+		}
+		p.mult[j] += count
+		p.total += count
+		deltaTotal += count
 	}
 	if deltaTotal == 0 {
 		if u == prev.Mixture.Universe {
@@ -143,7 +149,10 @@ func recompress(prev *Compressed, full *Log, prevCounts []int, opts CompressOpti
 		for t, lbl := range nearest(vecs, cents, opts.Parallelism) {
 			fi := newIdx[t]
 			labels[fi] = liveIdx[lbl]
-			merged[labels[fi]].Add(full.Vector(fi), full.Multiplicity(fi))
+			p := merged[labels[fi]]
+			p.vecs = append(p.vecs, vecs[t])
+			p.mult = append(p.mult, full.Multiplicity(fi))
+			p.total += full.Multiplicity(fi)
 		}
 	}
 

@@ -302,7 +302,8 @@ func TestRecompressNoDeltaCore(t *testing.T) {
 // TestRecompressLabelsEveryVector: an incremental result labels every
 // distinct vector of the grown log with the part holding it, so it can be
 // the prev of the next Recompress; a prev whose labels do not cover the
-// baseline counts cannot place its increments and runs the full path.
+// baseline counts, or do not name the parts holding its vectors, cannot
+// place its increments and runs the full path.
 func TestRecompressLabelsEveryVector(t *testing.T) {
 	l, prev, counts := compressBlobs(t)
 	full := l.Grow(7)
@@ -344,5 +345,14 @@ func TestRecompressLabelsEveryVector(t *testing.T) {
 	unlabeled := &Compressed{Mixture: prev.Mixture, Assignment: cluster.Assignment{K: len(prev.Parts)}, Parts: prev.Parts, Err: prev.Err}
 	if _, incremental, err := Recompress(unlabeled, full, counts, CompressOptions{K: 2, Seed: 1}, RecompressOptions{MaxErrorGrowth: -1}); err != nil || incremental {
 		t.Fatalf("unlabeled prev: incremental=%v err=%v; want full path", incremental, err)
+	}
+	// labels naming the other part: the increment's slot holds another vector
+	swapped := make([]int, len(prev.Assignment.Labels))
+	for i, lbl := range prev.Assignment.Labels {
+		swapped[i] = 1 - lbl
+	}
+	mislabeled := &Compressed{Mixture: prev.Mixture, Assignment: cluster.Assignment{Labels: swapped, K: 2}, Parts: prev.Parts, Err: prev.Err}
+	if _, incremental, err := Recompress(mislabeled, full, counts, CompressOptions{K: 2, Seed: 1}, RecompressOptions{MaxErrorGrowth: -1}); err != nil || incremental {
+		t.Fatalf("mislabeled prev: incremental=%v err=%v; want full path", incremental, err)
 	}
 }
