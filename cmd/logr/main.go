@@ -306,7 +306,7 @@ func runCompress(ctx context.Context, args []string) error {
 	var window *int
 	w, opts, err := parseCompress("compress", args, func(fs *flag.FlagSet) func() error {
 		delta = fs.String("delta", "", "append this log after compressing and recompress")
-		incremental = fs.Bool("incremental", false, "recompress the -delta append incrementally (delta-only clustering merged into the prior mixture)")
+		incremental = fs.Bool("incremental", false, "recompress the -delta append incrementally (the delta placed into the prior partition, no clustering)")
 		maxGrowth = fs.Float64("maxgrowth", 0, "allowed relative Error growth before incremental recompression falls back to a full re-cluster (0 = default 0.10)")
 		window = fs.Int("window", 0, "with -segment: summarize only the last N sealed segments (CompressRange) instead of the whole log")
 		return nil

@@ -46,19 +46,20 @@
 //
 // Query feature vectors are binary (q ∈ {0,1}^n, paper Section 2.1), and
 // since both methods' distances reduce to a popcount on binary data,
-// Compress and Recompress cluster the word-packed vectors directly: k-means
-// scores a query q against a float centroid c through the sparse identity
-// ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i) — touching only q's set bits, with ‖c‖²
-// precomputed per centroid and Hamerly-style movement bounds skipping
-// settled points — while hierarchical clustering builds its Hamming
-// distance matrix from XOR popcounts. No dense float64 point matrix is
-// ever materialized, cutting Compress's peak clustering memory from
-// O(distinct·universe·8B) to the log's packed O(distinct·universe/8B) plus
-// K centroid rows, and making the hot loops ~an order of magnitude faster
-// (see the "Binary kernels" section of the README for measurements). The
-// dense float64 path is the equivalence oracle in internal/core's tests:
-// for a fixed Seed both paths produce the identical assignment and
-// Reproduction Error.
+// Compress clusters the word-packed vectors directly, and Recompress places
+// new query shapes on the same kernels: k-means (and Recompress's one
+// nearest-centroid pass) scores a query q against a float centroid c through
+// the sparse identity ‖q−c‖² = ‖c‖² + Σ_{i∈q}(1−2c_i) — touching only q's
+// set bits, with ‖c‖² precomputed per centroid and Hamerly-style movement
+// bounds skipping settled points — while hierarchical clustering builds its
+// Hamming distance matrix from XOR popcounts. No dense float64 point matrix
+// is ever materialized, cutting Compress's peak clustering memory from
+// O(distinct·universe·8B) to the log's packed O(distinct·universe/8B) plus K
+// centroid rows, and making the hot loops ~an order of magnitude faster (see
+// the "Binary kernels" section of the README for measurements). The dense
+// float64 path is the equivalence oracle in internal/core's tests: for a
+// fixed Seed both paths produce the identical assignment and Reproduction
+// Error.
 //
 // # Summary epochs and incremental recompression
 //
