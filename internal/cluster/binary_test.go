@@ -311,32 +311,6 @@ func TestNearestBinaryMatchesDense(t *testing.T) {
 	}
 }
 
-// TestNearestBinaryAssignsNearest pins the contract Recompress places new
-// query shapes by: label i names cents[i] — no compaction, so a centroid
-// no point is nearest to keeps its index even with more centroids than
-// points — the result does not depend on parallelism, an empty input gives
-// no labels, and the centroids are left as they were.
-func TestNearestBinaryAssignsNearest(t *testing.T) {
-	vec := func(bits ...int) bitvec.Vector { return bitvec.FromIndices(4, bits...) }
-	cents := [][]float64{{0, 0, 0, 0}, {1, 1, 0, 0}, {0.5, 0.5, 0.5, 0.5}, {0, 0, 1, 1}}
-	pts := []bitvec.Vector{vec(0), vec(0, 1), vec(2, 3), vec(3), vec(0, 1, 2)}
-	want := []int{0, 1, 3, 0, 1}
-	for _, par := range []int{1, 2, 0} {
-		if got := NearestBinary(pts, cents, par); !reflect.DeepEqual(got, want) {
-			t.Fatalf("par=%d: labels %v, want %v", par, got, want)
-		}
-	}
-	if got := NearestBinary(pts[:2], cents, 1); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("more centroids than points: labels %v, want [0 1]", got)
-	}
-	if got := NearestBinary(nil, cents, 1); len(got) != 0 {
-		t.Fatalf("empty input: labels %v", got)
-	}
-	if cents[2][0] != 0.5 || cents[1][0] != 1 {
-		t.Fatalf("NearestBinary mutated the centroids: %v", cents)
-	}
-}
-
 // TestKMeansBinaryDeterministicAcrossParallelism exercises the Hamerly
 // bounds and chunked reductions under concurrency (the race detector covers
 // this run in CI) and pins the parallelism-independence contract.

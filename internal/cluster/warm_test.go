@@ -1,73 +1,78 @@
 package cluster
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
 
-// Warm-start k-means tests: label ↔ centroid correspondence is the
-// contract incremental recompression builds on.
+	"logr/internal/bitvec"
+)
+
+// Warm-start tests: placing points by centroids that are already known is
+// NearestBinary, the one assignment step Recompress runs for new query
+// shapes. Label ↔ centroid correspondence is the contract incremental
+// recompression builds on.
 
 func TestKMeansWarmStartAssignsNearest(t *testing.T) {
-	cents := [][]float64{{0, 0}, {10, 10}, {100, 100}}
-	points := [][]float64{{1, 1}, {9, 9}, {0.5, 0}, {11, 10}}
-	asg := KMeans(points, nil, KMeansOptions{InitCentroids: cents, MaxIter: 1})
-	if asg.K != 3 {
-		t.Fatalf("K = %d; want 3 (no compaction, empty cluster kept)", asg.K)
-	}
-	want := []int{0, 1, 0, 1}
-	for i, l := range asg.Labels {
-		if l != want[i] {
-			t.Fatalf("point %d labeled %d; want %d (labels %v)", i, l, want[i], asg.Labels)
-		}
+	vec := func(bits ...int) bitvec.Vector { return bitvec.FromIndices(4, bits...) }
+	cents := [][]float64{{0, 0, 0, 0}, {1, 1, 0, 0}, {0.5, 0.5, 0.5, 0.5}, {0, 0, 1, 1}}
+	pts := []bitvec.Vector{vec(0), vec(0, 1), vec(2, 3), vec(3), vec(0, 1, 2)}
+	// centroid 2 is nearest to no point, and label 3 still names cents[3]
+	want := []int{0, 1, 3, 0, 1}
+	if got := NearestBinary(pts, cents, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels %v; want %v (no compaction, empty cluster kept)", got, want)
 	}
 }
 
+// NearestBinary takes no seed, so only parallelism can move its answer; it
+// must not.
 func TestKMeansWarmStartIgnoresSeedAndParallelism(t *testing.T) {
-	cents := [][]float64{{0, 0, 0}, {5, 5, 5}}
-	points := [][]float64{{0, 1, 0}, {4, 5, 4}, {1, 0, 1}, {6, 5, 6}, {2, 2, 2}}
-	weights := []float64{1, 2, 3, 4, 5}
-	base := KMeans(points, weights, KMeansOptions{InitCentroids: cents, MaxIter: 1, Seed: 1, Parallelism: 1})
-	for _, opts := range []KMeansOptions{
-		{InitCentroids: cents, MaxIter: 1, Seed: 99, Parallelism: 1},
-		{InitCentroids: cents, MaxIter: 1, Seed: 1, Parallelism: 4},
-		{InitCentroids: cents, MaxIter: 1, Seed: 7, Restarts: 5},
-	} {
-		got := KMeans(points, weights, opts)
-		if got.K != base.K {
-			t.Fatalf("K diverged: %d vs %d", got.K, base.K)
+	r := rand.New(rand.NewSource(23))
+	pts, _ := randBinary(r, 500, 64, 1, 3)
+	cents := make([][]float64, 6)
+	for c := range cents {
+		cents[c] = make([]float64, 64)
+		for j := range cents[c] {
+			cents[c][j] = r.Float64()
 		}
-		for i := range base.Labels {
-			if got.Labels[i] != base.Labels[i] {
-				t.Fatalf("labels diverged at %d: %v vs %v", i, got.Labels, base.Labels)
-			}
+	}
+	base := NearestBinary(pts.Vecs, cents, 1)
+	for _, par := range []int{2, 4, 0} {
+		if got := NearestBinary(pts.Vecs, cents, par); !reflect.DeepEqual(got, base) {
+			t.Fatalf("parallelism %d changed the labels", par)
 		}
 	}
 }
 
 func TestKMeansWarmStartKExceedsN(t *testing.T) {
-	// more centroids than points: unlike the cold path, K must NOT be
-	// clamped — unpopulated clusters stay, keeping label identity
-	cents := [][]float64{{0}, {10}, {20}, {30}}
-	points := [][]float64{{1}, {19}}
-	asg := KMeans(points, nil, KMeansOptions{InitCentroids: cents})
-	if asg.K != 4 {
-		t.Fatalf("K = %d; want 4", asg.K)
-	}
-	if asg.Labels[0] != 0 || asg.Labels[1] != 2 {
-		t.Fatalf("labels = %v; want [0 2]", asg.Labels)
+	// more centroids than points: labels are not compacted to 0..n-1 —
+	// unpopulated centroids keep their index, keeping label identity
+	cents := [][]float64{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {1, 1, 1}}
+	pts := []bitvec.Vector{bitvec.FromIndices(3, 0, 1, 2), bitvec.FromIndices(3)}
+	if got := NearestBinary(pts, cents, 1); !reflect.DeepEqual(got, []int{3, 0}) {
+		t.Fatalf("labels = %v; want [3 0]", got)
 	}
 }
 
 func TestKMeansWarmStartEmptyPoints(t *testing.T) {
-	asg := KMeans(nil, nil, KMeansOptions{InitCentroids: [][]float64{{0}, {1}}})
-	if asg.K != 2 || len(asg.Labels) != 0 {
-		t.Fatalf("empty input: K %d labels %v", asg.K, asg.Labels)
+	cents := [][]float64{{0}, {1}}
+	for _, pts := range [][]bitvec.Vector{nil, {}} {
+		for _, par := range []int{1, 0} {
+			if got := NearestBinary(pts, cents, par); len(got) != 0 {
+				t.Fatalf("empty input par=%d: labels %v", par, got)
+			}
+		}
 	}
 }
 
 func TestKMeansWarmStartDoesNotMutateCentroids(t *testing.T) {
-	cents := [][]float64{{0, 0}, {10, 10}}
-	points := [][]float64{{3, 3}, {8, 8}}
-	KMeans(points, nil, KMeansOptions{InitCentroids: cents, MaxIter: 10})
-	if cents[0][0] != 0 || cents[1][0] != 10 {
-		t.Fatalf("warm start mutated caller centroids: %v", cents)
+	cents := [][]float64{{0, 0.25, 0}, {1, 1, 0.75}}
+	want := [][]float64{{0, 0.25, 0}, {1, 1, 0.75}}
+	pts := []bitvec.Vector{bitvec.FromIndices(3, 0), bitvec.FromIndices(3, 0, 1, 2), bitvec.FromIndices(3, 1)}
+	for _, par := range []int{1, 0} {
+		NearestBinary(pts, cents, par)
+		if !reflect.DeepEqual(cents, want) {
+			t.Fatalf("par=%d: NearestBinary mutated the caller's centroids: %v", par, cents)
+		}
 	}
 }
