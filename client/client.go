@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"logr"
+	"logr/internal/ingestjson"
 	"logr/internal/obs"
 )
 
@@ -198,7 +199,9 @@ type Health struct {
 	Degraded bool   `json:"degraded,omitempty"`
 }
 
-// IngestRequest is the JSON body of POST /ingest.
+// IngestRequest is the JSON body of POST /ingest. Ingest encodes it and the
+// daemons decode it with internal/ingestjson, without reflection, to the
+// same bytes and values encoding/json gives.
 type IngestRequest struct {
 	Entries []logr.Entry `json:"entries"`
 }
@@ -377,14 +380,17 @@ func (c *Client) Stats(ctx context.Context) (StatsResult, error) {
 	return s, err
 }
 
-// Ingest appends a batch of entries.
+// Ingest appends a batch of entries. The body is the IngestRequest
+// encoding/json's Encoder writes with SetEscapeHTML(false), so the `<`,
+// `>` and `&` of SQL predicates travel unescaped; it is built without
+// reflection into one buffer sized exactly, and a 429 retry resends the
+// same bytes.
 func (c *Client) Ingest(ctx context.Context, entries []logr.Entry) (IngestResult, error) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(IngestRequest{Entries: entries}); err != nil {
-		return IngestResult{}, err
-	}
+	// a fresh buffer per call: the transport may still be reading a request
+	// body after the round trip returns, so it is never pooled
+	body := ingestjson.Append(make([]byte, 0, ingestjson.Size(entries)), entries)
 	var r IngestResult
-	err := c.do(ctx, http.MethodPost, "/ingest", nil, "application/json", &buf, &r)
+	err := c.do(ctx, http.MethodPost, "/ingest", nil, "application/json", bytes.NewBuffer(body), &r)
 	return r, err
 }
 

@@ -16,8 +16,10 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -412,19 +414,19 @@ func (v Vector) ForEach(fn func(i int)) {
 	}
 }
 
-// Key returns a string usable as a map key identifying the exact bit pattern.
+// Key returns a string usable as a map key identifying the exact bit pattern:
+// the universe size in decimal, a colon, then each word little-endian.
 // Vectors over different universes never collide because the universe size
-// is part of the key.
+// is part of the key. It allocates once, the key itself.
 func (v Vector) Key() string {
+	var buf [20]byte
+	n := strconv.AppendInt(buf[:0], int64(v.n), 10)
 	var sb strings.Builder
-	sb.Grow(len(v.words)*8 + 8)
-	sb.WriteString(fmt.Sprintf("%d:", v.n))
+	sb.Grow(len(n) + 1 + 8*len(v.words))
+	sb.Write(n)
+	sb.WriteByte(':')
 	for _, w := range v.words {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * uint(i)))
-		}
-		sb.Write(buf[:])
+		sb.Write(binary.LittleEndian.AppendUint64(buf[:0], w))
 	}
 	return sb.String()
 }

@@ -98,6 +98,26 @@ func TestKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestKeyBytes pins Key's bytes, which core/refine.go's candidate order
+// sorts by, and its single allocation.
+func TestKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		v    Vector
+		want string
+	}{
+		{New(0), "0:"},
+		{FromIndices(64, 0, 63), "64:\x01\x00\x00\x00\x00\x00\x00\x80"},
+		{FromIndices(65, 1, 8, 64), "65:\x02\x01\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"},
+	} {
+		if got := c.v.Key(); got != c.want {
+			t.Errorf("Key of %v over %d = %q, want %q", c.v.Indices(), c.v.Len(), got, c.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.v.Key() }); allocs != 1 {
+			t.Errorf("Key over %d allocates %v times, want 1", c.v.Len(), allocs)
+		}
+	}
+}
+
 func TestGrow(t *testing.T) {
 	v := FromIndices(5, 0, 4)
 	w := v.Grow(200)

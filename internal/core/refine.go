@@ -84,16 +84,42 @@ func CandidatePatterns(l *Log, e Naive, minSupport float64, maxCandidates int) [
 		score := supp * (math.Log(supp) - math.Log(est))
 		out = append(out, ScoredPattern{Pattern: b, Score: score})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Pattern.Key() < out[j].Pattern.Key()
-	})
+	sortByScoreThenKey(out)
 	if maxCandidates > 0 && len(out) > maxCandidates {
 		out = out[:maxCandidates]
 	}
 	return out
+}
+
+// sortByScoreThenKey sorts scored patterns by descending score, ties by
+// ascending pattern key, computing each pattern's key once.
+func sortByScoreThenKey(ps []ScoredPattern) {
+	keys := make([]string, len(ps))
+	for i, p := range ps {
+		keys[i] = p.Pattern.Key()
+	}
+	sort.Sort(byScoreThenKey{ps, keys})
+}
+
+// byScoreThenKey is the sort.Interface of sortByScoreThenKey; keys[i] is
+// ps[i].Pattern.Key().
+type byScoreThenKey struct {
+	ps   []ScoredPattern
+	keys []string
+}
+
+func (s byScoreThenKey) Len() int { return len(s.ps) }
+
+func (s byScoreThenKey) Less(i, j int) bool {
+	if s.ps[i].Score != s.ps[j].Score {
+		return s.ps[i].Score > s.ps[j].Score
+	}
+	return s.keys[i] < s.keys[j]
+}
+
+func (s byScoreThenKey) Swap(i, j int) {
+	s.ps[i], s.ps[j] = s.ps[j], s.ps[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // RefinedEncoding is a naive encoding extended with extra pattern

@@ -44,7 +44,7 @@
 //
 // The serving shell around the handlers (shell.go) is shared with
 // logrd-gateway: DecodeIngest turns an /ingest body into entries (400 or
-// 413 on failure), WriteJSON/WriteErr write every reply, ShellFlags
+// 413 on failure; JSON through internal/ingestjson), WriteJSON/WriteErr write every reply, ShellFlags
 // registers the common flags, and Serve is the listen → pprof → serve →
 // drain loop both daemons run.
 package server

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,10 +13,12 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"logr"
 	"logr/client"
+	"logr/internal/ingestjson"
 	"logr/internal/obs"
 )
 
@@ -109,9 +112,11 @@ func Serve(ctx context.Context, sh Shell, name string, h http.Handler, drained f
 // DecodeIngest reads an /ingest request body into entries. The media type
 // picks the codec: none or application/json (any parameters, any casing)
 // is a client.IngestRequest, anything else a raw or compact log body read
-// through ReadIngestBody with lines capped at maxLine. On failure it
-// returns the status to answer: 413 for a body past maxBody, 400 for a
-// malformed Content-Type or body.
+// through ReadIngestBody with lines capped at maxLine. A JSON body is read
+// whole into a pooled buffer sized from Content-Length and decoded by
+// decodeJSON, so it is one JSON object with nothing after it but
+// whitespace. On failure it returns the status to answer: 413 for a body
+// past maxBody, 400 for a malformed Content-Type or body.
 func DecodeIngest(w http.ResponseWriter, r *http.Request, maxBody int64, maxLine int) ([]logr.Entry, int, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	mediaType := ""
@@ -123,17 +128,59 @@ func DecodeIngest(w http.ResponseWriter, r *http.Request, maxBody int64, maxLine
 		mediaType = mt
 	}
 	if mediaType == "" || mediaType == "application/json" {
-		var req client.IngestRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledBody {
+				buf.Reset()
+				bodyPool.Put(buf)
+			}
+		}()
+		// room for the body and for the read that meets its end; a
+		// Content-Length past maxPooledBody grows the buffer as bytes arrive,
+		// so a header alone cannot make the daemon allocate much
+		if n := min(r.ContentLength, maxBody, maxPooledBody); n > 0 {
+			buf.Grow(int(n) + bytes.MinRead)
+		}
+		if _, err := buf.ReadFrom(body); err != nil {
 			return nil, badBodyStatus(err), fmt.Errorf("decoding ingest body: %w", err)
 		}
-		return req.Entries, 0, nil
+		entries, err := decodeJSON(buf.Bytes())
+		if err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("decoding ingest body: %w", err)
+		}
+		return entries, 0, nil
 	}
 	entries, err := ReadIngestBody(body, maxLine)
 	if err != nil {
 		return nil, badBodyStatus(err), fmt.Errorf("reading ingest body: %w", err)
 	}
 	return entries, 0, nil
+}
+
+// bodyPool recycles the buffers JSON /ingest bodies are read into; a
+// buffer grown past maxPooledBody is left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeJSON decodes a JSON /ingest body: through ingestjson.Decode, and
+// when the body lies outside the subset that reads, through encoding/json
+// on the same bytes, which also words the error for a refused body. Data
+// after the object is refused, where json.Decoder would read the first
+// value and ignore the rest.
+func decodeJSON(body []byte) ([]logr.Entry, error) {
+	if entries, ok := ingestjson.Decode(body); ok {
+		return entries, nil
+	}
+	var req client.IngestRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	if off := dec.InputOffset(); len(bytes.TrimLeft(body[off:], " \t\r\n")) > 0 {
+		return nil, fmt.Errorf("data after the JSON object at offset %d", off)
+	}
+	return req.Entries, nil
 }
 
 // badBodyStatus distinguishes an oversized body (413) from a malformed one

@@ -81,6 +81,57 @@ func TestIngestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestIngestBodyLimitJSON: the JSON codec keeps the same cap. A JSON body
+// past it is 413 whether the excess is inside the object or after it,
+// and one at the cap is accepted.
+func TestIngestBodyLimitJSON(t *testing.T) {
+	const limit = 256
+	entries := `{"entries":[` + strings.Repeat(`{"SQL":"SELECT c FROM t WHERE k = ?","Count":1},`, 10) + `{}]}`
+	fits := `{"entries":[{"SQL":"SELECT c FROM t WHERE k = ?","Count":2}]}`
+	fits += strings.Repeat(" ", limit-len(fits))
+	for _, f := range ingestFronts(t, limit) {
+		for _, body := range []string{entries, fits[:len(fits)-3] + strings.Repeat(" ", 3*limit)} {
+			if code, msg := post(t, f.url, "application/json", body); code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: %d-byte JSON body: HTTP %d %s, want 413", f.name, len(body), code, msg)
+			}
+		}
+		if f.w.Queries() != 0 {
+			t.Fatalf("%s: refused bodies still ingested %d queries", f.name, f.w.Queries())
+		}
+		if code, msg := post(t, f.url, "application/json", fits); code != http.StatusOK {
+			t.Fatalf("%s: a %d-byte JSON body under a %d-byte cap: HTTP %d %s", f.name, len(fits), limit, code, msg)
+		}
+		if got := f.w.Queries(); got != 2 {
+			t.Fatalf("%s: the body at the cap ingested %d queries, want 2", f.name, got)
+		}
+	}
+}
+
+// TestIngestTrailingData: a JSON body is one object. Anything but
+// whitespace after it is a 400 from logrd and the gateway alike, and
+// nothing of the body is ingested (json.Decoder alone would ingest the
+// first object and drop the rest).
+func TestIngestTrailingData(t *testing.T) {
+	a := `{"entries":[{"SQL":"SELECT a FROM t WHERE k = ?","Count":3}]}`
+	b := `{"entries":[{"SQL":"SELECT b FROM u WHERE k = ?","Count":4}]}`
+	for _, f := range ingestFronts(t, 0) {
+		for _, body := range []string{a + b, a + "\n" + b, a + " x", a + "]", "null " + a} {
+			if code, msg := post(t, f.url, "application/json", body); code != http.StatusBadRequest {
+				t.Fatalf("%s: %q: HTTP %d %s, want 400", f.name, body, code, msg)
+			}
+		}
+		if got := f.w.Queries(); got != 0 {
+			t.Fatalf("%s: bodies with trailing data ingested %d queries", f.name, got)
+		}
+		if code, msg := post(t, f.url, "application/json", " "+a+" \r\n\t"); code != http.StatusOK {
+			t.Fatalf("%s: whitespace around the object: HTTP %d %s", f.name, code, msg)
+		}
+		if got := f.w.Queries(); got != 3 {
+			t.Fatalf("%s: ingested %d queries, want 3", f.name, got)
+		}
+	}
+}
+
 // TestIngestContentTypeVariants: JSON bodies with charset parameters or
 // different casing must hit the JSON codec, never the raw-SQL text path,
 // and a malformed Content-Type is the same 400 from logrd and the gateway.

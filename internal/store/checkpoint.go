@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -119,7 +120,13 @@ func (s *Store) checkpointState(since workload.StateMark) (frame, state []byte, 
 		frame = s.enc.AppendAdmissions(make([]byte, admFrameHdr, 1<<16), since)
 		binary.LittleEndian.PutUint64(frame, uint64(len(frame)-admFrameHdr))
 	}
-	state = s.enc.AppendCounters(make([]byte, 0, 1<<12))
+	// sealed segments are already encoded: the state section copies their
+	// bytes into one buffer sized for all of them
+	size := 1<<12 + 2*len(s.boundary)
+	for _, sg := range s.segs {
+		size += 8*binary.MaxVarintLen64 + len(sg.sub)
+	}
+	state = s.enc.AppendCounters(make([]byte, 0, size))
 	state = binary.AppendUvarint(state, uint64(s.nextID))
 	state = appendEpoch(state, s.boundaryEpoch)
 	state = binary.AppendUvarint(state, uint64(len(s.boundary)))
@@ -132,7 +139,7 @@ func (s *Store) checkpointState(since workload.StateMark) (frame, state []byte, 
 		state = binary.AppendUvarint(state, uint64(sg.meta.EndID))
 		state = appendEpoch(state, sg.meta.StartEpoch)
 		state = appendEpoch(state, sg.meta.Epoch)
-		state = appendSubLog(state, sg.log)
+		state = append(state, sg.sub...)
 	}
 	return frame, state, mark
 }
@@ -340,12 +347,16 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 		sg.meta.EndID = r.int()
 		sg.meta.StartEpoch = readEpoch(r)
 		sg.meta.Epoch = readEpoch(r)
-		sg.log = readSubLog(r, enc.Book().Size())
+		sub := r.b
+		l := readSubLog(r, enc.Book().Size())
 		if r.err != nil {
 			break
 		}
-		sg.meta.Queries = sg.log.Total()
-		sg.meta.Distinct = sg.log.Distinct()
+		// the segment keeps the bytes it was read from, decoded and
+		// validated here, and decodes them again when a range needs it
+		sg.sub = bytes.Clone(sub[:len(sub)-len(r.b)])
+		sg.meta.Queries = l.Total()
+		sg.meta.Distinct = l.Distinct()
 		s.segs = append(s.segs, sg)
 	}
 	if r.err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -116,6 +117,63 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// leftovers past the recorded length are never read
 	if _, _, err := restoreImage(head, append(log[:len(log):len(log)], "torn frame"...), opts); err != nil {
 		t.Fatalf("bytes past the recorded length broke the restore: %v", err)
+	}
+}
+
+// TestCheckpointStateIsSubLogs: a sealed segment keeps its sub-log
+// encoded, and the checkpoint state copies those bytes. After a scripted
+// seal, compact and drop sequence the state must be byte-identical to the
+// state written by encoding every decoded segment with appendSubLog, each
+// segment's bytes must be appendSubLog of its own decoding, and a store
+// restored from the state must write the same state again.
+func TestCheckpointStateIsSubLogs(t *testing.T) {
+	opts, _ := crashOptions()
+	s := checkpointStore(opts)
+	s.Append(streamEntries(30, 400))
+	s.Seal()
+	s.Append(streamEntries(10, 500))
+	s.Seal()
+	s.Compact(1 << 20)
+	s.Append(streamEntries(50, 600))
+	s.Seal()
+	if len(s.segs) < 2 {
+		t.Fatalf("the script left %d segments; the check wants several", len(s.segs))
+	}
+
+	_, state, _ := s.checkpointState(workload.StateMark{})
+	want := s.enc.AppendCounters(nil)
+	want = binary.AppendUvarint(want, uint64(s.nextID))
+	want = appendEpoch(want, s.boundaryEpoch)
+	want = binary.AppendUvarint(want, uint64(len(s.boundary)))
+	for _, c := range s.boundary {
+		want = binary.AppendUvarint(want, uint64(c))
+	}
+	want = binary.AppendUvarint(want, uint64(len(s.segs)))
+	for _, sg := range s.segs {
+		l := sg.log()
+		if sub := appendSubLog(nil, l); !bytes.Equal(sub, sg.sub) {
+			t.Fatalf("segment %d: its bytes are not appendSubLog of their decoding", sg.meta.ID)
+		}
+		if sg.meta.Queries != l.Total() || sg.meta.Distinct != l.Distinct() {
+			t.Fatalf("segment %d: meta %+v, sub-log holds %d queries, %d distinct", sg.meta.ID, sg.meta, l.Total(), l.Distinct())
+		}
+		want = binary.AppendUvarint(want, uint64(sg.meta.ID))
+		want = binary.AppendUvarint(want, uint64(sg.meta.EndID))
+		want = appendEpoch(want, sg.meta.StartEpoch)
+		want = appendEpoch(want, sg.meta.Epoch)
+		want = appendSubLog(want, l)
+	}
+	if !bytes.Equal(state, want) {
+		t.Fatalf("checkpoint state (%d bytes) differs from appendSubLog over the decoded segments (%d bytes)", len(state), len(want))
+	}
+
+	head, log, _ := checkpointImage(1, s, admission{}, nil)
+	mem, _, err := restoreImage(head, log, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, again, _ := mem.checkpointState(workload.StateMark{}); !bytes.Equal(again, state) {
+		t.Fatal("a restored store writes a different checkpoint state")
 	}
 }
 

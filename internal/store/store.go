@@ -10,10 +10,11 @@
 // buffer holds Options.SealThreshold queries — freezes the buffer into an
 // immutable Segment carrying its own epoch-stamped sub-log, materialized as
 // the delta between the encoder snapshot at this seal and the previous one
-// (core.Log.DeltaSince). Segments are never mutated afterwards; the first
-// segment shares the snapshot log itself, which keeps its compression
-// bit-identical to compressing the workload directly. A seal clusters
-// nothing.
+// (core.Log.DeltaSince). A segment holds its sub-log encoded, as the bytes
+// a checkpoint writes for it, and decodes it when a range is read; the
+// first segment's sub-log is the snapshot log, so its compression is
+// bit-identical to compressing the workload directly. Segments are never
+// mutated afterwards. A seal clusters nothing.
 //
 // A range summary is the compression of its range: CompressRange(from, to,
 // opts) is core.Compress(RangeLog(from, to), opts), the paper's summary of
@@ -31,7 +32,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -79,10 +82,31 @@ type SegmentMeta struct {
 	Epoch      workload.Epoch `json:"epoch"`
 }
 
-// Segment is one immutable sealed segment: its descriptor and sub-log.
+// Segment is one immutable sealed segment: its descriptor and its sub-log
+// encoded by appendSubLog. Encoded, a sub-log takes a fraction of the
+// memory it takes decoded, and a checkpoint copies it instead of
+// re-encoding it.
 type Segment struct {
 	meta SegmentMeta
-	log  *core.Log
+	sub  []byte
+}
+
+// newSegment encodes l as the sub-log of a segment with meta's seal span
+// and epochs, and sizes meta from it.
+func newSegment(meta SegmentMeta, l *core.Log) *Segment {
+	meta.Queries, meta.Distinct = l.Total(), l.Distinct()
+	return &Segment{meta: meta, sub: bytes.Clone(appendSubLog(nil, l))}
+}
+
+// log decodes the segment's sub-log. Its bytes were validated when they
+// were encoded or restored, so the universe needs no bound here.
+func (sg *Segment) log() *core.Log {
+	r := &ckptReader{b: sg.sub}
+	l := readSubLog(r, math.MaxInt)
+	if r.err != nil || len(r.b) != 0 {
+		panic(fmt.Sprintf("store: segment %d does not decode its own sub-log", sg.meta.ID))
+	}
+	return l
 }
 
 // Store is the segmented workload store. All methods are safe for
@@ -241,18 +265,12 @@ func (s *Store) sealLocked() *Segment {
 	}
 	start := time.Now()
 	res := s.enc.Result()
-	log := res.Log.DeltaSince(s.boundary)
-	seg := &Segment{
-		meta: SegmentMeta{
-			ID:         s.nextID,
-			EndID:      s.nextID + 1,
-			StartEpoch: s.boundaryEpoch,
-			Epoch:      res.Epoch,
-			Queries:    log.Total(),
-			Distinct:   log.Distinct(),
-		},
-		log: log,
-	}
+	seg := newSegment(SegmentMeta{
+		ID:         s.nextID,
+		EndID:      s.nextID + 1,
+		StartEpoch: s.boundaryEpoch,
+		Epoch:      res.Epoch,
+	}, res.Log.DeltaSince(s.boundary))
 	s.segs = append(s.segs, seg)
 	s.nextID++
 	s.boundary = res.Counts()
@@ -346,18 +364,12 @@ func (s *Store) compactLocked(minQueries int) int {
 // multiplicities).
 func mergeSegments(run []*Segment) *Segment {
 	last := run[len(run)-1]
-	l := rangeLog(run)
-	return &Segment{
-		meta: SegmentMeta{
-			ID:         run[0].meta.ID,
-			EndID:      last.meta.EndID,
-			StartEpoch: run[0].meta.StartEpoch,
-			Epoch:      last.meta.Epoch,
-			Queries:    l.Total(),
-			Distinct:   l.Distinct(),
-		},
-		log: l,
-	}
+	return newSegment(SegmentMeta{
+		ID:         run[0].meta.ID,
+		EndID:      last.meta.EndID,
+		StartEpoch: run[0].meta.StartEpoch,
+		Epoch:      last.meta.Epoch,
+	}, rangeLog(run))
 }
 
 // rangeLocked resolves the seal-id range [from, to) to the live segments
@@ -438,14 +450,16 @@ func (s *Store) RangeLog(from, to int) (*core.Log, workload.Epoch, error) {
 	return rangeLog(rng), rng[len(rng)-1].meta.Epoch, nil
 }
 
+// rangeLog decodes the range's sub-logs and merges them over the range's
+// end universe.
 func rangeLog(rng []*Segment) *core.Log {
 	if len(rng) == 1 {
-		return rng[0].log
+		return rng[0].log()
 	}
 	u := rng[len(rng)-1].meta.Epoch.Universe
 	l := core.NewLog(u)
 	for _, sg := range rng {
-		g := sg.log
+		g := sg.log()
 		if g.Universe() < u {
 			g = g.Grow(u)
 		}
