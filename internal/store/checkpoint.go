@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -341,6 +342,7 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 		}
 	}
 	nseg := r.int()
+	var hashes []uint64
 	for i := 0; i < nseg && r.err == nil; i++ {
 		sg := &Segment{}
 		sg.meta.ID = r.int()
@@ -348,15 +350,13 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 		sg.meta.StartEpoch = readEpoch(r)
 		sg.meta.Epoch = readEpoch(r)
 		sub := r.b
-		l := readSubLog(r, enc.Book().Size())
+		sg.meta.Queries, sg.meta.Distinct = sizeSubLog(r, enc.Book().Size(), &hashes)
 		if r.err != nil {
 			break
 		}
-		// the segment keeps the bytes it was read from, decoded and
-		// validated here, and decodes them again when a range needs it
+		// the segment keeps the bytes it was read from, validated here, and
+		// decodes them when a range needs it
 		sg.sub = bytes.Clone(sub[:len(sub)-len(r.b)])
-		sg.meta.Queries = l.Total()
-		sg.meta.Distinct = l.Distinct()
 		s.segs = append(s.segs, sg)
 	}
 	if r.err != nil {
@@ -430,6 +430,55 @@ func readSubLog(r *ckptReader, maxUniverse int) *core.Log {
 		}
 	}
 	return l
+}
+
+// sizeSubLog reads past one sub-log, failing r wherever readSubLog would,
+// and returns the query total and distinct count of the log readSubLog
+// decodes, without building it: a restore holding the decoded logs of
+// every segment at once would need several times the memory of the
+// bytes. Log.Add drops a zero multiplicity and folds a vector that repeats
+// (a repeated bit makes two encodings of one vector), and neither happens
+// in a sub-log appendSubLog wrote; when either shows, or two vectors hash
+// alike and may be equal, the sub-log is decoded by readSubLog instead.
+// hashes is scratch space.
+func sizeSubLog(r *ckptReader, maxUniverse int, hashes *[]uint64) (total, distinct int) {
+	start := r.b
+	universe := r.int()
+	distinct = r.int()
+	if r.err == nil && universe > maxUniverse {
+		r.fail()
+	}
+	hs := (*hashes)[:0]
+	plain := true
+	for i := 0; i < distinct && r.err == nil; i++ {
+		mult := r.int()
+		support := r.int()
+		plain = plain && mult > 0
+		h, prev := uint64(support), 0
+		for j := 0; j < support && r.err == nil; j++ {
+			d := r.int()
+			plain = plain && (j == 0 || d > 0)
+			if prev += d; prev >= universe {
+				r.fail()
+			}
+			h = (h ^ uint64(prev)) * 0x100000001b3
+		}
+		total += mult
+		hs = append(hs, h)
+	}
+	*hashes = hs
+	if r.err != nil {
+		return 0, 0
+	}
+	slices.Sort(hs)
+	for i := 1; i < len(hs) && plain; i++ {
+		plain = hs[i] != hs[i-1]
+	}
+	if !plain {
+		l := readSubLog(&ckptReader{b: start}, maxUniverse)
+		return l.Total(), l.Distinct()
+	}
+	return total, distinct
 }
 
 // ckptReader mirrors the workload state reader: a cursor latching the

@@ -177,6 +177,59 @@ func TestCheckpointStateIsSubLogs(t *testing.T) {
 	}
 }
 
+// TestSizeSubLogMatchesReadSubLog: restore sizes a segment with
+// sizeSubLog instead of decoding it, so on every sub-log sizeSubLog must
+// fail where readSubLog fails, stop where it stops, and report the total
+// and distinct count of the log it decodes — also on sub-logs appendSubLog
+// never writes: zero multiplicities, repeated bits, repeated vectors, and
+// every truncation and single-byte change of those.
+func TestSizeSubLogMatchesReadSubLog(t *testing.T) {
+	uv := func(vs ...int) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+		return b
+	}
+	subs := [][]byte{
+		appendSubLog(nil, checkpointStore(Options{}).Snapshot().Log),
+		uv(10, 3, 2, 2, 1, 4, 1, 1, 3, 5, 2, 0, 9), // universe 10: {1,5} ×2, {1} ×1, {0,9} ×5
+		uv(10, 3, 2, 2, 1, 4, 0, 1, 3, 5, 2, 0, 9), // a zero multiplicity
+		uv(10, 2, 2, 2, 1, 0, 1, 1, 1),             // {1} written with its bit twice, then {1}
+		uv(10, 3, 2, 2, 1, 4, 3, 2, 1, 4, 1, 0),    // {1,5} twice, and an empty vector
+		uv(10, 2, 1, 0, 4, 0),                      // two empty vectors
+		uv(10, 1, 1, 2, 4, 6),                      // a bit past the universe
+		uv(1<<40, 1, 1, 0),                         // a universe past the codebook
+	}
+	check := func(sub []byte) {
+		t.Helper()
+		const maxUniverse = 1 << 20
+		want := &ckptReader{b: sub}
+		l := readSubLog(want, maxUniverse)
+		got := &ckptReader{b: sub}
+		var hashes []uint64
+		total, distinct := sizeSubLog(got, maxUniverse, &hashes)
+		if (got.err == nil) != (want.err == nil) || len(got.b) != len(want.b) {
+			t.Fatalf("% .24x…: sizeSubLog stops at %d (err %v), readSubLog at %d (err %v)", sub, len(sub)-len(got.b), got.err, len(sub)-len(want.b), want.err)
+		}
+		if want.err == nil && (total != l.Total() || distinct != l.Distinct()) {
+			t.Fatalf("% .24x…: sizeSubLog %d queries, %d distinct; readSubLog %d, %d", sub, total, distinct, l.Total(), l.Distinct())
+		}
+	}
+	for _, sub := range subs {
+		for n := 0; n <= len(sub); n++ {
+			check(sub[:n])
+		}
+		for i := range sub {
+			for _, x := range []byte{0, 1, 0x7f, 0x80, 0xff} {
+				mut := bytes.Clone(sub)
+				mut[i] = x
+				check(mut)
+			}
+		}
+	}
+}
+
 // TestCheckpointCorruption: every flipped byte and every truncation, of the
 // head or of the admission log, must surface as an error, never a panic and
 // never a silently wrong store.
