@@ -2,7 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"logr/internal/bitvec"
 	"logr/internal/maxent"
@@ -94,32 +95,26 @@ func CandidatePatterns(l *Log, e Naive, minSupport float64, maxCandidates int) [
 // sortByScoreThenKey sorts scored patterns by descending score, ties by
 // ascending pattern key, computing each pattern's key once.
 func sortByScoreThenKey(ps []ScoredPattern) {
-	keys := make([]string, len(ps))
+	type keyed struct {
+		p   ScoredPattern
+		key string
+	}
+	ks := make([]keyed, len(ps))
 	for i, p := range ps {
-		keys[i] = p.Pattern.Key()
+		ks[i] = keyed{p, p.Pattern.Key()}
 	}
-	sort.Sort(byScoreThenKey{ps, keys})
-}
-
-// byScoreThenKey is the sort.Interface of sortByScoreThenKey; keys[i] is
-// ps[i].Pattern.Key().
-type byScoreThenKey struct {
-	ps   []ScoredPattern
-	keys []string
-}
-
-func (s byScoreThenKey) Len() int { return len(s.ps) }
-
-func (s byScoreThenKey) Less(i, j int) bool {
-	if s.ps[i].Score != s.ps[j].Score {
-		return s.ps[i].Score > s.ps[j].Score
+	slices.SortFunc(ks, func(a, b keyed) int {
+		switch {
+		case a.p.Score > b.p.Score:
+			return -1
+		case a.p.Score < b.p.Score:
+			return 1
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	for i, k := range ks {
+		ps[i] = k.p
 	}
-	return s.keys[i] < s.keys[j]
-}
-
-func (s byScoreThenKey) Swap(i, j int) {
-	s.ps[i], s.ps[j] = s.ps[j], s.ps[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // RefinedEncoding is a naive encoding extended with extra pattern
