@@ -383,12 +383,12 @@ func (c *Client) Stats(ctx context.Context) (StatsResult, error) {
 // Ingest appends a batch of entries. The body is the IngestRequest
 // encoding/json's Encoder writes with SetEscapeHTML(false), so the `<`,
 // `>` and `&` of SQL predicates travel unescaped; it is built without
-// reflection into one buffer sized exactly, and a 429 retry resends the
-// same bytes.
+// reflection into one presized buffer, and a 429 retry resends the same
+// bytes.
 func (c *Client) Ingest(ctx context.Context, entries []logr.Entry) (IngestResult, error) {
 	// a fresh buffer per call: the transport may still be reading a request
 	// body after the round trip returns, so it is never pooled
-	body := ingestjson.Append(make([]byte, 0, ingestjson.Size(entries)), entries)
+	body := ingestjson.Append(nil, entries)
 	var r IngestResult
 	err := c.do(ctx, http.MethodPost, "/ingest", nil, "application/json", bytes.NewBuffer(body), &r)
 	return r, err

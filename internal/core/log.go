@@ -43,6 +43,21 @@ func NewLog(n int) *Log {
 	return &Log{universe: n}
 }
 
+// NewLogDistinct returns the log holding vecs with multiplicities mult,
+// taking both slices over. The caller vouches that the vectors are
+// distinct and over a universe of size n and that every multiplicity is
+// positive, so nothing is cloned and no key index is built.
+func NewLogDistinct(n int, vecs []bitvec.Vector, mult []int) *Log {
+	if len(vecs) != len(mult) {
+		panic("core: NewLogDistinct needs one multiplicity per vector")
+	}
+	l := &Log{universe: n, vecs: vecs, mult: mult}
+	for _, c := range mult {
+		l.total += c
+	}
+	return l
+}
+
 // ensureIndex materializes the key index from the current vectors, at most
 // once even under concurrent readers.
 func (l *Log) ensureIndex() {

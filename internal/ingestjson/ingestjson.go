@@ -26,10 +26,20 @@ const hex = "0123456789abcdef"
 
 // Append appends the /ingest body carrying entries to dst: the bytes
 // json.Encoder with SetEscapeHTML(false) writes for
-// client.IngestRequest{Entries: entries}, trailing newline included.
+// client.IngestRequest{Entries: entries}, trailing newline included. It
+// grows dst once up front by the body's length were no SQL string to need
+// an escape and every count to take 20 digits, so the body is built in
+// one allocation unless escapes outgrow that slack.
 func Append(dst []byte, entries []logr.Entry) []byte {
 	if entries == nil {
 		return append(dst, "{\"entries\":null}\n"...)
+	}
+	n := len("{\"entries\":[]}\n")
+	for _, e := range entries {
+		n += len(`{"SQL":"","Count":-9223372036854775808},`) + len(e.SQL)
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
 	dst = append(dst, `{"entries":[`...)
 	for i, e := range entries {
@@ -43,20 +53,6 @@ func Append(dst []byte, entries []logr.Entry) []byte {
 		dst = append(dst, '}')
 	}
 	return append(dst, "]}\n"...)
-}
-
-// Size returns len(Append(nil, entries)), so a caller can size the buffer
-// Append fills exactly.
-func Size(entries []logr.Entry) int {
-	if entries == nil {
-		return len("{\"entries\":null}\n")
-	}
-	n := len("{\"entries\":[]}\n") + max(len(entries)-1, 0)
-	var digits [20]byte
-	for _, e := range entries {
-		n += len(`{"SQL":,"Count":}`) + stringSize(e.SQL) + len(strconv.AppendInt(digits[:0], int64(e.Count), 10))
-	}
-	return n
 }
 
 // appendString appends s as a JSON string the way encoding/json does with
@@ -107,30 +103,6 @@ func appendString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// stringSize is len(appendString(nil, s)).
-func stringSize(s string) int {
-	n := 2 + len(s)
-	for i := plain(s); i < len(s); i += plain(s[i:]) {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			switch b {
-			case '\\', '"', '\b', '\f', '\n', '\r', '\t':
-				n++
-			default:
-				n += len(`\u0000`) - 1
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-			n += len(`\ufffd`) - size
-		}
-		i += size
-	}
-	return n
 }
 
 // plain returns the length of the longest prefix of s that a JSON string
@@ -189,11 +161,12 @@ func Decode(body []byte) (entries []logr.Entry, ok bool) {
 }
 
 // decoder is a cursor over a body; buf is the scratch an escaped string is
-// unquoted into.
+// unquoted into, and hinted records that an entries slice was presized.
 type decoder struct {
-	b   []byte
-	i   int
-	buf []byte
+	b      []byte
+	i      int
+	buf    []byte
+	hinted bool
 }
 
 func (d *decoder) space() {
@@ -321,7 +294,11 @@ func (d *decoder) array(entries *[]logr.Entry) bool {
 	i := 0
 	d.space()
 	if !d.eat(']') {
-		if s == nil {
+		if s == nil && !d.hinted {
+			// once per body: a body that resets "entries" to null before
+			// each of many arrays must not count the rest of itself again
+			// for every one of them
+			d.hinted = true
 			s = make([]logr.Entry, 0, d.entriesHint())
 		}
 		for {
@@ -356,7 +333,8 @@ func (d *decoder) array(entries *[]logr.Entry) bool {
 
 // entriesHint guesses how many entries are left: one per '{', since each
 // entry opens with one, but at most one per 16 bytes, so strings full of
-// braces cannot size a large slice.
+// braces cannot size a large slice. It scans the rest of the body, so
+// array calls it at most once per body.
 func (d *decoder) entriesHint() int {
 	rest := d.b[d.i:]
 	return min(bytes.Count(rest, []byte("{")), len(rest)/16)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,8 +36,8 @@ func decodeOracle(body []byte) ([]logr.Entry, error) {
 	return req.Entries, err
 }
 
-// checkAppend asserts Append and Size agree with the oracle on entries
-// and that the body decodes on Decode's fast path to what encoding/json
+// checkAppend asserts Append agrees with the oracle on entries and that
+// the body decodes on Decode's fast path to what encoding/json
 // reads from it.
 func checkAppend(t testing.TB, entries []logr.Entry) {
 	t.Helper()
@@ -44,9 +45,6 @@ func checkAppend(t testing.TB, entries []logr.Entry) {
 	got := ingestjson.Append(nil, entries)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Append(%q):\n got %q\nwant %q", entries, got, want)
-	}
-	if n := ingestjson.Size(entries); n != len(want) {
-		t.Fatalf("Size(%q) = %d, Append writes %d bytes", entries, n, len(want))
 	}
 	back, ok := ingestjson.Decode(got)
 	if !ok {
@@ -76,7 +74,7 @@ func TestAppendMatchesEncoder(t *testing.T) {
 }
 
 // FuzzAppendIngest: Append is byte-identical to json.Encoder with
-// SetEscapeHTML(false), Size is its length, and the body round-trips
+// SetEscapeHTML(false), and the body round-trips
 // through Decode's fast path to what encoding/json reads from it.
 func FuzzAppendIngest(f *testing.F) {
 	f.Add([]byte("SELECT a FROM t WHERE b < ? & c > ?"), int64(3), uint8(1))
@@ -167,6 +165,46 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendAllocs: a body whose SQL needs no escape is built in one
+// allocation, however many entries it carries.
+func TestAppendAllocs(t *testing.T) {
+	entries := make([]logr.Entry, 512)
+	for i := range entries {
+		entries[i] = logr.Entry{SQL: fmt.Sprintf("SELECT c%d FROM t%d WHERE k < ? AND v = 'a&b'", i, i%7), Count: math.MinInt}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ingestjson.Append(nil, entries) }); allocs != 1 {
+		t.Fatalf("Append allocates %.0f times for a %d-entry body, want 1", allocs, len(entries))
+	}
+}
+
+// TestDecodeRepeatedEntriesKey: a body that sets "entries" to null before
+// each of many one-element arrays decodes within a small multiple of the
+// bytes and allocations of a plain body of as many entries and about the
+// same length, not in time and memory growing with the square of its
+// length.
+func TestDecodeRepeatedEntriesKey(t *testing.T) {
+	const n = 4000
+	pairs := `{"entries":[{}]` + strings.Repeat(`,"entries":null,"entries":[{}]`, n-1) + `}`
+	plain := `{"entries":[` + strings.Repeat(`{"SQL":"SELECT 1","Count":1},`, n-1) + `{"SQL":"SELECT 1","Count":1}]}`
+	cost := func(body string) (size, allocs uint64) {
+		b := []byte(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		entries, ok := ingestjson.Decode(b)
+		runtime.ReadMemStats(&after)
+		if want, err := decodeOracle(b); !ok || err != nil || !reflect.DeepEqual(entries, want) {
+			t.Fatalf("%.40q…: Decode %d entries (fast path %v), encoding/json %d (%v)", body, len(entries), ok, len(want), err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	pb, pa := cost(pairs)
+	bb, ba := cost(plain)
+	if pb > 4*bb || pa > 2*ba {
+		t.Fatalf("%d null/array pairs (%d bytes) allocate %d bytes in %d allocations; a plain %d-entry body (%d bytes) %d bytes in %d",
+			n, len(pairs), pb, pa, n, len(plain), bb, ba)
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	entries := make([]logr.Entry, 512)
 	for i := range entries {
@@ -210,6 +248,6 @@ func BenchmarkAppend(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ingestjson.Append(make([]byte, 0, ingestjson.Size(entries)), entries)
+		ingestjson.Append(nil, entries)
 	}
 }

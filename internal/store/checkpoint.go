@@ -11,7 +11,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -342,7 +341,6 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 		}
 	}
 	nseg := r.int()
-	var hashes []uint64
 	for i := 0; i < nseg && r.err == nil; i++ {
 		sg := &Segment{}
 		sg.meta.ID = r.int()
@@ -350,12 +348,12 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 		sg.meta.StartEpoch = readEpoch(r)
 		sg.meta.Epoch = readEpoch(r)
 		sub := r.b
-		sg.meta.Queries, sg.meta.Distinct = sizeSubLog(r, enc.Book().Size(), &hashes)
+		// the segment keeps the bytes it was read from, validated here
+		// without building the log, and decodes them when a range needs it
+		_, sg.meta.Queries, sg.meta.Distinct = readSubLog(r, enc.Book().Size(), false)
 		if r.err != nil {
 			break
 		}
-		// the segment keeps the bytes it was read from, validated here, and
-		// decodes them when a range needs it
 		sg.sub = bytes.Clone(sub[:len(sub)-len(r.b)])
 		s.segs = append(s.segs, sg)
 	}
@@ -397,88 +395,69 @@ func appendSubLog(b []byte, l *core.Log) []byte {
 	return b
 }
 
-// readSubLog restores one segment's sub-log. A segment's universe is the
-// codebook's size at its seal, so one larger than the restored codebook
-// (maxUniverse) is corruption — rejected before it sizes an allocation.
-func readSubLog(r *ckptReader, maxUniverse int) *core.Log {
-	universe := r.int()
-	distinct := r.int()
-	if r.err == nil && universe > maxUniverse {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil
-	}
-	l := core.NewLog(universe)
-	for i := 0; i < distinct && r.err == nil; i++ {
-		mult := r.int()
-		support := r.int()
-		v := bitvec.New(universe)
-		prev := 0
-		for j := 0; j < support && r.err == nil; j++ {
-			prev += r.int()
-			if prev >= universe {
-				r.fail()
-				break
-			}
-			v.Set(prev)
-		}
-		if r.err == nil {
-			// distinct vectors never repeat within one sub-log, so Add
-			// reconstructs the exact first-appearance order
-			l.Add(v, mult)
-		}
-	}
-	return l
-}
-
-// sizeSubLog reads past one sub-log, failing r wherever readSubLog would,
-// and returns the query total and distinct count of the log readSubLog
-// decodes, without building it: a restore holding the decoded logs of
-// every segment at once would need several times the memory of the
-// bytes. Log.Add drops a zero multiplicity and folds a vector that repeats
-// (a repeated bit makes two encodings of one vector), and neither happens
-// in a sub-log appendSubLog wrote; when either shows, or two vectors hash
-// alike and may be equal, the sub-log is decoded by readSubLog instead.
-// hashes is scratch space.
-func sizeSubLog(r *ckptReader, maxUniverse int, hashes *[]uint64) (total, distinct int) {
-	start := r.b
+// readSubLog reads one segment's sub-log and returns its query total and
+// distinct count and, with build set, the log, built directly: appendSubLog
+// writes distinct vectors, each with a positive multiplicity and its bits
+// in ascending order, so nothing needs cloning or folding. Without build
+// it only validates the bytes and allocates nothing, which is how a
+// restore reads every segment: decoded, a segment over a wide universe
+// takes many times its bytes. What appendSubLog never writes fails r: a
+// zero multiplicity, a bit repeated or past the universe, a universe
+// larger than the restored codebook (maxUniverse), rejected before it
+// sizes an allocation. That no vector repeats is left to the checkpoint's
+// CRC, which vouches that the bytes are the ones appendSubLog wrote.
+func readSubLog(r *ckptReader, maxUniverse int, build bool) (l *core.Log, total, distinct int) {
 	universe := r.int()
 	distinct = r.int()
 	if r.err == nil && universe > maxUniverse {
 		r.fail()
 	}
-	hs := (*hashes)[:0]
-	plain := true
+	if r.err != nil {
+		return nil, 0, 0
+	}
+	var vecs []bitvec.Vector
+	var mult []int
+	if build {
+		// every vector takes at least two bytes, so the slices are sized
+		// by the bytes there are, whatever the header claims
+		vecs = make([]bitvec.Vector, 0, min(distinct, len(r.b)/2))
+		mult = make([]int, 0, cap(vecs))
+	}
 	for i := 0; i < distinct && r.err == nil; i++ {
-		mult := r.int()
+		m := r.int()
 		support := r.int()
-		plain = plain && mult > 0
-		h, prev := uint64(support), 0
+		if m == 0 {
+			r.fail()
+			break
+		}
+		var v bitvec.Vector
+		if build {
+			v = bitvec.New(universe)
+		}
+		prev := 0
 		for j := 0; j < support && r.err == nil; j++ {
 			d := r.int()
-			plain = plain && (j == 0 || d > 0)
-			if prev += d; prev >= universe {
+			if prev += d; j > 0 && d == 0 || prev >= universe {
 				r.fail()
+				break
 			}
-			h = (h ^ uint64(prev)) * 0x100000001b3
+			if build {
+				v.Set(prev)
+			}
 		}
-		total += mult
-		hs = append(hs, h)
+		total += m
+		if build {
+			vecs = append(vecs, v)
+			mult = append(mult, m)
+		}
 	}
-	*hashes = hs
 	if r.err != nil {
-		return 0, 0
+		return nil, 0, 0
 	}
-	slices.Sort(hs)
-	for i := 1; i < len(hs) && plain; i++ {
-		plain = hs[i] != hs[i-1]
+	if build {
+		l = core.NewLogDistinct(universe, vecs, mult)
 	}
-	if !plain {
-		l := readSubLog(&ckptReader{b: start}, maxUniverse)
-		return l.Total(), l.Distinct()
-	}
-	return total, distinct
+	return l, total, distinct
 }
 
 // ckptReader mirrors the workload state reader: a cursor latching the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"logr/internal/core"
 	"logr/internal/obs"
 	"logr/internal/vfs"
 	"logr/internal/vfs/faultfs"
@@ -177,13 +178,17 @@ func TestCheckpointStateIsSubLogs(t *testing.T) {
 	}
 }
 
-// TestSizeSubLogMatchesReadSubLog: restore sizes a segment with
-// sizeSubLog instead of decoding it, so on every sub-log sizeSubLog must
-// fail where readSubLog fails, stop where it stops, and report the total
-// and distinct count of the log it decodes — also on sub-logs appendSubLog
-// never writes: zero multiplicities, repeated bits, repeated vectors, and
-// every truncation and single-byte change of those.
-func TestSizeSubLogMatchesReadSubLog(t *testing.T) {
+// TestReadSubLog: readSubLog decodes what appendSubLog writes to the log
+// it was written from, and fails on what appendSubLog never writes: a
+// zero multiplicity, a repeated bit, a bit past the universe, a universe
+// past the codebook, a truncation. Without build it stops where the build
+// stops, fails where it fails and reports the same size. Every truncation
+// and single-byte change of those sub-logs either fails or decodes to a
+// log of positive multiplicities that round-trips through appendSubLog,
+// and a restore refuses a checkpoint whose segment fails, though its CRC
+// holds.
+func TestReadSubLog(t *testing.T) {
+	const maxUniverse = 1 << 20
 	uv := func(vs ...int) []byte {
 		var b []byte
 		for _, v := range vs {
@@ -191,41 +196,98 @@ func TestSizeSubLogMatchesReadSubLog(t *testing.T) {
 		}
 		return b
 	}
-	subs := [][]byte{
-		appendSubLog(nil, checkpointStore(Options{}).Snapshot().Log),
-		uv(10, 3, 2, 2, 1, 4, 1, 1, 3, 5, 2, 0, 9), // universe 10: {1,5} ×2, {1} ×1, {0,9} ×5
-		uv(10, 3, 2, 2, 1, 4, 0, 1, 3, 5, 2, 0, 9), // a zero multiplicity
-		uv(10, 2, 2, 2, 1, 0, 1, 1, 1),             // {1} written with its bit twice, then {1}
-		uv(10, 3, 2, 2, 1, 4, 3, 2, 1, 4, 1, 0),    // {1,5} twice, and an empty vector
-		uv(10, 2, 1, 0, 4, 0),                      // two empty vectors
-		uv(10, 1, 1, 2, 4, 6),                      // a bit past the universe
-		uv(1<<40, 1, 1, 0),                         // a universe past the codebook
+	decode := func(sub []byte) (*core.Log, error) {
+		r := &ckptReader{b: sub}
+		l, total, distinct := readSubLog(r, maxUniverse, true)
+		sized := &ckptReader{b: sub}
+		_, stotal, sdistinct := readSubLog(sized, maxUniverse, false)
+		if (r.err == nil) != (sized.err == nil) || len(r.b) != len(sized.b) || total != stotal || distinct != sdistinct {
+			t.Fatalf("% x: built, stops at %d (err %v) with %d queries, %d distinct; validated, at %d (err %v) with %d, %d",
+				sub, len(sub)-len(r.b), r.err, total, distinct, len(sub)-len(sized.b), sized.err, stotal, sdistinct)
+		}
+		if r.err == nil && (total != l.Total() || distinct != l.Distinct()) {
+			t.Fatalf("% x: reports %d queries, %d distinct for a log of %d, %d", sub, total, distinct, l.Total(), l.Distinct())
+		}
+		if r.err == nil && len(r.b) != 0 {
+			return nil, fmt.Errorf("%d bytes left over", len(r.b))
+		}
+		return l, r.err
 	}
-	check := func(sub []byte) {
+	sameLog := func(a, b *core.Log) bool {
+		if a.Universe() != b.Universe() || a.Total() != b.Total() || a.Distinct() != b.Distinct() {
+			return false
+		}
+		for i := 0; i < a.Distinct(); i++ {
+			if !a.Vector(i).Equal(b.Vector(i)) || a.Multiplicity(i) != b.Multiplicity(i) {
+				return false
+			}
+		}
+		return true
+	}
+	checkDecoded := func(sub []byte) {
 		t.Helper()
-		const maxUniverse = 1 << 20
-		want := &ckptReader{b: sub}
-		l := readSubLog(want, maxUniverse)
-		got := &ckptReader{b: sub}
-		var hashes []uint64
-		total, distinct := sizeSubLog(got, maxUniverse, &hashes)
-		if (got.err == nil) != (want.err == nil) || len(got.b) != len(want.b) {
-			t.Fatalf("% .24x…: sizeSubLog stops at %d (err %v), readSubLog at %d (err %v)", sub, len(sub)-len(got.b), got.err, len(sub)-len(want.b), want.err)
+		l, err := decode(sub)
+		if err != nil {
+			return
 		}
-		if want.err == nil && (total != l.Total() || distinct != l.Distinct()) {
-			t.Fatalf("% .24x…: sizeSubLog %d queries, %d distinct; readSubLog %d, %d", sub, total, distinct, l.Total(), l.Distinct())
+		for i := 0; i < l.Distinct(); i++ {
+			if l.Multiplicity(i) <= 0 {
+				t.Fatalf("% x: decoded multiplicity %d", sub, l.Multiplicity(i))
+			}
+		}
+		if back, err := decode(appendSubLog(nil, l)); err != nil || !sameLog(back, l) {
+			t.Fatalf("% x: the decoded log does not round-trip (err %v)", sub, err)
 		}
 	}
-	for _, sub := range subs {
+
+	real := checkpointStore(Options{}).Snapshot().Log
+	good := [][]byte{
+		appendSubLog(nil, real),
+		uv(10, 3, 2, 2, 1, 4, 1, 1, 3, 5, 2, 0, 9), // {1,5} ×2, {3} ×1, {0,9} ×5
+		uv(10, 2, 1, 0, 4, 1, 0),                   // {} ×1, {0} ×4
+	}
+	if l, err := decode(good[0]); err != nil || !sameLog(l, real) {
+		t.Fatalf("appendSubLog's own bytes decode to a different log (err %v)", err)
+	}
+	for _, sub := range [][]byte{
+		uv(10, 1, 0, 1, 3),            // a zero multiplicity
+		uv(10, 1, 1, 2, 1, 0),         // bit 1 twice
+		uv(10, 1, 1, 2, 4, 6),         // a bit past the universe
+		uv(1<<40, 1, 1, 0),            // a universe past the codebook
+		uv(10, 2, 1, 1, 3),            // one vector of two
+		uv(10, 1, 1, 2, 1),            // one bit of two
+		append(uv(10, 1, 1, 1), 0x80), // a torn varint
+	} {
+		if _, err := decode(sub); err == nil {
+			t.Errorf("% x: decoded, want a failure", sub)
+		}
+	}
+	for _, sub := range good {
 		for n := 0; n <= len(sub); n++ {
-			check(sub[:n])
+			checkDecoded(sub[:n])
 		}
 		for i := range sub {
 			for _, x := range []byte{0, 1, 0x7f, 0x80, 0xff} {
 				mut := bytes.Clone(sub)
 				mut[i] = x
-				check(mut)
+				checkDecoded(mut)
 			}
+		}
+	}
+
+	opts := Options{SealThreshold: 50}
+	s := New(opts)
+	s.Append(streamEntries(80, 0))
+	s.Seal()
+	u := s.segs[0].meta.Epoch.Universe
+	for _, tc := range []struct {
+		sub []byte
+		ok  bool
+	}{{uv(u, 2, 1, 1, 3, 2, 1, 4), true}, {uv(u, 2, 1, 1, 3, 0, 1, 4), false}, {uv(u, 1, 1, 2, 3, 0), false}} {
+		s.segs[0].sub = tc.sub
+		head, log, _ := checkpointImage(1, s, admission{}, nil)
+		if _, _, err := restoreImage(head, log, opts); (err == nil) != tc.ok {
+			t.Fatalf("% x: restore error %v, want success %v", tc.sub, err, tc.ok)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func newSegment(meta SegmentMeta, l *core.Log) *Segment {
 // were encoded or restored, so the universe needs no bound here.
 func (sg *Segment) log() *core.Log {
 	r := &ckptReader{b: sg.sub}
-	l := readSubLog(r, math.MaxInt)
+	l, _, _ := readSubLog(r, math.MaxInt, true)
 	if r.err != nil || len(r.b) != 0 {
 		panic(fmt.Sprintf("store: segment %d does not decode its own sub-log", sg.meta.ID))
 	}
@@ -451,19 +451,21 @@ func (s *Store) RangeLog(from, to int) (*core.Log, workload.Epoch, error) {
 }
 
 // rangeLog decodes the range's sub-logs and merges them over the range's
-// end universe.
+// end universe. The first segment's log, decoded afresh, is the one the
+// others merge into.
 func rangeLog(rng []*Segment) *core.Log {
-	if len(rng) == 1 {
-		return rng[0].log()
-	}
 	u := rng[len(rng)-1].meta.Epoch.Universe
-	l := core.NewLog(u)
+	var l *core.Log
 	for _, sg := range rng {
 		g := sg.log()
 		if g.Universe() < u {
 			g = g.Grow(u)
 		}
-		l.Merge(g)
+		if l == nil {
+			l = g
+		} else {
+			l.Merge(g)
+		}
 	}
 	return l
 }

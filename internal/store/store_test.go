@@ -344,3 +344,34 @@ func TestRangeLogDeduplicates(t *testing.T) {
 		t.Fatalf("range log distinct %d != stream %d (dedup failed)", l.Distinct(), s.Snapshot().Log.Distinct())
 	}
 }
+
+// BenchmarkRangeLog times materializing the log of a range of 1 and of 16
+// sealed segments, each holding 2,000 statements of which about 1,500 are
+// shapes the store has not seen before.
+func BenchmarkRangeLog(b *testing.B) {
+	s := New(Options{})
+	for seg := 0; seg < 16; seg++ {
+		entries := make([]workload.LogEntry, 2000)
+		for i := range entries {
+			j := seg*1500 + i%1500
+			entries[i] = workload.LogEntry{
+				SQL:   fmt.Sprintf("SELECT c%d, d%d FROM t%d WHERE k%d = ? AND v%d > ?", j%97, j%89, j%13, j%61, j%7),
+				Count: 1 + i%3,
+			}
+		}
+		if err := s.Append(entries); err != nil {
+			b.Fatal(err)
+		}
+		s.Seal()
+	}
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("segments=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.RangeLog(16-n, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
