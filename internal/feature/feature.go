@@ -16,12 +16,14 @@
 package feature
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
 
+	"logr/internal/binenc"
 	"logr/internal/bitvec"
 	"logr/internal/sqlparser"
 )
@@ -196,6 +198,43 @@ func (c *Codebook) intern(f Feature) int {
 	c.feats = append(c.feats, f)
 	c.slots[slot] = uint32(len(c.feats))
 	return len(c.feats) - 1
+}
+
+// Restore registers f at the next index: the step of rebuilding a
+// serialized codebook, whose features are distinct and of a known kind.
+func (c *Codebook) Restore(f Feature) error {
+	next := c.Size()
+	if f.Kind < FromKind || f.Kind > AggKind {
+		return fmt.Errorf("feature: codebook holds feature %d of unknown kind %d", next, f.Kind)
+	}
+	if c.Register(f) != next {
+		return fmt.Errorf("feature: codebook repeats feature %d", next)
+	}
+	return nil
+}
+
+// AppendSection appends the features with indices in [from, to) as a
+// codebook section, the layout LGRS summaries and the encoder state share:
+//
+//	n uvarint, n × (kind uvarint, len uvarint, text)
+func (c *Codebook) AppendSection(b []byte, from, to int) []byte {
+	b = binary.AppendUvarint(b, uint64(to-from))
+	for _, f := range c.featsSnapshot()[from:to] {
+		b = binary.AppendUvarint(b, uint64(f.Kind))
+		b = binenc.AppendString(b, f.Text)
+	}
+	return b
+}
+
+// ReadSection restores a codebook section onto the indices following the
+// ones the codebook holds, latching a failure in r.
+func (c *Codebook) ReadSection(r *binenc.Reader) {
+	for n := r.Count(2); n > 0 && r.Err() == nil; n-- {
+		f := Feature{Kind: Kind(r.Int(binenc.MaxInt)), Text: r.Text()}
+		if r.Err() == nil {
+			r.Fail(c.Restore(f))
+		}
+	}
 }
 
 // Extract returns the feature set of a conjunctive SELECT block as sorted,

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"logr/internal/binenc"
 	"logr/internal/bitvec"
 	"logr/internal/core"
 	"logr/internal/vfs"
@@ -78,10 +79,6 @@ const (
 	// magic, version, walOffset, admGen, admLen, admCRC
 	ckptHeaderLen = len(ckptMagic) + 1 + 8 + 8 + 8 + 4
 	admFrameHdr   = 8
-	// maxFieldValue caps every decoded uvarint of the state section: far
-	// above any legitimate count, far below where int(v) would overflow
-	// negative.
-	maxFieldValue = 1 << 62
 )
 
 // admission locates the committed prefix of the admission log: which
@@ -180,11 +177,8 @@ func decodeHead(data []byte) (off int64, adm admission, state []byte, err error)
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return 0, adm, nil, errors.New("store: checkpoint fails its CRC check")
 	}
-	cur := body[len(ckptMagic)+1:]
-	off = int64(binary.LittleEndian.Uint64(cur))
-	adm.gen = binary.LittleEndian.Uint64(cur[8:])
-	adm.len = int64(binary.LittleEndian.Uint64(cur[16:]))
-	adm.crc = binary.LittleEndian.Uint32(cur[24:])
+	r := binenc.NewReader(body[len(ckptMagic)+1:])
+	off, adm.gen, adm.len, adm.crc = int64(r.Uint64()), r.Uint64(), int64(r.Uint64()), r.Uint32()
 	if off < 0 || adm.len < 0 {
 		return 0, adm, nil, errors.New("store: negative checkpoint offset")
 	}
@@ -331,37 +325,36 @@ func restoreState(state []byte, enc *workload.Encoder, opts Options) (*Store, er
 	if err != nil {
 		return nil, err
 	}
-	r := &ckptReader{b: rest}
-	s := &Store{enc: enc, opts: opts, nextID: r.int()}
+	r := binenc.NewReader(rest)
+	s := &Store{enc: enc, opts: opts, nextID: r.Int(binenc.MaxInt)}
 	s.boundaryEpoch = readEpoch(r)
-	if n := r.int(); n > 0 {
-		s.boundary = make([]int, 0, min(n, 1<<20))
-		for i := 0; i < n && r.err == nil; i++ {
-			s.boundary = append(s.boundary, r.int())
+	if n := r.Count(1); n > 0 {
+		s.boundary = make([]int, n)
+		for i := range s.boundary {
+			s.boundary[i] = r.Int(binenc.MaxInt)
 		}
 	}
-	nseg := r.int()
-	for i := 0; i < nseg && r.err == nil; i++ {
+	for n := r.Count(1); n > 0 && r.Err() == nil; n-- {
 		sg := &Segment{}
-		sg.meta.ID = r.int()
-		sg.meta.EndID = r.int()
+		sg.meta.ID = r.Int(binenc.MaxInt)
+		sg.meta.EndID = r.Int(binenc.MaxInt)
 		sg.meta.StartEpoch = readEpoch(r)
 		sg.meta.Epoch = readEpoch(r)
-		sub := r.b
 		// the segment keeps the bytes it was read from, validated here
 		// without building the log, and decodes them when a range needs it
+		sub := r.Rest()
 		_, sg.meta.Queries, sg.meta.Distinct = readSubLog(r, enc.Book().Size(), false)
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
-		sg.sub = bytes.Clone(sub[:len(sub)-len(r.b)])
+		sg.sub = bytes.Clone(sub[:len(sub)-r.Len()])
 		s.segs = append(s.segs, sg)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail(errors.New("trailing bytes"))
 	}
-	if len(r.b) != 0 {
-		return nil, errors.New("store: trailing bytes after checkpoint state")
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("store: checkpoint state: %w", err)
 	}
 	return s, nil
 }
@@ -372,13 +365,13 @@ func appendEpoch(b []byte, e workload.Epoch) []byte {
 	return binary.AppendUvarint(b, uint64(e.Distinct))
 }
 
-func readEpoch(r *ckptReader) workload.Epoch {
-	return workload.Epoch{Universe: r.int(), TotalQueries: r.int(), Distinct: r.int()}
+func readEpoch(r *binenc.Reader) workload.Epoch {
+	return workload.Epoch{Universe: r.Int(binenc.MaxInt), TotalQueries: r.Int(binenc.MaxInt), Distinct: r.Int(binenc.MaxInt)}
 }
 
 // appendSubLog serializes a segment's sub-log: universe, then each
-// distinct vector in first-appearance order as (multiplicity, support,
-// support × index-delta).
+// distinct vector in first-appearance order as (multiplicity, support
+// index run).
 func appendSubLog(b []byte, l *core.Log) []byte {
 	b = binary.AppendUvarint(b, uint64(l.Universe()))
 	b = binary.AppendUvarint(b, uint64(l.Distinct()))
@@ -406,82 +399,37 @@ func appendSubLog(b []byte, l *core.Log) []byte {
 // larger than the restored codebook (maxUniverse), rejected before it
 // sizes an allocation. That no vector repeats is left to the checkpoint's
 // CRC, which vouches that the bytes are the ones appendSubLog wrote.
-func readSubLog(r *ckptReader, maxUniverse int, build bool) (l *core.Log, total, distinct int) {
-	universe := r.int()
-	distinct = r.int()
-	if r.err == nil && universe > maxUniverse {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, 0, 0
-	}
+func readSubLog(r *binenc.Reader, maxUniverse int, build bool) (l *core.Log, total, distinct int) {
+	universe := r.Int(maxUniverse)
+	// a vector takes at least two bytes
+	distinct = r.Count(2)
 	var vecs []bitvec.Vector
 	var mult []int
 	if build {
-		// every vector takes at least two bytes, so the slices are sized
-		// by the bytes there are, whatever the header claims
-		vecs = make([]bitvec.Vector, 0, min(distinct, len(r.b)/2))
-		mult = make([]int, 0, cap(vecs))
+		vecs = make([]bitvec.Vector, 0, distinct)
+		mult = make([]int, 0, distinct)
 	}
-	for i := 0; i < distinct && r.err == nil; i++ {
-		m := r.int()
-		support := r.int()
+	for i := 0; i < distinct && r.Err() == nil; i++ {
+		m := r.Int(binenc.MaxInt)
 		if m == 0 {
-			r.fail()
-			break
+			r.Fail(errors.New("a sub-log vector of multiplicity 0"))
 		}
-		var v bitvec.Vector
-		if build {
-			v = bitvec.New(universe)
-		}
-		prev := 0
-		for j := 0; j < support && r.err == nil; j++ {
-			d := r.int()
-			if prev += d; j > 0 && d == 0 || prev >= universe {
-				r.fail()
-				break
-			}
-			if build {
-				v.Set(prev)
-			}
-		}
-		total += m
-		if build {
+		support := r.Count(1)
+		if !build {
+			r.Ascending(support, universe, nil)
+		} else {
+			v := bitvec.New(universe)
+			r.Ascending(support, universe, v.Set)
 			vecs = append(vecs, v)
 			mult = append(mult, m)
 		}
+		total += m
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil, 0, 0
 	}
 	if build {
 		l = core.NewLogDistinct(universe, vecs, mult)
 	}
 	return l, total, distinct
-}
-
-// ckptReader mirrors the workload state reader: a cursor latching the
-// first decode error.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckptReader) fail() {
-	if r.err == nil {
-		r.err = errors.New("store: truncated or corrupt checkpoint state")
-	}
-}
-
-func (r *ckptReader) int() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > maxFieldValue {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return int(v)
 }

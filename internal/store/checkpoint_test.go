@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"logr/internal/binenc"
 	"logr/internal/core"
 	"logr/internal/obs"
 	"logr/internal/vfs"
@@ -197,21 +198,21 @@ func TestReadSubLog(t *testing.T) {
 		return b
 	}
 	decode := func(sub []byte) (*core.Log, error) {
-		r := &ckptReader{b: sub}
+		r := binenc.NewReader(sub)
 		l, total, distinct := readSubLog(r, maxUniverse, true)
-		sized := &ckptReader{b: sub}
+		sized := binenc.NewReader(sub)
 		_, stotal, sdistinct := readSubLog(sized, maxUniverse, false)
-		if (r.err == nil) != (sized.err == nil) || len(r.b) != len(sized.b) || total != stotal || distinct != sdistinct {
+		if (r.Err() == nil) != (sized.Err() == nil) || r.Len() != sized.Len() || total != stotal || distinct != sdistinct {
 			t.Fatalf("% x: built, stops at %d (err %v) with %d queries, %d distinct; validated, at %d (err %v) with %d, %d",
-				sub, len(sub)-len(r.b), r.err, total, distinct, len(sub)-len(sized.b), sized.err, stotal, sdistinct)
+				sub, len(sub)-r.Len(), r.Err(), total, distinct, len(sub)-sized.Len(), sized.Err(), stotal, sdistinct)
 		}
-		if r.err == nil && (total != l.Total() || distinct != l.Distinct()) {
+		if r.Err() == nil && (total != l.Total() || distinct != l.Distinct()) {
 			t.Fatalf("% x: reports %d queries, %d distinct for a log of %d, %d", sub, total, distinct, l.Total(), l.Distinct())
 		}
-		if r.err == nil && len(r.b) != 0 {
-			return nil, fmt.Errorf("%d bytes left over", len(r.b))
+		if r.Err() == nil && r.Len() != 0 {
+			return nil, fmt.Errorf("%d bytes left over", r.Len())
 		}
-		return l, r.err
+		return l, r.Err()
 	}
 	sameLog := func(a, b *core.Log) bool {
 		if a.Universe() != b.Universe() || a.Total() != b.Total() || a.Distinct() != b.Distinct() {

@@ -321,7 +321,7 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 		if err != nil {
 			return replayErr(err)
 		}
-		if err := applyOp(mem, op); err != nil {
+		if _, err := applyOp(mem, op); err != nil {
 			return replayErr(err)
 		}
 		return nil
@@ -743,19 +743,11 @@ func (d *Durable) Durability() DurabilityInfo {
 func (d *Durable) applier() {
 	defer close(d.applierDone)
 	for job := range d.applyQ {
-		var res applyResult
-		switch job.op.kind {
-		case opEntries:
-			// cannot fail: Append admitted the batch against the same cap
-			_ = d.mem.Append(job.op.entries)
-			d.queued.Add(-int64(len(job.op.entries)))
-			d.m.appliedEntries.Add(int64(len(job.op.entries)))
-		case opSeal:
-			res.meta, res.ok = d.mem.Seal()
-		case opDrop:
-			res.n = d.mem.DropBefore(job.op.arg)
-		case opCompact:
-			res.n = d.mem.Compact(job.op.arg)
+		// cannot fail: Append admitted every batch against the same cap
+		res, _ := applyOp(d.mem, job.op)
+		if n := int64(len(job.op.entries)); n > 0 {
+			d.queued.Add(-n)
+			d.m.appliedEntries.Add(n)
 		}
 		if job.lsn > 0 {
 			d.applyMu.Lock()

@@ -2,8 +2,12 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
+	"logr/internal/binenc"
+	"logr/internal/core"
 	"logr/internal/workload"
 )
 
@@ -41,13 +45,6 @@ type walOp struct {
 	arg     int                 // opDrop id / opCompact minQueries
 }
 
-//logr:noalloc
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
 // encodeEntriesOp frames an entry batch. Non-positive counts are clamped to
 // 1 here so the durable record and the in-memory encoder agree on the
 // multiplicity that was actually ingested.
@@ -70,15 +67,10 @@ func encodeEntriesOpInto(buf []byte, entries []workload.LogEntry) []byte {
 		buf = make([]byte, 0, size) //logr:allow(noalloc) record-buffer capacity growth, amortizes to zero across pool reuses
 	}
 	b := append(buf[:0], opEntries)
-	b = appendUvarint(b, uint64(len(entries)))
+	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for _, e := range entries {
-		c := e.Count
-		if c <= 0 {
-			c = 1
-		}
-		b = appendUvarint(b, uint64(c))
-		b = appendUvarint(b, uint64(len(e.SQL)))
-		b = append(b, e.SQL...)
+		b = binary.AppendUvarint(b, uint64(max(e.Count, 1)))
+		b = binenc.AppendString(b, e.SQL)
 	}
 	return b
 }
@@ -86,80 +78,67 @@ func encodeEntriesOpInto(buf []byte, entries []workload.LogEntry) []byte {
 func encodeSealOp() []byte { return []byte{opSeal} }
 
 func encodeDropOp(id int) []byte {
-	return appendUvarint([]byte{opDrop}, uint64(id))
+	return binary.AppendUvarint([]byte{opDrop}, uint64(id))
 }
 
 func encodeCompactOp(minQueries int) []byte {
-	return appendUvarint([]byte{opCompact}, uint64(minQueries))
+	return binary.AppendUvarint([]byte{opCompact}, uint64(minQueries))
 }
 
 // decodeOp parses one WAL payload. The payload already passed the WAL's
 // CRC, so a decode failure means a codec bug or memory corruption — the
-// caller treats it as fatal rather than as a torn tail.
+// caller treats it as fatal rather than as a torn tail. What the encoders
+// never write is refused: an entry count of 0 (they clamp counts to at
+// least 1), a count past core.MaxCount (ingest refuses a batch past it
+// before logging it), bytes after the op. An op's argument is read back as
+// the int it was written from, negative ones included.
 func decodeOp(p []byte) (walOp, error) {
-	if len(p) == 0 {
-		return walOp{}, fmt.Errorf("store: empty WAL record")
-	}
-	kind, body := p[0], p[1:]
-	readUvarint := func() (int, error) {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
-			return 0, fmt.Errorf("store: truncated uvarint in WAL record")
-		}
-		body = body[n:]
-		return int(v), nil
-	}
-	switch kind {
-	case opEntries:
-		n, err := readUvarint()
-		if err != nil {
-			return walOp{}, err
-		}
-		entries := make([]workload.LogEntry, 0, n)
-		for i := 0; i < n; i++ {
-			count, err := readUvarint()
-			if err != nil {
-				return walOp{}, err
-			}
-			slen, err := readUvarint()
-			if err != nil {
-				return walOp{}, err
-			}
-			if slen > len(body) {
-				return walOp{}, fmt.Errorf("store: truncated SQL in WAL record")
-			}
-			entries = append(entries, workload.LogEntry{SQL: string(body[:slen]), Count: count})
-			body = body[slen:]
-		}
-		return walOp{kind: opEntries, entries: entries}, nil
-	case opSeal:
-		return walOp{kind: opSeal}, nil
-	case opDrop, opCompact:
-		arg, err := readUvarint()
-		if err != nil {
-			return walOp{}, err
-		}
-		return walOp{kind: kind, arg: arg}, nil
-	}
-	return walOp{}, fmt.Errorf("store: unknown WAL op %d", kind)
-}
-
-// applyOp replays one decoded operation into a plain in-memory store built
-// with the store's real operating Options — its automatic seal/compact
-// triggers re-fire during replay exactly as they fired live, which is why
-// the WAL only records caller-initiated operations.
-func applyOp(mem *Store, op walOp) error {
+	r := binenc.NewReader(p)
+	op := walOp{kind: r.Byte()}
 	switch op.kind {
 	case opEntries:
-		return mem.Append(op.entries)
+		// an entry takes at least two bytes
+		op.entries = make([]workload.LogEntry, r.Count(2))
+		for i := range op.entries {
+			e := &op.entries[i]
+			if e.Count = r.Int(core.MaxCount); e.Count == 0 {
+				r.Fail(errors.New("an entry of count 0"))
+			}
+			e.SQL = r.Text()
+		}
 	case opSeal:
-		mem.Seal()
-	case opDrop:
-		mem.DropBefore(op.arg)
-	case opCompact:
-		mem.Compact(op.arg)
+	case opDrop, opCompact:
+		op.arg = int(r.Uvarint(math.MaxUint64))
 	default:
-		return fmt.Errorf("store: unknown WAL op %d", op.kind)
+		r.Fail(fmt.Errorf("unknown op %d", op.kind))
 	}
-	return nil
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail(errors.New("trailing bytes"))
+	}
+	if err := r.Err(); err != nil {
+		return walOp{}, fmt.Errorf("store: WAL record: %w", err)
+	}
+	return op, nil
+}
+
+// applyOp applies one operation to mem, live or replayed — the applier and
+// recovery share it, so they cannot diverge. Replay runs it on a plain
+// in-memory store built with the store's real operating Options: its
+// automatic seal/compact triggers re-fire during replay exactly as they
+// fired live, which is why the WAL only records caller-initiated
+// operations.
+func applyOp(mem *Store, op walOp) (res applyResult, err error) {
+	switch op.kind {
+	case opEntries:
+		err = mem.Append(op.entries)
+	case opSeal:
+		res.meta, res.ok = mem.Seal()
+	case opDrop:
+		res.n = mem.DropBefore(op.arg)
+	case opCompact:
+		res.n = mem.Compact(op.arg)
+	default:
+		err = fmt.Errorf("store: unknown WAL op %d", op.kind)
+	}
+	return res, err
 }

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"logr/internal/binenc"
 	"logr/internal/core"
 	"logr/internal/feature"
 	"logr/internal/obs"
@@ -101,9 +102,9 @@ func newSegment(meta SegmentMeta, l *core.Log) *Segment {
 // log decodes the segment's sub-log. Its bytes were validated when they
 // were encoded or restored, so the universe needs no bound here.
 func (sg *Segment) log() *core.Log {
-	r := &ckptReader{b: sg.sub}
+	r := binenc.NewReader(sg.sub)
 	l, _, _ := readSubLog(r, math.MaxInt, true)
-	if r.err != nil || len(r.b) != 0 {
+	if r.Err() != nil || r.Len() != 0 {
 		panic(fmt.Sprintf("store: segment %d does not decode its own sub-log", sg.meta.ID))
 	}
 	return l

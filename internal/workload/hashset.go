@@ -1,5 +1,10 @@
 package workload
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 // hashSet is an append-only set of 64-bit hashes: the members in insertion
 // order, which is what a checkpoint persists, and an open-addressing index
 // over them — about 16 bytes per member in all. Both grow in small steps,
@@ -32,7 +37,7 @@ type hashIndex struct {
 func (s *hashSet) add(h uint64) bool {
 	x := &s.shards[h>>(64-hashShardBits)]
 	if 4*(x.n+1) > 3*len(x.slots) {
-		x.grow(s)
+		x.grow(s, x.n+1)
 	}
 	mask := len(x.slots) - 1
 	for i := x.home(h); ; i = (i + 1) & mask {
@@ -54,6 +59,29 @@ func (s *hashSet) add(h uint64) bool {
 	}
 }
 
+// addAll inserts the little-endian hashes packed in b and reports whether
+// every one was absent. It sizes each shard's index and the member chunks
+// once for all of them up front, as a restore re-inserting millions of
+// hashes would otherwise re-slot every shard at each doubling.
+func (s *hashSet) addAll(b []byte) bool {
+	var per [len(s.shards)]int
+	for i := 0; i+8 <= len(b); i += 8 {
+		per[binary.LittleEndian.Uint64(b[i:])>>(64-hashShardBits)]++
+	}
+	for i := range s.shards {
+		if x := &s.shards[i]; 4*(x.n+per[i]) > 3*len(x.slots) {
+			x.grow(s, x.n+per[i])
+		}
+	}
+	s.chunks = slices.Grow(s.chunks, (s.n+len(b)/8+hashChunk-1)/hashChunk-len(s.chunks))
+	for i := 0; i+8 <= len(b); i += 8 {
+		if !s.add(binary.LittleEndian.Uint64(b[i:])) {
+			return false
+		}
+	}
+	return true
+}
+
 // at returns the member at position j, in insertion order.
 func (s *hashSet) at(j int) uint64 { return s.chunks[j/hashChunk][j%hashChunk] }
 
@@ -66,10 +94,14 @@ func (x *hashIndex) home(h uint64) int {
 	return int((h * 0x9e3779b97f4a7c15) >> x.shift)
 }
 
-// grow doubles the shard and re-slots its members.
-func (x *hashIndex) grow(s *hashSet) {
+// grow re-slots the shard's members into the smallest table, of at least
+// 64 slots, that holds members at most 3/4 full.
+func (x *hashIndex) grow(s *hashSet, members int) {
 	old := x.slots
-	n := max(2*len(old), 1<<6)
+	n := 1 << 6
+	for 4*members > 3*n {
+		n *= 2
+	}
 	x.slots = make([]uint32, n)
 	x.shift = 64
 	for m := n; m > 1; m >>= 1 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -37,5 +38,45 @@ func TestHashSet(t *testing.T) {
 	}
 	if s.len() != len(want) {
 		t.Fatalf("len %d, want %d", s.len(), len(want))
+	}
+}
+
+// TestRestoreSizesHashShardsOnce: restoring an admission frame sizes each
+// shard's slot table once, for every hash the frame holds, instead of
+// doubling it while the hashes go in one by one; and no table is larger
+// than its members need.
+func TestRestoreSizesHashShardsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	frame := func(n int) []byte {
+		b := binary.AppendUvarint([]byte{0, 0}, uint64(n)) // no features, no canonical queries
+		for i := 0; i < n; i++ {
+			b = binary.LittleEndian.AppendUint64(b, rng.Uint64())
+		}
+		return b
+	}
+	var e *Encoder
+	restore := func(b []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e = NewEncoder(EncodeOptions{})
+			if _, err := e.RestoreAdmissions(b, StateVersion); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// one hash takes one shard's table and one chunk; what else a restore
+	// allocates is the same for both frames
+	const n = 100_000
+	one, all := restore(frame(1)), restore(frame(n))
+	chunks := (n + hashChunk - 1) / hashChunk
+	if want := float64(len(e.rawHashes.shards) - 1 + chunks - 1); all-one != want {
+		t.Errorf("a restore of %d hashes allocated %v times more than one of a single hash, want %v", n, all-one, want)
+	}
+	for i, x := range e.rawHashes.shards {
+		if least := max(64, 4*x.n/3); len(x.slots) >= 2*least {
+			t.Errorf("shard %d holds %d members in %d slots", i, x.n, len(x.slots))
+		}
+	}
+	if e.rawHashes.len() != n {
+		t.Fatalf("restored %d hashes, want %d", e.rawHashes.len(), n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"logr/internal/binenc"
 	"logr/internal/feature"
 )
 
@@ -59,23 +60,18 @@ func (e *Encoder) Mark() StateMark {
 // (a → b) followed by those for (b → c) restore the same tables as the
 // bytes for (a → c).
 //
-//	nfeat, (kind, text)*          codebook
-//	ncanon, (key, conjunctive, rewritable, nidx, idx-delta*)*
+//	codebook section              feature.Codebook.AppendSection
+//	ncanon, (key, conjunctive, rewritable, index run)*
 //	nraw, hash u64le*             raw statements' hashes
 func (e *Encoder) AppendAdmissions(b []byte, since StateMark) []byte {
-	b = appendBook(b, e.book, since.book)
+	b = e.book.AppendSection(b, since.book, e.book.Size())
 	canon := e.canon[since.canon:]
 	b = binary.AppendUvarint(b, uint64(len(canon)))
 	for i := range canon {
 		c := &canon[i]
-		b = appendString(b, c.key)
+		b = binenc.AppendString(b, c.key)
 		b = append(b, boolByte(c.conjunctive), boolByte(c.rewritable))
-		b = binary.AppendUvarint(b, uint64(len(c.indices)))
-		prev := 0
-		for _, idx := range c.indices {
-			b = binary.AppendUvarint(b, uint64(idx-prev))
-			prev = idx
-		}
+		b = binenc.AppendAscending(b, c.indices)
 	}
 	b = binary.AppendUvarint(b, uint64(e.rawHashes.len()-since.hashes))
 	for j := since.hashes; j < e.rawHashes.len(); j++ {
@@ -138,63 +134,46 @@ func (e *Encoder) RestoreAdmissions(data []byte, version byte) ([]byte, error) {
 	if version != 2 && version != StateVersion {
 		return nil, fmt.Errorf("workload: unsupported encoder state version %d", version)
 	}
-	r := &stateReader{b: data}
-	if err := restoreBook(r, e.book); err != nil {
-		return nil, err
-	}
+	r := binenc.NewReader(data)
+	e.book.ReadSection(r)
 	if version == 2 {
 		// the with-constants codebook: Table 1's offline pass recomputes it
-		if err := restoreBook(r, feature.NewCodebook(e.opts.Scheme)); err != nil {
-			return nil, err
-		}
+		feature.NewCodebook(e.opts.Scheme).ReadSection(r)
 	}
 	universe := e.book.Size()
-	for n := r.count(4); n > 0 && r.err == nil; n-- {
-		c := canonical{key: r.string()}
-		c.conjunctive = r.byte() != 0
-		c.rewritable = r.byte() != 0
-		nidx := r.count(1)
-		c.indices = make([]int, 0, nidx)
-		prev := 0
-		for j := 0; j < nidx && r.err == nil; j++ {
-			if prev += r.int(); prev >= universe {
-				return nil, errors.New("workload: encoder state references a feature out of range")
-			}
-			c.indices = append(c.indices, prev)
+	for n := r.Count(4); n > 0 && r.Err() == nil; n-- {
+		c := canonical{key: r.Text(), conjunctive: r.Byte() != 0, rewritable: r.Byte() != 0}
+		c.indices = make([]int, 0, r.Count(1))
+		r.Ascending(cap(c.indices), universe, func(i int) { c.indices = append(c.indices, i) })
+		switch _, dup := e.canonIdx[c.key]; {
+		case r.Err() != nil:
+		case dup:
+			r.Fail(errors.New("repeats a canonical query"))
+		default:
+			e.canonIdx[c.key] = uint32(len(e.canon))
+			e.canon = append(e.canon, c)
 		}
-		if r.err != nil {
-			break
-		}
-		if _, dup := e.canonIdx[c.key]; dup {
-			return nil, errors.New("workload: encoder state repeats a canonical query")
-		}
-		e.canonIdx[c.key] = uint32(len(e.canon))
-		e.canon = append(e.canon, c)
 	}
 	if version == 2 {
 		// (sql, ref)*: the statements themselves, hashed on the way in
-		for n := r.count(2); n > 0 && r.err == nil; n-- {
-			sql := r.bytes()
-			ref := r.int()
-			if r.err == nil && (ref >= int(refCanon)+len(e.canon) || !e.rawHashes.add(hashRaw(sql))) {
-				return nil, errRepeatedStatement
+		for n := r.Count(2); n > 0 && r.Err() == nil; n-- {
+			sql := r.Next(r.Count(1))
+			ref := r.Int(binenc.MaxInt)
+			if r.Err() == nil && (ref >= int(refCanon)+len(e.canon) || !e.rawHashes.add(hashRaw(sql))) {
+				r.Fail(errRepeatedStatement)
 			}
 		}
-	} else {
-		for n := r.count(8); n > 0 && r.err == nil; n-- {
-			if h := r.uint64(); r.err == nil && !e.rawHashes.add(h) {
-				return nil, errRepeatedStatement
-			}
-		}
+	} else if !e.rawHashes.addAll(r.Next(8 * r.Count(8))) {
+		r.Fail(errRepeatedStatement)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("workload: encoder state: %w", err)
 	}
 	e.snapshot = nil
-	return r.b, nil
+	return r.Rest(), nil
 }
 
-var errRepeatedStatement = errors.New("workload: encoder state repeats a statement or references a canonical query out of range")
+var errRepeatedStatement = errors.New("repeats a statement or references a canonical query out of range")
 
 // RestoreCounters applies AppendCounters output on top of the restored
 // admission tables and returns the bytes following it. Counters taken at a
@@ -204,72 +183,35 @@ var errRepeatedStatement = errors.New("workload: encoder state repeats a stateme
 // multiplicities sum to the encoded and SELECT totals, and weighted by the
 // canonical queries' feature counts to the feature total.
 func (e *Encoder) RestoreCounters(data []byte) ([]byte, error) {
-	r := &stateReader{b: data}
-	if v := r.byte(); r.err == nil && v != 2 && v != StateVersion {
+	r := binenc.NewReader(data)
+	if v := r.Byte(); r.Err() == nil && v != 2 && v != StateVersion {
 		return nil, fmt.Errorf("workload: unsupported encoder state version %d", v)
 	}
-	e.stats.TotalQueries = r.int()
-	e.stats.Queries = r.int()
-	e.stats.StoredProcedures = r.int()
-	e.stats.Unparseable = r.int()
-	e.stats.DistinctQueries = r.int()
-	e.featSum = r.int()
-	e.encodedN = r.int()
-	ncanon := r.int()
-	if r.err == nil && (ncanon != len(e.canon) || e.stats.DistinctQueries != e.rawHashes.len()) {
+	for _, f := range []*int{&e.stats.TotalQueries, &e.stats.Queries, &e.stats.StoredProcedures,
+		&e.stats.Unparseable, &e.stats.DistinctQueries, &e.featSum, &e.encodedN} {
+		*f = r.Int(binenc.MaxInt)
+	}
+	ncanon := r.Int(binenc.MaxInt)
+	if r.Err() == nil && (ncanon != len(e.canon) || e.stats.DistinctQueries != e.rawHashes.len()) {
 		return nil, fmt.Errorf("workload: encoder counters cover %d canonical queries and %d statements, the admission tables hold %d and %d",
 			ncanon, e.stats.DistinctQueries, len(e.canon), e.rawHashes.len())
 	}
 	queries, feats := 0, 0
-	for i := 0; i < ncanon && r.err == nil; i++ {
+	for i := 0; i < ncanon && r.Err() == nil; i++ {
 		c := &e.canon[i]
-		c.count = r.int()
+		c.count = r.Int(binenc.MaxInt)
 		queries += c.count
 		feats += len(c.indices) * c.count
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("workload: encoder counters: %w", err)
 	}
 	if queries != e.encodedN || queries != e.stats.Queries || feats != e.featSum {
 		return nil, fmt.Errorf("workload: canonical multiplicities sum to %d queries and %d features, the counters record %d encoded, %d SELECT queries and %d features",
 			queries, feats, e.encodedN, e.stats.Queries, e.featSum)
 	}
 	e.snapshot = nil
-	return r.b, nil
-}
-
-// appendBook serializes the features with index ≥ from.
-func appendBook(b []byte, book *feature.Codebook, from int) []byte {
-	size := book.Size()
-	b = binary.AppendUvarint(b, uint64(size-from))
-	for i := from; i < size; i++ {
-		f := book.Feature(i)
-		b = binary.AppendUvarint(b, uint64(f.Kind))
-		b = appendString(b, f.Text)
-	}
-	return b
-}
-
-// restoreBook registers a serialized run of features, which must land on
-// the indices following the ones the book already holds.
-func restoreBook(r *stateReader, book *feature.Codebook) error {
-	next := book.Size()
-	for n := r.count(2); n > 0 && r.err == nil; n-- {
-		f := feature.Feature{Kind: feature.Kind(r.int()), Text: r.string()}
-		if r.err != nil {
-			break
-		}
-		if got := book.Register(f); got != next {
-			return fmt.Errorf("workload: codebook restore assigned index %d to feature %d", got, next)
-		}
-		next++
-	}
-	return r.err
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return r.Rest(), nil
 }
 
 func boolByte(v bool) byte {
@@ -277,86 +219,4 @@ func boolByte(v bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// stateReader is a cursor over a state blob that latches the first decode
-// error, so restore loops stay linear instead of error-checking every
-// field.
-type stateReader struct {
-	b   []byte
-	err error
-}
-
-func (r *stateReader) fail() {
-	if r.err == nil {
-		r.err = errors.New("workload: truncated or corrupt encoder state")
-	}
-}
-
-func (r *stateReader) int() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > 1<<62 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return int(v)
-}
-
-// count reads an element count, rejecting one the remaining bytes cannot
-// hold at min bytes per element — so a corrupt count cannot drive a huge
-// allocation or a long loop of failing reads.
-func (r *stateReader) count(min int) int {
-	n := r.int()
-	if r.err == nil && n > len(r.b)/min {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-func (r *stateReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *stateReader) string() string { return string(r.bytes()) }
-
-// bytes reads a length-prefixed byte string, aliasing the input.
-func (r *stateReader) bytes() []byte {
-	n := r.int()
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *stateReader) uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
 }

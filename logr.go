@@ -1081,22 +1081,17 @@ func (s *Summary) PlanIndexes(budget int, cm CostModel) IndexPlan {
 // strings, and each cluster's sparse marginals as varint-delta indices plus
 // raw float64 bits. The artifact is self-contained: ReadSummary restores
 // estimation, visualization and the analytics applications without the
-// original log. Use SaveJSON for the human-readable legacy format; both
-// are auto-detected on read.
+// original log.
 func (s *Summary) Save(w io.Writer) error {
 	return core.WriteSummaryBinary(w, s.c.Mixture, s.book)
 }
 
-// SaveJSON serializes the summary in the original JSON layout — larger,
-// but greppable. ReadSummary reads both formats.
-func (s *Summary) SaveJSON(w io.Writer) error {
-	return core.WriteSummary(w, s.c.Mixture, s.book)
-}
-
-// ReadSummary restores a summary saved with Save or SaveJSON (the format
-// is auto-detected). The restored summary estimates, visualizes and runs
-// the analytics applications; it has no delta basis, so Recompress against
-// it falls back to a full compression.
+// ReadSummary restores a summary saved with Save, or written in the
+// original JSON layout by an older release (the format is auto-detected).
+// It reads r to its end: r must hold one whole artifact and nothing after
+// it. The restored summary estimates, visualizes and runs the analytics
+// applications; it has no delta basis, so Recompress against it falls back
+// to a full compression.
 func ReadSummary(r io.Reader) (*Summary, error) {
 	m, book, err := core.ReadSummary(r)
 	if err != nil {
