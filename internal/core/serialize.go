@@ -125,19 +125,18 @@ func WriteSummaryBinary(w io.Writer, m Mixture, book *feature.Codebook) error {
 // nothing writes any more. Bytes after the artifact are an error.
 func ReadSummary(r io.Reader) (Mixture, *feature.Codebook, error) {
 	data, err := io.ReadAll(r)
-	if err == nil {
-		var m Mixture
-		var book *feature.Codebook
-		if bytes.HasPrefix(data, []byte(binaryMagic)) {
-			m, book, err = decodeSummaryBinary(data)
-		} else {
-			m, book, err = decodeSummaryJSON(data)
-		}
-		if err == nil {
-			return m, book, nil
-		}
+	if err != nil {
+		return Mixture{}, nil, fmt.Errorf("core: reading summary: %w", err)
 	}
-	return Mixture{}, nil, fmt.Errorf("core: reading summary: %w", err)
+	decode := decodeSummaryJSON
+	if bytes.HasPrefix(data, []byte(binaryMagic)) {
+		decode = decodeSummaryBinary
+	}
+	m, book, err := decode(data)
+	if err != nil {
+		return Mixture{}, nil, fmt.Errorf("core: reading summary: %w", err)
+	}
+	return m, book, nil
 }
 
 // decodeSummaryBinary decodes a binary artifact, magic included.
