@@ -528,6 +528,7 @@ func TestServedCompressOptionsAsGiven(t *testing.T) {
 
 // TestLagGaugesMatchStats: after ingest and the barrier a /stats read
 // takes, the apply-queue and lag gauges on /metrics equal /stats' ingest
+// object, and the WAL, checkpoint and degraded gauges its durability
 // object.
 func TestLagGaugesMatchStats(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -564,10 +565,13 @@ func TestLagGaugesMatchStats(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]int64{
-		"logr_apply_queue_depth":    int64(st.Ingest.QueuedBatches),
-		"logr_apply_queue_cap":      int64(st.Ingest.QueueCap),
-		"logr_apply_queued_entries": st.Ingest.QueuedEntries,
-		"logr_ingest_lag_bytes":     st.Ingest.LagBytes,
+		"logr_apply_queue_depth":       int64(st.Ingest.QueuedBatches),
+		"logr_apply_queue_cap":         int64(st.Ingest.QueueCap),
+		"logr_apply_queued_entries":    st.Ingest.QueuedEntries,
+		"logr_ingest_lag_bytes":        st.Ingest.LagBytes,
+		"logr_wal_size_bytes":          st.Durability.WalBytes,
+		"logr_checkpoint_offset_bytes": st.Durability.CheckpointOffset,
+		"logr_store_degraded":          boolInt(st.Durability.Degraded),
 	} {
 		got, ok := gauges[name]
 		if !ok || got != float64(want) {
@@ -577,6 +581,16 @@ func TestLagGaugesMatchStats(t *testing.T) {
 	if st.Ingest.QueueCap == 0 {
 		t.Fatal("/stats reports no apply queue; the durable pipeline is not under test")
 	}
+	if st.Durability.WalBytes == 0 {
+		t.Fatal("/stats reports an empty WAL; the durability gauges are not under test")
+	}
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestParseFlagsDefaults pins what an empty logrd command line parses to,

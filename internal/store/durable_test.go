@@ -364,10 +364,48 @@ func TestClosedDurableRejectsMutations(t *testing.T) {
 	if _, _, err := d.Seal(); err != ErrClosed {
 		t.Fatalf("Seal after Close: %v, want ErrClosed", err)
 	}
+	if _, err := d.DropBefore(1); err != ErrClosed {
+		t.Fatalf("DropBefore after Close: %v, want ErrClosed", err)
+	}
+	if _, err := d.Compact(1); err != ErrClosed {
+		t.Fatalf("Compact after Close: %v, want ErrClosed", err)
+	}
+	if err := d.Checkpoint(); err != ErrClosed {
+		t.Fatalf("Checkpoint after Close: %v, want ErrClosed", err)
+	}
 	// reads keep working
 	if d.Mem().Snapshot().Log.Total() == 0 {
 		t.Fatal("reads should survive Close")
 	}
+}
+
+// TestSealEmptyBufferWritesNothing: a durable Seal of an empty active
+// buffer reports ok == false and logs no WAL record, both on a fresh store
+// and right after a seal.
+func TestSealEmptyBufferWritesNothing(t *testing.T) {
+	d, err := Open(t.TempDir(), Options{}, DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sealEmpty := func(label string) {
+		t.Helper()
+		before := d.Durability().WalBytes
+		if _, ok, err := d.Seal(); err != nil || ok {
+			t.Fatalf("%s: Seal of an empty buffer = ok %v, err %v; want false, nil", label, ok, err)
+		}
+		if after := d.Durability().WalBytes; after != before {
+			t.Fatalf("%s: Seal of an empty buffer grew the WAL from %d to %d bytes", label, before, after)
+		}
+	}
+	sealEmpty("fresh store")
+	if err := d.Append(streamEntries(10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := d.Seal(); err != nil || !ok {
+		t.Fatalf("Seal of a filled buffer = ok %v, err %v; want true, nil", ok, err)
+	}
+	sealEmpty("after a seal")
 }
 
 // TestConcurrentDurableIngestAndQuery hammers a durable store with

@@ -360,6 +360,15 @@ func TestDegradedModeRecovery(t *testing.T) {
 	if _, _, err := d.Seal(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded Seal error = %v, want ErrDegraded", err)
 	}
+	if _, err := d.DropBefore(1); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("degraded DropBefore error = %v, want ErrDegraded", err)
+	}
+	if _, err := d.Compact(1); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("degraded Compact error = %v, want ErrDegraded", err)
+	}
+	if err := d.Checkpoint(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("degraded Checkpoint error = %v, want ErrDegraded", err)
+	}
 	if err := d.Err(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded Err() = %v, want ErrDegraded", err)
 	}
@@ -408,6 +417,69 @@ func TestDegradedModeRecovery(t *testing.T) {
 	ref.Append(c)
 	ref.Seal()
 	assertStoresEquivalent(t, "degrade/recover", re.Mem(), ref)
+}
+
+// TestDegradedDiskNeverHeals: on a disk that keeps failing the store stays
+// degraded and keeps probing, WaitPersisted never waits out a probe
+// backoff, Close reports the degraded cause, no probe IO outlives Close,
+// and the health calls on the closed store still answer.
+func TestDegradedDiskNeverHeals(t *testing.T) {
+	ffs := faultfs.New()
+	d, err := Open(matrixDir, Options{}, DurableOptions{Sync: wal.SyncAlways, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(streamEntries(30, 0)); err != nil {
+		t.Fatal(err)
+	}
+	ffs.AddRule(faultfs.Rule{Kind: "open", Path: "probe.tmp", Err: faultfs.ENOSPC, Sticky: true})
+	ffs.AddRule(faultfs.Rule{Kind: "write", Path: walFileName, Err: faultfs.ENOSPC})
+	if err := d.Append(streamEntries(20, 50)); err == nil {
+		t.Fatal("Append through a full disk reported success")
+	}
+	probes := func() int {
+		n := 0
+		for _, op := range ffs.Trace() {
+			if strings.Contains(op.Path, "probe.tmp") {
+				n++
+			}
+		}
+		return n
+	}
+	// two failed probes (after 100 ms and 200 ms more): the next one is
+	// 400 ms away
+	deadline := time.Now().Add(15 * time.Second)
+	for probes() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if probes() < 2 {
+		t.Fatal("the degraded store never probed the disk")
+	}
+	start := time.Now()
+	d.WaitPersisted()
+	if waited := time.Since(start); waited > 200*time.Millisecond {
+		t.Fatalf("WaitPersisted on a degraded store took %v: it waited out a probe backoff", waited)
+	}
+	if !d.Degraded() {
+		t.Fatal("the store re-armed on a disk that never heals")
+	}
+	if err := d.Close(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Close of a degraded store = %v, want ErrDegraded", err)
+	}
+	n := probes()
+	time.Sleep(500 * time.Millisecond) // past the next probe's due time
+	if got := probes(); got != n {
+		t.Fatalf("%d probe ops reached the disk after Close returned", got-n)
+	}
+	if err := d.Err(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Err after Close = %v, want ErrDegraded", err)
+	}
+	if err := d.Sync(); err == nil {
+		t.Fatal("Sync of a closed degraded store reported success")
+	}
+	if !d.Durability().Degraded {
+		t.Fatal("Durability after Close lost the degraded flag")
+	}
 }
 
 // TestCheckpointBoundsRecoveryReplay pins the point of checkpointing: after

@@ -52,14 +52,15 @@ type Op struct {
 	Path string
 }
 
-// Rule is one scripted fault. A rule fires once and is then spent.
-// Either pin an absolute op (Seq) — the fault matrix's mode — or match by
-// Kind/Path substring and occurrence count (Nth, 1-based).
+// Rule is one scripted fault. A rule fires once and is then spent, unless
+// it is Sticky. Either pin an absolute op (Seq) — the fault matrix's mode —
+// or match by Kind/Path substring and occurrence count (Nth, 1-based).
 type Rule struct {
-	Seq  int64  // fire at this absolute op sequence (0 = match by kind/path)
-	Kind string // op kind to match ("" = any)
-	Path string // path substring to match ("" = any)
-	Nth  int    // fire on the Nth match (0 = first)
+	Seq    int64  // fire at this absolute op sequence (0 = match by kind/path)
+	Kind   string // op kind to match ("" = any)
+	Path   string // path substring to match ("" = any)
+	Nth    int    // fire on the Nth match (0 = first)
+	Sticky bool   // kind/path rules: fire on every match from the Nth on (a disk that never heals)
 
 	Err        error // error to return (nil with Crash set returns ErrCrashed)
 	ShortWrite int   // write ops: land this many bytes of the buffer first
@@ -190,10 +191,12 @@ func (f *FS) begin(kind, path string) (*Rule, error) {
 			if nth <= 0 {
 				nth = 1
 			}
-			fire = r.matches == nth
+			fire = r.matches == nth || r.Sticky && r.matches > nth
 		}
 		if fire {
-			f.rules = append(f.rules[:i], f.rules[i+1:]...)
+			if !r.Sticky {
+				f.rules = append(f.rules[:i], f.rules[i+1:]...)
+			}
 			return r, nil
 		}
 	}

@@ -47,6 +47,24 @@ func TestRuleFiresOnce(t *testing.T) {
 	}
 }
 
+// TestStickyRuleKeepsFiring: a sticky rule fails every match from its Nth
+// on and leaves other paths alone.
+func TestStickyRuleKeepsFiring(t *testing.T) {
+	f := New()
+	f.AddRule(Rule{Kind: "open", Path: "a", Nth: 2, Err: ENOSPC, Sticky: true})
+	if err := write(t, f, "a", "x", true); err != nil {
+		t.Fatalf("open before the Nth match: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := write(t, f, "a", "x", true); !errors.Is(err, ENOSPC) {
+			t.Fatalf("open %d past Nth: error = %v, want ENOSPC", i+2, err)
+		}
+	}
+	if err := write(t, f, "b", "x", true); err != nil {
+		t.Fatalf("unmatched path: %v", err)
+	}
+}
+
 // TestCrashImagePessimism: the conservative image keeps only fsynced
 // content; the lax image keeps everything the process wrote. A rename is
 // atomic and immediately durable on both.
