@@ -29,7 +29,7 @@ lint:
 
 chaos:
 	LOGR_CHAOS=1 go test -race -count=1 \
-		-run 'TestFaultMatrix|TestFaultMatrixSyncLies|TestDegradedModeRecovery|TestCheckpoint|TestAutoCheckpoint|TestCrashBetween' \
+		-run 'TestFaultMatrix|TestFaultMatrixSyncLies|TestDegradedModeRecovery|TestDegradedDiskNeverHeals|TestDegradedGaugeSeesPoisonedWAL|TestCheckpoint|TestAutoCheckpoint|TestCrashBetween' \
 		./internal/store/
 	go test -race -count=1 -run 'TestDegradedModeHTTP' ./internal/server/
 	go test -race -count=1 -run 'FuzzScan' ./internal/wal/

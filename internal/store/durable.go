@@ -56,36 +56,43 @@ import (
 // Ingest is split into three decoupled stages so an acknowledgement never
 // waits on the encoder or on a checkpoint:
 //
-//  1. Commit: Append/Seal/DropBefore/Compact serialize on one sequencing
-//     lock just long enough to hand their records to the WAL's buffered
-//     group-commit writer and enqueue matching apply jobs — so the WAL
-//     record order is, by construction, the apply order, and recovery
-//     replays exactly the sequence the live store executed. Under
-//     wal.SyncAlways the caller then waits (outside the lock, sharing
-//     fsyncs with concurrent callers) until its records are on stable
-//     storage before acknowledging.
+//  1. Commit: Append, Seal, DropBefore and Compact all go through one
+//     commit function. It takes one sequencing lock just long enough to
+//     refuse a closed or degraded store, check the mutation's own
+//     precondition, hand its records to the WAL's buffered group-commit
+//     writer and enqueue matching apply jobs — so the WAL record order is,
+//     by construction, the apply order, and recovery replays exactly the
+//     sequence the live store executed. Under wal.SyncAlways the caller
+//     then waits (outside the lock, sharing fsyncs with concurrent
+//     callers) until its records are on stable storage before
+//     acknowledging.
 //  2. Apply: a single ordered applier drains the bounded apply queue into
 //     the in-memory store (parse/regularize/codebook encode, automatic
 //     seals and compactions). The queue bound makes backpressure explicit:
 //     when the applier falls behind, commits block enqueueing. Reads that
 //     need append-then-read visibility call Barrier, which waits until the
 //     applier has caught up to "applied ≥ acknowledged WAL offset".
-//  3. Persist: a background worker takes a checkpoint whenever the WAL
-//     has grown past DurableOptions.CheckpointBytes since the last one — a
-//     stall of the commit stage whose cost follows what was admitted since
-//     the last checkpoint, not the store's age. Close drains the worker
-//     before the directory lock is released.
+//  3. Persist: the store's only background disk worker. Healthy, it takes
+//     a checkpoint whenever the WAL has grown past
+//     DurableOptions.CheckpointBytes since the last one — a stall of the
+//     commit stage whose cost follows what was admitted since the last
+//     checkpoint, not the store's age. Degraded, it probes the disk and
+//     re-arms the store (see below). Close stops the worker before the
+//     WAL is closed and the directory lock is released.
 //
 // # Failure handling
 //
 // IO failures are classified (vfs.Fatal): transient errors get bounded
 // retries with backoff; fatal ones (disk full, read-only filesystem) and
-// exhausted retries put the store into degraded read-only mode. Degraded,
-// the store keeps serving every read from applied in-memory state while
-// mutations fail fast with ErrDegraded, and a background probe watches for
-// the disk to heal. When it does, the store re-arms itself: it writes a
-// checkpoint of the (authoritative) in-memory state, starts a fresh WAL
-// tail at the acknowledged offset, and resumes accepting writes. Entries
+// exhausted retries put the store into degraded read-only mode: the
+// failing path records the cause, sets the flag and wakes the persist
+// worker. Degraded, the store keeps serving every read from applied
+// in-memory state while mutations fail fast with ErrDegraded, and the
+// persist worker probes the disk on a backoff (100 ms doubling to 5 s).
+// When the disk accepts a durable write again, the worker re-arms the
+// store: it writes a checkpoint of the (authoritative) in-memory state,
+// starts a fresh WAL tail at the acknowledged offset, and resumes
+// accepting writes. Entries
 // that were acknowledged under a deferred-sync policy and lost by a crash
 // during the outage are beyond recall — the at-least-once contract is
 // unchanged from a plain crash — but everything applied in memory
@@ -111,11 +118,10 @@ type Durable struct {
 
 	applyQ      chan applyJob
 	applierDone chan struct{}
-	persistNote chan struct{}      // coalesced "checkpoint due" signal
+	persistNote chan struct{}      // coalesced wake-up: a checkpoint may be due, or the store degraded; never closed
 	persistSync chan chan struct{} // WaitPersisted rendezvous
+	persistStop chan struct{}      // closed by Close; ends the persist worker
 	persistDone chan struct{}
-	stop        chan struct{} // closed by Close; ends the degraded-mode probe
-	probeWg     sync.WaitGroup
 
 	acked    atomic.Int64 // WAL offset of the last acknowledged record
 	applied  atomic.Int64 // WAL offset up to which the applier has caught up
@@ -132,12 +138,11 @@ type Durable struct {
 	degraded     atomic.Bool
 	errMu        sync.Mutex
 	degradeCause error // first fault that degraded the store; nil once re-armed
-	stopping     bool  // guarded by errMu; Close sets it before waiting out the probe
 }
 
 // applyJob is one WAL record en route to the in-memory store. lsn is the
 // WAL offset the applier may publish after applying it (0 for all but the
-// last window of a batch — barrier visibility is batch-granular). reply,
+// last record of a commit — barrier visibility is commit-granular). reply,
 // when non-nil, receives the operation's result (control ops only).
 type applyJob struct {
 	op    walOp
@@ -209,7 +214,7 @@ var ErrClosed = errors.New("store: durable store is closed")
 
 // ErrDegraded reports a mutation on a store in degraded read-only mode:
 // a disk fault exhausted its retries (or was immediately fatal, like a
-// full disk), reads still serve from memory, and a background probe
+// full disk), reads still serve from memory, and the persist worker
 // re-enables writes when the disk recovers. Errors returned then wrap
 // ErrDegraded and the original fault.
 var ErrDegraded = errors.New("store: durable store is in degraded read-only mode")
@@ -229,6 +234,13 @@ const ingestWindow = 8192
 // checkpoints before the store degrades.
 const ioRetries = 3
 
+// probeBackoff is the degraded-mode disk probe's first wait; each failed
+// probe doubles it up to maxProbeBackoff.
+const (
+	probeBackoff    = 100 * time.Millisecond
+	maxProbeBackoff = 5 * time.Second
+)
+
 // recordBufPool recycles the ~150 KiB encode buffers of entry-batch WAL
 // records: the WAL copies payloads during AppendBatch, so the buffer is
 // reusable the moment the call returns.
@@ -236,34 +248,40 @@ var recordBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 64<<10); return &b },
 }
 
-// appendScratch carries the per-call framing state of Durable.Append —
-// the window payloads, their pooled buffers, and the apply jobs — so the
-// steady-state ingest path reuses the three slice headers across calls
-// instead of allocating them per batch.
-type appendScratch struct {
+// commitBatch carries one commit's records — the WAL payloads, the
+// pooled buffers Append encoded them into, and the matching apply jobs —
+// so the steady-state ingest path reuses the three slice headers across
+// calls instead of allocating them per batch.
+type commitBatch struct {
 	payloads [][]byte
 	bufs     []*[]byte
 	jobs     []applyJob
 }
 
-var appendScratchPool = sync.Pool{New: func() any { return new(appendScratch) }}
+var commitBatchPool = sync.Pool{New: func() any { return new(commitBatch) }}
 
-// release returns the record buffers to their pool and recycles the
-// scratch with its capacity intact. The payload and job slots are cleared
-// so recycled scratches never pin entry slices or encode buffers.
+// add stages one WAL record and its apply job.
 //
 //logr:noalloc
-func (sc *appendScratch) release() {
-	for i, bp := range sc.bufs {
+func (b *commitBatch) add(payload []byte, job applyJob) {
+	b.payloads = append(b.payloads, payload)
+	b.jobs = append(b.jobs, job)
+}
+
+// release returns the record buffers to their pool and recycles the
+// batch with its capacity intact. The slots are cleared so recycled
+// batches never pin entry slices or encode buffers.
+//
+//logr:noalloc
+func (b *commitBatch) release() {
+	for _, bp := range b.bufs {
 		recordBufPool.Put(bp)
-		sc.bufs[i] = nil
-		sc.payloads[i] = nil
-		sc.jobs[i] = applyJob{}
 	}
-	sc.payloads = sc.payloads[:0]
-	sc.bufs = sc.bufs[:0]
-	sc.jobs = sc.jobs[:0]
-	appendScratchPool.Put(sc)
+	clear(b.bufs)
+	clear(b.payloads)
+	clear(b.jobs)
+	b.bufs, b.payloads, b.jobs = b.bufs[:0], b.payloads[:0], b.jobs[:0]
+	commitBatchPool.Put(b)
 }
 
 // Open opens (creating if needed) a durable store rooted at dir. Recovery
@@ -354,8 +372,8 @@ func Open(dir string, opts Options, dopts DurableOptions) (*Durable, error) {
 		applierDone: make(chan struct{}),
 		persistNote: make(chan struct{}, 1),
 		persistSync: make(chan chan struct{}),
+		persistStop: make(chan struct{}),
 		persistDone: make(chan struct{}),
-		stop:        make(chan struct{}),
 	}
 	d.w.Store(w)
 	d.applyCond = sync.NewCond(&d.applyMu)
@@ -407,142 +425,130 @@ func (d *Durable) Append(entries []workload.LogEntry) error {
 		return nil
 	}
 	// frame every window outside the sequencing lock; record buffers and
-	// the scratch recycle because the WAL copies payloads during
-	// AppendBatch and the applier gets its own job values
-	sc := appendScratchPool.Get().(*appendScratch)
-	queued := int64(0)
+	// the batch recycle because the WAL copies payloads during AppendBatch
+	// and the applier gets its own job values
+	b := commitBatchPool.Get().(*commitBatch)
 	for rest := entries; len(rest) > 0; {
 		n := min(len(rest), ingestWindow)
 		bp := recordBufPool.Get().(*[]byte)
 		*bp = encodeEntriesOpInto(*bp, rest[:n])
-		sc.bufs = append(sc.bufs, bp)
-		sc.payloads = append(sc.payloads, *bp)
-		sc.jobs = append(sc.jobs, applyJob{op: walOp{kind: opEntries, entries: rest[:n]}})
-		queued += int64(n)
+		b.bufs = append(b.bufs, bp)
+		b.add(*bp, applyJob{op: walOp{kind: opEntries, entries: rest[:n]}})
 		rest = rest[n:]
 	}
-	d.seqMu.Lock()
-	if d.closed {
-		d.seqMu.Unlock()
-		sc.release()
-		return ErrClosed
-	}
-	if d.degraded.Load() {
-		d.seqMu.Unlock()
-		sc.release()
-		return d.degradedErr()
-	}
-	ingested, err := addQueries(d.ingested, entries)
-	if err != nil {
-		d.seqMu.Unlock()
-		sc.release()
-		return err
-	}
-	w := d.w.Load()
-	end, err := w.AppendBatch(sc.payloads)
-	if err != nil {
-		d.seqMu.Unlock()
-		sc.release()
-		d.maybeDegradeWal(w)
-		return err
-	}
-	d.ingested = ingested
-	d.acked.Store(end)
-	d.queued.Add(queued)
-	sc.jobs[len(sc.jobs)-1].lsn = end
-	for _, j := range sc.jobs {
-		d.applyQ <- j // blocks when the applier is behind: backpressure
-	}
-	d.seqMu.Unlock()
-	sc.release()
-	if d.dopts.Sync == wal.SyncAlways {
-		if err := w.Commit(end); err != nil {
-			d.maybeDegradeWal(w)
-			return err
-		}
-	}
-	return nil
+	return d.commit(b, entries)
 }
 
-// control logs one control record and routes it through the apply queue,
-// so it is totally ordered with appends, then waits for the applier's
-// reply — a control op is inherently a barrier.
+// Seal freezes the active buffer into a segment and returns its
+// descriptor; ok is false when the buffer is empty, and then no WAL record
+// is written. Sealing only cuts the segment's sub-log; nothing is
+// clustered.
+func (d *Durable) Seal() (SegmentMeta, bool, error) {
+	res, err := d.control(walOp{kind: opSeal}, encodeSealOp())
+	if errors.Is(err, errNothingToSeal) {
+		return SegmentMeta{}, false, nil
+	}
+	return res.meta, res.ok, err
+}
+
+// control commits one control record, so it is totally ordered with
+// appends, then waits for the applier's reply — a control op is
+// inherently a barrier.
 func (d *Durable) control(op walOp, payload []byte) (applyResult, error) {
 	reply := make(chan applyResult, 1)
-	d.seqMu.Lock()
-	if d.closed {
-		d.seqMu.Unlock()
-		return applyResult{}, ErrClosed
-	}
-	if d.degraded.Load() {
-		d.seqMu.Unlock()
-		return applyResult{}, d.degradedErr()
-	}
-	w := d.w.Load()
-	end, err := w.AppendBatch([][]byte{payload})
-	if err != nil {
-		d.seqMu.Unlock()
-		d.maybeDegradeWal(w)
+	b := commitBatchPool.Get().(*commitBatch)
+	b.add(payload, applyJob{op: op, reply: reply})
+	if err := d.commit(b, nil); err != nil {
 		return applyResult{}, err
-	}
-	d.acked.Store(end)
-	d.applyQ <- applyJob{op: op, lsn: end, reply: reply}
-	d.seqMu.Unlock()
-	if d.dopts.Sync == wal.SyncAlways {
-		if err := w.Commit(end); err != nil {
-			<-reply // the op still applied in order; report the durability failure
-			d.maybeDegradeWal(w)
-			return applyResult{}, err
-		}
 	}
 	return <-reply, nil
 }
 
-// Seal freezes the active buffer into a segment and returns its
-// descriptor; ok is false when the buffer is empty. Sealing only cuts the
-// segment's sub-log; nothing is clustered.
-func (d *Durable) Seal() (SegmentMeta, bool, error) {
-	// an empty active buffer seals to nothing; checking it needs the
-	// applier caught up, and holding seqMu keeps new appends out between
-	// the check and the record (the applier never takes seqMu, so the
-	// barrier cannot deadlock)
+// errNothingToSeal is commit's answer to a seal of an empty active buffer.
+var errNothingToSeal = errors.New("store: nothing to seal")
+
+// commit is the one commit path of every durable mutation. Under seqMu it
+// admits the batch (see admitLocked), hands its records to the WAL,
+// publishes the acknowledged offset and enqueues the apply jobs, so the
+// WAL record order is the apply order. Under wal.SyncAlways it then waits,
+// outside the lock, until the records are on stable storage. entries are
+// the queries the batch adds, checked against the ingest cap. The batch is
+// recycled before commit returns.
+//
+//logr:noalloc
+func (d *Durable) commit(b *commitBatch, entries []workload.LogEntry) error {
 	d.seqMu.Lock()
-	if d.closed {
-		d.seqMu.Unlock()
-		return SegmentMeta{}, false, ErrClosed
-	}
-	if d.degraded.Load() {
-		d.seqMu.Unlock()
-		return SegmentMeta{}, false, d.degradedErr()
-	}
-	d.Barrier()
-	if d.mem.ActiveQueries() == 0 {
-		d.seqMu.Unlock()
-		return SegmentMeta{}, false, nil
-	}
-	reply := make(chan applyResult, 1)
 	w := d.w.Load()
-	end, err := w.AppendBatch([][]byte{encodeSealOp()})
-	if err != nil {
-		d.seqMu.Unlock()
-		d.maybeDegradeWal(w)
-		return SegmentMeta{}, false, err
-	}
-	d.acked.Store(end)
-	d.applyQ <- applyJob{op: walOp{kind: opSeal}, lsn: end, reply: reply}
-	d.seqMu.Unlock()
-	if d.dopts.Sync == wal.SyncAlways {
-		if err := w.Commit(end); err != nil {
-			<-reply
+	var end int64
+	ingested, err := d.admitLocked(b, entries)
+	if err == nil {
+		if end, err = w.AppendBatch(b.payloads); err != nil {
 			d.maybeDegradeWal(w)
-			return SegmentMeta{}, false, err
 		}
 	}
-	res := <-reply
-	if !res.ok {
-		return SegmentMeta{}, false, nil
+	if err != nil {
+		d.seqMu.Unlock()
+		b.release()
+		return err
 	}
-	return res.meta, true, nil
+	d.ingested = ingested
+	d.acked.Store(end)
+	d.queued.Add(int64(len(entries)))
+	last := &b.jobs[len(b.jobs)-1]
+	last.lsn = end
+	reply := last.reply
+	for _, j := range b.jobs {
+		d.applyQ <- j // blocks when the applier is behind: backpressure
+	}
+	d.seqMu.Unlock()
+	b.release()
+	if d.dopts.Sync != wal.SyncAlways {
+		return nil
+	}
+	if err := w.Commit(end); err != nil {
+		if reply != nil {
+			<-reply // the op still applied in order; report the durability failure
+		}
+		d.maybeDegradeWal(w)
+		return err
+	}
+	return nil
+}
+
+// admitLocked checks a batch before it reaches the WAL: the store's gate,
+// then the batch's own precondition — its entries must fit under the
+// ingest cap, and a seal needs a non-empty active buffer. It returns the
+// ingest total the batch would leave.
+//
+//logr:holds(d.seqMu)
+func (d *Durable) admitLocked(b *commitBatch, entries []workload.LogEntry) (int, error) {
+	if err := d.gateLocked(); err != nil {
+		return 0, err
+	}
+	if b.jobs[0].op.kind == opSeal {
+		// checking the buffer needs the applier caught up, and holding
+		// seqMu keeps new appends out between the check and the record
+		// (the applier never takes seqMu, so the barrier cannot deadlock)
+		d.Barrier()
+		if d.mem.ActiveQueries() == 0 {
+			return 0, errNothingToSeal
+		}
+	}
+	return addQueries(d.ingested, entries)
+}
+
+// gateLocked refuses every mutation and checkpoint of a closed store
+// (ErrClosed) or a degraded one (an error wrapping ErrDegraded).
+//
+//logr:holds(d.seqMu)
+func (d *Durable) gateLocked() error {
+	if d.closed {
+		return ErrClosed
+	}
+	if d.degraded.Load() {
+		return d.degradedErr()
+	}
+	return nil
 }
 
 // DropBefore logs and applies retention: segments entirely before seal id
@@ -584,11 +590,8 @@ func (d *Durable) Checkpoint() error {
 //
 //logr:holds(d.seqMu)
 func (d *Durable) checkpointLocked() error {
-	if d.closed {
-		return ErrClosed
-	}
-	if d.degraded.Load() {
-		return d.degradedErr()
+	if err := d.gateLocked(); err != nil {
+		return err
 	}
 	cut, err := d.writeCheckpoint(false)
 	if err != nil {
@@ -718,7 +721,7 @@ type DurabilityInfo struct {
 	// replayed.
 	CheckpointOffset int64 `json:"checkpoint_offset"`
 	// Degraded reports degraded read-only mode: reads serve, mutations are
-	// refused until the store's probe re-arms the disk.
+	// refused until the persist worker re-arms the store on a healed disk.
 	Degraded bool `json:"degraded,omitempty"`
 	// Err is the store's current health (see Durable.Err), nil if healthy.
 	Err error `json:"-"`
@@ -726,13 +729,13 @@ type DurabilityInfo struct {
 
 // Durability reports the store's durability state.
 func (d *Durable) Durability() DurabilityInfo {
-	d.checkWalHealth()
+	err := d.Err()
 	w := d.w.Load()
 	return DurabilityInfo{
 		WalBytes:         w.Size() - w.Base(),
 		CheckpointOffset: d.ckptOff.Load(),
-		Degraded:         d.degraded.Load(),
-		Err:              d.Err(),
+		Degraded:         err != nil,
+		Err:              err,
 	}
 }
 
@@ -759,10 +762,7 @@ func (d *Durable) applier() {
 			job.reply <- res
 		}
 		if d.wantCheckpoint(job.lsn) {
-			select {
-			case d.persistNote <- struct{}{}:
-			default: // a checkpoint check is already pending
-			}
+			d.nudgePersister()
 		}
 	}
 }
@@ -774,16 +774,29 @@ func (d *Durable) wantCheckpoint(lsn int64) bool {
 	return every > 0 && lsn > 0 && lsn-d.ckptOff.Load() >= every
 }
 
-// persister is the background persist worker: every nudge takes an
-// automatic checkpoint when the WAL has outgrown its threshold.
+// persister is the store's only background disk worker. Healthy, every
+// nudge takes an automatic checkpoint when the WAL has outgrown its
+// threshold. Degraded, it probes the disk on a doubling backoff and
+// re-arms the store once the disk accepts durable writes again. The
+// backoff is a timer in the select, so WaitPersisted never waits it out.
 func (d *Durable) persister() {
 	defer close(d.persistDone)
+	var (
+		probe   <-chan time.Time // the next disk probe; nil while healthy
+		backoff time.Duration
+	)
 	for {
+		switch {
+		case !d.degraded.Load():
+			probe = nil
+		case probe == nil:
+			backoff = probeBackoff
+			probe = time.After(backoff)
+		}
 		select {
-		case _, ok := <-d.persistNote:
-			if !ok {
-				return
-			}
+		case <-d.persistStop:
+			return
+		case <-d.persistNote:
 			d.maybeCheckpoint()
 		case ready := <-d.persistSync:
 			// drain a pending nudge first so the wait covers it
@@ -793,7 +806,24 @@ func (d *Durable) persister() {
 			}
 			d.maybeCheckpoint()
 			close(ready)
+		case <-probe:
+			// a failed probe or re-arm leaves the store degraded: the next
+			// probe waits twice as long
+			backoff = min(2*backoff, maxProbeBackoff)
+			probe = time.After(backoff)
+			if d.probeDisk() == nil {
+				d.rearm()
+			}
 		}
+	}
+}
+
+// nudgePersister wakes the persist worker without blocking; a wake-up
+// already pending covers this one.
+func (d *Durable) nudgePersister() {
+	select {
+	case d.persistNote <- struct{}{}:
+	default:
 	}
 }
 
@@ -840,10 +870,11 @@ func (d *Durable) WaitPersisted() {
 	}
 }
 
-// degrade moves the store into degraded read-only mode and starts the
-// recovery probe. Idempotent; the first cause wins. It takes only errMu —
-// callers may hold seqMu — and the probe spawn is ordered against Close's
-// stopping flag so a late degrade cannot leak a probe past probeWg.Wait.
+// degrade moves the store into degraded read-only mode and wakes the
+// persist worker, which probes the disk until it can re-arm the store.
+// Idempotent; the first cause wins. It takes only errMu — callers may hold
+// seqMu — and its nudge never blocks on or closes a channel, so a degrade
+// after Close (from Err, Sync or Durability) is harmless.
 func (d *Durable) degrade(cause error) {
 	if cause == nil {
 		return
@@ -852,14 +883,12 @@ func (d *Durable) degrade(cause error) {
 	if d.degradeCause == nil {
 		d.degradeCause = cause
 	}
-	if d.degraded.CompareAndSwap(false, true) {
-		d.m.degradeEvents.Inc()
-		if !d.stopping {
-			d.probeWg.Add(1)
-			go d.probe()
-		}
-	}
+	flipped := d.degraded.CompareAndSwap(false, true)
 	d.errMu.Unlock()
+	if flipped {
+		d.m.degradeEvents.Inc()
+		d.nudgePersister()
+	}
 }
 
 // degradedErr renders the degraded state as an error wrapping ErrDegraded
@@ -883,36 +912,6 @@ func (d *Durable) degradedErr() error {
 func (d *Durable) maybeDegradeWal(w *wal.Log) {
 	if cause := w.FailCause(); cause != nil && d.w.Load() == w {
 		d.degrade(cause)
-	}
-}
-
-// checkWalHealth lazily surfaces background WAL poisoning (a deferred
-// interval fsync that failed after the ack) as degraded mode.
-func (d *Durable) checkWalHealth() {
-	d.maybeDegradeWal(d.w.Load())
-}
-
-// probe is the degraded-mode recovery loop: it periodically checks
-// whether the data directory accepts durable writes again and, when it
-// does, re-arms the store. Close ends it.
-func (d *Durable) probe() {
-	defer d.probeWg.Done()
-	backoff := 100 * time.Millisecond
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
-		if err := d.probeDisk(); err != nil {
-			continue
-		}
-		if err := d.rearm(); err == nil || errors.Is(err, ErrClosed) {
-			return
-		}
 	}
 }
 
@@ -946,24 +945,25 @@ func (d *Durable) probeDisk() error {
 // Entries acked under a deferred-sync policy that the fault swallowed
 // before they reached disk are gone from the old WAL either way — the
 // checkpoint captures their applied effects, which is strictly more than a
-// post-crash replay of the poisoned log could recover.
-func (d *Durable) rearm() error {
+// post-crash replay of the poisoned log could recover. On any failure the
+// store stays degraded and the persist worker probes again.
+func (d *Durable) rearm() {
 	d.seqMu.Lock()
 	if d.closed {
 		d.seqMu.Unlock()
-		return ErrClosed
+		return
 	}
 	cut, err := d.writeCheckpoint(true)
 	if err != nil {
 		d.seqMu.Unlock()
-		return err
+		return
 	}
 	//logr:allow(lockdiscipline) re-arm must exclude the commit stage while it swaps the WAL
 	nw, err := wal.Create(d.fs, filepath.Join(d.dir, walFileName),
 		cut, wal.Options{Sync: d.dopts.Sync, Interval: d.dopts.SyncInterval, Metrics: d.m.wal})
 	if err != nil {
 		d.seqMu.Unlock()
-		return err
+		return
 	}
 	old := d.w.Swap(nw)
 	d.errMu.Lock()
@@ -972,14 +972,13 @@ func (d *Durable) rearm() error {
 	d.degraded.Store(false)
 	d.seqMu.Unlock()
 	_ = old.Close() // the old WAL is the poisoned one; its close error is moot
-	return nil
 }
 
 // Err reports the store's current health: the degraded-mode cause while
-// degraded (cleared when the probe re-arms writes; a deferred WAL fsync
-// that failed after the ack degrades the store too), nil if healthy.
+// degraded (cleared when the persist worker re-arms writes; a deferred WAL
+// fsync that failed after the ack degrades the store too), nil if healthy.
 func (d *Durable) Err() error {
-	d.checkWalHealth()
+	d.maybeDegradeWal(d.w.Load())
 	if d.degraded.Load() {
 		return d.degradedErr()
 	}
@@ -987,10 +986,7 @@ func (d *Durable) Err() error {
 }
 
 // Degraded reports whether the store is in degraded read-only mode.
-func (d *Durable) Degraded() bool {
-	d.checkWalHealth()
-	return d.degraded.Load()
-}
+func (d *Durable) Degraded() bool { return d.Err() != nil }
 
 // Sync forces every acknowledged record to stable storage (the fsync the
 // configured policy may have deferred).
@@ -1003,11 +999,10 @@ func (d *Durable) Sync() error {
 	return d.Err()
 }
 
-// Close drains the pipeline — applier, probe, then persist worker — syncs
-// and closes the WAL, and releases the data directory's single-writer
-// lock. Reads through Mem keep working; further mutations report
-// ErrClosed. Close returns the first error the asynchronous stages hit,
-// if any.
+// Close drains the pipeline — applier, then persist worker — syncs and
+// closes the WAL, and releases the data directory's single-writer lock.
+// Reads through Mem keep working; further mutations report ErrClosed.
+// Close returns the first error the asynchronous stages hit, if any.
 func (d *Durable) Close() error {
 	d.seqMu.Lock()
 	if d.closed {
@@ -1018,12 +1013,7 @@ func (d *Durable) Close() error {
 	close(d.applyQ)
 	d.seqMu.Unlock()
 	<-d.applierDone
-	d.errMu.Lock()
-	d.stopping = true
-	d.errMu.Unlock()
-	close(d.stop)
-	d.probeWg.Wait()
-	close(d.persistNote)
+	close(d.persistStop)
 	<-d.persistDone
 	err := d.w.Load().Close()
 	d.lock.Close()

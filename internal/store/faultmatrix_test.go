@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"logr/internal/obs"
 	"logr/internal/vfs/faultfs"
 	"logr/internal/wal"
 	"logr/internal/workload"
@@ -644,4 +646,48 @@ func TestCrashBetweenTempWriteAndRename(t *testing.T) {
 	ref.Append(batch)
 	ref.Seal()
 	assertStoresEquivalent(t, "tmp-strand recovery", re.Mem(), ref)
+}
+
+// TestDegradedGaugeSeesPoisonedWAL: a deferred interval fsync that fails
+// after the ack poisons the WAL behind the store's back; a /metrics scrape
+// alone must report the store degraded, as a /stats read does.
+func TestDegradedGaugeSeesPoisonedWAL(t *testing.T) {
+	ffs := faultfs.New()
+	reg := obs.NewRegistry()
+	d, err := Open(matrixDir, Options{}, DurableOptions{
+		Sync: wal.SyncInterval, SyncInterval: 5 * time.Millisecond, CheckpointBytes: -1, FS: ffs, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	gauge := func(name string) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("%s not exported", name)
+		return ""
+	}
+	if got := gauge("logr_store_degraded"); got != "0" {
+		t.Fatalf("logr_store_degraded = %s on a healthy store, want 0", got)
+	}
+	ffs.AddRule(faultfs.Rule{Kind: "sync", Path: walFileName, Err: faultfs.EIO})
+	if err := d.Append(streamEntries(10, 0)); err != nil {
+		t.Fatalf("Append under a deferred sync policy: %v", err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for d.w.Load().FailCause() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d.w.Load().FailCause() == nil {
+		t.Fatal("the interval fsync fault never poisoned the WAL")
+	}
+	if got := gauge("logr_store_degraded"); got != "1" {
+		t.Fatalf("logr_store_degraded = %s after the WAL was poisoned, want 1", got)
+	}
 }

@@ -55,13 +55,15 @@ func (d *Durable) registerGauges(reg *obs.Registry) {
 		func() float64 { return float64(d.Lag().QueuedEntries) })
 	reg.GaugeFunc("logr_ingest_lag_bytes", "WAL bytes acknowledged but not yet applied (acked offset minus applied offset).",
 		func() float64 { return float64(d.Lag().LagBytes) })
+	// the WAL, checkpoint and degraded gauges read Durability, the same
+	// snapshot /stats serves (a poisoned WAL reads as degraded on both)
 	reg.GaugeFunc("logr_wal_size_bytes", "WAL tail length: the replay cost of the next recovery.",
-		func() float64 { w := d.w.Load(); return float64(w.Size() - w.Base()) })
+		func() float64 { return float64(d.Durability().WalBytes) })
 	reg.GaugeFunc("logr_checkpoint_offset_bytes", "WAL offset covered by the latest checkpoint.",
-		func() float64 { return float64(d.ckptOff.Load()) })
+		func() float64 { return float64(d.Durability().CheckpointOffset) })
 	reg.GaugeFunc("logr_store_degraded", "1 while the store is in degraded read-only mode, else 0.",
 		func() float64 {
-			if d.degraded.Load() {
+			if d.Durability().Degraded {
 				return 1
 			}
 			return 0

@@ -583,12 +583,6 @@ func (w *Workload) Count(patternSQL string) (int, error) {
 	return 0, lastErr
 }
 
-// OutOfSnapshotError reports a probe whose features the codebook knows but
-// the queried snapshot or summary predates: they were registered by an
-// Append after the snapshot's epoch, so the snapshot cannot say anything
-// about them. Callers holding the live Workload can retry on a fresh
-// snapshot; callers holding only a Summary should treat the pattern as
-// unseen by it.
 // UnknownFeatureError reports a pattern using features this workload has
 // never seen. For containment counts that is a definite answer — zero
 // queries can match — which is why the serving layer maps it to 404 and
@@ -604,6 +598,12 @@ func (e *UnknownFeatureError) Error() string {
 	return "logr: pattern uses features absent from the workload: " + strings.Join(e.Features, ", ")
 }
 
+// OutOfSnapshotError reports a probe whose features the codebook knows but
+// the queried snapshot or summary predates: they were registered by an
+// Append after the snapshot's epoch, so the snapshot cannot say anything
+// about them. Callers holding the live Workload can retry on a fresh
+// snapshot; callers holding only a Summary should treat the pattern as
+// unseen by it.
 type OutOfSnapshotError struct {
 	// Features are the out-of-snapshot features, rendered ⟨text, kind⟩.
 	Features []string
