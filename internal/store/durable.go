@@ -92,11 +92,10 @@ import (
 // When the disk accepts a durable write again, the worker re-arms the
 // store: it writes a checkpoint of the (authoritative) in-memory state,
 // starts a fresh WAL tail at the acknowledged offset, and resumes
-// accepting writes. Entries
-// that were acknowledged under a deferred-sync policy and lost by a crash
-// during the outage are beyond recall — the at-least-once contract is
-// unchanged from a plain crash — but everything applied in memory
-// survives the degrade/re-arm round trip exactly.
+// accepting writes. Entries that were acknowledged under a deferred-sync
+// policy and lost by a crash during the outage are beyond recall — the
+// at-least-once contract is unchanged from a plain crash — but everything
+// applied in memory survives the degrade/re-arm round trip exactly.
 //
 // All methods are safe for concurrent use.
 type Durable struct {
