@@ -35,7 +35,14 @@ type Log struct {
 	// before, unsafe to race with anything.
 	index     map[string]int
 	indexOnce sync.Once
-	total     int
+	// postings lists, per feature, the ascending positions of the distinct
+	// vectors that hold it: Count's index. Like the key index it is built
+	// lazily, at the first Count and at most once under postingsOnce, so a
+	// log that is never counted holds none and the bulk constructors return
+	// logs without it. Add keeps built postings current.
+	postings     [][]int32
+	postingsOnce sync.Once
+	total        int
 }
 
 // NewLog returns an empty log over a feature universe of size n.
@@ -69,6 +76,36 @@ func (l *Log) ensureIndex() {
 	})
 }
 
+// ensurePostings materializes the posting lists from the current vectors,
+// at most once even under concurrent readers. One backing array holds every
+// list, each capped at its length so that Add's appends reallocate only the
+// list they grow.
+func (l *Log) ensurePostings() {
+	l.postingsOnce.Do(func() {
+		sizes := make([]int, l.universe)
+		n := 0
+		for _, v := range l.vecs {
+			for f := v.NextSet(0); f >= 0; f = v.NextSet(f + 1) {
+				sizes[f]++
+				n++
+			}
+		}
+		flat := make([]int32, n)
+		post := make([][]int32, l.universe)
+		off := 0
+		for f, c := range sizes {
+			post[f] = flat[off : off : off+c]
+			off += c
+		}
+		for i, v := range l.vecs {
+			for f := v.NextSet(0); f >= 0; f = v.NextSet(f + 1) {
+				post[f] = append(post[f], int32(i))
+			}
+		}
+		l.postings = post
+	})
+}
+
 // Universe returns the feature-universe size n.
 func (l *Log) Universe() int { return l.universe }
 
@@ -85,9 +122,15 @@ func (l *Log) Add(v bitvec.Vector, count int) {
 	if i, ok := l.index[k]; ok {
 		l.mult[i] += count
 	} else {
-		l.index[k] = len(l.vecs)
+		pos := len(l.vecs)
+		l.index[k] = pos
 		l.vecs = append(l.vecs, v.Clone())
 		l.mult = append(l.mult, count)
+		if l.postings != nil {
+			for f := v.NextSet(0); f >= 0; f = v.NextSet(f + 1) {
+				l.postings[f] = append(l.postings[f], int32(pos))
+			}
+		}
 	}
 	l.total += count
 }
@@ -116,31 +159,34 @@ func (l *Log) MaxMultiplicity() int {
 }
 
 // Count returns Γ_b(L) = |{q ∈ L : b ⊆ q}|, the exact number of log entries
-// containing pattern b — the statistic client applications ask for. The
-// scan uses all cores; integer partials make the result exact at any
-// parallelism. Use CountP to bound the workers.
+// containing pattern b — the statistic client applications ask for. It
+// tests containment only along the posting list of b's rarest feature, so
+// a count costs that feature's support, not a scan of the log; the empty
+// pattern counts every entry. The first Count builds the posting lists;
+// later ones allocate nothing. Concurrent Counts are safe, Count racing
+// Add is not.
 func (l *Log) Count(b bitvec.Vector) int {
-	return l.CountP(b, 0)
-}
-
-// CountP is Count with an explicit worker bound (p ≤ 0 = all cores).
-func (l *Log) CountP(b bitvec.Vector, p int) int {
-	nc := parallel.Chunks(len(l.vecs))
-	partial := make([]int, nc)
-	parallel.ForChunks(len(l.vecs), p, func(c, lo, hi int) {
-		s := 0
-		for i := lo; i < hi; i++ {
-			if l.vecs[i].Contains(b) {
-				s += l.mult[i]
-			}
-		}
-		partial[c] = s
-	})
-	c := 0
-	for _, s := range partial {
-		c += s
+	if b.Len() != l.universe {
+		panic(fmt.Sprintf("core: pattern universe %d != log universe %d", b.Len(), l.universe))
 	}
-	return c
+	first := b.NextSet(0)
+	if first < 0 {
+		return l.total
+	}
+	l.ensurePostings()
+	rare := l.postings[first]
+	for f := b.NextSet(first + 1); f >= 0 && len(rare) > 0; f = b.NextSet(f + 1) {
+		if p := l.postings[f]; len(p) < len(rare) {
+			rare = p
+		}
+	}
+	n := 0
+	for _, i := range rare {
+		if l.vecs[i].Contains(b) {
+			n += l.mult[i]
+		}
+	}
+	return n
 }
 
 // CountBatch returns Γ_b(L) for every pattern in bs, sharing a single pass

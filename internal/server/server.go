@@ -304,12 +304,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
+	sumStart := time.Now()
 	sum, err := s.summary()
+	obs.AddStage(r.Context(), "summary", time.Since(sumStart))
 	if err != nil {
 		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	estStart := time.Now()
 	freq, count, err := sum.Estimate(q)
+	obs.AddStage(r.Context(), "estimate", time.Since(estStart))
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, err)
 		return
@@ -323,7 +327,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, errors.New("missing ?q= pattern"))
 		return
 	}
+	countStart := time.Now()
 	n, err := s.w.Count(q)
+	obs.AddStage(r.Context(), "count", time.Since(countStart))
 	if err != nil {
 		// a never-seen feature is a definite zero-match answer, not a bad
 		// request: 404 lets cluster gateways fold this shard in as zero

@@ -69,6 +69,53 @@ func TestEstimateCountIsSummaryCount(t *testing.T) {
 	}
 }
 
+// TestReadPathStages: a ring that captures every request shows what a read
+// paid for — /estimate the summary refresh and the answer, /count the count
+// — read back through GET /debug/requests.
+func TestReadPathStages(t *testing.T) {
+	w := logr.FromEntries(testEntries(60, 0))
+	ts := httptest.NewServer(New(w, Options{Compress: logr.CompressOptions{Clusters: 2, Seed: 1}, SlowRequest: -1}).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	probe := "SELECT c0 FROM messages WHERE k0 = ?"
+	if _, err := c.Estimate(context.Background(), probe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Count(context.Background(), probe); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ring struct {
+		Requests []obs.RequestEntry `json:"requests"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{"/estimate": {"summary", "estimate"}, "/count": {"count"}}
+	for _, e := range ring.Requests {
+		stages, ok := want[e.Route]
+		if !ok {
+			continue
+		}
+		var got []string
+		for _, st := range e.Stages {
+			got = append(got, st.Name)
+		}
+		if !reflect.DeepEqual(got, stages) {
+			t.Errorf("%s stages = %v, want %v", e.Route, got, stages)
+		}
+		delete(want, e.Route)
+	}
+	if len(want) > 0 {
+		t.Errorf("no ring entry for %v in %+v", want, ring.Requests)
+	}
+}
+
 // TestEndToEndHTTP is the serving-layer smoke the CI step mirrors: ingest
 // over HTTP (JSON and text bodies), seal, estimate vs exact count, drift,
 // segment control, binary summary export — then a clean shutdown and a

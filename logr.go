@@ -33,10 +33,9 @@
 // feature-extract entries on parallel workers with an ordered merge that
 // keeps codebook assignment deterministic; Compress fans out the k-means
 // assignment step and restarts, the hierarchical method's O(n²) distance
-// matrix, the auto sweep's merge scoring, and
-// the word-packed containment counting behind marginal estimation. Both
-// Options.Parallelism and CompressOptions.Parallelism default to all cores
-// (0); setting 1 forces serial execution. For a fixed Seed the output is
+// matrix and the auto sweep's merge scoring. Both Options.Parallelism and
+// CompressOptions.Parallelism default to all cores (0); setting 1 forces
+// serial execution. For a fixed Seed the output is
 // bit-identical at any parallelism level.
 //
 // A *Workload is safe for concurrent use: a monitoring goroutine can Append
@@ -174,9 +173,8 @@ type Stats = workload.PipelineStats
 // first persistence failure instead, which Err, Sync and Close all report —
 // check one of them at your commit points.
 type Workload struct {
-	st  *store.Store
-	d   *store.Durable // nil for in-memory workloads
-	par int            // encode-side parallelism, reused by Count
+	st *store.Store
+	d  *store.Durable // nil for in-memory workloads
 
 	errMu  sync.Mutex
 	sticky error
@@ -291,7 +289,7 @@ func FromEntries(entries []Entry) *Workload {
 // would take it past 2^50 queries are refused whole (ErrQueryCap): the
 // workload stays empty and Err reports why.
 func FromEntriesWithOptions(entries []Entry, opts Options) *Workload {
-	w := &Workload{st: store.New(opts.storeOptions()), par: opts.Parallelism}
+	w := &Workload{st: store.New(opts.storeOptions())}
 	w.sticky = w.st.Append(publicToInternal(entries))
 	return w
 }
@@ -471,7 +469,7 @@ func LoadCompactWithOptions(r io.Reader, opts Options) (*Workload, error) {
 }
 
 func fromInternal(entries []workload.LogEntry, opts Options) (*Workload, error) {
-	w := &Workload{st: store.New(opts.storeOptions()), par: opts.Parallelism}
+	w := &Workload{st: store.New(opts.storeOptions())}
 	if err := w.st.Append(entries); err != nil {
 		return nil, err
 	}
@@ -503,7 +501,7 @@ func OpenDir(dir string, opts Options) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{st: d.Mem(), d: d, par: opts.Parallelism}, nil
+	return &Workload{st: d.Mem(), d: d}, nil
 }
 
 // Dir returns a durable workload's data directory ("" for in-memory
@@ -578,7 +576,7 @@ func (w *Workload) Count(patternSQL string) (int, error) {
 			}
 			return 0, err
 		}
-		return res.Log.CountP(b, w.par), nil
+		return res.Log.Count(b), nil
 	}
 	return 0, lastErr
 }
@@ -654,15 +652,14 @@ func (p probe) vector(universe int) bitvec.Vector {
 // patternProbe resolves a single-block pattern query (probes must be
 // conjunctive, Section 6.2) against a universe snapshot of the codebook.
 func patternProbe(book *feature.Codebook, universe int, patternSQL string) (probe, error) {
-	stmt, err := sqlparser.Parse(patternSQL)
+	x, err := memoExtract(book.Scheme(), patternSQL)
 	if err != nil {
 		return probe{}, fmt.Errorf("logr: pattern does not parse: %w", err)
 	}
-	r := regularize.Regularize(stmt, regularize.DefaultOptions)
-	if len(r.Blocks) != 1 {
+	if x.blocks != 1 {
 		return probe{}, fmt.Errorf("logr: pattern must regularize to a single conjunctive block")
 	}
-	return resolveProbe(book, universe, r.Blocks[0:1]), nil
+	return classifyProbe(book, universe, x.feats), nil
 }
 
 // windowProbe resolves an arbitrary query the way the pipeline encodes it —
@@ -670,46 +667,119 @@ func patternProbe(book *feature.Codebook, universe int, patternSQL string) (prob
 // snapshot. Used by drift detection, where OR-carrying queries are normal
 // traffic, not probes.
 func windowProbe(book *feature.Codebook, universe int, sql string) (probe, error) {
-	stmt, err := sqlparser.Parse(sql)
+	x, err := memoExtract(book.Scheme(), sql)
 	if err != nil {
 		return probe{}, err
 	}
-	r := regularize.Regularize(stmt, regularize.DefaultOptions)
-	return resolveProbe(book, universe, r.Blocks), nil
+	return classifyProbe(book, universe, x.feats), nil
 }
 
-// resolveProbe is the single universe-aware resolver behind every probe
-// path (pattern counting, summary estimation, drift windows). It maps the
-// blocks' features onto the codebook and classifies each against the given
+// probeFeatures is a probe's extraction: the distinct ⟨text, kind⟩ features
+// of all its conjunctive blocks in first-appearance order, bare ⟨*, SELECT⟩
+// dropped, and the number of blocks. It depends only on the text and the
+// feature scheme, so one extraction serves every codebook, snapshot and
+// summary of that scheme. A memoized extraction is shared: read-only.
+type probeFeatures struct {
+	feats  []feature.Feature
+	blocks int
+}
+
+// extractProbe parses and regularizes sql and extracts its features into a
+// scratch codebook of the scheme: the expensive half of resolving a probe.
+func extractProbe(scheme feature.Scheme, sql string) (*probeFeatures, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	r := regularize.Regularize(stmt, regularize.DefaultOptions)
+	scratch := feature.NewCodebook(scheme)
+	for _, blk := range r.Blocks {
+		scratch.Extract(blk)
+	}
+	all := scratch.Features()
+	x := &probeFeatures{feats: all[:0], blocks: len(r.Blocks)}
+	for _, f := range all {
+		if f.Kind == feature.SelectKind && f.Text == "*" {
+			// a bare star in a probe means "any projection", not the
+			// literal ⟨*, SELECT⟩ feature
+			continue
+		}
+		x.feats = append(x.feats, f)
+	}
+	return x, nil
+}
+
+// Bounds of the extraction memo: a memo that reaches probeMemoLimit entries
+// is cleared and refills from the probes asked, and texts longer than
+// probeMemoMaxText are extracted afresh on every call.
+const (
+	probeMemoLimit   = 4096
+	probeMemoMaxText = 1 << 10
+)
+
+type probeKey struct {
+	scheme feature.Scheme
+	text   string
+}
+
+// probeMemo holds the successful extractions of recent probe texts,
+// process-wide: index advisors and monitors ask the same patterns again and
+// again, of every summary and snapshot alike. Failures are not memoized, so
+// junk probes never fill it and every call reports the parser's own error.
+var probeMemo = struct {
+	mu sync.Mutex
+	m  map[probeKey]*probeFeatures
+}{m: make(map[probeKey]*probeFeatures)}
+
+// memoExtract is extractProbe behind probeMemo. The lock is never held
+// across the parse, so concurrent misses extract in parallel (and the last
+// one's equal extraction wins).
+func memoExtract(scheme feature.Scheme, sql string) (*probeFeatures, error) {
+	if len(sql) > probeMemoMaxText {
+		return extractProbe(scheme, sql)
+	}
+	k := probeKey{scheme, sql}
+	probeMemo.mu.Lock()
+	x, ok := probeMemo.m[k]
+	probeMemo.mu.Unlock()
+	if ok {
+		return x, nil
+	}
+	x, err := extractProbe(scheme, sql)
+	if err != nil {
+		return nil, err
+	}
+	k.text = strings.Clone(sql) // the caller's text may pin a whole request body
+	probeMemo.mu.Lock()
+	if len(probeMemo.m) >= probeMemoLimit {
+		clear(probeMemo.m)
+	}
+	probeMemo.m[k] = x
+	probeMemo.mu.Unlock()
+	return x, nil
+}
+
+// classifyProbe is the single universe-aware classifier behind every probe
+// path (pattern counting, summary estimation, drift windows). It looks each
+// extracted feature up in the codebook and classifies it against the given
 // universe snapshot: in-universe (usable), registered after the snapshot
 // (stale — the snapshot provably never saw the feature), or never
 // registered (unknown). Features enter the codebook append-only, so index
-// < universe is exactly "existed at the snapshot".
-func resolveProbe(book *feature.Codebook, universe int, blocks []*sqlparser.Select) probe {
-	scratch := feature.NewCodebook(book.Scheme())
-	var p probe
-	set := map[int]bool{}
-	for _, blk := range blocks {
-		for _, fi := range scratch.Extract(blk) {
-			f := scratch.Feature(fi)
-			if f.Kind == feature.SelectKind && f.Text == "*" {
-				// a bare star in a probe means "any projection", not the
-				// literal ⟨*, SELECT⟩ feature
-				continue
-			}
-			i, ok := book.Lookup(f)
-			switch {
-			case !ok:
-				p.unknown = append(p.unknown, f.String())
-			case i >= universe:
-				p.stale = append(p.stale, f.String())
-			default:
-				set[i] = true
-			}
+// < universe is exactly "existed at the snapshot". It runs on every call,
+// so a feature registered after the extraction was memoized is classified
+// as of the caller's universe.
+func classifyProbe(book *feature.Codebook, universe int, feats []feature.Feature) probe {
+	p := probe{idx: make([]int, 0, len(feats))}
+	for _, f := range feats {
+		i, ok := book.Lookup(f)
+		switch {
+		case !ok:
+			p.unknown = append(p.unknown, f.String())
+		case i >= universe:
+			p.stale = append(p.stale, f.String())
+		default:
+			p.idx = append(p.idx, i)
 		}
-	}
-	for i := range set {
-		p.idx = append(p.idx, i)
 	}
 	sort.Ints(p.idx)
 	return p
