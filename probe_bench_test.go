@@ -25,7 +25,7 @@ var probeBench struct {
 	misses []string
 }
 
-func probeBenchState(b *testing.B) (*Workload, *Summary, []string, []string) {
+func probeBenchState() (*Workload, *Summary, []string, []string) {
 	probeBench.Do(func() {
 		raw := workload.USBank(workload.USBankConfig{TotalQueries: 300000, DistinctTarget: 1712, Seed: 1})
 		w := FromEntries(entriesOf(raw))
@@ -73,7 +73,7 @@ func benchProbes(b *testing.B, texts []string, fn func(string) float64) {
 }
 
 func BenchmarkProbeResolve(b *testing.B) {
-	w, sum, probes, misses := probeBenchState(b)
+	w, sum, probes, misses := probeBenchState()
 	res := w.snapshot()
 	resolve := func(q string) float64 {
 		p, err := patternProbe(res.Book, res.Log.Universe(), q)
@@ -96,7 +96,7 @@ func BenchmarkProbeResolve(b *testing.B) {
 }
 
 func BenchmarkWorkloadCount(b *testing.B) {
-	w, _, probes, misses := probeBenchState(b)
+	w, _, probes, misses := probeBenchState()
 	count := func(q string) float64 {
 		n, err := w.Count(q)
 		if err != nil {

@@ -462,3 +462,50 @@ func TestProbeHitAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// FuzzProbeResolve resolves arbitrary text against a fixed codebook, as a
+// pattern and as a window query, twice each (a memo miss, then a hit where
+// the text parsed), and requires the probe or the error the unmemoized
+// resolver gives.
+func FuzzProbeResolve(f *testing.F) {
+	w := FromEntries([]Entry{
+		{SQL: "SELECT _id, status FROM messages WHERE status = ? AND chat_id = ?", Count: 9},
+		{SQL: "SELECT * FROM contacts WHERE name LIKE ? OR circle_id = 3", Count: 4},
+		{SQL: "SELECT m.body FROM messages m JOIN contacts c ON m.chat_id = c.id", Count: 2},
+	})
+	older := w.snapshot()
+	if err := w.Append([]Entry{{SQL: "SELECT balance FROM accounts WHERE owner_id = ?", Count: 1}}); err != nil {
+		f.Fatal(err)
+	}
+	res := w.snapshot()
+	for _, seed := range []string{
+		"SELECT _id FROM messages WHERE status = ?",
+		"SELECT * FROM contacts",
+		"SELECT balance FROM accounts, messages",
+		"SELECT a FROM t WHERE b = 1 OR b = 2",
+		"SELECT nope FROM nowhere GROUP BY x",
+		"SELECT (",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		for _, universe := range []int{older.Log.Universe(), res.Log.Universe()} {
+			for _, isPattern := range []bool{true, false} {
+				want, wantErr := parentResolve(res.Book, universe, sql, isPattern)
+				for pass := 0; pass < 2; pass++ {
+					var got probe
+					var err error
+					if isPattern {
+						got, err = patternProbe(res.Book, universe, sql)
+					} else {
+						got, err = windowProbe(res.Book, universe, sql)
+					}
+					if !sameErr(err, wantErr) || !sameProbe(got, want) {
+						t.Fatalf("pattern=%v universe %d pass %d, %q:\n got %+v, %v\nwant %+v, %v", isPattern, universe, pass, sql, got, err, want, wantErr)
+					}
+				}
+			}
+		}
+	})
+}
