@@ -82,13 +82,12 @@ func TestResolveProbeClassification(t *testing.T) {
 	}
 }
 
-// parentResolve is the resolver as it stood before extraction was split
-// from classification and memoized: parse, regularize and extract on every
-// call. It is the oracle the memoized resolver is held to. The one
-// departure it encodes: a feature shared by two blocks of a window query is
-// listed once in unknown or stale (the window path reads only whether they
-// are empty).
-func parentResolve(book *feature.Codebook, universe int, sql string, isPattern bool) (probe, error) {
+// freshResolve resolves in one pass with no memo: parse, regularize,
+// extract block by block and classify, on every call. It is the oracle the
+// memoized resolver is held to. A feature shared by two blocks of a window
+// query is listed once in unknown or stale (the window path reads only
+// whether they are empty).
+func freshResolve(book *feature.Codebook, universe int, sql string, isPattern bool) (probe, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		if isPattern {
@@ -190,7 +189,7 @@ func TestProbeMemoMatchesFresh(t *testing.T) {
 			for _, sql := range texts {
 				for _, universe := range []int{old.Log.Universe(), cur.Log.Universe()} {
 					for _, isPattern := range []bool{true, false} {
-						want, wantErr := parentResolve(cur.Book, universe, sql, isPattern)
+						want, wantErr := freshResolve(cur.Book, universe, sql, isPattern)
 						for pass := 0; pass < 2; pass++ {
 							var got probe
 							var err error
@@ -419,7 +418,7 @@ func TestProbeMemoConcurrent(t *testing.T) {
 }
 
 // TestProbeHitAllocs pins a memo hit's allocations: the usable-index slice
-// and the pattern's bit vector, where the unmemoized resolver made 47–50.
+// and the pattern's bit vector, where a parse makes about a hundred.
 func TestProbeHitAllocs(t *testing.T) {
 	w := FromEntries(entriesOf(workload.USBank(workload.USBankConfig{TotalQueries: 20000, DistinctTarget: 300, Seed: 3})))
 	sum, err := w.Compress(CompressOptions{Clusters: 4, Seed: 1})
@@ -492,7 +491,7 @@ func FuzzProbeResolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, universe := range []int{older.Log.Universe(), res.Log.Universe()} {
 			for _, isPattern := range []bool{true, false} {
-				want, wantErr := parentResolve(res.Book, universe, sql, isPattern)
+				want, wantErr := freshResolve(res.Book, universe, sql, isPattern)
 				for pass := 0; pass < 2; pass++ {
 					var got probe
 					var err error
