@@ -36,8 +36,8 @@ func probeBenchState() (*Workload, *Summary, []string, []string) {
 		res := w.snapshot()
 		seen := map[string]bool{}
 		for _, e := range raw {
-			// a pattern probe per statement shape: its projection and
-			// tables, and its WHERE clause when it has one
+			// pattern probes from each statement: the statement whole,
+			// and its projection and tables alone
 			for _, q := range []string{e.SQL, strings.SplitN(e.SQL, " WHERE ", 2)[0]} {
 				if seen[q] || len(probeBench.probes) == 2000 {
 					continue
