@@ -723,9 +723,11 @@ type probeKey struct {
 }
 
 // probeMemo holds the successful extractions of recent probe texts,
-// process-wide: index advisors and monitors ask the same patterns again and
-// again, of every summary and snapshot alike. Failures are not memoized, so
-// junk probes never fill it and every call reports the parser's own error.
+// process-wide. It pays only when a probe's exact text repeats: the same
+// text asked of several summaries and snapshots, or asked again. A text
+// asked once costs one extraction and one insert, as before the memo.
+// Failures are not memoized, so junk probes never fill it and every call
+// reports the parser's own error.
 var probeMemo = struct {
 	mu sync.Mutex
 	m  map[probeKey]*probeFeatures

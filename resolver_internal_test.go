@@ -82,12 +82,10 @@ func TestResolveProbeClassification(t *testing.T) {
 	}
 }
 
-// freshResolve resolves in one pass with no memo: parse, regularize,
-// extract block by block and classify, on every call. It is the oracle the
-// memoized resolver is held to. A feature shared by two blocks of a window
-// query is listed once in unknown or stale (the window path reads only
-// whether they are empty).
-func freshResolve(book *feature.Codebook, universe int, sql string, isPattern bool) (probe, error) {
+// parentResolve is the resolver as it stood before extraction was
+// memoized, kept verbatim as the oracle: parse, regularize, extract block
+// by block and classify, on every call.
+func parentResolve(book *feature.Codebook, universe int, sql string, isPattern bool) (probe, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		if isPattern {
@@ -96,14 +94,20 @@ func freshResolve(book *feature.Codebook, universe int, sql string, isPattern bo
 		return probe{}, err
 	}
 	r := regularize.Regularize(stmt, regularize.DefaultOptions)
-	if isPattern && len(r.Blocks) != 1 {
+	if !isPattern {
+		return parentClassify(book, universe, r.Blocks), nil
+	}
+	if len(r.Blocks) != 1 {
 		return probe{}, fmt.Errorf("logr: pattern must regularize to a single conjunctive block")
 	}
+	return parentClassify(book, universe, r.Blocks[0:1]), nil
+}
+
+func parentClassify(book *feature.Codebook, universe int, blocks []*sqlparser.Select) probe {
 	scratch := feature.NewCodebook(book.Scheme())
 	var p probe
 	set := map[int]bool{}
-	listed := map[feature.Feature]bool{}
-	for _, blk := range r.Blocks {
+	for _, blk := range blocks {
 		for _, fi := range scratch.Extract(blk) {
 			f := scratch.Feature(fi)
 			if f.Kind == feature.SelectKind && f.Text == "*" {
@@ -111,7 +115,6 @@ func freshResolve(book *feature.Codebook, universe int, sql string, isPattern bo
 			}
 			i, ok := book.Lookup(f)
 			switch {
-			case listed[f]:
 			case !ok:
 				p.unknown = append(p.unknown, f.String())
 			case i >= universe:
@@ -119,18 +122,36 @@ func freshResolve(book *feature.Codebook, universe int, sql string, isPattern bo
 			default:
 				set[i] = true
 			}
-			listed[f] = true
 		}
 	}
 	for i := range set {
 		p.idx = append(p.idx, i)
 	}
 	sort.Ints(p.idx)
-	return p, nil
+	return p
 }
 
-func sameProbe(a, b probe) bool {
-	return slices.Equal(a.idx, b.idx) && slices.Equal(a.unknown, b.unknown) && slices.Equal(a.stale, b.stale)
+// sameAsParent holds a resolved probe to the parent's. A pattern must match
+// exactly. A window query may differ in one intended way: the parent listed
+// a feature shared by two blocks once per block in unknown or stale, the
+// memoized resolver lists it once (the window path reads only whether the
+// lists are empty).
+func sameAsParent(got, want probe, isPattern bool) bool {
+	if !isPattern {
+		want.unknown, want.stale = distinct(want.unknown), distinct(want.stale)
+	}
+	return slices.Equal(got.idx, want.idx) && slices.Equal(got.unknown, want.unknown) && slices.Equal(got.stale, want.stale)
+}
+
+// distinct drops the repeats of a list, keeping first appearances in order.
+func distinct(list []string) []string {
+	var out []string
+	for _, s := range list {
+		if !slices.Contains(out, s) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func sameErr(a, b error) bool {
@@ -158,8 +179,8 @@ func entriesOf(raw []workload.LogEntry) []Entry {
 // TestProbeMemoMatchesFresh: over both generators and both schemes, every
 // statement of the log and a set of pattern probes cut from it resolve —
 // as patterns and as window queries, against the whole universe and against
-// an older, smaller one — to exactly what the unmemoized resolver gives,
-// on the first (miss) and the second (hit) call alike.
+// an older, smaller one — to what the parent's resolver gives (see
+// sameAsParent), on the first (miss) and the second (hit) call alike.
 func TestProbeMemoMatchesFresh(t *testing.T) {
 	logs := map[string][]workload.LogEntry{
 		"usbank":     workload.USBank(workload.USBankConfig{TotalQueries: 20000, DistinctTarget: 300, NoiseEntries: 20, Seed: 3}),
@@ -189,7 +210,7 @@ func TestProbeMemoMatchesFresh(t *testing.T) {
 			for _, sql := range texts {
 				for _, universe := range []int{old.Log.Universe(), cur.Log.Universe()} {
 					for _, isPattern := range []bool{true, false} {
-						want, wantErr := freshResolve(cur.Book, universe, sql, isPattern)
+						want, wantErr := parentResolve(cur.Book, universe, sql, isPattern)
 						for pass := 0; pass < 2; pass++ {
 							var got probe
 							var err error
@@ -198,7 +219,7 @@ func TestProbeMemoMatchesFresh(t *testing.T) {
 							} else {
 								got, err = windowProbe(cur.Book, universe, sql)
 							}
-							if !sameErr(err, wantErr) || !sameProbe(got, want) {
+							if !sameErr(err, wantErr) || !sameAsParent(got, want, isPattern) {
 								t.Fatalf("%s extended=%v pattern=%v universe %d pass %d, %q:\n got %+v, %v\nwant %+v, %v",
 									name, extended, isPattern, universe, pass, sql, got, err, want, wantErr)
 							}
@@ -314,6 +335,23 @@ func TestProbeMemoSkipsFailures(t *testing.T) {
 	}
 	if p, err := windowProbe(res.Book, res.Log.Universe(), or); err != nil || len(p.idx) != 3 {
 		t.Fatalf("two-block window: %+v, %v; want a, t and b = ? usable", p, err)
+	}
+}
+
+// TestWindowProbeListsSharedFeatureOnce pins the one intended difference
+// from the parent's resolver: an unknown feature in both blocks of a window
+// query is listed twice by the parent and once now.
+func TestWindowProbeListsSharedFeatureOnce(t *testing.T) {
+	w := FromEntries([]Entry{{SQL: "SELECT a FROM t WHERE b = ?", Count: 1}})
+	res := w.snapshot()
+	sql := "SELECT nope FROM t WHERE b = ? OR b = 2"
+	want, _ := parentResolve(res.Book, res.Log.Universe(), sql, false)
+	got, err := windowProbe(res.Book, res.Log.Universe(), sql)
+	if err != nil || !slices.Equal(want.unknown, []string{"⟨nope, SELECT⟩", "⟨nope, SELECT⟩"}) || !slices.Equal(got.unknown, []string{"⟨nope, SELECT⟩"}) {
+		t.Fatalf("unknown: parent %v, memoized %v, %v; want the feature twice, then once", want.unknown, got.unknown, err)
+	}
+	if !sameAsParent(got, want, false) || sameAsParent(got, want, true) {
+		t.Fatal("sameAsParent must forgive the repeat for a window query only")
 	}
 }
 
@@ -464,8 +502,8 @@ func TestProbeHitAllocs(t *testing.T) {
 
 // FuzzProbeResolve resolves arbitrary text against a fixed codebook, as a
 // pattern and as a window query, twice each (a memo miss, then a hit where
-// the text parsed), and requires the probe or the error the unmemoized
-// resolver gives.
+// the text parsed), and requires the probe or the error the parent's
+// resolver gives (see sameAsParent).
 func FuzzProbeResolve(f *testing.F) {
 	w := FromEntries([]Entry{
 		{SQL: "SELECT _id, status FROM messages WHERE status = ? AND chat_id = ?", Count: 9},
@@ -491,7 +529,7 @@ func FuzzProbeResolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, universe := range []int{older.Log.Universe(), res.Log.Universe()} {
 			for _, isPattern := range []bool{true, false} {
-				want, wantErr := freshResolve(res.Book, universe, sql, isPattern)
+				want, wantErr := parentResolve(res.Book, universe, sql, isPattern)
 				for pass := 0; pass < 2; pass++ {
 					var got probe
 					var err error
@@ -500,7 +538,7 @@ func FuzzProbeResolve(f *testing.F) {
 					} else {
 						got, err = windowProbe(res.Book, universe, sql)
 					}
-					if !sameErr(err, wantErr) || !sameProbe(got, want) {
+					if !sameErr(err, wantErr) || !sameAsParent(got, want, isPattern) {
 						t.Fatalf("pattern=%v universe %d pass %d, %q:\n got %+v, %v\nwant %+v, %v", isPattern, universe, pass, sql, got, err, want, wantErr)
 					}
 				}
