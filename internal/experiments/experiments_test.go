@@ -89,6 +89,7 @@ func TestFigure2Shapes(t *testing.T) {
 				ds, kmTotal, spTotal)
 		}
 	}
+	checkGolden(t, "figures_small.txt", "fig2", fig2Golden(points))
 	_ = FormatFigure2(points)
 }
 
@@ -114,6 +115,7 @@ func TestFigure3Shapes(t *testing.T) {
 			t.Errorf("%s: marginal deviation rose: %g -> %g", ds, first.MarginalDeviation, last.MarginalDeviation)
 		}
 	}
+	checkGolden(t, "figures_small.txt", "fig3", fig3Golden(points))
 	_ = FormatFigure3(points)
 }
 
@@ -212,6 +214,7 @@ func TestFigure5Shapes(t *testing.T) {
 		t.Errorf("naive mixture not fastest: %g vs LL %g / MTV %g",
 			last.NaiveSecs, last.LaserlightSecs, last.MTVSecs)
 	}
+	checkGolden(t, "figures_small.txt", "fig5", fig5Golden(r))
 	_ = FormatFigure5(r)
 }
 
@@ -255,6 +258,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if last.Error > r.ClassicalError*1.05 {
 		t.Errorf("mixture error %g above classical %g at K=%d", last.Error, r.ClassicalError, last.K)
 	}
+	checkGolden(t, "figures_small.txt", "fig8", fig8Golden(r))
 	_ = FormatFigure8(r)
 }
 
@@ -275,5 +279,6 @@ func TestFigure9Shapes(t *testing.T) {
 			t.Errorf("K=%d: naive mixture MTV %g above naive ref %g", p.K, p.NaiveMixtureMTV, r.NaiveMTVRef)
 		}
 	}
+	checkGolden(t, "figures_small.txt", "fig9", fig9Golden(r))
 	_ = FormatFigure9(r)
 }
