@@ -75,12 +75,9 @@ type Options struct {
 	// MaxLineBytes caps one line of a text/plain ingest body (default
 	// 1 MiB, matching logrd).
 	MaxLineBytes int
-	// HedgeAfter, when > 0, is a fixed hedging delay for read fan-outs.
-	// 0 means adaptive: each shard's observed p95 read latency, clamped
-	// to [HedgeMin, HedgeMax].
-	HedgeAfter time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive hedging delay (defaults 2ms
-	// and 1s).
+	// HedgeMin/HedgeMax clamp the hedging delay of read fan-outs: each
+	// shard's observed p95 read latency, within [HedgeMin, HedgeMax]
+	// (defaults 2ms and 1s). HedgeMin = HedgeMax fixes the delay.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// ProbeInterval is the background health-probe cadence (default 2s).
@@ -396,10 +393,7 @@ func scatter[T any](ctx context.Context, g *Gateway, idxs []int, fn shardCall[T]
 	m := hedgeObs{fired: g.hedgeFired, won: g.hedgeWon, wasted: g.hedgeWasted}
 	return fanout(idxs, func(i int) (T, error) {
 		s := g.shards[i]
-		delay := g.opts.HedgeAfter
-		if delay <= 0 {
-			delay = s.hedgeDelay(g.opts.HedgeMin, g.opts.HedgeMax)
-		}
+		delay := s.hedgeDelay(g.opts.HedgeMin, g.opts.HedgeMax)
 		start := time.Now()
 		v, err := hedged(ctx, delay, m, func(hctx context.Context) (T, error) {
 			return fn(hctx, s.c, i)

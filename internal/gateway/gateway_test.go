@@ -253,7 +253,7 @@ func TestGatewayPartialResults(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // connection refused from now on
 	shardURLs = append(shardURLs, deadURL)
-	g, gwURL := newGateway(t, Options{Shards: shardURLs, EjectAfter: 2, HedgeAfter: time.Millisecond})
+	g, gwURL := newGateway(t, Options{Shards: shardURLs, EjectAfter: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond})
 
 	entries := gwEntries(60, 0)
 	owned := 0
@@ -433,7 +433,7 @@ func TestGatewayEjectionAndReadmission(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	g, gwURL := newGateway(t, Options{Shards: []string{stableURL, flaky.URL}, EjectAfter: 1, HedgeAfter: time.Millisecond})
+	g, gwURL := newGateway(t, Options{Shards: []string{stableURL, flaky.URL}, EjectAfter: 1, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond})
 	failing.Store(true)
 	var cr client.ClusterCountResult
 	if code := getJSON(t, gwURL+"/count?q="+escapeQ("SELECT c0 FROM messages WHERE k0 = ?"), &cr); code != http.StatusOK {
@@ -460,7 +460,7 @@ func TestGatewayEjectionAndReadmission(t *testing.T) {
 }
 
 // TestGatewayHedging: a read stuck behind one slow response gets a backup
-// request after HedgeAfter, the backup's answer wins, and the slow
+// request after the hedging delay, the backup's answer wins, and the slow
 // loser's context is canceled rather than abandoned.
 func TestGatewayHedging(t *testing.T) {
 	w, err := logr.OpenDir(t.TempDir(), logr.Options{Sync: logr.SyncNever})
@@ -487,7 +487,7 @@ func TestGatewayHedging(t *testing.T) {
 	}))
 	defer shard.Close()
 
-	_, gwURL := newGateway(t, Options{Shards: []string{shard.URL}, HedgeAfter: 10 * time.Millisecond})
+	_, gwURL := newGateway(t, Options{Shards: []string{shard.URL}, HedgeMin: 10 * time.Millisecond, HedgeMax: 10 * time.Millisecond})
 	start := time.Now()
 	var cr client.ClusterCountResult
 	if code := getJSON(t, gwURL+"/count?q="+escapeQ("SELECT c0 FROM messages WHERE k0 = ?"), &cr); code != http.StatusOK {

@@ -24,9 +24,8 @@ func ParseFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
 	server.ShellFlags(fs, ":8081", &cfg.Shell, &cfg.Gateway.MaxBodyBytes, &cfg.Gateway.MaxLineBytes)
 	shards := fs.String("shards", "", "comma-separated logrd base URLs (required)")
 	fs.IntVar(&cfg.Gateway.MaxComponents, "max-components", 0, "coalesce the merged cluster summary to this component budget (0 = lossless merge)")
-	fs.DurationVar(&cfg.Gateway.HedgeAfter, "hedge", 0, "fixed hedging delay for read fan-outs (0 = adaptive per-shard p95)")
-	fs.DurationVar(&cfg.Gateway.HedgeMin, "hedge-min", 2*time.Millisecond, "adaptive hedging delay floor")
-	fs.DurationVar(&cfg.Gateway.HedgeMax, "hedge-max", time.Second, "adaptive hedging delay ceiling")
+	fs.DurationVar(&cfg.Gateway.HedgeMin, "hedge-min", 2*time.Millisecond, "read hedging delay floor (the delay is each shard's p95; equal to -hedge-max fixes it)")
+	fs.DurationVar(&cfg.Gateway.HedgeMax, "hedge-max", time.Second, "read hedging delay ceiling")
 	fs.DurationVar(&cfg.Gateway.ProbeInterval, "probe", 2*time.Second, "shard health-probe interval")
 	fs.IntVar(&cfg.Gateway.EjectAfter, "eject-after", 3, "consecutive shard failures before ejection")
 	fs.DurationVar(&cfg.Gateway.Timeout, "timeout", 15*time.Second, "per-shard request timeout")

@@ -185,7 +185,8 @@ func TestWireGolden(t *testing.T) {
 	g, err := New(Options{
 		Shards:        []string{"http://shard-a", "http://shard-b"},
 		Transport:     shards,
-		HedgeAfter:    time.Hour,
+		HedgeMin:      time.Hour,
+		HedgeMax:      time.Hour,
 		ProbeInterval: time.Hour,
 	})
 	if err != nil {
