@@ -123,14 +123,10 @@ var blockingFuncs = map[string]string{
 	"logr/internal/cluster.KMeans":               "k-means clustering (up to 100 Lloyd rounds over every point)",
 	"logr/internal/cluster.KMeansBinary":         "k-means clustering (up to 100 Lloyd rounds over every point)",
 	"logr/internal/cluster.NearestBinary":        "nearest-centroid pass (every point against every centroid)",
-	"logr/internal/cluster.DistanceMatrix":       "pairwise distance matrix (n² distances)",
 	"logr/internal/cluster.DistanceMatrixBinary": "pairwise distance matrix (n² distances)",
-	"logr/internal/cluster.Hierarchical":         "hierarchical clustering (n² distances + merge loop)",
-	"logr/internal/cluster.HierarchicalP":        "hierarchical clustering (n² distances + merge loop)",
 	"logr/internal/cluster.HierarchicalBinaryP":  "hierarchical clustering (n² distances + merge loop)",
 	"logr/internal/cluster.Agglomerate":          "agglomerative merge loop over an n² matrix",
 	"logr/internal/mining.Spectral":              "spectral clustering (O(n³) eigensolve)",
-	"logr/internal/mining.SpectralBinary":        "spectral clustering (O(n³) eigensolve)",
 	"logr/internal/core.Compress":                "summary compression",
 	"logr/internal/core.Recompress":              "summary compression",
 }

@@ -74,8 +74,7 @@ func TestSuggestViewsAvoidsPhantomJoins(t *testing.T) {
 		"SELECT name FROM contacts WHERE chat_id = ?":                                            500,
 	})
 	// true 2-cluster split
-	pts, w := l.Dense()
-	asg := cluster.KMeans(pts, w, cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
+	asg := cluster.KMeansBinary(l.Binary(), cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
 	mix, _ := core.BuildNaiveMixture(l, asg)
 	views := SuggestViews(mix, book, 0.05)
 	for _, v := range views {
@@ -111,8 +110,7 @@ func TestDriftDetectorCalmOnBaseline(t *testing.T) {
 		"SELECT _id FROM messages WHERE status = ?":   700,
 		"SELECT name FROM contacts WHERE chat_id = ?": 300,
 	})
-	pts, w := l.Dense()
-	asg := cluster.KMeans(pts, w, cluster.KMeansOptions{K: 2, Seed: 1})
+	asg := cluster.KMeansBinary(l.Binary(), cluster.KMeansOptions{K: 2, Seed: 1})
 	mix, _ := core.BuildNaiveMixture(l, asg)
 	det := NewDriftDetector(mix)
 	rep := det.Check(l, 0)

@@ -57,8 +57,7 @@ func TestWhatIfEstimateTracksTruth(t *testing.T) {
 		"SELECT _id FROM messages WHERE status = ?":   600,
 		"SELECT name FROM contacts WHERE chat_id = ?": 400,
 	})
-	pts, w := l.Dense()
-	asg := cluster.KMeans(pts, w, cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
+	asg := cluster.KMeansBinary(l.Binary(), cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
 	mix, _ := core.BuildNaiveMixture(l, asg)
 	cm := CostModel{}.withDefaults()
 

@@ -309,7 +309,7 @@ func (v Vector) AndCount(u Vector) int {
 // XorCount returns |v ⊕ u|, the popcount of the symmetric difference — the
 // Hamming distance as a raw word-packed kernel. It is the primitive the
 // binary clustering path builds its metrics on: for binary vectors,
-// manhattan(v,u) = canberra(v,u) = XorCount and euclid²(v,u) = XorCount.
+// manhattan(v,u) = euclid²(v,u) = XorCount.
 //
 //logr:noalloc
 func (v Vector) XorCount(u Vector) int {
@@ -445,8 +445,9 @@ func (v Vector) String() string {
 	return sb.String()
 }
 
-// Dense returns the vector as a []float64 of 0s and 1s, which the clustering
-// package consumes.
+// Dense returns the vector as a []float64 of 0s and 1s: the dense
+// expansion the equivalence tests of the clustering and compression
+// packages hold the packed kernels to.
 func (v Vector) Dense() []float64 {
 	out := make([]float64, v.n)
 	v.ForEach(func(i int) { out[i] = 1 })

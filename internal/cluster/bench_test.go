@@ -63,14 +63,6 @@ func BenchmarkKMeansBinaryVsDense(b *testing.B) {
 	})
 }
 
-func BenchmarkHierarchical(b *testing.B) {
-	pts, w := benchPoints(200, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Hierarchical(pts, w, nil)
-	}
-}
-
 // BenchmarkHierarchicalBinary runs average linkage at the size of a bank
 // log's distinct vectors (≈1,700 shapes, ≈7 features each of ≈400), where
 // a merge loop that rescans every pair per merge is cubic and dominates.
@@ -123,12 +115,12 @@ func BenchmarkAgglomerate(b *testing.B) {
 }
 
 func BenchmarkDistances(b *testing.B) {
-	pts, _ := benchPoints(2, 5290)
-	for _, m := range []Metric{Euclidean, Manhattan, Minkowski, Hamming} {
-		fn := MetricFunc(m, 4)
+	pts, _ := randBinary(rand.New(rand.NewSource(1)), 2, 5290, 1, 4)
+	for _, m := range []Metric{Manhattan, Minkowski, Hamming} {
+		fn := BinaryMetricFunc(m, 4)
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fn(pts[0], pts[1])
+				fn(pts.Vecs[0], pts.Vecs[1])
 			}
 		})
 	}

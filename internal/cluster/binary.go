@@ -46,9 +46,10 @@ import (
 //     its exact near-tie fallback.
 //
 // Distance matrices for the spectral and hierarchical methods come out
-// bit-identical to the dense path (see BinaryMetricFunc), so those methods
-// are exact end to end. The hierarchical path fills only the upper triangle
-// Agglomerate reads, in one slab of n(n−1)/2 floats (UpperTriangle).
+// bit-identical to the dense float formulas (see BinaryMetricFunc), so those
+// methods are exact end to end. The hierarchical path fills only the upper
+// triangle Agglomerate reads, in one slab of n(n−1)/2 floats
+// (UpperTriangle).
 
 // BinaryPoints is packed clustering input: distinct binary vectors plus
 // their multiplicity weights (nil Weights = unweighted). It replaces the
@@ -489,77 +490,15 @@ func lloydBinary(vecs []bitvec.Vector, w []float64, par int, s *kmeansScratch) (
 	return labels, inertia
 }
 
-// BinaryDistanceFunc computes the distance between two packed binary vectors
-// over the same universe.
-type BinaryDistanceFunc func(a, b bitvec.Vector) float64
-
-// BinaryMetricFunc returns the popcount implementation of metric m on binary
-// vectors; p is the Minkowski exponent, ignored by the other metrics. On
-// {0,1} vectors every supported metric reduces to a function of the single
-// popcount |a ⊕ b|:
-//
-//	manhattan = canberra = |a⊕b|      euclidean = √|a⊕b|
-//	minkowski = |a⊕b|^(1/p)           hamming   = |a⊕b| / n
-//	chebyshev = 1 iff |a⊕b| > 0
-//
-// Each reduction performs the same final float operations as the dense
-// MetricFunc on the dense expansion of the vectors (whose accumulations are
-// exact integer-valued sums), so the results are bit-identical — spectral
-// and hierarchical clustering over these distances match the dense path
-// exactly.
-func BinaryMetricFunc(m Metric, p float64) BinaryDistanceFunc {
-	switch m {
-	case Euclidean:
-		return func(a, b bitvec.Vector) float64 { return math.Sqrt(float64(a.XorCount(b))) }
-	case Manhattan, Canberra:
-		return func(a, b bitvec.Vector) float64 { return float64(a.XorCount(b)) }
-	case Minkowski:
-		if p <= 0 {
-			p = 4
-		}
-		inv := 1 / p
-		return func(a, b bitvec.Vector) float64 { return math.Pow(float64(a.XorCount(b)), inv) }
-	case Hamming:
-		return func(a, b bitvec.Vector) float64 {
-			if a.Len() == 0 {
-				return 0
-			}
-			return float64(a.XorCount(b)) / float64(a.Len())
-		}
-	case Chebyshev:
-		return func(a, b bitvec.Vector) float64 {
-			if a.XorCount(b) > 0 {
-				return 1
-			}
-			return 0
-		}
-	}
-	panic("cluster: unknown metric")
-}
-
-// DistanceMatrixBinary computes the full symmetric pairwise distance matrix
-// over packed binary vectors — the popcount replacement for the dense
-// O(n²·universe) build dominating spectral clustering (HierarchicalBinaryP
-// fills only the triangle it needs). The fan-out scheme is shared with the
-// dense DistanceMatrix, so the result is parallelism-independent the same
-// way.
-func DistanceMatrixBinary(vecs []bitvec.Vector, dist BinaryDistanceFunc, p int) [][]float64 {
-	return symmetricDistanceMatrix(vecs, dist, p)
-}
-
 // HierarchicalBinaryP builds the average-linkage dendrogram of packed binary
 // points with an explicit worker bound (p ≤ 0 = all cores). It fills only
 // the upper triangle Agglomerate reads (UpperTriangle, ≈n²/2 floats) with
 // popcount distances, split by row so each entry has one writer; the merge
-// loop is shared with the dense path, so the dendrogram is identical to
-// HierarchicalP on the dense expansion. nil dist defaults to Euclidean.
+// loop is averageLinkage, so the dendrogram depends only on the distances.
 func HierarchicalBinaryP(pts BinaryPoints, dist BinaryDistanceFunc, p int) *Dendrogram {
 	n := pts.Len()
 	if n <= 1 {
 		return &Dendrogram{n: n}
-	}
-	if dist == nil {
-		dist = BinaryMetricFunc(Euclidean, 0)
 	}
 	s, vecs := UpperTriangle(n), pts.Vecs
 	parallel.For(n, p, func(i int) {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"logr/internal/bitvec"
 )
 
 // twoBlobs returns points drawn near (0,...,0) and (10,...,10).
@@ -134,9 +136,8 @@ func TestKMeansNearestCentroidProperty(t *testing.T) {
 }
 
 func TestHierarchicalMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	pts, _ := twoBlobs(r, 10, 3)
-	d := Hierarchical(pts, nil, nil)
+	pts, _ := randBinary(rand.New(rand.NewSource(9)), 20, 30, 1, 3)
+	d := HierarchicalBinaryP(pts, BinaryMetricFunc(Hamming, 0), 0)
 	dists := d.MergeDistances()
 	for i := 1; i < len(dists); i++ {
 		if dists[i] < dists[i-1]-1e-9 {
@@ -148,9 +149,8 @@ func TestHierarchicalMonotone(t *testing.T) {
 // TestHierarchicalNesting: Cut(K+1) must refine Cut(K) — the monotonic
 // assignment property the paper wants from hierarchical clustering.
 func TestHierarchicalNesting(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	pts, _ := twoBlobs(r, 12, 2)
-	d := Hierarchical(pts, nil, nil)
+	pts, _ := randBinary(rand.New(rand.NewSource(13)), 24, 30, 1, 3)
+	d := HierarchicalBinaryP(pts, BinaryMetricFunc(Hamming, 0), 0)
 	for k := 1; k < 8; k++ {
 		coarse := d.Cut(k)
 		fine := d.Cut(k + 1)
@@ -168,9 +168,21 @@ func TestHierarchicalNesting(t *testing.T) {
 	}
 }
 
+// thermometer codes each x over width bits as bits 0..x−1 set, so the
+// Manhattan distance of two codes is |x−y|.
+func thermometer(width int, xs ...int) BinaryPoints {
+	pts := BinaryPoints{Vecs: make([]bitvec.Vector, len(xs))}
+	for i, x := range xs {
+		pts.Vecs[i] = bitvec.New(width)
+		for j := 0; j < x; j++ {
+			pts.Vecs[i].Set(j)
+		}
+	}
+	return pts
+}
+
 func TestHierarchicalCutK(t *testing.T) {
-	pts := [][]float64{{0}, {1}, {10}, {11}, {20}}
-	d := Hierarchical(pts, nil, nil)
+	d := HierarchicalBinaryP(thermometer(20, 0, 1, 10, 11, 20), BinaryMetricFunc(Manhattan, 0), 0)
 	for k := 1; k <= 5; k++ {
 		asg := d.Cut(k)
 		if asg.K != k {
@@ -185,16 +197,17 @@ func TestHierarchicalCutK(t *testing.T) {
 
 func TestMetricProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	metrics := []Metric{Euclidean, Manhattan, Minkowski, Hamming, Chebyshev, Canberra}
-	for _, m := range metrics {
-		fn := MetricFunc(m, 4)
+	for _, m := range []Metric{Manhattan, Minkowski, Hamming} {
+		fn := BinaryMetricFunc(m, 4)
 		for trial := 0; trial < 50; trial++ {
 			n := 1 + r.Intn(10)
-			a, b, c := make([]float64, n), make([]float64, n), make([]float64, n)
+			a, b, c := bitvec.New(n), bitvec.New(n), bitvec.New(n)
 			for i := 0; i < n; i++ {
-				a[i] = float64(r.Intn(2))
-				b[i] = float64(r.Intn(2))
-				c[i] = float64(r.Intn(2))
+				for _, v := range []bitvec.Vector{a, b, c} {
+					if r.Intn(2) == 1 {
+						v.Set(i)
+					}
+				}
 			}
 			if fn(a, a) != 0 {
 				t.Fatalf("%v: d(a,a) != 0", m)
@@ -210,13 +223,13 @@ func TestMetricProperties(t *testing.T) {
 }
 
 func TestHammingNormalized(t *testing.T) {
-	fn := MetricFunc(Hamming, 0)
-	a := []float64{1, 1, 0, 0}
-	b := []float64{0, 0, 1, 1}
+	fn := BinaryMetricFunc(Hamming, 0)
+	a := bitvec.FromIndices(4, 0, 1)
+	b := bitvec.FromIndices(4, 2, 3)
 	if got := fn(a, b); got != 1 {
 		t.Errorf("fully-mismatched hamming = %g, want 1", got)
 	}
-	c := []float64{1, 1, 1, 0}
+	c := bitvec.FromIndices(4, 0, 1, 2)
 	if got := fn(a, c); got != 0.25 {
 		t.Errorf("hamming = %g, want 0.25", got)
 	}

@@ -31,34 +31,13 @@ func (d *Dendrogram) MergeDistances() []float64 {
 	return out
 }
 
-// Hierarchical builds an average-linkage (UPGMA) dendrogram over weighted
-// points with all cores. Average linkage is monotone: merge distances never
-// decrease, so every Cut(K) nests inside Cut(K-1).
-func Hierarchical(points [][]float64, weights []float64, dist DistanceFunc) *Dendrogram {
-	return HierarchicalP(points, weights, dist, 0)
-}
-
-// HierarchicalP is Hierarchical with an explicit worker bound (p ≤ 0 = all
-// cores). The O(n²·d) distance-matrix build fans out; the O(n²) merge loop
-// itself is serial, so the dendrogram is identical at any parallelism.
-// Agglomerate reads only the matrix's upper triangle.
-func HierarchicalP(points [][]float64, weights []float64, dist DistanceFunc, p int) *Dendrogram {
-	n := len(points)
-	if n <= 1 {
-		return &Dendrogram{n: n}
-	}
-	if dist == nil {
-		dist = MetricFunc(Euclidean, 0)
-	}
-	return averageLinkage(DistanceMatrix(points, dist, p), weights)
-}
-
 // averageLinkage runs Agglomerate over the upper triangle of a pre-built
-// distance matrix — the stage shared by the dense and binary paths — with
-// the Lance–Williams recurrence for weighted average linkage: the distance
-// from a merged cluster to any other is the mass-weighted mean of the two
-// constituent distances. The dendrogram depends only on the matrix, never
-// on the point representation that produced it.
+// distance matrix with the Lance–Williams recurrence for weighted average
+// linkage (UPGMA): the distance from a merged cluster to any other is the
+// mass-weighted mean of the two constituent distances. Average linkage is
+// monotone: merge distances never decrease, so every Cut(K) nests inside
+// Cut(K-1). The dendrogram depends only on the matrix, never on the point
+// representation that produced it.
 func averageLinkage(dm [][]float64, weights []float64) *Dendrogram {
 	mass := make([]float64, len(dm), 2*len(dm))
 	for i := range mass {

@@ -26,9 +26,11 @@ type KMeansOptions struct {
 // maxIter bounds the Lloyd rounds of one k-means run.
 const maxIter = 100
 
-// KMeans clusters weighted points with Lloyd's algorithm and k-means++
-// seeding (Euclidean geometry, matching the paper's "KMeans Euclidean"
-// configuration). weights may be nil for unweighted clustering.
+// KMeans clusters weighted dense points with Lloyd's algorithm and
+// k-means++ seeding (Euclidean geometry, matching the paper's "KMeans
+// Euclidean" configuration). weights may be nil for unweighted clustering.
+// Binary query vectors take KMeansBinary; KMeans serves real-valued points,
+// spectral clustering's eigenvector embedding among them.
 //
 // Restarts run concurrently, each on its own RNG seeded from the master
 // stream; ties between restarts break toward the lowest restart index, so

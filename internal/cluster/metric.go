@@ -2,18 +2,18 @@
 // construct naive mixture encodings (Section 6.1 of the paper): weighted
 // k-means with k-means++ seeding and average-linkage hierarchical
 // clustering (the monotone alternative the paper suggests for dynamic
-// Error/Verbosity control), under the six distance measures the paper
-// evaluates (Manhattan, Minkowski, Hamming, Euclidean, Chebyshev,
-// Canberra). Spectral clustering, the third method of Section 6.1, runs
-// only in the figure drivers and lives in package mining.
+// Error/Verbosity control). Spectral clustering, the third method of
+// Section 6.1, runs only in the figure drivers and lives in package mining;
+// its affinity graph uses the distances here — Manhattan, Minkowski and
+// Hamming, the three the paper evaluates.
 //
-// Points come in two representations. The default pipeline path feeds
-// word-packed binary vectors (BinaryPoints) straight into popcount-native
-// kernels — KMeansBinary, HierarchicalBinaryP — which never materialize
-// dense rows (see binary.go for the kernel design and its equivalence
-// guarantees). Dense [][]float64 entry points remain for non-binary inputs
-// (spectral embeddings, research data) and as the oracle the binary
-// kernels are tested against. Either way each point carries a weight — the
+// Points are word-packed binary vectors (BinaryPoints), clustered by
+// popcount-native kernels — KMeansBinary, HierarchicalBinaryP,
+// DistanceMatrixBinary — that never materialize dense rows (see binary.go
+// for the kernel design and its equivalence guarantees). The one dense
+// [][]float64 entry point is KMeans, which spectral clustering runs on its
+// real-valued embedding; the dense float oracles the binary kernels are
+// held to live in the test files. Each point carries a weight — the
 // multiplicity of a distinct query in the log — so clustering distinct
 // vectors is exactly equivalent to clustering the full log.
 package cluster
@@ -22,134 +22,66 @@ import (
 	"fmt"
 	"math"
 
+	"logr/internal/bitvec"
 	"logr/internal/parallel"
 )
 
-// Metric enumerates the built-in distance measures.
+// Metric enumerates the distance measures the paper evaluates for spectral
+// clustering and the Hamming distance hierarchical clustering uses.
 type Metric int
 
-// Supported metrics (Section 6.1 plus footnote 1).
+// Supported metrics (Section 6.1).
 const (
-	Euclidean Metric = iota
-	Manhattan
-	Minkowski // parameterized by P (the paper uses p = 4)
+	Manhattan Metric = iota
+	Minkowski        // parameterized by p (the paper uses p = 4)
 	Hamming
-	Chebyshev
-	Canberra
 )
 
 func (m Metric) String() string {
 	switch m {
-	case Euclidean:
-		return "euclidean"
 	case Manhattan:
 		return "manhattan"
 	case Minkowski:
 		return "minkowski"
 	case Hamming:
 		return "hamming"
-	case Chebyshev:
-		return "chebyshev"
-	case Canberra:
-		return "canberra"
 	}
 	return fmt.Sprintf("Metric(%d)", int(m))
 }
 
-// DistanceFunc computes the distance between two equal-length vectors.
-type DistanceFunc func(a, b []float64) float64
+// BinaryDistanceFunc computes the distance between two packed binary vectors
+// over the same universe.
+type BinaryDistanceFunc func(a, b bitvec.Vector) float64
 
-// MetricFunc returns the DistanceFunc for m; p is the Minkowski exponent
-// and is ignored by the other metrics. The returned funcs are package-level
-// (the parameterless metrics share one static func each, and Minkowski binds
-// only its exponent), so a MetricFunc call never allocates a fresh closure —
-// distance-matrix builds that resolve the metric per row or per candidate K
-// stay allocation-free in their inner loops.
-func MetricFunc(m Metric, p float64) DistanceFunc {
+// BinaryMetricFunc returns the popcount implementation of metric m on binary
+// vectors; p is the Minkowski exponent, ignored by the other metrics. On
+// {0,1} vectors each metric reduces to a function of the single popcount
+// |a ⊕ b|:
+//
+//	manhattan = |a⊕b|      minkowski = |a⊕b|^(1/p)      hamming = |a⊕b| / n
+//
+// Each reduction performs the same final float operations as the dense
+// formula on the dense expansion of the vectors (whose accumulations are
+// exact integer-valued sums), so the results are bit-identical to it.
+func BinaryMetricFunc(m Metric, p float64) BinaryDistanceFunc {
 	switch m {
-	case Euclidean:
-		return euclideanDist
 	case Manhattan:
-		return manhattanDist
+		return func(a, b bitvec.Vector) float64 { return float64(a.XorCount(b)) }
 	case Minkowski:
 		if p <= 0 {
 			p = 4
 		}
-		return minkowskiExp(p).dist
+		inv := 1 / p
+		return func(a, b bitvec.Vector) float64 { return math.Pow(float64(a.XorCount(b)), inv) }
 	case Hamming:
-		return hammingDist
-	case Chebyshev:
-		return chebyshevDist
-	case Canberra:
-		return canberraDist
+		return func(a, b bitvec.Vector) float64 {
+			if a.Len() == 0 {
+				return 0
+			}
+			return float64(a.XorCount(b)) / float64(a.Len())
+		}
 	}
 	panic("cluster: unknown metric")
-}
-
-func euclideanDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-func manhattanDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// minkowskiExp carries the Minkowski exponent; its method value is the only
-// metric that binds a parameter.
-type minkowskiExp float64
-
-func (p minkowskiExp) dist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Pow(math.Abs(a[i]-b[i]), float64(p))
-	}
-	return math.Pow(s, 1/float64(p))
-}
-
-// hammingDist is Count(x≠y) / (Count(x≠y) + Count(x=y)) — the normalized
-// form in Section 6.1, which equals mismatches/length for equal-length
-// vectors.
-func hammingDist(a, b []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	ne := 0
-	for i := range a {
-		if a[i] != b[i] {
-			ne++
-		}
-	}
-	return float64(ne) / float64(len(a))
-}
-
-func chebyshevDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > s {
-			s = d
-		}
-	}
-	return s
-}
-
-func canberraDist(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		den := math.Abs(a[i]) + math.Abs(b[i])
-		if den > 0 {
-			s += math.Abs(a[i]-b[i]) / den
-		}
-	}
-	return s
 }
 
 // Assignment maps each input point to a cluster in [0, K).
@@ -180,26 +112,22 @@ func (a Assignment) Partition() [][]int {
 	return out
 }
 
-// DistanceMatrix computes the full symmetric pairwise distance matrix — the
-// O(n²·d) cost that dominates spectral and hierarchical clustering — over up
-// to p workers (p ≤ 0 = all cores).
-func DistanceMatrix(points [][]float64, dist DistanceFunc, p int) [][]float64 {
-	return symmetricDistanceMatrix(points, dist, p)
-}
-
-// symmetricDistanceMatrix is the fan-out scheme shared by the dense and
-// packed-binary matrix builds. The upper triangle is split by row; the
-// worker for row i also mirrors into d[j][i] (j > i), so every matrix
-// element has exactly one writer and the result is parallelism-independent.
-func symmetricDistanceMatrix[T any](points []T, dist func(a, b T) float64, p int) [][]float64 {
-	n := len(points)
+// DistanceMatrixBinary computes the full symmetric pairwise distance matrix
+// of packed binary vectors — the O(n²) popcount build that dominates
+// spectral clustering — over up to p workers (p ≤ 0 = all cores). The upper
+// triangle is split by row; the worker for row i also mirrors into d[j][i]
+// (j > i), so every element has exactly one writer and the result is
+// parallelism-independent. HierarchicalBinaryP fills only the triangle it
+// needs.
+func DistanceMatrixBinary(vecs []bitvec.Vector, dist BinaryDistanceFunc, p int) [][]float64 {
+	n := len(vecs)
 	d := make([][]float64, n)
 	for i := range d {
 		d[i] = make([]float64, n)
 	}
 	parallel.For(n, p, func(i int) {
 		for j := i + 1; j < n; j++ {
-			v := dist(points[i], points[j])
+			v := dist(vecs[i], vecs[j])
 			d[i][j] = v
 			d[j][i] = v
 		}

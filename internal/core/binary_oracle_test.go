@@ -17,22 +17,65 @@ import (
 // Error, across both methods, fixed-K and auto-sweep configurations, and
 // Recompress.
 
-// compressDense is Compress with its clustering stage run by the dense
-// kernels over l.DenseP rows instead of the popcount kernels over packed
-// vectors; the auto sweep is shared.
+// compressDense is Compress with its clustering stage run on the dense
+// float64 rows of the distinct vectors instead of the packed vectors:
+// k-means by cluster.KMeans, and average linkage over a Hamming triangle
+// summed over the dense rows. The auto sweep is shared.
 func compressDense(l *Log, opts CompressOptions) (*Compressed, error) {
 	k := leafCount(opts)
-	points, weights := l.DenseP(opts.Parallelism)
+	points, weights := denseRows(l)
 	var asg cluster.Assignment
 	switch opts.Method {
 	case KMeansMethod:
 		asg = cluster.KMeans(points, weights, kmeansOptions(opts, k))
 	case HierarchicalMethod:
-		asg = cluster.HierarchicalP(points, weights, cluster.MetricFunc(cluster.Hamming, 0), opts.Parallelism).Cut(k)
+		asg = denseHammingLinkage(points, weights).Cut(k)
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 	}
 	return sweep(l, asg, opts)
+}
+
+// denseRows returns l's distinct vectors as dense 0/1 rows and their
+// multiplicities as weights.
+func denseRows(l *Log) (points [][]float64, weights []float64) {
+	points = make([][]float64, l.Distinct())
+	weights = make([]float64, l.Distinct())
+	for i := range points {
+		points[i] = l.Vector(i).Dense()
+		weights[i] = float64(l.Multiplicity(i))
+	}
+	return points, weights
+}
+
+// denseHammingLinkage fills cluster.UpperTriangle with the normalized
+// Hamming distance, mismatches over length, of every pair of dense rows and
+// merges it by cluster.Agglomerate with the weighted average-linkage join:
+// a merged cluster's distance to any other is the mass-weighted mean of its
+// two parts' distances.
+func denseHammingLinkage(points [][]float64, weights []float64) *cluster.Dendrogram {
+	n := len(points)
+	s := cluster.UpperTriangle(n)
+	for i := range points {
+		for j := i + 1; j < n; j++ {
+			ne := 0
+			for f := range points[i] {
+				if points[i][f] != points[j][f] {
+					ne++
+				}
+			}
+			if len(points[i]) > 0 {
+				s[i][j] = float64(ne) / float64(len(points[i]))
+			}
+		}
+	}
+	mass := append(make([]float64, 0, 2*n), weights...)
+	return cluster.Agglomerate(s, func(a, b int) func(int, float64, float64) float64 {
+		ma, mb := mass[a], mass[b]
+		total := ma + mb
+		mass = append(mass, total)
+		return func(_ int, da, db float64) float64 { return (ma*da + mb*db) / total }
+	})
 }
 
 // nearestDense is cluster.NearestBinary's dense oracle: the strict-<

@@ -310,30 +310,12 @@ func (l *Log) Prob(q bitvec.Vector) float64 {
 	return 0
 }
 
-// Dense returns the distinct vectors as dense rows plus their multiplicity
-// weights — the clustering input (distinct queries weighted by multiplicity
-// is exactly equivalent to clustering the full log).
-func (l *Log) Dense() (points [][]float64, weights []float64) {
-	return l.DenseP(0)
-}
-
-// DenseP is Dense with an explicit worker bound (p ≤ 0 = all cores).
-func (l *Log) DenseP(p int) (points [][]float64, weights []float64) {
-	points = make([][]float64, len(l.vecs))
-	weights = make([]float64, len(l.vecs))
-	parallel.For(len(l.vecs), p, func(i int) {
-		points[i] = l.vecs[i].Dense()
-		weights[i] = float64(l.mult[i])
-	})
-	return points, weights
-}
-
 // Binary returns the distinct vectors with their multiplicity weights as
-// packed clustering input — the binary-native counterpart of Dense. The
+// packed clustering input (clustering distinct queries weighted by
+// multiplicity is exactly equivalent to clustering the full log). The
 // vectors are shared with the log, not copied (the clustering kernels treat
 // points as read-only), so the only allocation is the O(distinct) weight
-// slice: peak memory drops from O(distinct·universe·8B) dense rows to the
-// log's existing O(distinct·universe/8B) words.
+// slice.
 func (l *Log) Binary() cluster.BinaryPoints {
 	weights := make([]float64, len(l.vecs))
 	for i, m := range l.mult {

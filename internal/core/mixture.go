@@ -28,16 +28,11 @@ func (m Mixture) Weight(i int) float64 {
 	return float64(m.Components[i].Count) / float64(m.Total)
 }
 
-// BuildMixture encodes each partition of the log with a naive encoding,
-// using all cores. The partition list usually comes from Log.Partition.
-func BuildMixture(parts []*Log) Mixture {
-	return BuildMixtureP(parts, 0)
-}
-
-// BuildMixtureP is BuildMixture with an explicit worker bound (p ≤ 0 = all
-// cores). Each partition's naive encoding is self-contained, so encoding
-// partitions concurrently and assembling components in partition order is
-// deterministic at any parallelism.
+// BuildMixtureP encodes each non-empty partition of the log with a naive
+// encoding over up to par workers (par ≤ 0 = all cores). Each partition's
+// naive encoding is self-contained, so encoding partitions concurrently and
+// assembling components in partition order is deterministic at any
+// parallelism.
 func BuildMixtureP(parts []*Log, par int) Mixture {
 	total := 0
 	for _, p := range parts {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"logr/internal/cluster"
 	"logr/internal/core"
 	"logr/internal/mining"
 )
@@ -21,11 +20,11 @@ type Fig3Point struct {
 	MarginalDeviation float64
 }
 
-// Figure3 sweeps K with k-means partitions and measures how well the naive
-// mixture encoding approximates log statistics (Section 6.3): N patterns
-// are synthesized from each partition's encoding and checked for positive
-// marginals, and every distinct query is used as a worst-case probe for
-// marginal estimation.
+// Figure3 sweeps K with core.Compress's k-means partitions and measures
+// how well the naive mixture encoding approximates log statistics (Section
+// 6.3): N patterns are synthesized from each partition's encoding and
+// checked for positive marginals, and every distinct query is used as a
+// worst-case probe for marginal estimation.
 func Figure3(s Scale, synthesisN int) ([]Fig3Point, error) {
 	if synthesisN <= 0 {
 		synthesisN = 10000 // the paper's N
@@ -34,20 +33,17 @@ func Figure3(s Scale, synthesisN int) ([]Fig3Point, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	var out []Fig3Point
 	for _, nl := range d.logsByName() {
-		points, weights := nl.log.Dense()
 		for _, k := range s.Ks() {
-			asg := cluster.KMeans(points, weights, cluster.KMeansOptions{K: k, Seed: s.Seed, Restarts: 3})
-			mix, parts := core.BuildNaiveMixture(nl.log, asg)
-			e, err := mix.Error(parts)
+			c, err := core.Compress(nl.log, core.CompressOptions{K: k, Seed: s.Seed})
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, Fig3Point{
 				Dataset:           nl.name,
 				K:                 k,
-				ReproductionError: e,
-				SynthesisError:    mining.SynthesisError(mix, parts, synthesisN, rng),
-				MarginalDeviation: mining.MarginalDeviation(mix, parts),
+				ReproductionError: c.Err,
+				SynthesisError:    mining.SynthesisError(c.Mixture, c.Parts, synthesisN, rng),
+				MarginalDeviation: mining.MarginalDeviation(c.Mixture, c.Parts),
 			})
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"logr/internal/bitvec"
-	"logr/internal/cluster"
 	"logr/internal/core"
 	"logr/internal/maxent"
 	"logr/internal/mining"
@@ -37,24 +36,23 @@ type Fig5Point struct {
 // paper, the log is restricted to its top-100 features by variability
 // (Laserlight's PostgreSQL implementation caps at 100 arguments) and each
 // miner is limited to 15 patterns per cluster (MTV's practical ceiling).
+// The naive mixture is core.Compress's, and NaiveSecs times the whole call:
+// clustering, mixture construction and Error scoring.
 func Figure5(s Scale) ([]Fig5Point, error) {
 	d := load(s)
 	bank := d.bank.Log
 	feats := mining.TopFeaturesByEntropy(bank, 100)
 	proj := bank.Project(feats)
-	points, weights := proj.Dense()
 
 	var out []Fig5Point
 	for _, k := range s.Ks() {
 		t0 := time.Now()
-		asg := cluster.KMeans(points, weights, cluster.KMeansOptions{K: k, Seed: s.Seed, Restarts: 3})
-		mix, parts := core.BuildNaiveMixture(proj, asg)
-		naiveSecs := time.Since(t0).Seconds()
-		naiveErr, err := mix.Error(parts)
+		c, err := core.Compress(proj, core.CompressOptions{K: k, Seed: s.Seed})
 		if err != nil {
 			return nil, err
 		}
-		p := Fig5Point{K: k, NaiveError: naiveErr, NaiveSecs: naiveSecs}
+		mix, parts := c.Mixture, c.Parts
+		p := Fig5Point{K: k, NaiveError: c.Err, NaiveSecs: time.Since(t0).Seconds()}
 
 		// per-cluster mining + refinement
 		t0 = time.Now()

@@ -24,8 +24,8 @@
 //
 // Alongside them, the paper's measurement machinery:
 //
-//   - Spectral and SpectralBinary — normalized spectral clustering, the
-//     third partitioning method of Section 6.1 (Figure 2);
+//   - Spectral — normalized spectral clustering of packed binary vectors,
+//     the third partitioning method of Section 6.1 (Figure 2);
 //   - SynthesisError and MarginalDeviation — the fidelity measures of
 //     Section 6.3 over a core.Mixture (Figure 3);
 //   - PatternEncoding and DeviationSampler — general pattern encodings
@@ -130,16 +130,15 @@ func (d *Labeled) UsedFeatures() int {
 	return seen.Count()
 }
 
-// Dense returns distinct vectors as dense rows with multiplicity weights,
-// for clustering.
-func (d *Labeled) Dense() (points [][]float64, weights []float64) {
-	points = make([][]float64, len(d.vecs))
-	weights = make([]float64, len(d.vecs))
-	for i, v := range d.vecs {
-		points[i] = v.Dense()
-		weights[i] = float64(d.count[i])
+// Binary returns the distinct vectors with their multiplicity weights as
+// packed clustering input. The vectors are shared with the dataset, not
+// copied; only the weight slice is allocated.
+func (d *Labeled) Binary() cluster.BinaryPoints {
+	weights := make([]float64, len(d.vecs))
+	for i, c := range d.count {
+		weights[i] = float64(c)
 	}
-	return points, weights
+	return cluster.BinaryPoints{Vecs: d.vecs, Weights: weights}
 }
 
 // Partition splits the dataset by a clustering of its distinct vectors.

@@ -271,8 +271,7 @@ func TestLaserlightMixtureImproves(t *testing.T) {
 		d.Add(v, 1, pos)
 	}
 	classical := Laserlight(d, LaserlightOptions{Patterns: 6, Seed: 13})
-	pts, w := d.Dense()
-	asg := cluster.KMeans(pts, w, cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
+	asg := cluster.KMeansBinary(d.Binary(), cluster.KMeansOptions{K: 2, Seed: 1, Restarts: 3})
 	parts := d.Partition(asg)
 	mixed := LaserlightMixtureFixed(parts, 6, LaserlightOptions{Seed: 13})
 	if mixed.Error > classical.Error()*1.2 {
@@ -282,8 +281,7 @@ func TestLaserlightMixtureImproves(t *testing.T) {
 
 func TestMTVMixtureScaledRunsAndCaps(t *testing.T) {
 	l := plantedLog(13, 400)
-	pts, w := l.Dense()
-	asg := cluster.KMeans(pts, w, cluster.KMeansOptions{K: 2, Seed: 1})
+	asg := cluster.KMeansBinary(l.Binary(), cluster.KMeansOptions{K: 2, Seed: 1})
 	parts := l.Partition(asg)
 	res, err := MTVMixtureScaled(parts, 15, MTVOptions{Patterns: 15})
 	if err != nil {

@@ -21,10 +21,6 @@ import (
 // SpectralOptions configure normalized spectral clustering.
 type SpectralOptions struct {
 	K int
-	// Dist is the distance used to build the affinity graph; nil defaults
-	// to Euclidean. The paper evaluates Manhattan, Minkowski(p=4) and
-	// Hamming affinities (Section 6.1).
-	Dist cluster.DistanceFunc
 	// Sigma is the Gaussian kernel bandwidth; ≤ 0 selects the median
 	// pairwise distance heuristic.
 	Sigma float64
@@ -36,17 +32,18 @@ type SpectralOptions struct {
 	Parallelism int
 }
 
-// Spectral performs normalized spectral clustering (Ng–Jordan–Weiss):
-// Gaussian affinity from the chosen distance, symmetric normalized
-// Laplacian, the K smallest eigenvectors as an embedding, row
+// Spectral performs normalized spectral clustering (Ng–Jordan–Weiss) of
+// packed binary points: Gaussian affinity from dist (the paper evaluates
+// Manhattan, Minkowski(p=4) and Hamming, Section 6.1), symmetric
+// normalized Laplacian, the K smallest eigenvectors as an embedding, row
 // normalization, then weighted k-means in the embedded space.
 //
 // The eigendecomposition is dense O(n³); callers with large logs should
 // cluster distinct queries (weighted by multiplicity), which is what the
 // paper's experiments do. For K sweeps over the same points, build a
 // SpectralModel once and call Cluster per K.
-func Spectral(points [][]float64, weights []float64, opts SpectralOptions) (cluster.Assignment, error) {
-	n := len(points)
+func Spectral(pts cluster.BinaryPoints, dist cluster.BinaryDistanceFunc, opts SpectralOptions) (cluster.Assignment, error) {
+	n := pts.Len()
 	if n == 0 || opts.K <= 0 {
 		return cluster.Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
 	}
@@ -57,11 +54,11 @@ func Spectral(points [][]float64, weights []float64, opts SpectralOptions) (clus
 		}
 		return cluster.Assignment{Labels: labels, K: n}, nil
 	}
-	m, err := NewSpectralModelP(points, opts.Dist, opts.Sigma, opts.Parallelism)
+	m, err := NewSpectralModel(pts.Vecs, dist, opts.Sigma, opts.Parallelism)
 	if err != nil {
 		return cluster.Assignment{}, err
 	}
-	return m.ClusterP(opts.K, weights, opts.Seed, opts.Parallelism), nil
+	return m.ClusterP(opts.K, pts.Weights, opts.Seed, opts.Parallelism), nil
 }
 
 // SpectralModel caches the Laplacian eigendecomposition of a point set so
@@ -75,35 +72,18 @@ type SpectralModel struct {
 	BuildTime time.Duration
 }
 
-// NewSpectralModel computes the normalized-Laplacian eigenbasis with all
-// cores.
-func NewSpectralModel(points [][]float64, dist cluster.DistanceFunc, sigma float64) (*SpectralModel, error) {
-	return NewSpectralModelP(points, dist, sigma, 0)
-}
-
-// NewSpectralModelP is NewSpectralModel with an explicit worker bound
-// (p ≤ 0 = all cores). The O(n²) distance, affinity and Laplacian passes
-// fan out by row — each row has one writer, and deg[i] accumulates serially
-// within its row — so the model is identical at any parallelism.
-func NewSpectralModelP(points [][]float64, dist cluster.DistanceFunc, sigma float64, p int) (*SpectralModel, error) {
-	n := len(points)
+// NewSpectralModel computes the normalized-Laplacian eigenbasis of packed
+// binary points under dist with up to p workers (p ≤ 0 = all cores). The
+// O(n²) popcount distance, affinity and Laplacian passes fan out by row —
+// each row has one writer, and deg[i] accumulates serially within its row —
+// so the model is identical at any parallelism.
+func NewSpectralModel(vecs []bitvec.Vector, dist cluster.BinaryDistanceFunc, sigma float64, p int) (*SpectralModel, error) {
+	n := len(vecs)
 	if n == 0 {
 		return &SpectralModel{}, nil
 	}
-	if dist == nil {
-		dist = cluster.MetricFunc(cluster.Euclidean, 0)
-	}
 	start := time.Now() //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
-	return newSpectralModelFromDistances(cluster.DistanceMatrix(points, dist, p), sigma, p, start)
-}
-
-// newSpectralModelFromDistances runs the affinity → Laplacian → eigensolve
-// stages over a pre-built distance matrix — the stage shared by the dense
-// and binary paths (the matrix build is the only part that depends on the
-// point representation). start is when the caller began the distance-matrix
-// build, so BuildTime keeps covering the full distance/affinity/eigen phase.
-func newSpectralModelFromDistances(dm [][]float64, sigma float64, p int, start time.Time) (*SpectralModel, error) {
-	n := len(dm)
+	dm := cluster.DistanceMatrixBinary(vecs, dist, p)
 	if sigma <= 0 {
 		sigma = medianPositive(dm)
 		if sigma == 0 {
@@ -137,11 +117,11 @@ func newSpectralModelFromDistances(dm [][]float64, sigma float64, p int, start t
 			l.Set(i, j, -w.At(i, j)/math.Sqrt(deg[i]*deg[j]))
 		}
 	})
-	_, vecs, err := linalg.SymEigen(l)
+	_, eig, err := linalg.SymEigen(l)
 	if err != nil {
 		return nil, fmt.Errorf("mining: spectral eigensolve: %w", err)
 	}
-	return &SpectralModel{n: n, vecs: vecs, BuildTime: time.Since(start)}, nil //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
+	return &SpectralModel{n: n, vecs: eig, BuildTime: time.Since(start)}, nil //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
 }
 
 // Cluster embeds the points into the K smallest eigenvectors (rows
@@ -196,49 +176,4 @@ func medianPositive(dm [][]float64) float64 {
 	}
 	sort.Float64s(vals)
 	return vals[len(vals)/2]
-}
-
-// SpectralBinary is Spectral over packed binary points: the distance matrix
-// is built with popcount kernels (bit-identical to the dense build — see
-// cluster.BinaryMetricFunc), and the affinity, Laplacian, eigensolve and
-// embedding k-means stages are shared with the dense path, so the
-// assignment is identical to Spectral on the dense expansion.
-//
-// The affinity distance comes from the dist parameter (nil = Euclidean);
-// the dense-typed opts.Dist field cannot apply to packed vectors and must
-// be left nil — setting it panics rather than being silently ignored.
-func SpectralBinary(pts cluster.BinaryPoints, dist cluster.BinaryDistanceFunc, opts SpectralOptions) (cluster.Assignment, error) {
-	if opts.Dist != nil {
-		panic("mining: SpectralBinary takes its distance via the dist parameter; SpectralOptions.Dist must be nil")
-	}
-	n := pts.Len()
-	if n == 0 || opts.K <= 0 {
-		return cluster.Assignment{Labels: make([]int, n), K: max(opts.K, 1)}, nil
-	}
-	if opts.K >= n {
-		labels := make([]int, n)
-		for i := range labels {
-			labels[i] = i
-		}
-		return cluster.Assignment{Labels: labels, K: n}, nil
-	}
-	m, err := NewSpectralModelBinaryP(pts.Vecs, dist, opts.Sigma, opts.Parallelism)
-	if err != nil {
-		return cluster.Assignment{}, err
-	}
-	return m.ClusterP(opts.K, pts.Weights, opts.Seed, opts.Parallelism), nil
-}
-
-// NewSpectralModelBinaryP computes the normalized-Laplacian eigenbasis of
-// packed binary points with an explicit worker bound (p ≤ 0 = all cores),
-// using a popcount distance matrix. nil dist defaults to Euclidean.
-func NewSpectralModelBinaryP(vecs []bitvec.Vector, dist cluster.BinaryDistanceFunc, sigma float64, p int) (*SpectralModel, error) {
-	if len(vecs) == 0 {
-		return &SpectralModel{}, nil
-	}
-	if dist == nil {
-		dist = cluster.BinaryMetricFunc(cluster.Euclidean, 0)
-	}
-	start := time.Now() //logr:allow(determinism) wall-clock feeds Stats/Elapsed timing fields only, never summary bytes
-	return newSpectralModelFromDistances(cluster.DistanceMatrixBinary(vecs, dist, p), sigma, p, start)
 }
