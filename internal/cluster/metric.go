@@ -18,13 +18,7 @@
 // vectors is exactly equivalent to clustering the full log.
 package cluster
 
-import (
-	"fmt"
-	"math"
-
-	"logr/internal/bitvec"
-	"logr/internal/parallel"
-)
+import "fmt"
 
 // Metric enumerates the distance measures the paper evaluates for spectral
 // clustering and the Hamming distance hierarchical clustering uses.
@@ -47,41 +41,6 @@ func (m Metric) String() string {
 		return "hamming"
 	}
 	return fmt.Sprintf("Metric(%d)", int(m))
-}
-
-// BinaryDistanceFunc computes the distance between two packed binary vectors
-// over the same universe.
-type BinaryDistanceFunc func(a, b bitvec.Vector) float64
-
-// BinaryMetricFunc returns the popcount implementation of metric m on binary
-// vectors; p is the Minkowski exponent, ignored by the other metrics. On
-// {0,1} vectors each metric reduces to a function of the single popcount
-// |a ⊕ b|:
-//
-//	manhattan = |a⊕b|      minkowski = |a⊕b|^(1/p)      hamming = |a⊕b| / n
-//
-// Each reduction performs the same final float operations as the dense
-// formula on the dense expansion of the vectors (whose accumulations are
-// exact integer-valued sums), so the results are bit-identical to it.
-func BinaryMetricFunc(m Metric, p float64) BinaryDistanceFunc {
-	switch m {
-	case Manhattan:
-		return func(a, b bitvec.Vector) float64 { return float64(a.XorCount(b)) }
-	case Minkowski:
-		if p <= 0 {
-			p = 4
-		}
-		inv := 1 / p
-		return func(a, b bitvec.Vector) float64 { return math.Pow(float64(a.XorCount(b)), inv) }
-	case Hamming:
-		return func(a, b bitvec.Vector) float64 {
-			if a.Len() == 0 {
-				return 0
-			}
-			return float64(a.XorCount(b)) / float64(a.Len())
-		}
-	}
-	panic("cluster: unknown metric")
 }
 
 // Assignment maps each input point to a cluster in [0, K).
@@ -110,27 +69,4 @@ func (a Assignment) Partition() [][]int {
 		out[l] = append(out[l], i)
 	}
 	return out
-}
-
-// DistanceMatrixBinary computes the full symmetric pairwise distance matrix
-// of packed binary vectors — the O(n²) popcount build that dominates
-// spectral clustering — over up to p workers (p ≤ 0 = all cores). The upper
-// triangle is split by row; the worker for row i also mirrors into d[j][i]
-// (j > i), so every element has exactly one writer and the result is
-// parallelism-independent. HierarchicalBinaryP fills only the triangle it
-// needs.
-func DistanceMatrixBinary(vecs []bitvec.Vector, dist BinaryDistanceFunc, p int) [][]float64 {
-	n := len(vecs)
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	parallel.For(n, p, func(i int) {
-		for j := i + 1; j < n; j++ {
-			v := dist(vecs[i], vecs[j])
-			d[i][j] = v
-			d[j][i] = v
-		}
-	})
-	return d
 }
