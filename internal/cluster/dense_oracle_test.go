@@ -69,8 +69,5 @@ func denseDistanceMatrix(points [][]float64, dist denseDistanceFunc) [][]float64
 
 // denseHierarchical is average linkage over the dense distance matrix.
 func denseHierarchical(points [][]float64, weights []float64, dist denseDistanceFunc) *Dendrogram {
-	if len(points) <= 1 {
-		return &Dendrogram{n: len(points)}
-	}
 	return averageLinkage(denseDistanceMatrix(points, dist), weights)
 }

@@ -64,9 +64,7 @@ func denseHammingLinkage(points [][]float64, weights []float64) *cluster.Dendrog
 					ne++
 				}
 			}
-			if len(points[i]) > 0 {
-				s[i][j] = float64(ne) / float64(len(points[i]))
-			}
+			s[i][j] = float64(ne) / float64(len(points[i]))
 		}
 	}
 	mass := append(make([]float64, 0, 2*n), weights...)
