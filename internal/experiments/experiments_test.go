@@ -155,6 +155,7 @@ func TestFigure4Shapes(t *testing.T) {
 		t.Errorf("corr_rank vs error correlation = %g, want strongly negative", r)
 	}
 	_ = FormatFigure4(r)
+	checkGolden(t, "figures_small.txt", "fig4", fig4Golden(r))
 }
 
 func pearson(x, y []float64) float64 {

@@ -11,12 +11,12 @@ import (
 	"testing"
 )
 
-// The figure goldens pin every non-timing value that Figures 2, 3, 5, 8
+// The figure goldens pin every non-timing value that Figures 2, 3, 4, 5, 8
 // and 9 print, at full float64 precision, one line per cell, each line
 // prefixed by its figure. A change to the clustering or scoring path that
 // moves any of them moves a line. Regenerate a scale's file with
 //
-//	go test ./internal/experiments -run 'Figure(2|3|5|8|9)Shapes' -update
+//	go test ./internal/experiments -run 'Figure(2|3|4|5|8|9)Shapes' -update
 //	go test -tags medium ./internal/experiments -run FigureMedium -update
 var update = flag.Bool("update", false, "rewrite the figure goldens in testdata")
 
@@ -84,6 +84,20 @@ func fig3Golden(points []Fig3Point) []string {
 	var out []string
 	for _, p := range points {
 		out = append(out, goldenLine("fig3", p.Dataset, p.K, p.ReproductionError, p.SynthesisError, p.MarginalDeviation))
+	}
+	return out
+}
+
+func fig4Golden(r *Fig4Result) []string {
+	var out []string
+	for _, p := range r.Containment {
+		out = append(out, goldenLine("fig4", "contain", p.Dataset, p.DDiffOnly, p.DGap))
+	}
+	for _, p := range r.ErrDev {
+		out = append(out, goldenLine("fig4", "errdev", p.Dataset, p.NumPatterns, p.Error, p.Deviation))
+	}
+	for _, p := range r.CorrRank {
+		out = append(out, goldenLine("fig4", "corrrank", p.Dataset, p.NumFeatures, p.CorrRank, p.Error))
 	}
 	return out
 }

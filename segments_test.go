@@ -261,6 +261,31 @@ func TestAutoSegmentThresholdPublic(t *testing.T) {
 // summaries — baseline-like windows stay calm, an injected workload in a
 // later segment trips the alarm.
 func TestDriftBetweenSegments(t *testing.T) {
+	w := driftSegments(t)
+	opts := logr.CompressOptions{Clusters: 6, Seed: 1}
+	calm, err := w.DriftBetween(0, 3, 3, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calm.Alert {
+		t.Fatalf("false alarm on a baseline window: %+v", calm)
+	}
+	hot, err := w.DriftBetween(0, 4, 4, 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hot.Alert {
+		t.Fatalf("missed the injected workload: %+v", hot)
+	}
+	if hot.NoveltyRate <= calm.NoveltyRate {
+		t.Fatalf("novelty did not rise: calm %v vs hot %v", calm.NoveltyRate, hot.NoveltyRate)
+	}
+}
+
+// driftSegments seals four segments of pocket traffic and a fifth that
+// adds an injected exfiltration workload to it.
+func driftSegments(t *testing.T) *logr.Workload {
+	t.Helper()
 	w := logr.FromEntries(nil)
 	// four segments of baseline traffic
 	for i := 0; i < 4; i++ {
@@ -280,25 +305,7 @@ func TestDriftBetweenSegments(t *testing.T) {
 	if _, ok := w.Seal(); !ok {
 		t.Fatal("seal failed")
 	}
-
-	opts := logr.CompressOptions{Clusters: 6, Seed: 1}
-	calm, err := w.DriftBetween(0, 3, 3, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calm.Alert {
-		t.Fatalf("false alarm on a baseline window: %+v", calm)
-	}
-	hot, err := w.DriftBetween(0, 4, 4, 5, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hot.Alert {
-		t.Fatalf("missed the injected workload: %+v", hot)
-	}
-	if hot.NoveltyRate <= calm.NoveltyRate {
-		t.Fatalf("novelty did not rise: calm %v vs hot %v", calm.NoveltyRate, hot.NoveltyRate)
-	}
+	return w
 }
 
 // TestConcurrentAppendSealCompressRange is the segmented-store race test:
