@@ -15,7 +15,6 @@ import (
 	"logr/internal/bitvec"
 	"logr/internal/core"
 	"logr/internal/feature"
-	"logr/internal/maxent"
 )
 
 // IndexSuggestion recommends an index on a column because predicates on it
@@ -140,11 +139,11 @@ type DriftReport struct {
 
 // DriftDetector monitors a query stream against a compressed baseline
 // (Section 2's online-monitoring application; Section 5 motivates mixture
-// encodings via exactly this misuse/workload-injection scenario).
+// encodings via exactly this misuse/workload-injection scenario). It scores
+// and samples every component through the closed form of its naive
+// encoding, read straight off the summary's integer feature counts.
 type DriftDetector struct {
 	baseline core.Mixture
-	// dists caches each component's max-ent distribution.
-	dists []*maxent.Dist
 	// calibratedNLL is E[−log P(Q | baseline)] under the baseline model,
 	// estimated by sampling the mixture at construction.
 	calibratedNLL float64
@@ -171,16 +170,14 @@ func NewDriftDetectorAt(baseline core.Mixture, universe int) *DriftDetector {
 
 // NewDriftDetector prepares a detector from a baseline encoding and
 // calibrates its expected surprisal by sampling the encoding itself (no
-// raw log needed — the summary is the baseline).
+// raw log needed — the summary is the baseline). A baseline with no
+// components takes no calibration draws and scores every query as novel.
 func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 	d := &DriftDetector{baseline: baseline, ScoreThreshold: 5, NoveltyThreshold: 0.05}
-	for _, c := range baseline.Components {
-		d.dists = append(d.dists, c.Dist(baseline.Universe))
-	}
 	rng := rand.New(rand.NewSource(1))
 	const calibration = 2000
 	total := 0.0
-	for t := 0; t < calibration; t++ {
+	for t := 0; t < calibration && len(baseline.Components) > 0; t++ {
 		// draw a component by weight, then a query from it
 		x := rng.Float64()
 		ci := 0
@@ -190,7 +187,7 @@ func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 				break
 			}
 		}
-		q := d.dists[ci].Sample(rng)
+		q := d.baseline.Components[ci].Sample(rng, d.baseline.Universe)
 		if p := d.prob(q); p > 0 {
 			total += -math.Log(p)
 		}
@@ -203,8 +200,8 @@ func NewDriftDetector(baseline core.Mixture) *DriftDetector {
 // prob returns the mixture likelihood of a query vector.
 func (d *DriftDetector) prob(q bitvec.Vector) float64 {
 	p := 0.0
-	for ci := range d.baseline.Components {
-		p += d.baseline.Weight(ci) * d.dists[ci].Prob(q)
+	for ci, c := range d.baseline.Components {
+		p += d.baseline.Weight(ci) * math.Exp(c.LogProb(q))
 	}
 	return p
 }

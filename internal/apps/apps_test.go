@@ -164,3 +164,19 @@ func TestDriftDetectorAtGrownUniverse(t *testing.T) {
 		t.Errorf("novelty = %g, want 0.1", rep.NoveltyRate)
 	}
 }
+
+// TestDriftDetectorEmptyBaseline: a baseline with no components has
+// nothing to calibrate against, so every window query scores as novel and
+// an empty window still reports nothing.
+func TestDriftDetectorEmptyBaseline(t *testing.T) {
+	det := NewDriftDetector(core.Mixture{Universe: 4})
+	window := core.NewLog(4)
+	window.Add(bitvec.FromIndices(4, 1, 2), 3)
+	rep := det.Check(window, 2)
+	if rep.NoveltyRate != 1 || !rep.Alert {
+		t.Errorf("window against an empty baseline = %+v, want novelty 1 and an alert", rep)
+	}
+	if rep := det.Check(core.NewLog(4), 0); rep != (DriftReport{}) {
+		t.Errorf("empty window = %+v, want the zero report", rep)
+	}
+}

@@ -59,17 +59,70 @@ func TestSection51NaiveEncoding(t *testing.T) {
 func TestExample4Probabilities(t *testing.T) {
 	l := section51Log()
 	e := NaiveEncode(l)
-	d := e.Dist(4)
 	q1 := bitvec.FromIndices(4, 0, 2, 3)
-	if got := d.Prob(q1); !almostEq(got, 4.0/27, 1e-12) {
+	if got := math.Exp(e.LogProb(q1)); !almostEq(got, 4.0/27, 1e-12) {
 		t.Errorf("P(q1) = %g, want 4/27", got)
 	}
 	phantom := bitvec.FromIndices(4, 1, 2, 3)
-	if got := d.Prob(phantom); !almostEq(got, 1.0/27, 1e-12) {
+	if got := math.Exp(e.LogProb(phantom)); !almostEq(got, 1.0/27, 1e-12) {
 		t.Errorf("P(phantom) = %g, want 1/27", got)
 	}
 	if l.Prob(phantom) != 0 {
 		t.Error("phantom query should not be in the log")
+	}
+}
+
+// TestNaiveClosedFormMatchesDense holds Naive.LogProb and Naive.Sample to
+// the dense walk over every feature of the universe that drift scored
+// through before: LogProb bit for bit, Sample draw for draw. The random
+// encodings have features with p = 1, and the probes set bits off the
+// support and clear bits every query has.
+func TestNaiveClosedFormMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 150
+	for trial := 0; trial < 200; trial++ {
+		e := Naive{Count: 1 + rng.Intn(40)}
+		for f := 0; f < n; f++ {
+			if rng.Intn(3) == 0 {
+				e.Feat = append(e.Feat, uint32(f))
+				e.Cnt = append(e.Cnt, 1+rng.Intn(e.Count))
+			}
+		}
+		dense := e.Dense(n)
+
+		seed := rng.Int63()
+		q := e.Sample(rand.New(rand.NewSource(seed)), n)
+		want, draws := bitvec.New(n), rand.New(rand.NewSource(seed))
+		for i, p := range dense {
+			if draws.Float64() < p {
+				want.Set(i)
+			}
+		}
+		if !q.Equal(want) {
+			t.Fatalf("trial %d: Sample = %v, dense draws give %v", trial, q.Indices(), want.Indices())
+		}
+
+		for flip := 0; flip < 4; flip++ {
+			if flip > 0 {
+				q = q.Clone()
+				if i := rng.Intn(n); q.Get(i) {
+					q.Clear(i)
+				} else {
+					q.Set(i)
+				}
+			}
+			lp := 0.0
+			for i, p := range dense {
+				if q.Get(i) {
+					lp += math.Log(p)
+				} else {
+					lp += math.Log(1 - p)
+				}
+			}
+			if got := e.LogProb(q); math.Float64bits(got) != math.Float64bits(lp) {
+				t.Fatalf("trial %d flip %d: LogProb = %v, dense sum %v", trial, flip, got, lp)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"slices"
 
 	"logr/internal/bitvec"
-	"logr/internal/maxent"
+	"logr/internal/stats"
 )
 
 // Naive is a naive encoding (Section 3.2): the family of single-feature
@@ -12,7 +14,10 @@ import (
 // count c_f is the number of the |L| queries containing it, and every
 // statistic is derived from the counts: the marginal p(X_f = 1 | L) is
 // c_f / |L|, which is exactly the value Log.FeatureMarginals computes. It
-// is the building block of LogR's pattern mixture encodings.
+// is the building block of LogR's pattern mixture encodings. Its maximum-
+// entropy distribution ρ_E is the closed-form product of independent
+// Bernoulli features of Eq. (1), so LogProb, Sample, EstimateMarginal and
+// ModelEntropy read it straight off the counts.
 //
 // Features outside the support have count 0 and marginal 0, so an encoding
 // is valid over any universe that covers its support: growing the universe
@@ -73,17 +78,12 @@ func (e Naive) Dense(n int) []float64 {
 // non-zero marginal (one single-feature pattern each).
 func (e Naive) Verbosity() int { return len(e.Feat) }
 
-// Dist returns the maximum-entropy distribution ρ_E induced by the naive
-// encoding over a universe of size n — the closed-form independent product
-// of Eq. (1).
-func (e Naive) Dist(n int) *maxent.Dist { return maxent.Naive(e.Dense(n)) }
-
 // ModelEntropy returns H(ρ_E) = Σ_i H_Bernoulli(p_i) in nats. Features off
 // the support have H_Bernoulli(0) = 0.
 func (e Naive) ModelEntropy() float64 {
 	h := 0.0
 	for j := range e.Feat {
-		h += maxent.BernoulliEntropy(e.marginal(j))
+		h += stats.BernoulliEntropy(e.marginal(j))
 	}
 	return h
 }
@@ -117,6 +117,47 @@ func (e Naive) EstimateMarginal(b bitvec.Vector) float64 {
 		p *= e.marginal(j)
 	}
 	return p
+}
+
+// LogProb returns ln ρ_E(Q = q) = Σ ln p_f over the features of q plus
+// Σ ln(1 − p_f) over the support features q lacks. The sum runs over the
+// support in ascending feature order. A feature of q off the support has
+// p = 0, so LogProb returns −Inf, as it does when q lacks a feature every
+// summarized query has (p = 1).
+func (e Naive) LogProb(q bitvec.Vector) float64 {
+	lp, hits := 0.0, 0
+	for j, f := range e.Feat {
+		p := e.marginal(j)
+		if q.Get(int(f)) {
+			lp += math.Log(p)
+			hits++
+		} else {
+			lp += math.Log(1 - p)
+		}
+	}
+	if hits != q.Count() {
+		return math.Inf(-1)
+	}
+	return lp
+}
+
+// Sample draws a query from ρ_E over a universe of size n, which must
+// cover the support: one rng.Float64() per feature in index order, the
+// feature set when the draw falls below its marginal. Features off the
+// support consume their draw and stay unset.
+func (e Naive) Sample(rng *rand.Rand, n int) bitvec.Vector {
+	v := bitvec.New(n)
+	j := 0
+	for i := range n {
+		x := rng.Float64()
+		if j < len(e.Feat) && int(e.Feat[j]) == i {
+			if x < e.marginal(j) {
+				v.Set(i)
+			}
+			j++
+		}
+	}
+	return v
 }
 
 // EstimateCount returns est[Γ_b(L) | E] = |L| · Π_{f ∈ b} E[f].
@@ -153,7 +194,7 @@ func pooledEntropy(a, b Naive) float64 {
 			i++
 			j++
 		}
-		h += maxent.BernoulliEntropy(float64(c) / n)
+		h += stats.BernoulliEntropy(float64(c) / n)
 	}
 	return h
 }

@@ -6,13 +6,13 @@ import (
 	"strings"
 
 	"logr/internal/bitvec"
-	"logr/internal/maxent"
 )
 
 // Feature-correlation refinement (Section 6.4): starting from a naive
 // encoding, identify the patterns whose true marginals deviate most from
-// the independence estimate — they are the best candidates to add to the
-// encoding — and optionally diversify a whole set of them.
+// the independence estimate — the best candidates to add to the encoding.
+// The refined encoding itself, a naive base plus pattern constraints, is
+// mining.PatternEncoding.
 
 // FeatureCorrelation returns WC(b, S) = log p(Q ⊇ b) − log ρ_S(Q ⊇ b): the
 // log-gap between a pattern's true marginal and the naive (independent)
@@ -115,66 +115,4 @@ func sortByScoreThenKey(ps []ScoredPattern) {
 	for i, k := range ks {
 		ps[i] = k.p
 	}
-}
-
-// RefinedEncoding is a naive encoding extended with extra pattern
-// constraints — the hypothetical second LogR stage of Section 6.4. It
-// trades closed-form statistics for lower Error.
-type RefinedEncoding struct {
-	Base     Naive
-	Extra    []maxent.Constraint
-	Universe int
-}
-
-// RefineNaive extends the naive encoding of l with up to k patterns chosen
-// greedily by corr_rank from the candidate list. If diversify is true, a
-// candidate is skipped when it shares a feature with an already-chosen
-// pattern (the cheap overlap-avoidance stand-in for full pattern-set
-// diversification, whose benefit Section 7.2 measures as minimal).
-func RefineNaive(l *Log, e Naive, candidates []ScoredPattern, k int, diversify bool) RefinedEncoding {
-	r := RefinedEncoding{Base: e, Universe: l.Universe()}
-	used := bitvec.New(l.Universe())
-	for _, c := range candidates {
-		if len(r.Extra) >= k {
-			break
-		}
-		if diversify && used.Intersects(c.Pattern) {
-			continue
-		}
-		r.Extra = append(r.Extra, maxent.Constraint{Pattern: c.Pattern, Target: l.Marginal(c.Pattern)})
-		used.OrInPlace(c.Pattern)
-	}
-	return r
-}
-
-// WithPatterns extends the naive encoding with explicit pattern constraints
-// whose targets are read from the log — used to plug Laserlight/MTV
-// patterns into a naive (mixture) encoding for the Figure 5a experiment.
-func WithPatterns(l *Log, e Naive, patterns []bitvec.Vector) RefinedEncoding {
-	r := RefinedEncoding{Base: e, Universe: l.Universe()}
-	for _, b := range patterns {
-		if b.IsZero() || b.Count() == 1 {
-			continue // single-feature patterns are already in the naive base
-		}
-		r.Extra = append(r.Extra, maxent.Constraint{Pattern: b, Target: l.Marginal(b)})
-	}
-	return r
-}
-
-// Verbosity counts the naive base plus the extra patterns.
-func (r RefinedEncoding) Verbosity() int { return r.Base.Verbosity() + len(r.Extra) }
-
-// Dist fits the refined maximum-entropy distribution: feature marginals
-// from the naive base plus the extra pattern constraints.
-func (r RefinedEncoding) Dist(opts maxent.Options) (*maxent.Dist, error) {
-	return maxent.Fit(r.Universe, r.Base.Dense(r.Universe), r.Extra, opts)
-}
-
-// ReproductionError returns e(E) for the refined encoding against l.
-func (r RefinedEncoding) ReproductionError(l *Log, opts maxent.Options) (float64, error) {
-	d, err := r.Dist(opts)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return d.Entropy() - l.EmpiricalEntropy(), nil
 }

@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"logr/internal/bitvec"
-	"logr/internal/maxent"
 )
-
-func defaultMaxentOpts() maxent.Options { return maxent.Options{} }
 
 // correlatedLog plants a strong positive correlation between features 0,1
 // and leaves 2..5 independent.
@@ -36,55 +33,6 @@ func TestFeatureCorrelationSign(t *testing.T) {
 	}
 }
 
-func TestCorrRankOrdersByErrorReduction(t *testing.T) {
-	// Figure 4e/4f's claim: higher corr_rank → larger Error reduction when
-	// the pattern joins the naive encoding.
-	l := correlatedLog()
-	e := NaiveEncode(l)
-	base := e.ReproductionError(l)
-
-	strong := bitvec.FromIndices(6, 0, 1)
-	weak := bitvec.FromIndices(6, 2, 4)
-	if CorrRank(l, e, strong) <= CorrRank(l, e, weak) {
-		t.Fatalf("corr_rank(strong)=%g should beat corr_rank(weak)=%g",
-			CorrRank(l, e, strong), CorrRank(l, e, weak))
-	}
-	errStrong := refinedError(t, l, e, strong)
-	errWeak := refinedError(t, l, e, weak)
-	if base-errStrong < base-errWeak-1e-9 {
-		t.Errorf("strong pattern reduced error by %g, weak by %g; order disagrees with corr_rank",
-			base-errStrong, base-errWeak)
-	}
-}
-
-func refinedError(t *testing.T, l *Log, e Naive, b bitvec.Vector) float64 {
-	t.Helper()
-	r := WithPatterns(l, e, []bitvec.Vector{b})
-	got, err := r.ReproductionError(l, defaultMaxentOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func TestRefinementNeverIncreasesError(t *testing.T) {
-	l := correlatedLog()
-	e := NaiveEncode(l)
-	base := e.ReproductionError(l)
-	cands := CandidatePatterns(l, e, 0.01, 10)
-	if len(cands) == 0 {
-		t.Fatal("no candidates found")
-	}
-	r := RefineNaive(l, e, cands, 3, false)
-	got, err := r.ReproductionError(l, defaultMaxentOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > base+1e-9 {
-		t.Errorf("refined error %g exceeds base %g", got, base)
-	}
-}
-
 func TestCandidatePatternsSorted(t *testing.T) {
 	l := correlatedLog()
 	e := NaiveEncode(l)
@@ -97,43 +45,6 @@ func TestCandidatePatternsSorted(t *testing.T) {
 	// the strongly correlated pair must rank first
 	if len(cands) == 0 || !cands[0].Pattern.Contains(bitvec.FromIndices(6, 0, 1)) {
 		t.Errorf("top candidate should involve the planted correlation, got %v", cands)
-	}
-}
-
-func TestRefineDiversify(t *testing.T) {
-	l := correlatedLog()
-	e := NaiveEncode(l)
-	cands := CandidatePatterns(l, e, 0.01, 0)
-	r := RefineNaive(l, e, cands, 3, true)
-	// diversified patterns must be pairwise feature-disjoint
-	for i := 0; i < len(r.Extra); i++ {
-		for j := i + 1; j < len(r.Extra); j++ {
-			if r.Extra[i].Pattern.Intersects(r.Extra[j].Pattern) {
-				t.Errorf("diversified patterns %d and %d overlap", i, j)
-			}
-		}
-	}
-}
-
-func TestWithPatternsSkipsTrivial(t *testing.T) {
-	l := correlatedLog()
-	e := NaiveEncode(l)
-	r := WithPatterns(l, e, []bitvec.Vector{
-		bitvec.New(6),               // empty
-		bitvec.FromIndices(6, 0),    // single-feature (already naive)
-		bitvec.FromIndices(6, 0, 1), // genuine
-	})
-	if len(r.Extra) != 1 {
-		t.Errorf("Extra = %d patterns, want 1", len(r.Extra))
-	}
-}
-
-func TestRefinedEncodingVerbosity(t *testing.T) {
-	l := correlatedLog()
-	e := NaiveEncode(l)
-	r := WithPatterns(l, e, []bitvec.Vector{bitvec.FromIndices(6, 0, 1)})
-	if r.Verbosity() != e.Verbosity()+1 {
-		t.Errorf("Verbosity = %d, want %d", r.Verbosity(), e.Verbosity()+1)
 	}
 }
 

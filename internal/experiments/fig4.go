@@ -157,7 +157,7 @@ func Figure4(s Scale) (*Fig4Result, error) {
 		// pattern
 		cands3 := core.CandidatePatterns(proj, naive, 0.01, 40)
 		for _, c := range cands3 {
-			r := core.WithPatterns(proj, naive, []bitvec.Vector{c.Pattern})
+			r := mining.WithPatterns(proj, naive, []bitvec.Vector{c.Pattern})
 			re, err := r.ReproductionError(proj, maxent.Options{})
 			if err != nil {
 				return nil, err

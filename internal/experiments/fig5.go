@@ -135,7 +135,7 @@ func refineWithBudget(l *core.Log, e core.Naive, patterns []bitvec.Vector) float
 		if b.Count() < 2 || b.Count() > 10 {
 			continue
 		}
-		trial := core.WithPatterns(l, e, append(kept, b))
+		trial := mining.WithPatterns(l, e, append(kept, b))
 		re, err := trial.ReproductionError(l, opts)
 		if err != nil {
 			continue

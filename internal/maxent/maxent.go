@@ -20,10 +20,9 @@ package maxent
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/rand"
 
 	"logr/internal/bitvec"
+	"logr/internal/stats"
 )
 
 // Constraint fixes the marginal of Pattern at Target ∈ [0,1].
@@ -77,9 +76,6 @@ type block struct {
 	feats []int // global feature indices, ascending; local bit i ↔ feats[i]
 	probs []float64
 }
-
-// N returns the universe size.
-func (d *Dist) N() int { return d.n }
 
 // Fit solves for the maximum-entropy distribution over n binary features
 // subject to the given constraints.
@@ -290,25 +286,12 @@ func Fit(n int, featureMarginals []float64, patterns []Constraint, opts Options)
 	return d, nil
 }
 
-// Naive returns the closed-form maximum-entropy distribution for a naive
-// encoding: independent Bernoulli features with the given marginals
-// (Eq. (1) in the paper).
-func Naive(marginals []float64) *Dist {
-	n := len(marginals)
-	d := &Dist{n: n, bern: make([]float64, n), inBlock: make([]bool, n), blockOf: make([]int, n)}
-	for i, p := range marginals {
-		d.bern[i] = clampProbLoose(p)
-		d.blockOf[i] = -1
-	}
-	return d
-}
-
 // Entropy returns H(ρ) in nats.
 func (d *Dist) Entropy() float64 {
 	h := 0.0
 	for i := 0; i < d.n; i++ {
 		if !d.inBlock[i] {
-			h += BernoulliEntropy(d.bern[i])
+			h += stats.BernoulliEntropy(d.bern[i])
 		}
 	}
 	for _, b := range d.blocks {
@@ -357,96 +340,6 @@ func (d *Dist) PatternMarginal(b bitvec.Vector) float64 {
 	return p
 }
 
-// Prob returns the probability of the exact point q.
-func (d *Dist) Prob(q bitvec.Vector) float64 {
-	return math.Exp(d.LogProb(q))
-}
-
-// LogProb returns ln P(Q = q); -Inf if q has probability zero.
-func (d *Dist) LogProb(q bitvec.Vector) float64 {
-	if q.Len() != d.n {
-		panic("maxent: query universe mismatch")
-	}
-	lp := 0.0
-	for i := 0; i < d.n; i++ {
-		if d.inBlock[i] {
-			continue
-		}
-		p := d.bern[i]
-		if q.Get(i) {
-			lp += safeLog(p)
-		} else {
-			lp += safeLog(1 - p)
-		}
-	}
-	for _, blk := range d.blocks {
-		var s uint32
-		for li, f := range blk.feats {
-			if q.Get(f) {
-				s |= 1 << uint(li)
-			}
-		}
-		lp += safeLog(blk.probs[s])
-	}
-	return lp
-}
-
-// Sample draws a random point from the distribution.
-func (d *Dist) Sample(rng *rand.Rand) bitvec.Vector {
-	v := bitvec.New(d.n)
-	for i := 0; i < d.n; i++ {
-		if !d.inBlock[i] && rng.Float64() < d.bern[i] {
-			v.Set(i)
-		}
-	}
-	for _, blk := range d.blocks {
-		x := rng.Float64()
-		s := 0
-		for ; s < len(blk.probs)-1; s++ {
-			x -= blk.probs[s]
-			if x <= 0 {
-				break
-			}
-		}
-		for li, f := range blk.feats {
-			if s&(1<<uint(li)) != 0 {
-				v.Set(f)
-			}
-		}
-	}
-	return v
-}
-
-// FeatureMarginal returns P(X_i = 1).
-func (d *Dist) FeatureMarginal(i int) float64 {
-	if bi := d.blockOf[i]; bi >= 0 {
-		blk := d.blocks[bi]
-		li := indexOf(blk.feats, i)
-		mask := uint32(1) << uint(li)
-		m := 0.0
-		for s, pr := range blk.probs {
-			if uint32(s)&mask != 0 {
-				m += pr
-			}
-		}
-		return m
-	}
-	return d.bern[i]
-}
-
-// BernoulliEntropy returns −p ln p − (1−p) ln(1−p), with the 0·log 0 = 0
-// convention.
-func BernoulliEntropy(p float64) float64 {
-	h := 0.0
-	if p > 0 {
-		h -= p * math.Log(p)
-	}
-	if p < 1 {
-		h -= (1 - p) * math.Log(1-p)
-	}
-	return h
-}
-
 const probEps = 1e-9
 
 func clampProb(p float64) float64 {
@@ -457,25 +350,6 @@ func clampProb(p float64) float64 {
 		return 1 - probEps
 	}
 	return p
-}
-
-// clampProbLoose keeps exact 0/1 (naive encodings legitimately contain
-// features present in all or none of a partition's queries).
-func clampProbLoose(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-func safeLog(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(p)
 }
 
 func indexOf(xs []int, x int) int {
@@ -527,16 +401,3 @@ func (u *unionFind) union(a, b int) {
 		u.parent[ra] = rb
 	}
 }
-
-// BlockSizes reports the feature-block sizes of the fitted model; useful
-// for tests and diagnostics.
-func (d *Dist) BlockSizes() []int {
-	out := make([]int, len(d.blocks))
-	for i, b := range d.blocks {
-		out[i] = len(b.feats)
-	}
-	return out
-}
-
-// popcount32 is a tiny helper kept for clarity in tests.
-func popcount32(x uint32) int { return bits.OnesCount32(x) }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"logr/internal/bitvec"
+	"logr/internal/stats"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -14,7 +15,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestNaiveEntropyClosedForm(t *testing.T) {
 	p := []float64{0.5, 0.25, 1, 0}
 	d := Naive(p)
-	want := BernoulliEntropy(0.5) + BernoulliEntropy(0.25)
+	want := stats.BernoulliEntropy(0.5) + stats.BernoulliEntropy(0.25)
 	if !almostEq(d.Entropy(), want, 1e-12) {
 		t.Errorf("entropy = %g, want %g", d.Entropy(), want)
 	}
@@ -253,14 +254,14 @@ func TestLogProbAndSampleConsistency(t *testing.T) {
 }
 
 func TestBernoulliEntropy(t *testing.T) {
-	if BernoulliEntropy(0) != 0 || BernoulliEntropy(1) != 0 {
+	if stats.BernoulliEntropy(0) != 0 || stats.BernoulliEntropy(1) != 0 {
 		t.Error("degenerate Bernoulli entropy should be 0")
 	}
-	if !almostEq(BernoulliEntropy(0.5), math.Log(2), 1e-12) {
-		t.Errorf("H(0.5) = %g, want ln 2", BernoulliEntropy(0.5))
+	if !almostEq(stats.BernoulliEntropy(0.5), math.Log(2), 1e-12) {
+		t.Errorf("H(0.5) = %g, want ln 2", stats.BernoulliEntropy(0.5))
 	}
 	// symmetry
-	if !almostEq(BernoulliEntropy(0.3), BernoulliEntropy(0.7), 1e-12) {
+	if !almostEq(stats.BernoulliEntropy(0.3), stats.BernoulliEntropy(0.7), 1e-12) {
 		t.Error("Bernoulli entropy not symmetric")
 	}
 }

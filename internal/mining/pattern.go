@@ -9,7 +9,9 @@ import (
 )
 
 // PatternEncoding is a general pattern-based encoding (Section 2.3.1): a
-// partial mapping from patterns to their marginals in the log.
+// partial mapping from patterns to their marginals in the log, optionally
+// on top of a naive base that fixes every feature's marginal — the
+// refinement of a naive encoding that Section 6.4 proposes.
 type PatternEncoding struct {
 	Universe int
 	Patterns []bitvec.Vector
@@ -17,6 +19,10 @@ type PatternEncoding struct {
 	Marginals []float64
 	// Count is |L|.
 	Count int
+	// Base is the naive encoding the patterns refine. A base of no
+	// queries (the zero value) means no base: features outside every
+	// pattern stay unconstrained.
+	Base core.Naive
 }
 
 // NewPatternEncoding builds an encoding of l from the given patterns,
@@ -43,8 +49,24 @@ func NewPatternEncodingP(l *core.Log, patterns []bitvec.Vector, par int) Pattern
 	return e
 }
 
-// Verbosity returns |E|, the number of mapped patterns.
-func (e PatternEncoding) Verbosity() int { return len(e.Patterns) }
+// WithPatterns refines the naive encoding base of l with the given
+// patterns, reading their marginals off the log. Empty and single-feature
+// patterns are skipped: the base already fixes every feature's marginal.
+func WithPatterns(l *core.Log, base core.Naive, patterns []bitvec.Vector) PatternEncoding {
+	var multi []bitvec.Vector
+	for _, b := range patterns {
+		if b.Count() > 1 {
+			multi = append(multi, b)
+		}
+	}
+	e := NewPatternEncoding(l, multi)
+	e.Base = base
+	return e
+}
+
+// Verbosity returns |E|: the base's single-feature patterns plus the
+// mapped patterns.
+func (e PatternEncoding) Verbosity() int { return e.Base.Verbosity() + len(e.Patterns) }
 
 // Constraints renders the encoding as maxent constraints.
 func (e PatternEncoding) Constraints() []maxent.Constraint {
@@ -55,9 +77,14 @@ func (e PatternEncoding) Constraints() []maxent.Constraint {
 	return cs
 }
 
-// Dist fits the maximum-entropy distribution consistent with the encoding.
+// Dist fits the maximum-entropy distribution consistent with the encoding:
+// the base's feature marginals, if any, plus the pattern constraints.
 func (e PatternEncoding) Dist(opts maxent.Options) (*maxent.Dist, error) {
-	return maxent.Fit(e.Universe, nil, e.Constraints(), opts)
+	var marginals []float64
+	if e.Base.Count > 0 {
+		marginals = e.Base.Dense(e.Universe)
+	}
+	return maxent.Fit(e.Universe, marginals, e.Constraints(), opts)
 }
 
 // ReproductionError returns e(E) = H(ρ_E) − H(ρ*) where ρ_E is the fitted

@@ -1,5 +1,7 @@
-// Package stats provides Histogram, the fixed-footprint latency histogram
-// behind obs's histogram series and the gateway's per-shard call timings.
+// Package stats is a leaf of small statistics helpers: Histogram, the
+// fixed-footprint latency histogram behind obs's histogram series and the
+// gateway's per-shard call timings, and BernoulliEntropy, the entropy term
+// that core's naive encodings and maxent's fitted distributions sum.
 package stats
 
 import (

@@ -246,6 +246,23 @@ func TestDriftDetection(t *testing.T) {
 	}
 }
 
+// TestCheckDriftEmptyBaseline: the summary of an empty workload has no
+// components; every window query scores as novel instead of panicking, and
+// an empty window still reports nothing.
+func TestCheckDriftEmptyBaseline(t *testing.T) {
+	s, err := FromEntries(nil).Compress(CompressOptions{Clusters: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.CheckDrift(toyEntries())
+	if rep.NoveltyRate != 1 || !rep.Alert {
+		t.Errorf("window against an empty baseline = %+v, want novelty 1 and an alert", rep)
+	}
+	if rep := s.CheckDrift(nil); rep != (DriftReport{}) {
+		t.Errorf("empty window = %+v, want the zero report", rep)
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	raw := "SELECT a FROM t WHERE x = 1\nSELECT a FROM t WHERE x = 2\nSELECT b FROM u\n"
 	w, err := Load(bytes.NewBufferString(raw))
