@@ -9,8 +9,8 @@ import (
 
 // TestServingGraphDeps pins what the serving binaries link: the paper's
 // figure-only algorithms (spectral clustering, the Section 7–8 miners, the
-// deviation sampler and their linear algebra) and the figure drivers stay
-// out of logrd and logrd-gateway, and the durability and telemetry layers
+// deviation sampler, their linear algebra and the maximum-entropy solver)
+// and the figure drivers stay out of logrd and logrd-gateway, and the durability and telemetry layers
 // stay below the summary pipeline.
 func TestServingGraphDeps(t *testing.T) {
 	for _, tc := range []struct {
@@ -18,7 +18,7 @@ func TestServingGraphDeps(t *testing.T) {
 	}{
 		{
 			pkgs:   []string{"logr/cmd/logrd", "logr/cmd/logrd-gateway"},
-			banned: []string{"logr/internal/mining", "logr/internal/linalg", "logr/internal/experiments"},
+			banned: []string{"logr/internal/mining", "logr/internal/linalg", "logr/internal/experiments", "logr/internal/maxent"},
 		},
 		{
 			pkgs:   []string{"logr/internal/wal", "logr/internal/obs", "logr/internal/vfs"},
