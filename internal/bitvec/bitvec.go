@@ -445,21 +445,13 @@ func (v Vector) String() string {
 	return sb.String()
 }
 
-// Dense returns the vector as a []float64 of 0s and 1s: the dense
-// expansion the equivalence tests of the clustering and compression
-// packages hold the packed kernels to.
-func (v Vector) Dense() []float64 {
-	out := make([]float64, v.n)
-	v.ForEach(func(i int) { out[i] = 1 })
-	return out
-}
-
 // SqDist returns ‖v−c‖² against a dense float row, accumulated coordinate by
 // coordinate in ascending index order — bit-identical to computing the same
-// two-slice sum over v.Dense(), without materializing it. The binary
-// clustering kernels use it wherever exact agreement with the dense float
-// path matters more than speed: near-tie resolution, empty-cluster
-// re-seeding and final inertia. c must span the vector's universe.
+// two-slice sum over the vector's 0/1 expansion, without materializing it.
+// The binary clustering kernels use it wherever exact agreement with the
+// dense float path matters more than speed: near-tie resolution,
+// empty-cluster re-seeding and final inertia. c must span the vector's
+// universe.
 //
 //logr:noalloc
 func (v Vector) SqDist(c []float64) float64 {

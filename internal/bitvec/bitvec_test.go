@@ -126,13 +126,6 @@ func TestGrow(t *testing.T) {
 	}
 }
 
-func TestDense(t *testing.T) {
-	v := FromIndices(4, 1, 3)
-	if got := v.Dense(); !reflect.DeepEqual(got, []float64{0, 1, 0, 1}) {
-		t.Errorf("Dense = %v", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	v := FromIndices(6, 0, 2, 3)
 	if v.String() != "101100" {

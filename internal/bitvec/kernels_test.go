@@ -1,15 +1,19 @@
-package bitvec
+package bitvec_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"logr/internal/bitvec"
+	"logr/internal/bitvec/bitvectest"
 )
 
 // randVecDensity returns a vector over n features with each bit set with
 // probability num/den — the property tests sweep densities from near-empty
 // to near-full.
-func randVecDensity(r *rand.Rand, n, num, den int) Vector {
-	v := New(n)
+func randVecDensity(r *rand.Rand, n, num, den int) bitvec.Vector {
+	v := bitvec.New(n)
 	for i := 0; i < n; i++ {
 		if r.Intn(den) < num {
 			v.Set(i)
@@ -24,7 +28,7 @@ func TestXorCountMatchesDenseReference(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a := randVecDensity(r, n, 1+r.Intn(4), 4)
 		b := randVecDensity(r, n, 1+r.Intn(4), 4)
-		da, db := a.Dense(), b.Dense()
+		da, db := bitvectest.Dense(a), bitvectest.Dense(b)
 		want := 0
 		for i := range da {
 			if da[i] != db[i] {
@@ -45,7 +49,7 @@ func TestAndCountIntoMatchesAndCount(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(300)
 		v := randVecDensity(r, n, 1, 3)
-		us := make([]Vector, 1+r.Intn(8))
+		us := make([]bitvec.Vector, 1+r.Intn(8))
 		for j := range us {
 			us[j] = randVecDensity(r, n, 1+r.Intn(3), 3)
 		}
@@ -72,7 +76,7 @@ func TestAccumulateIntoMatchesDenseReference(t *testing.T) {
 			// dense reference in the same order: adding w·x_i for every
 			// coordinate, where adding w·0 = 0.0 is a float no-op — so the
 			// results must be bit-identical, not merely close.
-			for i, x := range v.Dense() {
+			for i, x := range bitvectest.Dense(v) {
 				want[i] += w * x
 			}
 		}
@@ -81,5 +85,12 @@ func TestAccumulateIntoMatchesDenseReference(t *testing.T) {
 				t.Fatalf("n=%d: AccumulateInto[%d] = %v, dense reference = %v", n, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+func TestDense(t *testing.T) {
+	v := bitvec.FromIndices(4, 1, 3)
+	if got := bitvectest.Dense(v); !reflect.DeepEqual(got, []float64{0, 1, 0, 1}) {
+		t.Errorf("Dense = %v", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"logr/internal/bitvec"
+	"logr/internal/bitvec/bitvectest"
 )
 
 // randBinary builds matched packed/dense views of a random weighted point
@@ -22,7 +23,7 @@ func randBinary(r *rand.Rand, n, dim, num, den int) (BinaryPoints, [][]float64) 
 			}
 		}
 		pts.Vecs[i] = v
-		dense[i] = v.Dense()
+		dense[i] = bitvectest.Dense(v)
 		pts.Weights[i] = float64(1 + r.Intn(100))
 	}
 	return pts, dense
@@ -48,7 +49,7 @@ func TestBinaryMetricMatchesDense(t *testing.T) {
 				b.Set(j)
 			}
 		}
-		da, db := a.Dense(), b.Dense()
+		da, db := bitvectest.Dense(a), bitvectest.Dense(b)
 		for _, m := range metrics {
 			p := float64(2 + r.Intn(4))
 			want := denseMetricFunc(m, p)(da, db)
@@ -269,7 +270,7 @@ func TestNearestBinaryMatchesDenseOnFractionalTies(t *testing.T) {
 	far.Set(0)
 	frac := []float64{2.0 / 3, 1, 2.0 / 3, 1, 2.0 / 3}
 	pts := []bitvec.Vector{q, far}
-	for _, cents := range [][][]float64{{b.Dense(), frac, far.Dense()}, {frac, b.Dense(), far.Dense()}} {
+	for _, cents := range [][][]float64{{bitvectest.Dense(b), frac, bitvectest.Dense(far)}, {frac, bitvectest.Dense(b), bitvectest.Dense(far)}} {
 		s := newBinaryScorer(len(cents), dim)
 		s.refresh(cents)
 		scores := make([]float64, len(cents))
@@ -277,7 +278,7 @@ func TestNearestBinaryMatchesDenseOnFractionalTies(t *testing.T) {
 		if _, bd, _ := argmin2(scores); !s.exactTies(q, cents, scores, bd) {
 			t.Fatalf("centroids %v: the fractional tie was not re-checked", cents)
 		}
-		want := nearestDense([][]float64{q.Dense(), far.Dense()}, cents)
+		want := nearestDense([][]float64{bitvectest.Dense(q), bitvectest.Dense(far)}, cents)
 		for _, par := range []int{1, 0} {
 			if got := NearestBinary(pts, cents, par); !reflect.DeepEqual(got, want) {
 				t.Fatalf("centroids %v par=%d: binary labels %v, dense %v", cents, par, got, want)
@@ -345,7 +346,7 @@ func TestKMeansBinaryEdgeCases(t *testing.T) {
 func dense4(pts BinaryPoints) [][]float64 {
 	out := make([][]float64, pts.Len())
 	for i, v := range pts.Vecs {
-		out[i] = v.Dense()
+		out[i] = bitvectest.Dense(v)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"logr/internal/bitvec"
+	"logr/internal/bitvec/bitvectest"
 	"logr/internal/cluster"
 )
 
@@ -42,7 +43,7 @@ func denseRows(l *Log) (points [][]float64, weights []float64) {
 	points = make([][]float64, l.Distinct())
 	weights = make([]float64, l.Distinct())
 	for i := range points {
-		points[i] = l.Vector(i).Dense()
+		points[i] = bitvectest.Dense(l.Vector(i))
 		weights[i] = float64(l.Multiplicity(i))
 	}
 	return points, weights
@@ -82,7 +83,7 @@ func denseHammingLinkage(points [][]float64, weights []float64) *cluster.Dendrog
 func nearestDense(pts []bitvec.Vector, cents [][]float64, _ int) []int {
 	labels := make([]int, len(pts))
 	for i, v := range pts {
-		p, bd := v.Dense(), math.Inf(1)
+		p, bd := bitvectest.Dense(v), math.Inf(1)
 		for c, cent := range cents {
 			d := 0.0
 			for j := range p {
