@@ -3,7 +3,8 @@
 // candidate selection, and online workload monitoring (drift/intrusion
 // detection). Each consumes only the mixture encoding — never the raw log —
 // demonstrating the "analytics over the summary" workflow the paper
-// targets.
+// targets. Drift reads each component's closed-form probability off its
+// integer feature counts (core.Naive.LogProb and Sample).
 package apps
 
 import (

@@ -1,7 +1,10 @@
 // Package maxent fits maximum-entropy distributions over binary feature
 // universes subject to marginal constraints — the inference engine behind
-// LogR's Reproduction Error (Section 4), the refinement experiments
-// (Sections 6.4 and 7.2), and the MTV baseline's model.
+// the Reproduction Error of general pattern encodings (Section 4), the
+// refinement experiments (Sections 6.4 and 7.2), and the MTV baseline's
+// model. Naive encodings never need it: core.Naive evaluates their
+// independent product in closed form, so only the figure-side packages
+// (mining, experiments) import maxent.
 //
 // A constraint fixes the marginal probability of a pattern b:
 // E[1(Q ⊇ b)] = target. Single-feature patterns express naive encodings;
