@@ -73,10 +73,9 @@ func TestExample4Probabilities(t *testing.T) {
 }
 
 // TestNaiveClosedFormMatchesDense holds Naive.LogProb and Naive.Sample to
-// the dense walk over every feature of the universe that drift scored
-// through before: LogProb bit for bit, Sample draw for draw. The random
-// encodings have features with p = 1, and the probes set bits off the
-// support and clear bits every query has.
+// a dense walk over every feature of the universe: LogProb bit for bit,
+// Sample draw for draw. The random encodings have features with p = 1, and
+// the probes set bits off the support and clear bits every query has.
 func TestNaiveClosedFormMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 150

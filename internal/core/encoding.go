@@ -14,9 +14,9 @@ import (
 // count c_f is the number of the |L| queries containing it, and every
 // statistic is derived from the counts: the marginal p(X_f = 1 | L) is
 // c_f / |L|, which is exactly the value Log.FeatureMarginals computes. It
-// is the building block of LogR's pattern mixture encodings. Its maximum-
-// entropy distribution ρ_E is the closed-form product of independent
-// Bernoulli features of Eq. (1), so LogProb, Sample, EstimateMarginal and
+// is the building block of LogR's pattern mixture encodings. Its
+// maximum-entropy distribution ρ_E is the product of independent Bernoulli
+// features of Eq. (1), so LogProb, Sample, EstimateMarginal and
 // ModelEntropy read it straight off the counts.
 //
 // Features outside the support have count 0 and marginal 0, so an encoding
