@@ -10,8 +10,8 @@ import (
 // TestServingGraphDeps pins what the serving binaries link: the paper's
 // figure-only algorithms (spectral clustering, the Section 7–8 miners, the
 // deviation sampler, their linear algebra and the maximum-entropy solver)
-// and the figure drivers stay out of logrd and logrd-gateway, and the durability and telemetry layers
-// stay below the summary pipeline.
+// and the figure drivers stay out of logrd and logrd-gateway, and the
+// durability and telemetry layers stay below the summary pipeline.
 func TestServingGraphDeps(t *testing.T) {
 	for _, tc := range []struct {
 		pkgs, banned []string
