@@ -15,6 +15,7 @@ import (
 	"logr/internal/bitvec"
 	"logr/internal/cluster"
 	"logr/internal/parallel"
+	"logr/internal/stats"
 )
 
 // Log is a bag of encoded queries: the empirical distribution p(Q | L) over
@@ -386,11 +387,7 @@ func (l *Log) SelectFeatures(lo, hi float64, max int) []int {
 	var fs []fe
 	for i, p := range marg {
 		if p >= lo && p <= hi {
-			h := 0.0
-			if p > 0 && p < 1 {
-				h = -p*math.Log(p) - (1-p)*math.Log(1-p)
-			}
-			fs = append(fs, fe{i, h})
+			fs = append(fs, fe{i, stats.BernoulliEntropy(p)})
 		}
 	}
 	sort.Slice(fs, func(a, b int) bool {

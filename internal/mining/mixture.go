@@ -1,11 +1,11 @@
 package mining
 
 import (
-	"math"
 	"time"
 
 	"logr/internal/bitvec"
 	"logr/internal/core"
+	"logr/internal/stats"
 )
 
 // Generalizations of Laserlight and MTV to partitioned data
@@ -263,11 +263,7 @@ func HighestEntropyFeature(l *core.Log) int {
 	marg := l.FeatureMarginals()
 	best, bestH := 0, -1.0
 	for i, p := range marg {
-		h := 0.0
-		if p > 0 && p < 1 {
-			h = -p*math.Log(p) - (1-p)*math.Log(1-p)
-		}
-		if h > bestH {
+		if h := stats.BernoulliEntropy(p); h > bestH {
 			best, bestH = i, h
 		}
 	}

@@ -1,7 +1,8 @@
 // Package stats is a leaf of small statistics helpers: Histogram, the
 // fixed-footprint latency histogram behind obs's histogram series and the
-// gateway's per-shard call timings, and BernoulliEntropy, the entropy term
-// that core's naive encodings and maxent's fitted distributions sum.
+// gateway's per-shard call timings, and BernoulliEntropy, the per-feature
+// entropy that core's naive encodings and maxent's fitted distributions
+// sum and that the figures' feature selection ranks by.
 package stats
 
 import (
