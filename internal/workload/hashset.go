@@ -2,6 +2,8 @@ package workload
 
 import (
 	"encoding/binary"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -10,7 +12,11 @@ import (
 // over them — about 16 bytes per member in all. Both grow in small steps,
 // the members in fixed-size chunks and the index in shards that double one
 // at a time, so a set of millions never copies or re-slots itself whole:
-// its peak footprint stays close to its size.
+// its peak footprint stays close to its size. Shards fill evenly (a
+// uniform hash picks them), so equal sizes would make all of them double
+// within a few inserts of each other; shard i's sizes are instead
+// hashBase[i] times a power of two, the bases spread over one octave, and
+// the shards double one by one as the set grows.
 type hashSet struct {
 	chunks [][]uint64 // the members, hashChunk to a chunk
 	n      int
@@ -22,25 +28,32 @@ const (
 	hashShardBits = 4
 )
 
+// hashBase[i] is shard i's smallest table, 64·2^(i/16) slots rounded.
+var hashBase = func() (b [1 << hashShardBits]int) {
+	for i := range b {
+		b[i] = int(math.Round(64 * math.Exp2(float64(i)/float64(len(b)))))
+	}
+	return b
+}()
+
 // hashIndex is one shard of a hashSet's index: slots hold 1 + a member's
 // position (so a set holds fewer than 2^32 members), 0 when empty, probed
-// linearly from the slot a hash's mixed top bits pick, at most 3/4 full.
+// linearly from the slot a hash's mixed bits pick, at most 3/4 full.
 type hashIndex struct {
 	slots []uint32
 	n     int
-	shift uint // 64 - log2(len(slots))
 }
 
 // add inserts h and reports whether it was absent.
 //
 //logr:noalloc
 func (s *hashSet) add(h uint64) bool {
-	x := &s.shards[h>>(64-hashShardBits)]
+	shard := h >> (64 - hashShardBits)
+	x := &s.shards[shard]
 	if 4*(x.n+1) > 3*len(x.slots) {
-		x.grow(s, x.n+1)
+		x.grow(s, hashBase[shard], x.n+1)
 	}
-	mask := len(x.slots) - 1
-	for i := x.home(h); ; i = (i + 1) & mask {
+	for i := x.home(h); ; i = x.step(i) {
 		j := x.slots[i]
 		if j == 0 {
 			if s.n%hashChunk == 0 {
@@ -70,7 +83,7 @@ func (s *hashSet) addAll(b []byte) bool {
 	}
 	for i := range s.shards {
 		if x := &s.shards[i]; 4*(x.n+per[i]) > 3*len(x.slots) {
-			x.grow(s, x.n+per[i])
+			x.grow(s, hashBase[i], x.n+per[i])
 		}
 	}
 	s.chunks = slices.Grow(s.chunks, (s.n+len(b)/8+hashChunk-1)/hashChunk-len(s.chunks))
@@ -88,32 +101,38 @@ func (s *hashSet) at(j int) uint64 { return s.chunks[j/hashChunk][j%hashChunk] }
 // len is the number of members.
 func (s *hashSet) len() int { return s.n }
 
-// home is h's first slot (Fibonacci hashing, so the slot does not lean on
-// the bits that picked the shard).
+// home is h's first slot: the high word of its mixed bits times the table
+// length, which spreads it over a table of any length and does not lean on
+// the bits that picked the shard.
 func (x *hashIndex) home(h uint64) int {
-	return int((h * 0x9e3779b97f4a7c15) >> x.shift)
+	hi, _ := bits.Mul64(h*0x9e3779b97f4a7c15, uint64(len(x.slots)))
+	return int(hi)
 }
 
-// grow re-slots the shard's members into the smallest table, of at least
-// 64 slots, that holds members at most 3/4 full.
-func (x *hashIndex) grow(s *hashSet, members int) {
+// step is the slot after i, wrapping at the table's end.
+func (x *hashIndex) step(i int) int {
+	if i++; i == len(x.slots) {
+		return 0
+	}
+	return i
+}
+
+// grow re-slots the shard's members into the smallest table of base·2^k
+// slots that holds members at most 3/4 full.
+func (x *hashIndex) grow(s *hashSet, base, members int) {
 	old := x.slots
-	n := 1 << 6
+	n := base
 	for 4*members > 3*n {
 		n *= 2
 	}
 	x.slots = make([]uint32, n)
-	x.shift = 64
-	for m := n; m > 1; m >>= 1 {
-		x.shift--
-	}
 	for _, j := range old {
 		if j == 0 {
 			continue
 		}
 		i := x.home(s.at(int(j) - 1))
 		for x.slots[i] != 0 {
-			i = (i + 1) & (n - 1)
+			i = x.step(i)
 		}
 		x.slots[i] = j
 	}

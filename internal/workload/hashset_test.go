@@ -80,3 +80,40 @@ func TestRestoreSizesHashShardsOnce(t *testing.T) {
 		t.Fatalf("restored %d hashes, want %d", e.rawHashes.len(), n)
 	}
 }
+
+// TestHashSetShardsGrowOneAtATime: the shards fill evenly, yet the index
+// grows in steps of one shard. No add re-slots more than one shard, and
+// once the set is large enough for its shards' fill to be even, two shard
+// growths lie at least 1/64 of the set's members apart, so the index never
+// doubles whole within a few inserts.
+func TestHashSetShardsGrowOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s hashSet
+	var sizes [len(s.shards)]int
+	last, grown := 0, 0
+	for s.len() < 1<<21 {
+		s.add(rng.Uint64())
+		changed := 0
+		for i := range s.shards {
+			if n := len(s.shards[i].slots); n != sizes[i] {
+				sizes[i] = n
+				changed++
+			}
+		}
+		if changed > 1 {
+			t.Fatalf("adding member %d re-slotted %d shards", s.len(), changed)
+		}
+		if changed == 0 || s.len() < 1<<18 {
+			continue
+		}
+		if gap := s.len() - last; last > 0 && 64*gap < s.len() {
+			t.Fatalf("shards grew at members %d and %d, %d apart", last, s.len(), gap)
+		}
+		last = s.len()
+		grown++
+	}
+	// three octaves of members: every shard doubled three times
+	if grown < 3*len(s.shards)-1 {
+		t.Fatalf("%d shard growths past 2^18 members, want about %d", grown, 3*len(s.shards))
+	}
+}
