@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"logr/internal/core"
@@ -102,6 +103,38 @@ func TestEncoderGoldenDigests(t *testing.T) {
 		}
 		if d1 != want[g.name] {
 			t.Errorf("%s: digest %s, want %s", g.name, d1, want[g.name])
+		}
+	}
+}
+
+// TestEncoderDeterministicAtBankScale: on a bank log whose distinct raw
+// statements far outnumber its shapes (so most statements take the
+// fingerprint path, and the memo tables turn over), with noise (so lex
+// failures and stored procedures cross the parallel windows), AddBatch at
+// parallelism 1, 2 and 8 and an Add loop all end in the same statistics,
+// codebook and state bytes.
+func TestEncoderDeterministicAtBankScale(t *testing.T) {
+	entries := USBank(USBankConfig{TotalQueries: 300000, DistinctTarget: 1712, ConstantVariants: 110, NoiseEntries: 2000, Seed: 1})
+	one := NewEncoder(EncodeOptions{Parallelism: 1})
+	for _, en := range entries {
+		one.Add(en)
+	}
+	want := one.Result().Stats
+	if want.DistinctQueries < 2*cacheLimit || want.DistinctQueries < 10*want.DistinctNoConst || want.StoredProcedures == 0 || want.Unparseable == 0 {
+		t.Fatalf("the log does not cover the paths it is meant to: %+v", want)
+	}
+	wantBook, wantState := one.Book().Features(), one.AppendState(nil)
+	for _, par := range []int{1, 2, 8} {
+		e := NewEncoder(EncodeOptions{Parallelism: par})
+		e.AddBatch(entries)
+		if got := e.Result().Stats; got != want {
+			t.Errorf("parallelism %d: stats %+v, Add loop %+v", par, got, want)
+		}
+		if !reflect.DeepEqual(e.Book().Features(), wantBook) {
+			t.Errorf("parallelism %d: codebook differs from the Add loop's", par)
+		}
+		if !bytes.Equal(e.AppendState(nil), wantState) {
+			t.Errorf("parallelism %d: state bytes differ from the Add loop's", par)
 		}
 	}
 }
