@@ -19,7 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -176,13 +176,30 @@ func (c *Codebook) find(f Feature) (index, slot int) {
 
 // Register adds a feature to the codebook (if absent) and returns its
 // index. Used when rebuilding a codebook from a serialized summary; during
-// encoding, Extract interns features automatically.
-func (c *Codebook) Register(f Feature) int { return c.intern(f) }
-
-// intern registers f if new and returns its index.
-func (c *Codebook) intern(f Feature) int {
+// encoding, Intern registers features in bulk.
+func (c *Codebook) Register(f Feature) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.intern(f)
+}
+
+// Intern registers the features of feats that are new, in the order they
+// appear, and returns the indices of all of them, sorted and deduplicated.
+// The codebook's indices therefore depend only on the order in which
+// feature lists are interned, not on where they were walked.
+func (c *Codebook) Intern(feats []Feature) []int {
+	out := make([]int, len(feats))
+	c.mu.Lock()
+	for i, f := range feats {
+		out[i] = c.intern(f)
+	}
+	c.mu.Unlock()
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// intern registers f if new and returns its index. Caller holds c.mu.
+func (c *Codebook) intern(f Feature) int {
 	i, slot := c.find(f)
 	if i >= 0 {
 		return i
@@ -238,14 +255,23 @@ func (c *Codebook) ReadSection(r *binenc.Reader) {
 }
 
 // Extract returns the feature set of a conjunctive SELECT block as sorted,
-// deduplicated codebook indices, registering unseen features.
+// deduplicated codebook indices, registering unseen features: the block's
+// AppendFeatures walk, interned.
 //
 // Non-conjunctive WHERE clauses are not rejected — OR/NOT subtrees become a
 // single opaque WHERE atom — but callers that need the isomorphism property
 // should regularize first (see internal/regularize).
 func (c *Codebook) Extract(sel *sqlparser.Select) []int {
-	set := map[int]struct{}{}
-	add := func(f Feature) { set[c.intern(f)] = struct{}{} }
+	return c.Intern(c.scheme.AppendFeatures(nil, sel))
+}
+
+// AppendFeatures appends the features of a conjunctive SELECT block to dst
+// in walk order — FROM, SELECT, WHERE, then the extended scheme's kinds —
+// and returns the extended slice; a feature may occur more than once. It
+// reads nothing but sel, so blocks can be walked on parallel workers and
+// their features interned afterwards in a fixed order.
+func (s Scheme) AppendFeatures(dst []Feature, sel *sqlparser.Select) []Feature {
+	add := func(f Feature) { dst = append(dst, f) }
 
 	// FROM clause: tables, subqueries (rendered), and join trees flattened.
 	var fromWalk func(t sqlparser.TableExpr)
@@ -284,7 +310,7 @@ func (c *Codebook) Extract(sel *sqlparser.Select) []int {
 			continue
 		}
 		add(Feature{SelectKind, it.Expr.SQL()})
-		if c.scheme == ExtendedScheme {
+		if s == ExtendedScheme {
 			if fc, ok := it.Expr.(*sqlparser.FuncCall); ok && isAggregate(fc.Name) {
 				add(Feature{AggKind, fc.SQL()})
 			}
@@ -298,7 +324,7 @@ func (c *Codebook) Extract(sel *sqlparser.Select) []int {
 		}
 	}
 
-	if c.scheme == ExtendedScheme {
+	if s == ExtendedScheme {
 		for _, g := range sel.GroupBy {
 			add(Feature{GroupByKind, g.SQL()})
 		}
@@ -315,13 +341,7 @@ func (c *Codebook) Extract(sel *sqlparser.Select) []int {
 			add(Feature{OrderByKind, o.Expr.SQL() + " " + dir})
 		}
 	}
-
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
 func conjuncts(e sqlparser.Expr) []sqlparser.Expr {

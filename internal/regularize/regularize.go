@@ -163,8 +163,13 @@ func regularizeSelect(sel *sqlparser.Select, opts Options) Result {
 		return Result{Blocks: []*sqlparser.Select{s}, WasConjunctive: false, Rewritable: false}
 	}
 	blocks := make([]*sqlparser.Select, 0, len(disjuncts))
-	for _, conj := range disjuncts {
-		blk := cloneSelect(s)
+	for i, conj := range disjuncts {
+		// every block but the last is a copy of s; the last, the only one
+		// of a conjunctive query, takes s itself, which nothing reads after
+		blk := s
+		if i < len(disjuncts)-1 {
+			blk = cloneSelect(s)
+		}
 		blk.Where = joinAnd(conj)
 		canonicalizeConjuncts(blk)
 		blocks = append(blocks, blk)

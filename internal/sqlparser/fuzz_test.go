@@ -44,6 +44,16 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// keywords maps each reserved word to itself: FuzzLex's oracle for
+// keyword recognition.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range keywordList {
+		m[kw] = kw
+	}
+	return m
+}()
+
 // FuzzLex asserts the lexer never panics and always terminates, and that
 // its allocation-free keyword recognition agrees with upper-casing the
 // text and looking it up.
@@ -52,6 +62,9 @@ func FuzzLex(f *testing.F) {
 	f.Add("$$$ ::: ??? \"unterminated")
 	f.Add("ſelect")
 	f.Add("lımıt")
+	f.Add("Rollback")
+	f.Add("xſ")
+	f.Add("<> != || <= >= |")
 	f.Fuzz(func(t *testing.T, src string) {
 		upper := strings.ToUpper(src)
 		if kw, ok := keyword(src); ok != (keywords[upper] != "") || (ok && kw != upper) {
@@ -65,4 +78,29 @@ func FuzzLex(f *testing.F) {
 			t.Fatalf("token stream for %q does not end in EOF", src)
 		}
 	})
+}
+
+// TestKeywordTable: every keyword is found in any letter case, and no word
+// one byte away from a keyword is taken for one.
+func TestKeywordTable(t *testing.T) {
+	for _, kw := range keywordList {
+		for _, w := range []string{kw, strings.ToLower(kw), strings.ToLower(kw[:1]) + kw[1:]} {
+			if got, ok := keyword(w); !ok || got != kw {
+				t.Errorf("keyword(%q) = %q, %v, want %q", w, got, ok, kw)
+			}
+		}
+		for i := 0; i < len(kw); i++ {
+			for _, c := range []byte{'X', '_', '1', kw[i] + 1} {
+				w := kw[:i] + string(c) + kw[i+1:]
+				if _, ok := keyword(w); ok != (keywords[w] != "") {
+					t.Errorf("keyword(%q) = %v", w, ok)
+				}
+			}
+		}
+		for _, w := range []string{kw + "S", kw[1:], kw[:len(kw)-1]} {
+			if _, ok := keyword(w); ok != (keywords[w] != "") {
+				t.Errorf("keyword(%q) = %v", w, ok)
+			}
+		}
+	}
 }

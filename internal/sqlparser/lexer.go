@@ -65,49 +65,81 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("unsupported statement kind %q (only SELECT is parsed)", e.Verb)
 }
 
-// keywords maps each reserved word to itself, so recognizing one yields the
-// canonical upper-case text without building a new string.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, kw := range []string{
-		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "AS", "IN", "IS", "NULL",
-		"LIKE", "BETWEEN", "EXISTS", "UNION", "ALL", "DISTINCT", "GROUP", "BY",
-		"ORDER", "HAVING", "LIMIT", "OFFSET", "ASC", "DESC", "JOIN", "INNER",
-		"LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "ON", "CASE", "WHEN", "THEN",
-		"ELSE", "END", "TRUE", "FALSE", "CAST", "INSERT", "UPDATE", "DELETE",
-		"CREATE", "DROP", "ALTER", "CALL", "EXEC", "EXECUTE", "BEGIN", "COMMIT",
-		"ROLLBACK", "SET", "VALUES", "INTO", "WITH",
-	} {
-		m[kw] = kw
+// keywordList is every reserved word, in upper case.
+var keywordList = [...]string{
+	"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "AS", "IN", "IS", "NULL",
+	"LIKE", "BETWEEN", "EXISTS", "UNION", "ALL", "DISTINCT", "GROUP", "BY",
+	"ORDER", "HAVING", "LIMIT", "OFFSET", "ASC", "DESC", "JOIN", "INNER",
+	"LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "ON", "CASE", "WHEN", "THEN",
+	"ELSE", "END", "TRUE", "FALSE", "CAST", "INSERT", "UPDATE", "DELETE",
+	"CREATE", "DROP", "ALTER", "CALL", "EXEC", "EXECUTE", "BEGIN", "COMMIT",
+	"ROLLBACK", "SET", "VALUES", "INTO", "WITH",
+}
+
+// The shortest and longest keywords' lengths in bytes.
+const minKeywordLen, maxKeywordLen = 2, 8
+
+// keywordTable holds each keyword at its keywordSlot; no two keywords share
+// a slot, so a word is a keyword only if it equals the one at its slot.
+var keywordTable = func() (t [128]string) {
+	for _, kw := range keywordList {
+		s := keywordSlot(kw)
+		if t[s] != "" {
+			panic("sqlparser: keywords " + t[s] + " and " + kw + " share a slot")
+		}
+		t[s] = kw
 	}
-	return m
+	return t
 }()
 
-// maxKeywordLen is the longest keyword's length in bytes.
-const maxKeywordLen = 8
+// keywordSlot hashes a word of at least minKeywordLen bytes by its length
+// and its first, second and last bytes, upper-cased if they are ASCII
+// letters (c &^ 0x20 maps any other byte somewhere, and the compare that
+// follows a lookup rejects it). The multiplier was searched for: it is one
+// that leaves no two keywords on one slot.
+func keywordSlot(text string) int {
+	n := len(text)
+	k := uint32(text[0]&^0x20) | uint32(text[1]&^0x20)<<8 | uint32(text[n-1]&^0x20)<<16 | uint32(n)<<24
+	return int(k * 0x97ddf89f >> 25)
+}
 
-// keyword reports whether text is a reserved word in any letter case and
-// returns its canonical upper-case spelling. ASCII text is folded in a
-// stack buffer; text with other runes takes strings.ToUpper, whose Unicode
-// case mapping can turn a non-ASCII letter into an ASCII one ('ſ' → 'S').
-func keyword(text string) (string, bool) {
-	var buf [maxKeywordLen]byte
-	for i := 0; i < len(text); i++ {
+// asciiKeyword reports whether text is, once its ASCII letters are
+// upper-cased, a reserved word, and returns the word.
+func asciiKeyword(text string) (string, bool) {
+	n := len(text)
+	if n < minKeywordLen || n > maxKeywordLen {
+		return "", false
+	}
+	kw := keywordTable[keywordSlot(text)]
+	if len(kw) != n {
+		return "", false
+	}
+	for i := 0; i < n; i++ {
 		c := text[i]
-		if c >= utf8.RuneSelf {
-			kw, ok := keywords[strings.ToUpper(text)]
-			return kw, ok
-		}
-		if i == len(buf) {
-			return "", false
-		}
 		if 'a' <= c && c <= 'z' {
 			c -= 'a' - 'A'
 		}
-		buf[i] = c
+		if c != kw[i] {
+			return "", false
+		}
 	}
-	kw, ok := keywords[string(buf[:len(text)])]
-	return kw, ok
+	return kw, true
+}
+
+// keyword reports whether text is a reserved word in any letter case and
+// returns its canonical upper-case spelling. Text with runes outside ASCII
+// takes strings.ToUpper, whose Unicode case mapping can turn a non-ASCII
+// letter into an ASCII one ('ſ' → 'S').
+func keyword(text string) (string, bool) {
+	if kw, ok := asciiKeyword(text); ok {
+		return kw, true
+	}
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return asciiKeyword(strings.ToUpper(text))
+		}
+	}
+	return "", false
 }
 
 type lexer struct {
@@ -128,7 +160,10 @@ func (lx *lexer) errf(pos int, format string, args ...any) *SyntaxError {
 }
 
 func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+	if r < utf8.RuneSelf {
+		return 'a' <= r|0x20 && r|0x20 <= 'z' || r == '_'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
@@ -193,7 +228,7 @@ scan:
 	case c == ':' || c == '$' || c == '@':
 		// named or positional bind parameter (:name, $1, @var)
 		lx.pos++
-		if err := lx.scanIdentPart(); err != nil {
+		if _, err := lx.scanIdentPart(); err != nil {
 			return Token{}, err
 		}
 		if lx.pos == start+1 {
@@ -214,34 +249,45 @@ var asciiIdentPart = func() (t [utf8.RuneSelf]bool) {
 }()
 
 // scanIdentPart consumes identifier-part runes, stopping at the first rune
-// outside the identifier alphabet and rejecting invalid UTF-8.
-func (lx *lexer) scanIdentPart() error {
+// outside the identifier alphabet and rejecting invalid UTF-8. It reports
+// whether every rune it consumed was ASCII.
+func (lx *lexer) scanIdentPart() (ascii bool, err error) {
+	ascii = true
 	for lx.pos < len(lx.src) {
 		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
 			if !asciiIdentPart[c] {
-				return nil
+				return ascii, nil
 			}
 			lx.pos++
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		if r == utf8.RuneError && size <= 1 {
-			return lx.errf(lx.pos, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
+			return false, lx.errf(lx.pos, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
 		}
 		if !isIdentPart(r) {
-			return nil
+			return ascii, nil
 		}
 		lx.pos += size
+		ascii = false
 	}
-	return nil
+	return ascii, nil
 }
 
 func (lx *lexer) scanIdent(start int) (Token, error) {
-	if err := lx.scanIdentPart(); err != nil {
+	ascii, err := lx.scanIdentPart()
+	if err != nil {
 		return Token{}, err
 	}
 	text := lx.src[start:lx.pos]
-	if kw, ok := keyword(text); ok {
+	var kw string
+	var ok bool
+	if ascii {
+		kw, ok = asciiKeyword(text)
+	} else {
+		kw, ok = keyword(text)
+	}
+	if ok {
 		return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
@@ -319,16 +365,13 @@ func (lx *lexer) scanQuotedIdent(start int) (Token, error) {
 	return Token{}, lx.errf(start, "unterminated quoted identifier")
 }
 
-var twoCharOps = map[string]bool{
-	"<=": true, ">=": true, "<>": true, "!=": true, "||": true,
-}
-
 func (lx *lexer) scanOp(start int) (Token, error) {
 	if lx.pos+1 < len(lx.src) {
-		two := lx.src[lx.pos : lx.pos+2]
-		if twoCharOps[two] {
+		// the two-character operators: <= >= <> != ||
+		c, d := lx.src[lx.pos], lx.src[lx.pos+1]
+		if d == '=' && (c == '<' || c == '>' || c == '!') || c == '<' && d == '>' || c == '|' && d == '|' {
 			lx.pos += 2
-			return Token{Kind: TokOp, Text: two, Pos: start}, nil
+			return Token{Kind: TokOp, Text: lx.src[start:lx.pos], Pos: start}, nil
 		}
 	}
 	c := lx.src[lx.pos]

@@ -53,9 +53,10 @@ type EncodeOptions struct {
 	KeepConstants bool
 	// MaxDisjuncts bounds conjunctive rewriting (default 16).
 	MaxDisjuncts int
-	// Parallelism bounds the workers AddBatch uses to parse and regularize
-	// new shapes (≤ 0 = all cores). The codebook and all statistics are
-	// identical at any parallelism.
+	// Parallelism bounds the workers AddBatch uses to lex and hash new
+	// statements and to parse, regularize and walk new shapes (≤ 0 = all
+	// cores). The codebook and all statistics are identical at any
+	// parallelism.
 	Parallelism int
 }
 
@@ -120,12 +121,14 @@ func (r EncodeResult) Counts() []int {
 // strings are memo tables: bounded by cacheLimit, never persisted, and
 // consulted only for outcomes prepare would recompute identically.
 //
-// The pipeline is sharded: AddBatch parses and regularizes the first
-// statement of each new fingerprint on parallel workers (stateless work),
-// then merges in input order on one goroutine, so codebook feature indices
-// are assigned exactly as a serial Add loop would assign them. An Encoder
-// is not itself safe for concurrent use; the public logr.Workload wrapper
-// adds the locking.
+// The pipeline is sharded: AddBatch lexes and hashes every statement the
+// raw cache does not hold, and parses, regularizes and walks the features
+// of the first statement of each new fingerprint, on parallel workers
+// (stateless work). What must be ordered — the memo lookups, the job
+// dedup, codebook interning and counting — runs in input order on one
+// goroutine, so codebook feature indices are assigned exactly as a serial
+// Add loop would assign them. An Encoder is not itself safe for concurrent
+// use; the public logr.Workload wrapper adds the locking.
 type Encoder struct {
 	opts    EncodeOptions
 	book    *feature.Codebook
@@ -151,13 +154,16 @@ type Encoder struct {
 	rawCache map[string]rawRef
 
 	// scratch reused across calls so the steady state (every statement's
-	// shape already known) allocates nothing: the fingerprint buffer, the
-	// window's per-entry resolutions, its jobs (the first statement of each
-	// new shape) with their dedup index, and the parallel workers' result
-	// slots. Results hold parsed ASTs, so they are cleared after each
-	// window.
+	// shape already known) allocates nothing: Add's fingerprint buffer, the
+	// window's per-entry resolutions, the shape keys of its unresolved
+	// entries (one arena per chunk of entries, and where each entry's key
+	// ends in it), its jobs (the first statement of each new shape) with
+	// their dedup index, and the parallel workers' result slots. Results
+	// hold feature lists, so they are cleared after each window.
 	fp          []byte
 	scratchPend []pending
+	scratchEnd  []uint32
+	arenas      [][]byte
 	scratchJobs []job
 	scratchIdx  map[string]int
 	scratchRes  []prepared
@@ -193,12 +199,12 @@ const (
 )
 
 // prepared is the outcome of the stateless (parallelizable) half of the
-// pipeline for one shape's first statement: parse + regularization.
-// Feature extraction against the shared codebook happens later, in input
-// order.
+// pipeline for one shape's first statement: parse, regularization and the
+// feature walk of its blocks. Interning the features into the shared
+// codebook happens later, in input order.
 type prepared struct {
 	fail        failKind
-	blocks      []*sqlparser.Select // regularized conjunctive blocks
+	feats       []feature.Feature // every block's features, in walk order
 	conjunctive bool
 	rewritable  bool
 	canonKey    string
@@ -216,9 +222,14 @@ type canonical struct {
 // outcome, or the job that will produce it.
 type pending struct {
 	ref    rawRef
-	job    int32 // index into the window's jobs, or -1 when ref is final
-	cached bool  // found in rawCache: the raw statement is already admitted
+	job    int32  // index into the window's jobs, jobUnresolved, or -1 when ref is final
+	cached bool   // found in rawCache: the raw statement is already admitted
+	hash   uint64 // hashRaw of the statement, unless cached
 }
+
+// jobUnresolved marks an entry whose shape neither memo table knows until
+// the pre-pass's serial step gives it a job.
+const jobUnresolved = -2
 
 // job is the first statement of a shape new to the window.
 type job struct {
@@ -255,11 +266,12 @@ func (e *Encoder) Add(entry LogEntry) {
 	e.stats.TotalQueries += count
 	ref, cached := e.rawCache[entry.SQL]
 	if !cached {
+		e.fp = appendShapeKey(e.fp[:0], entry.SQL, e.opts.KeepConstants)
 		var known bool
-		if ref, known = e.lookupShape(entry.SQL); !known {
+		if ref, known = e.shapes[string(e.fp)]; !known { //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
 			ref = e.admitShape(string(e.fp), e.prepare(entry.SQL)) //logr:allow(noalloc) a shape's first statement; steady state never reaches this
 		}
-		e.admitRaw(entry.SQL, ref)
+		e.admitRaw(entry.SQL, hashRaw(entry.SQL), ref)
 	}
 	e.replay(ref, count)
 }
@@ -270,13 +282,20 @@ func (e *Encoder) Add(entry LogEntry) {
 const addBatchWindow = 8192
 
 // AddBatch feeds a batch of entries through the pipeline. The stateless
-// half — parse + regularize of the first statement of each new shape — runs
-// on up to EncodeOptions.Parallelism workers; the merge (codebook
-// extraction, stats, multiplicities) then runs in input order, so the
-// resulting codebook, log and statistics are byte-identical to a serial
-// Add loop over the same entries, at any parallelism. Batches are processed
-// in fixed windows so peak memory is O(window), not O(batch).
+// work — lexing and hashing each statement not in the raw cache, and
+// parsing, regularizing and walking the features of the first statement of
+// each new shape — runs on up to EncodeOptions.Parallelism workers; the
+// merge (memo lookups, codebook interning, stats, multiplicities) runs in
+// input order, so the resulting codebook, log and statistics are
+// byte-identical to a serial Add loop over the same entries, at any
+// parallelism. Batches are processed in fixed windows so peak memory is
+// O(window), not O(batch).
 func (e *Encoder) AddBatch(entries []LogEntry) {
+	if len(e.rawCache) == 0 {
+		// size a fresh encoder's raw cache for the batch once, rather than
+		// rehashing it through every size on the way
+		e.rawCache = make(map[string]rawRef, min(len(entries), cacheLimit))
+	}
 	for len(entries) > addBatchWindow {
 		e.addBatch(entries[:addBatchWindow])
 		entries = entries[addBatchWindow:]
@@ -291,31 +310,36 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 	}
 	e.snapshot = nil
 	// pre-pass: resolve each entry against the memo tables as they stand
-	// (the merge below may clear them); the first statement of each shape
-	// they do not know becomes a job
+	// (the merge below may clear them), on the workers, which only read
+	// them; then, in input order, the first statement of each shape they
+	// do not know becomes a job
 	if cap(e.scratchPend) < len(entries) {
-		e.scratchPend = make([]pending, addBatchWindow) //logr:allow(noalloc) one-time scratch growth
+		e.scratchPend = make([]pending, addBatchWindow)            //logr:allow(noalloc) one-time scratch growth
+		e.scratchEnd = make([]uint32, addBatchWindow)              //logr:allow(noalloc) as above
+		e.arenas = make([][]byte, parallel.Chunks(addBatchWindow)) //logr:allow(noalloc) as above
 	}
 	pend := e.scratchPend[:len(entries)]
+	e.resolve(entries, pend)
 	jobs := e.scratchJobs[:0]
 	jobIdx := e.scratchIdx
-	for i, en := range entries {
-		if ref, ok := e.rawCache[en.SQL]; ok {
-			pend[i] = pending{ref: ref, job: -1, cached: true}
-			continue
+	for c := range parallel.Chunks(len(entries)) {
+		lo, hi := parallel.ChunkBounds(c, len(entries))
+		arena, from := e.arenas[c], uint32(0)
+		for i := lo; i < hi; i++ {
+			key := arena[from:e.scratchEnd[i]]
+			from = e.scratchEnd[i]
+			if pend[i].job != jobUnresolved {
+				continue
+			}
+			j, dup := jobIdx[string(key)] //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
+			if !dup {
+				j = len(jobs)
+				k := string(key)                                      //logr:allow(noalloc) a shape's first statement; steady state never reaches this
+				jobIdx[k] = j                                         //logr:allow(noalloc) as above
+				jobs = append(jobs, job{key: k, sql: entries[i].SQL}) //logr:allow(noalloc) as above
+			}
+			pend[i].job = int32(j)
 		}
-		if ref, ok := e.lookupShape(en.SQL); ok {
-			pend[i] = pending{ref: ref, job: -1}
-			continue
-		}
-		j, dup := jobIdx[string(e.fp)] //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
-		if !dup {
-			j = len(jobs)
-			key := string(e.fp)                             //logr:allow(noalloc) a shape's first statement; steady state never reaches this
-			jobIdx[key] = j                                 //logr:allow(noalloc) as above
-			jobs = append(jobs, job{key: key, sql: en.SQL}) //logr:allow(noalloc) as above
-		}
-		pend[i] = pending{job: int32(j)}
 	}
 	var results []prepared
 	if len(jobs) > 0 {
@@ -342,13 +366,13 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 			p.ref = jb.ref
 		}
 		if !p.cached {
-			e.admitRaw(en.SQL, p.ref)
+			e.admitRaw(en.SQL, p.hash, p.ref)
 		}
 		e.replay(p.ref, count)
 	}
 	if len(jobs) > 0 {
-		// drop AST references so the scratch does not pin parsed trees, and
-		// keep the job list and index for the next window
+		// drop the feature lists so the scratch does not pin them, and keep
+		// the job list and index for the next window
 		clear(results)
 		clear(jobIdx)
 		clear(jobs)
@@ -357,26 +381,74 @@ func (e *Encoder) addBatch(entries []LogEntry) {
 	e.scratchJobs = jobs[:0]
 }
 
-// lookupShape computes sql's shape key into e.fp and looks it up in the
-// fingerprint table.
+// resolve looks each entry up in the raw cache and, failing that, its
+// shape key in the fingerprint table, computing the hashRaw of every
+// statement the cache misses. An entry neither table resolves is left
+// jobUnresolved, its shape key in its chunk's arena. It fans out only when
+// every worker gets at least two chunks: on a small window (a daemon's
+// ingest batch) the goroutines cost about what they save.
 //
 //logr:noalloc
-func (e *Encoder) lookupShape(sql string) (rawRef, bool) {
-	fp, err := sqlparser.Fingerprint(e.fp[:0], sql, e.opts.KeepConstants)
-	if err != nil {
-		// the lexer rejects it: key the statement by its text and let
-		// prepare take the parser's verdict, which may still be a stored
-		// procedure ("CALL p('unterminated")
-		fp = append(append(fp[:0], lexFailMark), sql...)
+func (e *Encoder) resolve(entries []LogEntry, pend []pending) {
+	n := len(entries)
+	nc := parallel.Chunks(n)
+	if p := parallel.Degree(e.opts.Parallelism); p > 1 && nc >= 2*p {
+		parallel.ForChunks(n, p, func(c, lo, hi int) { //logr:allow(noalloc) the fan-out runs only on windows of thousands of entries
+			e.resolveChunk(entries, pend, c, lo, hi)
+		})
+		return
 	}
-	e.fp = fp
-	ref, ok := e.shapes[string(fp)] //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
-	return ref, ok
+	for c := range nc {
+		lo, hi := parallel.ChunkBounds(c, n)
+		e.resolveChunk(entries, pend, c, lo, hi)
+	}
+}
+
+// resolveChunk is resolve on chunk c, entries[lo:hi]. It reads the memo
+// tables and writes only the chunk's arena and its entries' resolutions
+// and key ends, so chunks can run on parallel workers while nothing
+// writes the tables.
+//
+//logr:noalloc
+func (e *Encoder) resolveChunk(entries []LogEntry, pend []pending, c, lo, hi int) {
+	arena := e.arenas[c][:0]
+	for i := lo; i < hi; i++ {
+		sql := entries[i].SQL
+		if ref, ok := e.rawCache[sql]; ok {
+			pend[i] = pending{ref: ref, job: -1, cached: true}
+		} else {
+			from := len(arena)
+			arena = appendShapeKey(arena, sql, e.opts.KeepConstants)
+			pend[i] = pending{job: jobUnresolved, hash: hashRaw(sql)}
+			if ref, ok := e.shapes[string(arena[from:])]; ok { //logr:allow(noalloc) a map lookup keyed by string(bytes) does not copy
+				pend[i].ref, pend[i].job = ref, -1
+				arena = arena[:from]
+			}
+		}
+		e.scratchEnd[i] = uint32(len(arena))
+	}
+	e.arenas[c] = arena
+}
+
+// appendShapeKey appends sql's shape key to dst: its fingerprint, or, when
+// the lexer rejects it, lexFailMark and the statement, so that prepare
+// takes the parser's verdict, which may still be a stored procedure
+// ("CALL p('unterminated").
+//
+//logr:noalloc
+func appendShapeKey(dst []byte, sql string, keepLiterals bool) []byte {
+	start := len(dst)
+	fp, err := sqlparser.Fingerprint(dst, sql, keepLiterals)
+	if err != nil {
+		return append(append(fp[:start], lexFailMark), sql...)
+	}
+	return fp
 }
 
 // prepare runs the stateless half of the pipeline for one SQL string. It
-// touches no Encoder state besides the immutable options, so it is safe to
-// call from parallel workers.
+// writes no Encoder state and reads only the immutable options and
+// canonIdx, which nothing writes while workers run (the merge waits for
+// them), so it is safe to call from parallel workers.
 func (e *Encoder) prepare(sql string) prepared {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -386,12 +458,21 @@ func (e *Encoder) prepare(sql string) prepared {
 		return prepared{fail: failUnparseable}
 	}
 	r := regularize.Regularize(stmt, e.regOpts)
-	return prepared{
-		blocks:      r.Blocks,
+	p := prepared{
 		conjunctive: r.WasConjunctive && len(r.Blocks) == 1,
 		rewritable:  r.Rewritable,
 		canonKey:    canonicalKey(r.Blocks),
 	}
+	// A shape whose canonical query is already in the table — one
+	// fingerprint per IN-list length, say — needs no walk: the features
+	// are a function of the canonical key, and admitShape reuses the
+	// query's indices.
+	if _, known := e.canonIdx[p.canonKey]; !known {
+		for _, blk := range r.Blocks {
+			p.feats = e.opts.Scheme.AppendFeatures(p.feats, blk)
+		}
+	}
+	return p
 }
 
 // replay counts a statement whose outcome is known. This is the steady
@@ -425,25 +506,12 @@ func (e *Encoder) admitShape(key string, p prepared) rawRef {
 	case failStoredProc:
 		ref = refStoredProc
 	case failNone:
-		// A shape whose canonical query is already in the table — one
-		// fingerprint per IN-list length, say — needs no extraction: the
-		// features are a function of the canonical key, so they are
-		// interned and their indices are c.indices.
+		// a canonical query already in the table has its indices; prepare
+		// walked the features of any other (canonIdx only grows)
 		ci, ok := e.canonIdx[p.canonKey]
 		if !ok {
-			set := map[int]bool{}
-			for _, blk := range p.blocks {
-				for _, f := range e.book.Extract(blk) {
-					set[f] = true
-				}
-			}
-			indices := make([]int, 0, len(set))
-			for f := range set {
-				indices = append(indices, f)
-			}
-			sortInts(indices)
 			ci = uint32(len(e.canon))
-			e.canon = append(e.canon, canonical{key: p.canonKey, indices: indices, conjunctive: p.conjunctive, rewritable: p.rewritable})
+			e.canon = append(e.canon, canonical{key: p.canonKey, indices: e.book.Intern(p.feats), conjunctive: p.conjunctive, rewritable: p.rewritable})
 			e.canonIdx[p.canonKey] = ci
 		}
 		ref = refCanon + rawRef(ci)
@@ -452,13 +520,13 @@ func (e *Encoder) admitShape(key string, p prepared) rawRef {
 	return ref
 }
 
-// admitRaw records a raw statement not in rawCache: it counts towards
-// DistinctQueries unless its hash was admitted before, and it enters the
-// cache.
+// admitRaw records a raw statement not in rawCache, whose hashRaw is h: it
+// counts towards DistinctQueries unless h was admitted before, and it
+// enters the cache.
 //
 //logr:noalloc
-func (e *Encoder) admitRaw(sql string, ref rawRef) {
-	if e.rawHashes.add(hashRaw(sql)) {
+func (e *Encoder) admitRaw(sql string, h uint64, ref rawRef) {
+	if e.rawHashes.add(h) {
 		e.stats.DistinctQueries++
 	}
 	remember(e.rawCache, sql, ref)

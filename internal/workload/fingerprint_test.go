@@ -42,7 +42,7 @@ func sameTokens(t testing.TB, a, b string, keep bool) bool {
 	return true
 }
 
-// outcome is what prepare decides about a statement, minus the ASTs.
+// outcome is what prepare decides about a statement, minus its features.
 type outcome struct {
 	fail                    failKind
 	key                     string
