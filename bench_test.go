@@ -344,8 +344,7 @@ func BenchmarkRecompressFull(b *testing.B) {
 	}
 }
 
-func benchEncode(b *testing.B, par int) {
-	raw := workload.PocketData(workload.PocketDataConfig{TotalQueries: 20000, DistinctTarget: 605, Seed: 1})
+func benchEncode(b *testing.B, raw []workload.LogEntry, par int) {
 	entries := make([]logr.Entry, len(raw))
 	for i, e := range raw {
 		entries[i] = logr.Entry{SQL: e.SQL, Count: e.Count}
@@ -357,8 +356,28 @@ func benchEncode(b *testing.B, par int) {
 	}
 }
 
-func BenchmarkEncodeP1(b *testing.B) { benchEncode(b, 1) }
-func BenchmarkEncodeP4(b *testing.B) { benchEncode(b, 4) }
+func pocketDataEntries() []workload.LogEntry {
+	return workload.PocketData(workload.PocketDataConfig{TotalQueries: 20000, DistinctTarget: 605, Seed: 1})
+}
+
+func BenchmarkEncodeP1(b *testing.B) { benchEncode(b, pocketDataEntries(), 1) }
+func BenchmarkEncodeP4(b *testing.B) { benchEncode(b, pocketDataEntries(), 4) }
+
+// BenchmarkEncodeBank encodes a bank log whose distinct raw statements far
+// outnumber its shapes (110 constant bindings per human-written shape, and
+// noise), so that every statement is lexed into its fingerprint and hashed
+// and every shape parsed once — the work the PocketData log, whose
+// statements carry no literals, never reaches. It runs at one worker and on
+// all cores.
+func BenchmarkEncodeBank(b *testing.B) {
+	raw := workload.USBank(workload.USBankConfig{TotalQueries: 300000, ConstantVariants: 110, NoiseEntries: 2000, Seed: 1})
+	for _, c := range []struct {
+		name string
+		par  int
+	}{{"p1", 1}, {"all", 0}} {
+		b.Run(c.name, func(b *testing.B) { benchEncode(b, raw, c.par) })
+	}
+}
 
 // --------------------------------------------------------------------------
 

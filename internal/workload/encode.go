@@ -277,8 +277,9 @@ func (e *Encoder) Add(entry LogEntry) {
 }
 
 // addBatchWindow is the window size AddBatch shards a batch into: large
-// enough to keep the parse workers fed, small enough that the prepared
-// ASTs held alive before each merge stay bounded regardless of batch size.
+// enough to keep the workers fed, small enough that the shape keys and
+// feature lists held alive before each merge stay bounded regardless of
+// batch size.
 const addBatchWindow = 8192
 
 // AddBatch feeds a batch of entries through the pipeline. The stateless
