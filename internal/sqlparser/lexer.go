@@ -228,7 +228,7 @@ scan:
 	case c == ':' || c == '$' || c == '@':
 		// named or positional bind parameter (:name, $1, @var)
 		lx.pos++
-		if _, err := lx.scanIdentPart(); err != nil {
+		if err := lx.scanIdentPart(); err != nil {
 			return Token{}, err
 		}
 		if lx.pos == start+1 {
@@ -249,45 +249,34 @@ var asciiIdentPart = func() (t [utf8.RuneSelf]bool) {
 }()
 
 // scanIdentPart consumes identifier-part runes, stopping at the first rune
-// outside the identifier alphabet and rejecting invalid UTF-8. It reports
-// whether every rune it consumed was ASCII.
-func (lx *lexer) scanIdentPart() (ascii bool, err error) {
-	ascii = true
+// outside the identifier alphabet and rejecting invalid UTF-8.
+func (lx *lexer) scanIdentPart() error {
 	for lx.pos < len(lx.src) {
 		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
 			if !asciiIdentPart[c] {
-				return ascii, nil
+				return nil
 			}
 			lx.pos++
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		if r == utf8.RuneError && size <= 1 {
-			return false, lx.errf(lx.pos, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
+			return lx.errf(lx.pos, "invalid UTF-8 byte 0x%02x", lx.src[lx.pos])
 		}
 		if !isIdentPart(r) {
-			return ascii, nil
+			return nil
 		}
 		lx.pos += size
-		ascii = false
 	}
-	return ascii, nil
+	return nil
 }
 
 func (lx *lexer) scanIdent(start int) (Token, error) {
-	ascii, err := lx.scanIdentPart()
-	if err != nil {
+	if err := lx.scanIdentPart(); err != nil {
 		return Token{}, err
 	}
 	text := lx.src[start:lx.pos]
-	var kw string
-	var ok bool
-	if ascii {
-		kw, ok = asciiKeyword(text)
-	} else {
-		kw, ok = keyword(text)
-	}
-	if ok {
+	if kw, ok := keyword(text); ok {
 		return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 	}
 	return Token{Kind: TokIdent, Text: text, Pos: start}, nil
