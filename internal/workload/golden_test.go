@@ -111,8 +111,8 @@ func TestEncoderGoldenDigests(t *testing.T) {
 // statements far outnumber its shapes (so most statements take the
 // fingerprint path, and the memo tables turn over), with noise (so lex
 // failures and stored procedures cross the parallel windows), AddBatch at
-// parallelism 1, 2 and 8 and an Add loop all end in the same statistics,
-// codebook and state bytes.
+// parallelism 1, 2, 8 and 32 (more workers than a window has chunk pairs)
+// and an Add loop all end in the same statistics, codebook and state bytes.
 func TestEncoderDeterministicAtBankScale(t *testing.T) {
 	entries := USBank(USBankConfig{TotalQueries: 300000, DistinctTarget: 1712, ConstantVariants: 110, NoiseEntries: 2000, Seed: 1})
 	one := NewEncoder(EncodeOptions{Parallelism: 1})
@@ -124,7 +124,7 @@ func TestEncoderDeterministicAtBankScale(t *testing.T) {
 		t.Fatalf("the log does not cover the paths it is meant to: %+v", want)
 	}
 	wantBook, wantState := one.Book().Features(), one.AppendState(nil)
-	for _, par := range []int{1, 2, 8} {
+	for _, par := range []int{1, 2, 8, 32} {
 		e := NewEncoder(EncodeOptions{Parallelism: par})
 		e.AddBatch(entries)
 		if got := e.Result().Stats; got != want {
@@ -135,6 +135,26 @@ func TestEncoderDeterministicAtBankScale(t *testing.T) {
 		}
 		if !bytes.Equal(e.AppendState(nil), wantState) {
 			t.Errorf("parallelism %d: state bytes differ from the Add loop's", par)
+		}
+	}
+}
+
+// TestResolveWorkers: the lookup pass takes as many workers as it is
+// asked for, up to two chunks each, so a large window fans out at any
+// parallelism and a window of three chunks or fewer stays serial.
+func TestResolveWorkers(t *testing.T) {
+	for _, c := range []struct{ n, par, want int }{
+		{addBatchWindow, 1, 1},
+		{addBatchWindow, 2, 2},
+		{addBatchWindow, 16, 16},
+		{addBatchWindow, 17, 16}, // two of the window's 32 chunks each
+		{769, 8, 2},
+		{768, 8, 1},
+		{512, 2, 1},
+		{0, 2, 0},
+	} {
+		if got := resolveWorkers(c.n, c.par); got != c.want {
+			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.n, c.par, got, c.want)
 		}
 	}
 }
